@@ -38,6 +38,7 @@ from .strip import (
     derivative_y,
     from_grid,
     sobolev_norm,
+    sobolev_norm_set,
     to_grid,
 )
 
@@ -90,19 +91,6 @@ class ModeOperator:
     @property
     def top_real_part(self) -> float:
         return float(np.max(self.eigenvalues.real))
-
-    def conjugated(self) -> "ModeOperator":
-        """The block for mode -n; the spectrum mirrors across the real axis."""
-        return ModeOperator(
-            mode_index=-self.mode_index,
-            wavenumber=-self.wavenumber,
-            matrix=self.matrix.conj(),
-            eigenvalues=self.eigenvalues.conj(),
-            vectors=self.vectors.conj(),
-            vectors_inv=self.vectors_inv.conj(),
-            condition=self.condition,
-            defective=self.defective,
-        )
 
 
 def assemble_mode(n: int, coeffs: CloudCoefficients,
@@ -206,25 +194,28 @@ class CloudModel:
         self.nonlinear = nonlinear
         self.mode_numbers = np.rint(
             np.fft.fftfreq(geometry.nx) * geometry.nx).astype(int)
-        by_abs = {}
-        for n in sorted(set(abs(self.mode_numbers))):
-            by_abs[n] = assemble_mode(int(n), coeffs, geometry)
-        ops = []
-        for n in self.mode_numbers:
-            base = by_abs[abs(n)]
-            ops.append(base if n >= 0 else base.conjugated())
-        self.mode_operators = ops
-        m = geometry.ny - 2
-        ident = np.eye(m, dtype=complex)
+        nx, m = geometry.nx, geometry.ny - 2
+        lam = np.empty((nx, m), dtype=complex)
+        vectors = np.empty((nx, m, m), dtype=complex)
+        vectors_inv = np.empty_like(vectors)
+        defective = np.zeros(nx, dtype=bool)
+        matrices = {}
+        ident = np.eye(m)
+        for n in range(nx // 2 + 1):
+            # one decomposition per |n|: the block for -n is its conjugate
+            op = assemble_mode(n, coeffs, geometry)
+            for idx in np.nonzero(np.abs(self.mode_numbers) == n)[0]:
+                flip = np.conj if self.mode_numbers[idx] < 0 else np.asarray
+                lam[idx] = flip(op.eigenvalues)
+                vectors[idx] = flip(ident if op.defective else op.vectors)
+                vectors_inv[idx] = flip(ident if op.defective else op.vectors_inv)
+                defective[idx] = op.defective
+                if op.defective:
+                    matrices[idx] = flip(op.matrix)
         self.propagator = ModeStackPropagator(
-            lam=np.stack([op.eigenvalues for op in ops]),
-            vectors=np.stack([op.vectors if not op.defective else ident
-                              for op in ops]),
-            vectors_inv=np.stack([op.vectors_inv if not op.defective else ident
-                                  for op in ops]),
-            matrices=np.stack([op.matrix for op in ops]),
-            defective_mask=[op.defective for op in ops],
-        )
+            lam, vectors, vectors_inv,
+            np.stack([matrices.get(i, ident) for i in range(nx)]) if matrices else None,
+            defective)
 
     def field_from_state(self, state: np.ndarray) -> SpectralField:
         full = np.zeros((self.geometry.nx, self.geometry.ny), dtype=complex)
@@ -243,9 +234,9 @@ class CloudModel:
     def norm(self, state: np.ndarray, sigma: float) -> float:
         return sobolev_norm(self.field_from_state(state), sigma)
 
-    def norms(self, state: np.ndarray, sigmas) -> tuple:
-        u = self.field_from_state(state)
-        return tuple(sobolev_norm(u, s) for s in sigmas)
+    def norms(self, state: np.ndarray, sigmas) -> dict:
+        """Norms at every sigma from one sine projection."""
+        return sobolev_norm_set(self.field_from_state(state), sigmas)
 
     def spectral_abscissa(self) -> float:
         return self.propagator.spectral_abscissa()

@@ -121,10 +121,9 @@ def trajectory_columns(trajectory):
     for sigma in sorted(trajectory.norms):
         header.append(f"norm_{sigma_label(sigma)}")
         columns.append(np.asarray(trajectory.norms[sigma]))
-    weighted = np.asarray(trajectory.weighted)
-    if weighted.size == len(columns[0]):
+    if trajectory.weighted is not None:
         header.append("weighted")
-        columns.append(weighted)
+        columns.append(np.asarray(trajectory.weighted))
     header.append("f_norm")
     columns.append(np.asarray(trajectory.f_norms))
     return header, columns

@@ -598,6 +598,8 @@ def random_problem(dim: int, rng, quasilinear: bool = False,
     """
     from .exponents import validate_exponents
 
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     rates = np.sort(rng.uniform(0.6, 6.0, size=dim))
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     generator = -(basis * rates) @ basis.T

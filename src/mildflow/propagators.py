@@ -7,6 +7,9 @@ dense blocks (the strip operator). Dense generators are eigendecomposed
 once; if the eigenvector basis is too ill-conditioned the propagator
 falls back to scaling-and-squaring exponentials with augmented-matrix
 phi actions, trading speed for robustness on defective matrices.
+Every flavor also builds the step factors e^{hA}, phi1(hA), phi2(hA) of
+one fixed step h (multipliers, one matrix or a block tensor), which
+apply_block_factor applies; the most recent h is cached.
 """
 
 from __future__ import annotations
@@ -81,13 +84,32 @@ def phi_action_dense(matrix: np.ndarray, vectors: np.ndarray, order: int) -> np.
     raise ValueError(f"phi order {order} not supported")
 
 
-class DiagonalPropagator:
+def _defective_factor(a: np.ndarray, order: int) -> np.ndarray:
+    """phi_order(a) as a matrix (phi_0 = exp) without eigenvectors."""
+    return expm(a) if order == 0 else phi_action_dense(a, np.eye(a.shape[0]), order)
+
+
+class _StepFactors:
+    """Per-dt (E, P1, P2) = (e^{hA}, phi1(hA), phi2(hA)) for fixed-step
+    marching; only the most recent dt is cached."""
+
+    _cache = None
+
+    def step_factors(self, dt: float):
+        dt = float(dt)
+        if self._cache is None or self._cache[0] != dt:
+            _guard_exponent(dt * self.lam)
+            self._cache = (dt, tuple(self._factor(dt, fn, order) for order, fn
+                                     in enumerate((np.exp, phi1, phi2))))
+        return self._cache[1]
+
+
+class DiagonalPropagator(_StepFactors):
     """Generator is a multiplier lam on the coefficient array."""
 
     def __init__(self, lam: np.ndarray):
         self.lam = np.asarray(lam)
         self.defective = False
-        self._factors = {}
 
     def propagate(self, t: float, state: np.ndarray) -> np.ndarray:
         _guard_exponent(np.asarray(t * self.lam, dtype=complex))
@@ -110,8 +132,12 @@ class DiagonalPropagator:
     def spectral_abscissa(self) -> float:
         return float(np.max(self.lam.real)) if np.size(self.lam) else -np.inf
 
+    def _factor(self, dt, scalar_fn, order):
+        out = scalar_fn(dt * self.lam)
+        return out if np.iscomplexobj(self.lam) else out.real
 
-class DensePropagator:
+
+class DensePropagator(_StepFactors):
     """Single dense generator with cached eigendecomposition.
 
     Real symmetric matrices take the orthogonal eigh route; general
@@ -181,10 +207,14 @@ class DensePropagator:
         return self.vectors @ coeffs
 
     def expm_matrix(self, t: float) -> np.ndarray:
+        if not self.defective:
+            _guard_exponent(t * self.lam)
+        return self._factor(t, np.exp, 0)
+
+    def _factor(self, dt, scalar_fn, order):
         if self.defective:
-            return expm(t * self.matrix)
-        _guard_exponent(t * self.lam)
-        out = (self.vectors * np.exp(t * self.lam)) @ self.vectors_inv
+            return _defective_factor(dt * self.matrix, order)
+        out = (self.vectors * scalar_fn(dt * self.lam)) @ self.vectors_inv
         return out.real if not np.iscomplexobj(self.matrix) else out
 
     def operator_norm(self, t: float) -> float:
@@ -194,21 +224,21 @@ class DensePropagator:
         return float(np.max(self.lam.real))
 
 
-class ModeStackPropagator:
+class ModeStackPropagator(_StepFactors):
     """Independent dense blocks, one per Fourier mode.
 
     lam: (modes, m); vectors/inverse: (modes, m, m). Blocks flagged as
-    defective fall back to per-block scaling-and-squaring.
+    defective fall back to per-block scaling-and-squaring; the stacked
+    generator matrices are kept only for them.
     """
 
     def __init__(self, lam, vectors, vectors_inv, matrices, defective_mask):
         self.lam = lam
         self.vectors = vectors
         self.vectors_inv = vectors_inv
-        self.matrices = matrices
         self.defective_mask = np.asarray(defective_mask, dtype=bool)
         self.any_defective = bool(self.defective_mask.any())
-        self._factors = {}
+        self.matrices = matrices if self.any_defective else None
 
     def _apply_eigen(self, multipliers: np.ndarray, state: np.ndarray) -> np.ndarray:
         coeff = np.einsum("nij,nj->ni", self.vectors_inv, state)
@@ -217,13 +247,8 @@ class ModeStackPropagator:
     def _apply(self, t: float, state: np.ndarray, scalar_fn, order: int) -> np.ndarray:
         _guard_exponent(t * self.lam)
         out = self._apply_eigen(scalar_fn(t * self.lam), state)
-        if self.any_defective:
-            for idx in np.nonzero(self.defective_mask)[0]:
-                a = t * self.matrices[idx]
-                if order == 0:
-                    out[idx] = expm(a) @ state[idx]
-                else:
-                    out[idx] = phi_action_dense(a, state[idx], order)
+        for idx in np.nonzero(self.defective_mask)[0]:
+            out[idx] = _defective_factor(t * self.matrices[idx], order) @ state[idx]
         return out
 
     def propagate(self, t: float, state: np.ndarray) -> np.ndarray:
@@ -248,31 +273,21 @@ class ModeStackPropagator:
     def spectral_abscissa(self) -> float:
         return float(np.max(self.lam.real))
 
-    def step_factors(self, dt: float):
-        """Cached (E, P1, P2) block tensors for fixed-step marching."""
-        key = float(dt)
-        if key not in self._factors:
-            e = self._factor_tensor(dt, np.exp, 0)
-            p1 = self._factor_tensor(dt, phi1, 1)
-            p2 = self._factor_tensor(dt, phi2, 2)
-            self._factors[key] = (e, p1, p2)
-        return self._factors[key]
-
-    def _factor_tensor(self, dt, scalar_fn, order):
-        _guard_exponent(dt * self.lam)
+    def _factor(self, dt, scalar_fn, order):
         mult = scalar_fn(dt * self.lam)
-        tensor = np.einsum("nij,nj,njk->nik", self.vectors, mult, self.vectors_inv)
-        if self.any_defective:
-            eye = np.eye(self.lam.shape[1])
-            for idx in np.nonzero(self.defective_mask)[0]:
-                a = dt * self.matrices[idx]
-                if order == 0:
-                    tensor[idx] = expm(a)
-                else:
-                    tensor[idx] = phi_action_dense(a, eye, order)
+        tensor = np.empty_like(self.vectors)
+        for idx in range(len(tensor)):  # block by block: no stack-sized temporary
+            np.matmul(self.vectors[idx] * mult[idx], self.vectors_inv[idx],
+                      out=tensor[idx])
+        for idx in np.nonzero(self.defective_mask)[0]:
+            tensor[idx] = _defective_factor(dt * self.matrices[idx], order)
         return tensor
 
 
-def apply_block_factor(tensor: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Batched block matvec: (modes, m, m) x (modes, m)."""
-    return np.matmul(tensor, state[..., None])[..., 0]
+def apply_block_factor(factor: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Apply a step factor: elementwise when it has the state's ndim
+    (multipliers), else a batched matvec ((m, m) x (m,) or
+    (modes, m, m) x (modes, m))."""
+    if factor.ndim == state.ndim:
+        return factor * state
+    return np.matmul(factor, state[..., None])[..., 0]

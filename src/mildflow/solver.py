@@ -18,11 +18,12 @@ semigroup overflow, and carries the flag time and reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .propagators import InstabilityError, phi1, phi2
+from .propagators import InstabilityError, apply_block_factor, phi1, phi2
 
 INTEGRATORS = ("exp_euler", "etdrk2")
 
@@ -49,6 +50,9 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not self.dt <= self.t_end < np.inf:
+            raise ValueError("need finite dt <= t_end, "
+                             f"got dt={self.dt}, t_end={self.t_end}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
@@ -77,6 +81,22 @@ class Trajectory:
         return self.blowup_time is not None
 
 
+def _advance(state, f0, dt, operators, nonlinearity, method):
+    """One step from u given f(u); operators apply e^{hA}, phi1(hA), phi2(hA)."""
+    expo, phi1_op, phi2_op = operators
+    stage = expo(state) + dt * phi1_op(f0)
+    if method == "exp_euler":
+        return stage
+    if method != "etdrk2":
+        raise ValueError(f"unknown integrator {method!r}")
+    return stage + dt * phi2_op(nonlinearity(stage) - f0)
+
+
+def _actions(propagator, dt):
+    return tuple(partial(fn, dt) for fn in (
+        propagator.propagate, propagator.phi1_action, propagator.phi2_action))
+
+
 def step_exponential(state, dt, propagator, nonlinearity,
                      method: str = "etdrk2"):
     """One exponential-integrator step; returns (new_state, f(state)).
@@ -86,88 +106,89 @@ def step_exponential(state, dt, propagator, nonlinearity,
                 u+ = a + h phi2(h A) (f(a) - f(u))
     """
     f0 = nonlinearity(state)
-    stage = propagator.propagate(dt, state) + dt * propagator.phi1_action(dt, f0)
-    if method == "exp_euler":
-        return stage, f0
-    if method != "etdrk2":
-        raise ValueError(f"unknown integrator {method!r}")
-    f_stage = nonlinearity(stage)
-    return stage + dt * propagator.phi2_action(dt, f_stage - f0), f0
+    return _advance(state, f0, dt, _actions(propagator, dt), nonlinearity,
+                    method), f0
 
 
-def _frozen_step(model, state, dt, method):
-    prop = model.frozen_propagator(state)
-    return step_exponential(state, dt, prop, model.nonlinearity, method)
+def _norm_set(model, state, sigmas) -> dict:
+    if hasattr(model, "norms"):
+        return model.norms(state, sigmas)
+    return {s: model.norm(state, s) for s in sigmas}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     """March the model from u0, recording norms and watching for blow-up.
 
-    Models with a fixed .propagator use it every step; otherwise the
-    model must supply frozen_propagator(state) and the generator is
-    reassembled from the current state each step.
+    Models with a fixed .propagator step with its cached per-dt factors;
+    otherwise the model must supply frozen_propagator(state) and the
+    generator is reassembled from the current state each step. f is
+    evaluated once per accepted state, and the next step reuses it.
     """
-    autonomous = hasattr(model, "propagator")
+    dt = config.dt
+    if hasattr(model, "propagator"):
+        def operators(_):
+            return [partial(apply_block_factor, factor)
+                    for factor in model.propagator.step_factors(dt)]
+    else:
+        def operators(st):
+            return _actions(model.frozen_propagator(st), dt)
+    lead = config.monitor_sigmas[0]
+    extra = () if config.weighted_sigma is None else (config.weighted_sigma,)
+    sigmas = tuple(dict.fromkeys(config.monitor_sigmas + extra))
+    mu = config.weighted_mu if config.weighted_mu is not None else 0.0
     state = np.array(u0, copy=True)
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = int(round(config.t_end / dt))
+    norms = _norm_set(model, state, sigmas)
     threshold = config.blowup_threshold
     if threshold is None:
-        base = model.norm(state, config.monitor_sigmas[0])
-        threshold = config.blowup_factor * max(base, 1.0)
+        threshold = config.blowup_factor * max(norms[lead], 1.0)
 
     times, f_norms, weighted = [], [], []
     norm_series = {s: [] for s in config.monitor_sigmas}
     snapshots = []
-    blowup_time = None
-    blowup_reason = None
+    blowup_time = blowup_reason = None
     t = 0.0
-    last_f = model.nonlinearity(state)
+    f_state = model.nonlinearity(state)
 
-    def record(t_now, st, f_val):
+    def record(t_now, f_val, values):
         times.append(t_now)
         for s in config.monitor_sigmas:
-            norm_series[s].append(model.norm(st, s))
+            norm_series[s].append(values[s])
         f_norms.append(model.norm(f_val, 0.0))
         if config.weighted_sigma is not None:
-            mu = config.weighted_mu if config.weighted_mu is not None else 0.0
-            weighted.append(t_now ** mu * model.norm(st, config.weighted_sigma)
+            weighted.append(t_now ** mu * values[config.weighted_sigma]
                             if t_now > 0.0 else 0.0)
 
-    record(0.0, state, last_f)
+    record(0.0, f_state, norms)
     if config.snapshot_every:
         snapshots.append((0.0, state.copy()))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            try:
-                if autonomous:
-                    new_state, last_f = step_exponential(
-                        state, config.dt, model.propagator,
-                        model.nonlinearity, config.integrator)
-                else:
-                    new_state, last_f = _frozen_step(
-                        model, state, config.dt, config.integrator)
-            except InstabilityError:
-                blowup_time, blowup_reason = t, "semigroup-overflow"
-                break
-            except FloatingPointError:
-                blowup_time, blowup_reason = t, "nonfinite"
-                break
-            t = k * config.dt
-            if not np.all(np.isfinite(new_state)):
-                blowup_time, blowup_reason = t, "nonfinite"
-                break
-            state = new_state
-            monitored = model.norm(state, config.monitor_sigmas[0])
-            if not np.isfinite(monitored) or monitored > threshold:
-                f_now = model.nonlinearity(state)
-                record(t, state, f_now)
-                blowup_time, blowup_reason = t, "norm-threshold"
-                break
-            if k % config.record_every == 0 or k == n_steps:
-                record(t, state, model.nonlinearity(state))
-            if config.snapshot_every and k % config.snapshot_every == 0:
-                snapshots.append((t, state.copy()))
+    for k in range(1, n_steps + 1):
+        try:
+            new_state = _advance(state, f_state, dt, operators(state),
+                                 model.nonlinearity, config.integrator)
+        except InstabilityError:
+            blowup_time, blowup_reason = t, "semigroup-overflow"
+            break
+        except FloatingPointError:
+            blowup_time, blowup_reason = t, "nonfinite"
+            break
+        t = k * dt
+        if not np.all(np.isfinite(new_state)):
+            blowup_time, blowup_reason = t, "nonfinite"
+            break
+        state, f_state = new_state, model.nonlinearity(new_state)
+        due = k % config.record_every == 0 or k == n_steps
+        norms = _norm_set(model, state, sigmas if due else (lead,))
+        if not np.isfinite(norms[lead]) or norms[lead] > threshold:
+            record(t, f_state, norms if due else _norm_set(model, state, sigmas))
+            blowup_time, blowup_reason = t, "norm-threshold"
+            break
+        if due:
+            record(t, f_state, norms)
+        if config.snapshot_every and k % config.snapshot_every == 0:
+            snapshots.append((t, state.copy()))
 
     return Trajectory(
         times=np.asarray(times),

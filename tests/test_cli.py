@@ -127,6 +127,14 @@ def test_missing_subcommand_exits_2():
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--t-end", "inf"], ["--dt", "inf"], ["--dt", "1", "--t-end", "0.5"]])
+def test_nonfinite_or_oversized_step_exits_2(tmp_path, capsys, flags):
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--init", "zero", *flags, "--out", out]) == 2
+    assert "t_end" in capsys.readouterr().err
+
+
 # ---------- heat ----------
 
 def test_heat_blowup_recorded_with_exit_zero(tmp_path):
@@ -138,6 +146,18 @@ def test_heat_blowup_recorded_with_exit_zero(tmp_path):
     assert summary["blowup"] is not None
     assert summary["blowup"]["time"] < 1.0
     assert summary["fitted"] is None
+
+
+def test_one_sample_blowup_writes_series_without_weighted(tmp_path):
+    out = tmp_path / "run"
+    assert main(["heat", "simulate", "--kind", "semilinear",
+                 "--amplitude", "1e300", "--t-end", "0.01",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["blowup"] is not None
+    header, columns = read_csv(str(out / "series.csv"))
+    assert "weighted" not in header
+    assert columns[0].tolist() == [0.0]
 
 
 def test_heat_quasilinear_needs_explicit_window(tmp_path):
@@ -212,6 +232,12 @@ def test_lab_decay_cli(tmp_path, capsys):
     assert code == 0
     assert payload["m_report"] is not None
     assert payload["m_report"] < 5.0 * payload["omega0"]
+
+
+def test_lab_contraction_dim_zero_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["lab", "contraction", "--dim", "0", "--out", out]) == 2
+    assert "dim" in capsys.readouterr().err
 
 
 def test_lab_decay_bad_varpi_exit_2(tmp_path):

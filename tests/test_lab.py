@@ -290,6 +290,12 @@ def test_fixed_point_rejects_origin_violating_hook():
         run_fixed_point(prob, params, np.zeros(1))
 
 
+def test_random_problem_rejects_empty_dimension():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="dim must be at least 1, got 0"):
+        random_problem(0, rng)
+
+
 def test_random_problems_contract_within_iteration_budget():
     # geometric convergence at rate <= 1/2 bounds the sweep count by
     # ceil(log(tol) / log(1/2)) + 5 for the relative tolerance in use

@@ -191,3 +191,68 @@ def test_propagate_rejects_nothing_at_time_zero():
     prop = DiagonalPropagator(np.array([-3.0, -7.0]))
     v = np.array([2.0, 5.0])
     assert np.allclose(prop.propagate(0.0, v), v)
+
+
+def _assert_factors_match_actions(prop, u, dt):
+    e, p1, p2 = prop.step_factors(dt)
+    for factor, action in ((e, prop.propagate), (p1, prop.phi1_action),
+                           (p2, prop.phi2_action)):
+        out = apply_block_factor(factor, u)
+        assert out.dtype == action(dt, u).dtype
+        assert np.max(np.abs(out - action(dt, u))) < 1e-12
+
+
+def test_diagonal_factors_are_real_multipliers():
+    prop = DiagonalPropagator(np.array([-1.0, -4.0, -9.0]))
+    e, p1, p2 = prop.step_factors(0.3)
+    assert e.shape == (3,) and not any(np.iscomplexobj(f) for f in (e, p1, p2))
+    _assert_factors_match_actions(prop, np.array([1.0, -2.0, 0.5]), 0.3)
+    _assert_factors_match_actions(prop, np.array([1.0, 2j, 0.5 - 1j]), 0.3)
+
+
+def test_dense_factors_match_actions():
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((5, 5))
+    nonsym = -3.0 * np.eye(5) + 0.5 * rng.standard_normal((5, 5))
+    for matrix in (-(s @ s.T) - np.eye(5), nonsym):
+        prop = DensePropagator(matrix)
+        assert not prop.defective
+        assert not any(np.iscomplexobj(f) for f in prop.step_factors(0.2))
+        _assert_factors_match_actions(prop, rng.standard_normal(5), 0.2)
+
+
+def test_dense_defective_factors_fall_back_to_expm():
+    prop = DensePropagator(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    assert prop.defective
+    _assert_factors_match_actions(prop, np.array([0.3, -1.2]), 0.4)
+
+
+def test_mode_stack_defective_factors_match_actions():
+    jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    healthy = np.diag([-2.0, -3.0])
+    lam_h, v_h = np.linalg.eigh(healthy)
+    stack = ModeStackPropagator(
+        np.stack([lam_h.astype(complex), np.array([-1.0, -1.0], dtype=complex)]),
+        np.stack([v_h.astype(complex), np.eye(2, dtype=complex)]),
+        np.stack([v_h.T.astype(complex), np.eye(2, dtype=complex)]),
+        np.stack([healthy, jordan]),
+        [False, True],
+    )
+    u = np.array([[1.0, 2.0], [3.0 - 1j, 4.0]])
+    _assert_factors_match_actions(stack, u, 0.5)
+
+
+def test_step_factors_cache_only_the_latest_dt():
+    stack, _ = _random_stack(np.random.default_rng(9))
+    assert stack.matrices is None  # kept only for defective blocks
+    first = stack.step_factors(0.1)
+    assert stack.step_factors(0.1) is first
+    stack.step_factors(0.2)
+    again = stack.step_factors(0.1)
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
+
+
+def test_step_factors_guard_overflow():
+    with pytest.raises(InstabilityError):
+        DiagonalPropagator(np.array([800.0])).step_factors(1.0)

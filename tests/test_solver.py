@@ -207,3 +207,78 @@ def test_fit_decay_rate_needs_samples():
         fit_decay_rate(tr, 0.0)
     with pytest.raises(KeyError):
         fit_decay_rate(tr, 1.0)
+
+
+@pytest.mark.parametrize("dt, t_end", [
+    (1e-3, float("inf")), (float("inf"), 1.0), (1.0, 0.5)])
+def test_config_rejects_nonfinite_or_oversized_step(dt, t_end):
+    with pytest.raises(ValueError, match="dt=.*t_end="):
+        SolverConfig(dt=dt, t_end=t_end)
+
+
+def test_config_accepts_horizon_off_the_step_grid():
+    assert SolverConfig(dt=0.3, t_end=1.0).t_end == 1.0
+
+
+def _small_cloud():
+    from mildflow.cloud import CloudCoefficients, CloudModel
+    from mildflow.strip import periodic_strip, random_dirichlet_field
+
+    geometry = periodic_strip(16, 12)
+    model = CloudModel(CloudCoefficients(1.0, 0.5, 2.0), geometry)
+    rng = np.random.default_rng(4)
+    return model, model.state_from_field(random_dirichlet_field(geometry, rng))
+
+
+@pytest.mark.parametrize("method", ["exp_euler", "etdrk2"])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_fixed_step_path_matches_step_exponential_loop(method, record_every):
+    model, u0 = _small_cloud()
+    dt, steps = 2e-3, 12
+    cfg = SolverConfig(dt=dt, t_end=steps * dt, integrator=method,
+                       record_every=record_every, monitor_sigmas=(0.0, 1.0),
+                       weighted_sigma=1.5, weighted_mu=0.25)
+    tr = run_simulation(model, u0, cfg)
+    states = [u0]
+    for _ in range(steps):
+        states.append(step_exponential(states[-1], dt, model.propagator,
+                                       model.nonlinearity, method)[0])
+    scale = np.max(np.abs(states[-1]))
+    assert not tr.flagged
+    assert np.max(np.abs(tr.final_state - states[-1])) <= 1e-13 * scale
+    recorded = states[::record_every]
+    assert np.allclose(tr.times, dt * np.arange(0, steps + 1, record_every),
+                       rtol=0.0, atol=1e-15)
+    for sigma in (0.0, 1.0):
+        ref = [model.norm(s, sigma) for s in recorded]
+        assert np.max(np.abs(tr.norms[sigma] - ref)) <= 1e-13 * max(ref)
+    ref_f = [model.norm(model.nonlinearity(s), 0.0) for s in recorded]
+    assert np.max(np.abs(tr.f_norms - ref_f)) <= 1e-13 * max(ref_f)
+    ref_w = [t ** 0.25 * model.norm(s, 1.5) if t > 0 else 0.0
+             for t, s in zip(tr.times, recorded)]
+    assert np.max(np.abs(tr.weighted - ref_w)) <= 1e-13 * max(ref_w)
+
+
+def _counting(fn, calls):
+    def counted(state):
+        calls.append(1)
+        return fn(state)
+    return counted
+
+
+@pytest.mark.parametrize("method, per_step", [("etdrk2", 2), ("exp_euler", 1)])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_f_is_evaluated_once_per_accepted_state(method, per_step, record_every):
+    from mildflow.heat import QuasilinearHeatModel
+
+    cloud, u0 = _small_cloud()
+    heat = QuasilinearHeatModel(points=17)
+    frozen_u0 = heat.state_from_function(lambda x: 0.01 * np.cos(np.pi * x))
+    steps = 9
+    cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3, integrator=method,
+                       record_every=record_every, monitor_sigmas=(0.0, 1.0))
+    for model, state in ((cloud, u0), (heat, frozen_u0)):
+        calls = []
+        model.nonlinearity = _counting(model.nonlinearity, calls)
+        assert not run_simulation(model, state, cfg).flagged
+        assert len(calls) == 1 + per_step * steps

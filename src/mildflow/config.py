@@ -158,6 +158,10 @@ def parse_config(path=None, overrides=None, environ=None) -> RunConfig:
         kind = field_types[attr]
         kind = type_of[kind] if isinstance(kind, str) else kind
         setattr(config, attr, _convert(key, str(raw_value), kind))
+    if "heat.p" not in raw and config.model == "heat-quasilinear":
+        # the shared default p = 2 is outside the quasilinear window p > 2n;
+        # take the default of QuasilinearHeatModel instead
+        config.heat_p = 2.5
     validate_config(config)
     return config
 

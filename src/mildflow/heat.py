@@ -5,8 +5,9 @@ Three concrete models exercise the abstract solver on a line:
 * semilinear Dirichlet on (0,1): u_t = u_xx + |u|^{kappa-1} u in a sine
   basis, the workhorse for blow-up versus small-data decay runs;
 * quasilinear Neumann on (0,1): u_t = (a(u) u_x)_x + |u_x|^kappa in a
-  cosine collocation basis whose divergence-form assembly conserves
-  mass exactly when the forcing is off;
+  cosine collocation basis, its generator assembled as -H^T diag(a) H
+  from the nodal derivative H: exactly symmetric, and conserving mass
+  exactly when the forcing is off;
 * periodic box of width 16 pi standing in for free space, where the
   parabolic scaling u -> lambda^rho u(lambda t, sqrt(lambda) x) can be
   tested against two independent solver runs.
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exponents import CriticalRecipe, quasilinear_recipe, semilinear_recipe
-from .propagators import DensePropagator, DiagonalPropagator
+from .propagators import DensePropagator, DiagonalPropagator, InstabilityError
 from .solver import SolverConfig, run_simulation
 
 
@@ -49,14 +50,11 @@ class DiffusivitySpec:
     """Descriptor for a(u): positive on the simulated range.
 
     kinds: "constant" -> a0; "one_plus_square" -> a0 + u^2.
-    derivative_bound records the Lipschitz constant of a' used when
-    sizing neighborhoods; it does not enter the assembly.
     """
 
     kind: str = "one_plus_square"
     a0: float = 1.0
     floor: float = 1e-8
-    derivative_bound: float = 2.0
 
     def __post_init__(self):
         if self.kind not in ("constant", "one_plus_square"):
@@ -69,6 +67,12 @@ class DiffusivitySpec:
         if self.kind == "constant":
             return np.full_like(u, self.a0, dtype=float)
         return self.a0 + u ** 2
+
+
+def _sobolev_weights(modes: np.ndarray, scale=1.0):
+    """sigma -> (1 + (m pi)^2)^sigma * scale over the modes m, cached per sigma."""
+    base = 1.0 + (modes * math.pi) ** 2
+    return lru_cache(maxsize=None)(lambda sigma: base ** sigma * scale)
 
 
 class SemilinearHeatModel:
@@ -96,7 +100,7 @@ class SemilinearHeatModel:
         self.lam = -(m * math.pi) ** 2
         self.propagator = DiagonalPropagator(self.lam)
         self.dealias_keep = 2 * (intervals - 1) // 3
-        self.mode_numbers = m
+        self._norm_weights = _sobolev_weights(m)
 
     def state_from_function(self, fn) -> np.ndarray:
         return self.analyze @ fn(self.nodes)
@@ -113,22 +117,17 @@ class SemilinearHeatModel:
         return f_hat
 
     def norm(self, state: np.ndarray, sigma: float) -> float:
-        weights = (1.0 + (self.mode_numbers * math.pi) ** 2) ** sigma
-        return float(np.sqrt(np.sum(weights * np.abs(state) ** 2)))
-
-    def homogeneous_seminorm(self, state: np.ndarray, exponent: float) -> float:
-        weights = (self.mode_numbers * math.pi) ** (2.0 * exponent)
-        return float(np.sqrt(np.sum(weights * np.abs(state) ** 2)))
+        return float(np.sqrt(np.sum(self._norm_weights(sigma) * np.abs(state) ** 2)))
 
 
 class QuasilinearHeatModel:
     """u_t = (a(u) u_x)_x + |u_x|^kappa on (0,1), Neumann, cosine basis.
 
-    Divergence-form assembly: differentiate the cosine expansion into
-    sine coefficients, multiply by a(u) at interior nodes, project back
-    onto sines, differentiate once more. The first row of the result is
-    identically zero, so the mean of u is conserved exactly while the
-    forcing is off.
+    Divergence-form assembly: H maps cosine coefficients to u_x at the
+    interior nodes and A(u) = -w H^T diag(a(u)) H, w = 2/(points-1) the
+    sine quadrature weight. A(u) is symmetric to the last bit, so frozen
+    steps take the orthogonal eigh route; its first row and column are
+    zero, so the mean of u is conserved exactly while forcing is off.
     """
 
     def __init__(self, points: int = 65, kappa: float = 4.0, p: float = 2.5,
@@ -147,18 +146,14 @@ class QuasilinearHeatModel:
         self.cos_synth = np.cos(np.pi * np.outer(self.nodes, modes))
         self.cos_analyze = np.linalg.inv(self.cos_synth)
         # derivative of the top cosine mode vanishes on this grid
-        self.sine_modes = np.arange(1, points - 1)
-        interior = self.nodes[1:-1]
-        self.sin_synth = np.sin(np.pi * np.outer(interior, self.sine_modes))
-        self.sin_analyze = self.sin_synth.T * 2.0 / (points - 1)
+        sine_modes = np.arange(1, points - 1)
+        sin_synth = np.sin(np.pi * np.outer(self.nodes[1:-1], sine_modes))
+        c2s = np.zeros((points - 2, points))
+        c2s[np.arange(points - 2), np.arange(1, points - 1)] = -(sine_modes * math.pi)
+        self._deriv_nodal = sin_synth @ c2s
+        self._quad_weight = 2.0 / (points - 1)
         self.dealias_keep = 2 * points // 3
-        self._c2s = np.zeros((points - 2, points))
-        self._c2s[np.arange(points - 2), np.arange(1, points - 1)] = \
-            -(self.sine_modes * math.pi)
-        self._s2c = np.zeros((points, points - 2))
-        self._s2c[np.arange(1, points - 1), np.arange(points - 2)] = \
-            self.sine_modes * math.pi
-        self._deriv_nodal = self.sin_synth @ self._c2s
+        self._norm_weights = _sobolev_weights(modes, np.where(modes == 0, 1.0, 0.5))
 
     def state_from_function(self, fn) -> np.ndarray:
         return self.cos_analyze @ fn(self.nodes)
@@ -167,13 +162,16 @@ class QuasilinearHeatModel:
         return self.cos_synth @ state
 
     def operator_matrix(self, state: np.ndarray) -> np.ndarray:
-        """Assemble A(u) = d/dx a(u) d/dx at the current state."""
+        """Assemble A(u) = d/dx a(u) d/dx = -G^T G, G = sqrt(w a(u)) H."""
         a_vals = self.diffusivity.evaluate(self.nodal_values(state)[1:-1])
         if np.min(a_vals) <= self.diffusivity.floor:
             raise ValueError(
                 "diffusivity dropped to its positivity floor "
                 f"{self.diffusivity.floor}; ellipticity lost")
-        return self._s2c @ self.sin_analyze @ (a_vals[:, None] * self._deriv_nodal)
+        if not np.all(np.isfinite(a_vals)):
+            raise InstabilityError("diffusivity a(u) is not finite: state overflowed")
+        root = np.sqrt(self._quad_weight * a_vals)[:, None] * self._deriv_nodal
+        return -(root.T @ root)
 
     def frozen_propagator(self, state: np.ndarray) -> DensePropagator:
         return DensePropagator(self.operator_matrix(state))
@@ -192,10 +190,7 @@ class QuasilinearHeatModel:
         return float(state[0])
 
     def norm(self, state: np.ndarray, sigma: float) -> float:
-        modes = np.arange(self.points)
-        weights = (1.0 + (modes * math.pi) ** 2) ** sigma
-        weights = weights * np.where(modes == 0, 1.0, 0.5)
-        return float(np.sqrt(np.sum(weights * np.abs(state) ** 2)))
+        return float(np.sqrt(np.sum(self._norm_weights(sigma) * np.abs(state) ** 2)))
 
 
 @dataclass(frozen=True)

@@ -160,14 +160,33 @@ def test_one_sample_blowup_writes_series_without_weighted(tmp_path):
     assert columns[0].tolist() == [0.0]
 
 
-def test_heat_quasilinear_needs_explicit_window(tmp_path):
+def test_heat_quasilinear_p_outside_window_exit_2(tmp_path):
     out = str(tmp_path / "run")
     assert main(["heat", "simulate", "--kind", "quasilinear",
-                 "--out", out]) == 2
+                 "--p", "2", "--out", out]) == 2
     assert main(["heat", "simulate", "--kind", "quasilinear",
                  "--kappa", "4", "--p", "2.5", "--tau", "0.27",
                  "--t-end", "0.05", "--dt", "0.001",
                  "--amplitude", "0.05", "--out", out]) == 0
+
+
+def test_heat_quasilinear_defaults_complete(tmp_path):
+    out = tmp_path / "run"
+    assert main(["heat", "simulate", "--kind", "quasilinear",
+                 "--t-end", "0.05", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["heat.p"] == 2.5
+    assert summary["blowup"] is None
+
+
+def test_heat_quasilinear_nonfinite_diffusivity_flagged(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["heat", "simulate", "--kind", "quasilinear", "--p", "2.5",
+                 "--amplitude", "1e200", "--t-end", "0.05",
+                 "--out", str(out)]) == 0
+    assert "blow-up flagged" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["blowup"]["time"] == 0.0
 
 
 def test_heat_small_data_completes(tmp_path):

@@ -104,7 +104,7 @@ def test_semilinear_kappa_window_rederived():
 
 def test_quasilinear_windows_rederived():
     with pytest.raises(ConfigError) as err:
-        parse_config(overrides=["model=heat-quasilinear"])
+        parse_config(overrides=["model=heat-quasilinear", "heat.p=2"])
     assert "heat.p" in str(err.value)
     assert "p > 2n = 2" in str(err.value)
 
@@ -116,6 +116,18 @@ def test_quasilinear_windows_rederived():
 
     parse_config(overrides=["model=heat-quasilinear", "heat.kappa=4",
                             "heat.p=2.5", "heat.tau=0.27"])
+
+
+def test_heat_p_default_resolved_per_model():
+    def heat_p(*overrides):
+        return parse_config(overrides=list(overrides), environ={}).heat_p
+
+    assert heat_p("model=heat-quasilinear") == 2.5
+    assert heat_p("model=heat-semilinear") == 2.0
+    assert heat_p("model=heat-quasilinear", "heat.p=3") == 3.0
+    from_env = parse_config(overrides=["model=heat-quasilinear"],
+                            environ={"MILDFLOW_HEAT_P": "2.2"})
+    assert from_env.heat_p == 2.2
 
 
 def test_bad_integrator_rejected():

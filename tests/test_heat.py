@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mildflow.heat import (
     DiffusivitySpec,
@@ -18,6 +19,7 @@ from mildflow.heat import (
     scaling_roundtrip_test,
     scaling_transform,
 )
+from mildflow.propagators import InstabilityError, phi_action_dense
 from mildflow.solver import SolverConfig, fit_decay_rate, run_simulation
 
 
@@ -162,6 +164,14 @@ def test_quasilinear_ellipticity_floor_raises():
         q.operator_matrix(np.zeros(17))
 
 
+def test_quasilinear_nonfinite_diffusivity_is_instability():
+    q = QuasilinearHeatModel(points=17, kappa=4.0)
+    u = q.state_from_function(lambda x: 1e200 * np.cos(np.pi * x))
+    with np.errstate(over="ignore"), \
+            pytest.raises(InstabilityError, match="diffusivity"):
+        q.operator_matrix(u)
+
+
 def test_quasilinear_frozen_step_self_convergence():
     q = QuasilinearHeatModel(points=33, kappa=4.0)
     u0 = q.state_from_function(lambda x: 0.2 * np.cos(np.pi * x))
@@ -184,6 +194,75 @@ def test_quasilinear_mean_decouples():
     tr = run_simulation(q, u0, SolverConfig(dt=1e-3, t_end=0.1,
                                             monitor_sigmas=(0.0,)))
     assert q.mass(tr.final_state) == pytest.approx(2.0, abs=1e-10)
+
+
+def _quasilinear_cases():
+    # both diffusivity kinds, a flat and two varying states each
+    for spec in (DiffusivitySpec("constant", 0.7), DiffusivitySpec()):
+        q = QuasilinearHeatModel(points=33, kappa=4.0, diffusivity=spec)
+        for fn in (lambda x: 0.0 * x,
+                   lambda x: 0.3 * np.cos(np.pi * x) + 0.5,
+                   lambda x: np.cos(2 * np.pi * x) - 0.4 * np.cos(5 * np.pi * x)):
+            yield q, q.state_from_function(fn)
+
+
+def test_quasilinear_operator_exactly_symmetric_with_null_edges():
+    for q, u in _quasilinear_cases():
+        mat = q.operator_matrix(u)
+        assert np.array_equal(mat, mat.T)
+        # mean and grid-invisible top mode: zero rows and columns
+        for idx in (0, q.points - 1):
+            assert np.all(mat[idx] == 0.0) and np.all(mat[:, idx] == 0.0)
+
+
+def test_quasilinear_operator_matches_three_product_assembly():
+    # the former assembly: differentiate into sines, multiply by a(u) at
+    # the interior nodes, project back onto sines, differentiate again
+    for q, u in _quasilinear_cases():
+        n = q.points
+        sine_modes = np.arange(1, n - 1)
+        sin_synth = np.sin(np.pi * np.outer(q.nodes[1:-1], sine_modes))
+        sin_analyze = sin_synth.T * 2.0 / (n - 1)
+        c2s = np.zeros((n - 2, n))
+        c2s[np.arange(n - 2), np.arange(1, n - 1)] = -(sine_modes * math.pi)
+        s2c = np.zeros((n, n - 2))
+        s2c[np.arange(1, n - 1), np.arange(n - 2)] = sine_modes * math.pi
+        a_vals = q.diffusivity.evaluate(q.nodal_values(u)[1:-1])
+        old = s2c @ sin_analyze @ (a_vals[:, None] * (sin_synth @ c2s))
+        gap = np.max(np.abs(q.operator_matrix(u) - old))
+        assert gap <= 1e-13 * np.max(np.abs(old))
+
+
+def test_quasilinear_frozen_propagator_takes_eigh_route():
+    dt = 1e-3
+    rng = np.random.default_rng(17)
+    for q, u in _quasilinear_cases():
+        prop = q.frozen_propagator(u)
+        assert prop.symmetric and not prop.defective
+        assert prop.condition == 1.0
+        # the eigen route against expm and the augmented-exponential phi
+        v = rng.standard_normal(q.points)
+        mat = dt * q.operator_matrix(u)
+        checks = [(prop.propagate(dt, v), expm(mat) @ v),
+                  (prop.phi1_action(dt, v), phi_action_dense(mat, v, 1)),
+                  (prop.phi2_action(dt, v), phi_action_dense(mat, v, 2))]
+        for got, want in checks:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_heat_norms_bit_identical_with_cached_weights():
+    q = QuasilinearHeatModel(points=33, kappa=4.0)
+    s = SemilinearHeatModel(intervals=32, kappa=6.0)
+    rng = np.random.default_rng(3)
+    for model, modes, scale in [
+            (q, np.arange(33), np.where(np.arange(33) == 0, 1.0, 0.5)),
+            (s, np.arange(1, 32), 1.0)]:
+        state = rng.standard_normal(modes.size)
+        for sigma in (0.0, 1.0, 0.635, 1.0):
+            weights = (1.0 + (modes * math.pi) ** 2) ** sigma * scale
+            want = float(np.sqrt(np.sum(weights * np.abs(state) ** 2)))
+            assert model.norm(state, sigma) == want
+        assert model._norm_weights(1.0) is model._norm_weights(1.0)
 
 
 # ---------- periodic surrogate and scaling ----------

@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvals, expm
+from scipy.linalg import eigvals
 
 from .chebyshev import cumulative_matrix, diff_matrix
-from .propagators import EIG_CONDITION_LIMIT, ModeStackPropagator
+from .propagators import Propagator, decompose
 from .strip import (
     SpectralField,
     StripGeometry,
@@ -88,51 +88,19 @@ class ModeOperator:
     condition: float = np.nan
     defective: bool = False
 
-    @property
-    def top_real_part(self) -> float:
-        return float(np.max(self.eigenvalues.real))
-
 
 def assemble_mode(n: int, coeffs: CloudCoefficients,
                   geometry: StripGeometry) -> ModeOperator:
     mat = mode_matrix(n, coeffs, geometry)
-    lam, vecs = np.linalg.eig(mat)
-    cond = float(np.linalg.cond(vecs))
-    defective = not np.isfinite(cond) or cond > EIG_CONDITION_LIMIT
-    return ModeOperator(
-        mode_index=n,
-        wavenumber=n * math.pi / geometry.half_length,
-        matrix=mat,
-        eigenvalues=lam,
-        vectors=vecs,
-        vectors_inv=None if defective else np.linalg.inv(vecs),
-        condition=cond,
-        defective=defective,
-    )
-
-
-def semigroup_apply(mode_op: ModeOperator, t: float,
-                    vector: np.ndarray) -> np.ndarray:
-    """exp(t A_n) vector for t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    vec = np.asarray(vector, dtype=complex)
-    if mode_op.defective:
-        return expm(t * mode_op.matrix) @ vec
-    mult = np.exp(t * mode_op.eigenvalues)
-    return mode_op.vectors @ (mult * (mode_op.vectors_inv @ vec))
+    return ModeOperator(n, n * math.pi / geometry.half_length, mat,
+                        *decompose(mat))
 
 
 def spectral_bound_numeric(coeffs: CloudCoefficients, geometry: StripGeometry,
                            n_max: int | None = None) -> float:
     """max Re spec(A_n) over modes 0..n_max (negative modes are mirrors)."""
-    if n_max is None:
-        n_max = geometry.nx // 2
-    bound = -np.inf
-    for n in range(n_max + 1):
-        lam = eigvals(mode_matrix(n, coeffs, geometry))
-        bound = max(bound, float(np.max(lam.real)))
-    return bound
+    return max((rec[1] for rec in mode_spectra(coeffs, geometry, n_max)),
+               default=-np.inf)
 
 
 def mode_spectra(coeffs: CloudCoefficients, geometry: StripGeometry,
@@ -207,15 +175,14 @@ class CloudModel:
             for idx in np.nonzero(np.abs(self.mode_numbers) == n)[0]:
                 flip = np.conj if self.mode_numbers[idx] < 0 else np.asarray
                 lam[idx] = flip(op.eigenvalues)
-                vectors[idx] = flip(ident if op.defective else op.vectors)
-                vectors_inv[idx] = flip(ident if op.defective else op.vectors_inv)
+                vectors[idx] = flip(op.vectors)
+                vectors_inv[idx] = flip(op.vectors_inv)
                 defective[idx] = op.defective
                 if op.defective:
                     matrices[idx] = flip(op.matrix)
-        self.propagator = ModeStackPropagator(
-            lam, vectors, vectors_inv,
-            np.stack([matrices.get(i, ident) for i in range(nx)]) if matrices else None,
-            defective)
+        self.propagator = Propagator(
+            lam, vectors, vectors_inv, defective,
+            np.stack([matrices.get(i, ident) for i in range(nx)]) if matrices else None)
 
     def field_from_state(self, state: np.ndarray) -> SpectralField:
         full = np.zeros((self.geometry.nx, self.geometry.ny), dtype=complex)
@@ -237,6 +204,3 @@ class CloudModel:
     def norms(self, state: np.ndarray, sigmas) -> dict:
         """Norms at every sigma from one sine projection."""
         return sobolev_norm_set(self.field_from_state(state), sigmas)
-
-    def spectral_abscissa(self) -> float:
-        return self.propagator.spectral_abscissa()

@@ -21,6 +21,10 @@ MODELS = ("cloud", "heat-semilinear", "heat-quasilinear", "heat-periodic")
 INIT_KINDS = ("zero", "mode", "random")
 DIFFUSIVITY_KINDS = ("constant", "one_plus_square")
 
+# Largest propagator storage a run may ask for; a bigger grid is refused
+# before anything is allocated.
+MAX_PROPAGATOR_BYTES = 1 << 30
+
 
 class ConfigError(ValueError):
     """Bad key, bad value or violated constraint in a run configuration."""
@@ -254,6 +258,21 @@ def validate_config(config: RunConfig) -> None:
                     require(0.5 < 2.0 * config.heat_tau < hi, "heat.tau",
                             "quasilinear model needs 1/2 < 2 tau < 1 - 1/p"
                             f" = {hi:g}, got 2 tau = {2.0 * config.heat_tau:g}")
+
+    # dense propagator storage of the configured model (the periodic
+    # model's generator is a multiplier and needs none)
+    keys, size = {
+        # eigenvectors, their inverses and three step factors, complex
+        "cloud": ("grid.nx, grid.ny",
+                  5 * config.grid_nx * (config.grid_ny - 2) ** 2 * 16),
+        # basis, derivative, generator and eigenvector matrices, float64
+        "heat-quasilinear": ("heat.points", 6 * config.heat_points ** 2 * 8),
+        # sine synthesis and analysis matrices, float64
+        "heat-semilinear": ("heat.intervals", 2 * config.heat_intervals ** 2 * 8),
+    }.get(config.model, ("model", 0))
+    require(size <= MAX_PROPAGATOR_BYTES, keys,
+            f"propagator storage would take about {size / 2 ** 30:.3g} GiB, "
+            f"more than the {MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB limit")
 
     if problems:
         raise ConfigError("; ".join(problems))

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exponents import CriticalRecipe, quasilinear_recipe, semilinear_recipe
-from .propagators import DensePropagator, DiagonalPropagator, InstabilityError
+from .propagators import Propagator
 from .solver import SolverConfig, run_simulation
 
 
@@ -98,7 +98,7 @@ class SemilinearHeatModel:
         # sine orthogonality gives synth.T @ synth = intervals * identity
         self.analyze = self.synth.T / intervals
         self.lam = -(m * math.pi) ** 2
-        self.propagator = DiagonalPropagator(self.lam)
+        self.propagator = Propagator(self.lam)
         self.dealias_keep = 2 * (intervals - 1) // 3
         self._norm_weights = _sobolev_weights(m)
 
@@ -169,12 +169,12 @@ class QuasilinearHeatModel:
                 "diffusivity dropped to its positivity floor "
                 f"{self.diffusivity.floor}; ellipticity lost")
         if not np.all(np.isfinite(a_vals)):
-            raise InstabilityError("diffusivity a(u) is not finite: state overflowed")
+            raise FloatingPointError("diffusivity a(u) is not finite: state overflowed")
         root = np.sqrt(self._quad_weight * a_vals)[:, None] * self._deriv_nodal
         return -(root.T @ root)
 
-    def frozen_propagator(self, state: np.ndarray) -> DensePropagator:
-        return DensePropagator(self.operator_matrix(state))
+    def frozen_propagator(self, state: np.ndarray) -> Propagator:
+        return Propagator.from_matrix(self.operator_matrix(state))
 
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
         if not self.nonlinear:
@@ -244,7 +244,7 @@ class PeriodicHeatModel:
         self.kappa = kappa
         self.nonlinear = nonlinear
         self.lam = -diffusion * grid.wavenumbers ** 2
-        self.propagator = DiagonalPropagator(self.lam)
+        self.propagator = Propagator(self.lam)
         k_index = np.arange(grid.n // 2 + 1)
         self.dealias_mask = (k_index <= grid.n // 3).astype(float)
 

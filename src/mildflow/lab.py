@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import BetaConstants, ExponentSet
-from .propagators import DensePropagator
+from .propagators import Propagator
 from .solver import SolverConfig, picard_solve, run_simulation
 
 __all__ = [
@@ -68,6 +68,25 @@ class FixedPointDivergence(RuntimeError):
         self.ratios = np.asarray(ratios)
 
 
+def _negative_definite_eigh(generator):
+    """Symmetrized generator and its eigh pair (lam, vectors).
+
+    Rejects a generator that is not square, not symmetric up to rounding
+    or not negative definite.
+    """
+    a = np.asarray(generator, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("generator must be a square matrix")
+    scale = max(1.0, float(np.abs(a).max()))
+    if not np.allclose(a, a.T, atol=1e-12 * scale):
+        raise ValueError("generator must be symmetric")
+    a = 0.5 * (a + a.T)
+    lam, vecs = np.linalg.eigh(a)
+    if lam.max() >= 0.0:
+        raise ValueError("generator must be negative definite")
+    return a, lam, vecs
+
+
 def fractional_norm(generator, theta: float, vector) -> float:
     """Norm of (-A)^theta x for a symmetric negative-definite A.
 
@@ -76,15 +95,7 @@ def fractional_norm(generator, theta: float, vector) -> float:
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    a = np.asarray(generator, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("generator must be a square matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    if not np.allclose(a, a.T, atol=1e-12 * scale):
-        raise ValueError("generator must be symmetric")
-    lam, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    if lam.max() >= 0.0:
-        raise ValueError("generator must be negative definite")
+    _, lam, vecs = _negative_definite_eigh(generator)
     coeff = vecs.T @ np.asarray(vector, dtype=float)
     return float(np.linalg.norm((-lam) ** theta * coeff))
 
@@ -107,16 +118,7 @@ class FixedPointProblem:
     nonlinearity: Optional[Callable] = None
 
     def __post_init__(self):
-        a = np.asarray(self.generator, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("generator must be a square matrix")
-        scale = max(1.0, float(np.abs(a).max()))
-        if not np.allclose(a, a.T, atol=1e-12 * scale):
-            raise ValueError("generator must be symmetric")
-        self.generator = 0.5 * (a + a.T)
-        lam, vecs = np.linalg.eigh(self.generator)
-        if lam.max() >= 0.0:
-            raise ValueError("generator must be negative definite")
+        self.generator, lam, vecs = _negative_definite_eigh(self.generator)
         self._decay_rates = -lam
         self._vectors = vecs
         if self.epsilon < 0.0:
@@ -143,9 +145,10 @@ class FixedPointProblem:
         return float(self._decay_rates.max())
 
     @property
-    def propagator(self) -> DensePropagator:
+    def propagator(self) -> Propagator:
         if self._propagator is None:
-            self._propagator = DensePropagator(self.generator)
+            self._propagator = Propagator(-self._decay_rates, self._vectors,
+                                          self._vectors.T)
         return self._propagator
 
     def eigen_coefficients(self, vector) -> np.ndarray:

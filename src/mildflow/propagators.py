@@ -1,15 +1,15 @@
 """Semigroup and phi-function actions for exponential integrators.
 
-Three propagator flavors cover every model here: diagonal (sine/Fourier
-bases where the generator is a multiplier), dense (one matrix, used by
-the interval models and the matrix lab), and a per-Fourier-mode stack of
-dense blocks (the strip operator). Dense generators are eigendecomposed
-once; if the eigenvector basis is too ill-conditioned the propagator
-falls back to scaling-and-squaring exponentials with augmented-matrix
-phi actions, trading speed for robustness on defective matrices.
-Every flavor also builds the step factors e^{hA}, phi1(hA), phi2(hA) of
-one fixed step h (multipliers, one matrix or a block tensor), which
-apply_block_factor applies; the most recent h is cached.
+One Propagator covers every model here. Its generator is a stack of
+blocks V_i diag(lam_i) V_i^-1: one block for the interval models and
+the matrix lab, one dense block per Fourier mode of the strip. Without
+eigenvectors the generator is the multiplier lam (sine and Fourier
+bases). decompose() eigendecomposes one block; if its eigenvector basis
+is too ill-conditioned the block is marked defective and falls back to
+scaling-and-squaring exponentials with augmented-matrix phi actions,
+trading speed for robustness. A propagator also builds the step factors
+e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers or block
+matrices), which apply_block_factor applies; the most recent h is cached.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ def _guard_exponent(z) -> None:
         raise InstabilityError(
             f"semigroup exponent reaches {zmax:.3g}; unstable spectrum at this step"
         )
+
+
+def _exp(z: np.ndarray) -> np.ndarray:
+    _guard_exponent(z)
+    return np.exp(z)
 
 
 def phi1(z: np.ndarray) -> np.ndarray:
@@ -89,170 +94,73 @@ def _defective_factor(a: np.ndarray, order: int) -> np.ndarray:
     return expm(a) if order == 0 else phi_action_dense(a, np.eye(a.shape[0]), order)
 
 
-class _StepFactors:
-    """Per-dt (E, P1, P2) = (e^{hA}, phi1(hA), phi2(hA)) for fixed-step
-    marching; only the most recent dt is cached."""
+def decompose(matrix: np.ndarray):
+    """Eigen data (lam, vectors, vectors_inv, condition, defective) of one block.
 
-    _cache = None
+    Exactly real-symmetric blocks take the orthogonal eigh route
+    (condition 1, inverse V^T); others the nonsymmetric eig route with a
+    conditioning guard. A defective block gets identity placeholders for
+    its vectors, since its actions fall back to expm of the matrix.
+    """
+    matrix = np.asarray(matrix)
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError("generator must be square")
+    if not np.iscomplexobj(matrix) and np.array_equal(matrix, matrix.T):
+        lam, vecs = np.linalg.eigh(matrix)
+        return lam, vecs, vecs.T, 1.0, False
+    lam, vecs = np.linalg.eig(matrix)
+    condition = float(np.linalg.cond(vecs))
+    if not np.isfinite(condition) or condition > EIG_CONDITION_LIMIT:
+        ident = np.eye(n, dtype=vecs.dtype)
+        return lam, ident, ident, condition, True
+    return lam, vecs, np.linalg.inv(vecs), condition, False
 
-    def step_factors(self, dt: float):
-        dt = float(dt)
-        if self._cache is None or self._cache[0] != dt:
-            _guard_exponent(dt * self.lam)
-            self._cache = (dt, tuple(self._factor(dt, fn, order) for order, fn
-                                     in enumerate((np.exp, phi1, phi2))))
-        return self._cache[1]
 
+class Propagator:
+    """e^{tA}, phi1(tA) and phi2(tA) of one generator, as actions or step factors.
 
-class DiagonalPropagator(_StepFactors):
-    """Generator is a multiplier lam on the coefficient array."""
+    lam has shape (..., m). With vectors and vectors_inv of shape
+    (..., m, m), block i of the generator is vectors[i] diag(lam[i])
+    vectors_inv[i] and acts on state[i]; without them the generator is
+    the multiplier lam. Blocks flagged in `defective` fall back to expm of
+    their generator block in `matrices` (shape (..., m, m)), which is kept
+    only when some block is defective. The generator is real when its
+    matrices are real or, without matrices, when its eigen data are real;
+    outputs are real when the generator and the state are real.
+    """
 
-    def __init__(self, lam: np.ndarray):
+    def __init__(self, lam, vectors=None, vectors_inv=None, defective=False,
+                 matrices=None):
         self.lam = np.asarray(lam)
-        self.defective = False
-
-    def propagate(self, t: float, state: np.ndarray) -> np.ndarray:
-        _guard_exponent(np.asarray(t * self.lam, dtype=complex))
-        return np.exp(t * self.lam) * state
-
-    def phi1_action(self, t: float, state: np.ndarray) -> np.ndarray:
-        out = phi1(t * self.lam) * state
-        return out if np.iscomplexobj(state) or np.iscomplexobj(self.lam) else out.real
-
-    def phi2_action(self, t: float, state: np.ndarray) -> np.ndarray:
-        out = phi2(t * self.lam) * state
-        return out if np.iscomplexobj(state) or np.iscomplexobj(self.lam) else out.real
-
-    def to_eigen(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(state)
-
-    def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.asarray(coeffs)
-
-    def spectral_abscissa(self) -> float:
-        return float(np.max(self.lam.real)) if np.size(self.lam) else -np.inf
-
-    def _factor(self, dt, scalar_fn, order):
-        out = scalar_fn(dt * self.lam)
-        return out if np.iscomplexobj(self.lam) else out.real
-
-
-class DensePropagator(_StepFactors):
-    """Single dense generator with cached eigendecomposition.
-
-    Real symmetric matrices take the orthogonal eigh route; general
-    matrices the nonsymmetric eig route with a conditioning guard.
-    """
-
-    def __init__(self, matrix: np.ndarray, condition_limit: float = EIG_CONDITION_LIMIT):
-        self.matrix = np.asarray(matrix)
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n):
-            raise ValueError("generator must be square")
-        self.symmetric = (
-            not np.iscomplexobj(self.matrix)
-            and np.allclose(self.matrix, self.matrix.T, rtol=0.0, atol=1e-13)
-        )
-        if self.symmetric:
-            lam, vecs = np.linalg.eigh(self.matrix)
-            self.lam = lam
-            self.vectors = vecs
-            self.vectors_inv = vecs.T
-            self.condition = 1.0
-            self.defective = False
-        else:
-            lam, vecs = np.linalg.eig(self.matrix)
-            self.condition = float(np.linalg.cond(vecs))
-            self.defective = not np.isfinite(self.condition) or \
-                self.condition > condition_limit
-            self.lam = lam
-            self.vectors = vecs
-            self.vectors_inv = None if self.defective else np.linalg.inv(vecs)
-
-    def _maybe_real(self, out, state):
-        if not np.iscomplexobj(self.matrix) and not np.iscomplexobj(state):
-            return out.real
-        return out
-
-    def propagate(self, t: float, state: np.ndarray) -> np.ndarray:
-        if self.defective:
-            return self._maybe_real(self.expm_matrix(t) @ state, state)
-        _guard_exponent(t * self.lam)
-        coeff = self.vectors_inv @ state
-        out = self.vectors @ (np.exp(t * self.lam) * coeff)
-        return self._maybe_real(out, state)
-
-    def phi1_action(self, t: float, state: np.ndarray) -> np.ndarray:
-        if self.defective:
-            return self._maybe_real(phi_action_dense(t * self.matrix, state, 1), state)
-        coeff = self.vectors_inv @ state
-        out = self.vectors @ (phi1(t * self.lam) * coeff)
-        return self._maybe_real(out, state)
-
-    def phi2_action(self, t: float, state: np.ndarray) -> np.ndarray:
-        if self.defective:
-            return self._maybe_real(phi_action_dense(t * self.matrix, state, 2), state)
-        coeff = self.vectors_inv @ state
-        out = self.vectors @ (phi2(t * self.lam) * coeff)
-        return self._maybe_real(out, state)
-
-    def to_eigen(self, state: np.ndarray) -> np.ndarray:
-        if self.defective:
-            raise ValueError("eigen coordinates unavailable: generator is defective")
-        return self.vectors_inv @ state
-
-    def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.defective:
-            raise ValueError("eigen coordinates unavailable: generator is defective")
-        return self.vectors @ coeffs
-
-    def expm_matrix(self, t: float) -> np.ndarray:
-        if not self.defective:
-            _guard_exponent(t * self.lam)
-        return self._factor(t, np.exp, 0)
-
-    def _factor(self, dt, scalar_fn, order):
-        if self.defective:
-            return _defective_factor(dt * self.matrix, order)
-        out = (self.vectors * scalar_fn(dt * self.lam)) @ self.vectors_inv
-        return out.real if not np.iscomplexobj(self.matrix) else out
-
-    def operator_norm(self, t: float) -> float:
-        return float(np.linalg.norm(self.expm_matrix(t), 2))
-
-    def spectral_abscissa(self) -> float:
-        return float(np.max(self.lam.real))
-
-
-class ModeStackPropagator(_StepFactors):
-    """Independent dense blocks, one per Fourier mode.
-
-    lam: (modes, m); vectors/inverse: (modes, m, m). Blocks flagged as
-    defective fall back to per-block scaling-and-squaring; the stacked
-    generator matrices are kept only for them.
-    """
-
-    def __init__(self, lam, vectors, vectors_inv, matrices, defective_mask):
-        self.lam = lam
         self.vectors = vectors
         self.vectors_inv = vectors_inv
-        self.defective_mask = np.asarray(defective_mask, dtype=bool)
-        self.any_defective = bool(self.defective_mask.any())
-        self.matrices = matrices if self.any_defective else None
+        self._defective_blocks = [tuple(idx) for idx in np.argwhere(
+            np.broadcast_to(defective, self.lam.shape[:-1]))]
+        self.defective = bool(self._defective_blocks)
+        self.real = not np.iscomplexobj(matrices) if matrices is not None else \
+            not any(np.iscomplexobj(a) for a in (lam, vectors, vectors_inv))
+        self.matrices = matrices if self.defective else None
+        self._cache = None
 
-    def _apply_eigen(self, multipliers: np.ndarray, state: np.ndarray) -> np.ndarray:
-        coeff = np.einsum("nij,nj->ni", self.vectors_inv, state)
-        return np.einsum("nij,nj->ni", self.vectors, multipliers * coeff)
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "Propagator":
+        """Propagator of one dense generator, eigendecomposed once."""
+        lam, vecs, vecs_inv, _, defective = decompose(matrix)
+        return cls(lam, vecs, vecs_inv, defective, np.asarray(matrix))
 
     def _apply(self, t: float, state: np.ndarray, scalar_fn, order: int) -> np.ndarray:
-        _guard_exponent(t * self.lam)
-        out = self._apply_eigen(scalar_fn(t * self.lam), state)
-        for idx in np.nonzero(self.defective_mask)[0]:
+        mult = scalar_fn(t * self.lam)
+        if self.vectors is None:
+            out = mult * state
+        else:
+            out = _matvec(self.vectors, mult * _matvec(self.vectors_inv, state))
+        for idx in self._defective_blocks:
             out[idx] = _defective_factor(t * self.matrices[idx], order) @ state[idx]
-        return out
+        return out.real if self.real and not np.iscomplexobj(state) else out
 
     def propagate(self, t: float, state: np.ndarray) -> np.ndarray:
-        return self._apply(t, state, np.exp, 0)
+        return self._apply(t, state, _exp, 0)
 
     def phi1_action(self, t: float, state: np.ndarray) -> np.ndarray:
         return self._apply(t, state, phi1, 1)
@@ -260,34 +168,50 @@ class ModeStackPropagator(_StepFactors):
     def phi2_action(self, t: float, state: np.ndarray) -> np.ndarray:
         return self._apply(t, state, phi2, 2)
 
+    def _transform(self, basis, state: np.ndarray) -> np.ndarray:
+        if self.defective:
+            raise ValueError("eigen coordinates unavailable: defective generator block")
+        state = np.asarray(state)
+        return state if basis is None else _matvec(basis, state)
+
     def to_eigen(self, state: np.ndarray) -> np.ndarray:
-        if self.any_defective:
-            raise ValueError("eigen coordinates unavailable: defective mode block")
-        return np.einsum("nij,nj->ni", self.vectors_inv, state)
+        return self._transform(self.vectors_inv, state)
 
     def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.any_defective:
-            raise ValueError("eigen coordinates unavailable: defective mode block")
-        return np.einsum("nij,nj->ni", self.vectors, coeffs)
+        return self._transform(self.vectors, coeffs)
 
-    def spectral_abscissa(self) -> float:
-        return float(np.max(self.lam.real))
+    def step_factors(self, dt: float):
+        """(E, P1, P2) = (e^{hA}, phi1(hA), phi2(hA)) for fixed-step
+        marching with h = dt; only the most recent dt is cached."""
+        dt = float(dt)
+        if self._cache is None or self._cache[0] != dt:
+            self._cache = (dt, tuple(self._factor(dt, fn, order) for order, fn
+                                     in enumerate((_exp, phi1, phi2))))
+        return self._cache[1]
 
     def _factor(self, dt, scalar_fn, order):
         mult = scalar_fn(dt * self.lam)
-        tensor = np.empty_like(self.vectors)
-        for idx in range(len(tensor)):  # block by block: no stack-sized temporary
-            np.matmul(self.vectors[idx] * mult[idx], self.vectors_inv[idx],
-                      out=tensor[idx])
-        for idx in np.nonzero(self.defective_mask)[0]:
-            tensor[idx] = _defective_factor(dt * self.matrices[idx], order)
-        return tensor
+        if self.vectors is None:
+            out = mult
+        else:
+            out = np.empty(self.vectors.shape, np.result_type(self.vectors, mult))
+            for idx in np.ndindex(self.lam.shape[:-1]):  # no stack-sized temporary
+                np.matmul(self.vectors[idx] * mult[idx], self.vectors_inv[idx],
+                          out=out[idx])
+        for idx in self._defective_blocks:
+            out[idx] = _defective_factor(dt * self.matrices[idx], order)
+        return out.real if self.real else out
+
+
+def _matvec(matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """matrix @ state for one (m, m) block, or block by block for a
+    (modes, m, m) stack acting on a (modes, m) state."""
+    if matrix.ndim == 2:
+        return matrix @ state
+    return np.matmul(matrix, state[..., None])[..., 0]
 
 
 def apply_block_factor(factor: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Apply a step factor: elementwise when it has the state's ndim
-    (multipliers), else a batched matvec ((m, m) x (m,) or
-    (modes, m, m) x (modes, m))."""
-    if factor.ndim == state.ndim:
-        return factor * state
-    return np.matmul(factor, state[..., None])[..., 0]
+    (multipliers), else as a block matvec."""
+    return factor * state if factor.ndim == state.ndim else _matvec(factor, state)

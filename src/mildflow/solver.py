@@ -239,8 +239,7 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
     plus the t^mu weighted sup at level sigma_weighted; convergence
     ratios of that distance estimate the contraction factor.
     """
-    if getattr(propagator, "defective", False) or \
-            getattr(propagator, "any_defective", False):
+    if propagator.defective:
         raise ValueError("Picard iteration needs a diagonalizable generator")
     power = config.mesh_power if config.mesh_power is not None else 2.0
     tau = graded_mesh(t_end, config.picard_segments, power)

@@ -187,6 +187,7 @@ def test_heat_quasilinear_nonfinite_diffusivity_flagged(tmp_path, capsys):
     assert "blow-up flagged" in capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
     assert summary["blowup"]["time"] == 0.0
+    assert summary["blowup"]["reason"] == "nonfinite"
 
 
 def test_heat_small_data_completes(tmp_path):

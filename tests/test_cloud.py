@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mildflow.cloud import (
     CloudCoefficients,
@@ -15,9 +16,9 @@ from mildflow.cloud import (
     mode_spectra,
     nonlinearity_cloud,
     periodic_stability_condition,
-    semigroup_apply,
     spectral_bound_numeric,
 )
+from mildflow.propagators import phi_action_dense
 from mildflow.strip import (
     field_from_function,
     open_strip,
@@ -81,18 +82,31 @@ def test_negative_mode_is_conjugate():
 
 
 def test_semigroup_property_and_time_zero():
-    op = assemble_mode(2, CloudCoefficients(1.0, 0.0, 1.5), GEO)
+    prop = CloudModel(CloudCoefficients(1.0, 0.0, 1.5), GEO).propagator
     rng = np.random.default_rng(11)
-    v = rng.standard_normal(GEO.ny - 2) + 1j * rng.standard_normal(GEO.ny - 2)
-    two_leg = semigroup_apply(op, 0.2, semigroup_apply(op, 0.3, v))
-    assert np.max(np.abs(two_leg - semigroup_apply(op, 0.5, v))) < 1e-9
-    assert np.max(np.abs(semigroup_apply(op, 0.0, v) - v)) < 1e-12
+    shape = (GEO.nx, GEO.ny - 2)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    two_leg = prop.propagate(0.2, prop.propagate(0.3, v))
+    assert np.max(np.abs(two_leg - prop.propagate(0.5, v))) < 1e-9
+    assert np.max(np.abs(prop.propagate(0.0, v) - v)) < 1e-12
 
 
-def test_semigroup_rejects_negative_time():
-    op = assemble_mode(1, CloudCoefficients(), GEO)
-    with pytest.raises(ValueError, match="nonnegative"):
-        semigroup_apply(op, -0.1, np.zeros(GEO.ny - 2))
+@pytest.mark.parametrize("beta", [1.0, 30.0, 100.0])
+def test_model_step_factors_match_expm_per_block(beta):
+    # the eigen route of the strip propagator against scaling-and-squaring
+    coeffs = CloudCoefficients(1.0, 0.0, beta)
+    geo = periodic_strip(nx=8, ny=48)
+    model = CloudModel(coeffs, geo)
+    dt = 1e-3
+    factors = model.propagator.step_factors(dt)
+    eye = np.eye(geo.ny - 2)
+    for idx, n in enumerate(model.mode_numbers):
+        block = dt * mode_matrix(int(n), coeffs, geo)
+        wants = (expm(block), phi_action_dense(block, eye, 1),
+                 phi_action_dense(block, eye, 2))
+        for factor, want in zip(factors, wants):
+            assert np.linalg.norm(factor[idx] - want) <= \
+                1e-12 * np.linalg.norm(want)
 
 
 def test_numeric_bound_below_analytic_bound():

@@ -28,7 +28,7 @@ from mildflow.io import (
     write_series,
     write_snapshot,
 )
-from mildflow.propagators import DensePropagator
+from mildflow.propagators import Propagator
 from mildflow.solver import SolverConfig, run_simulation
 
 
@@ -142,6 +142,17 @@ def test_bad_boolean_rejected():
     assert "grid.periodic" in str(err.value)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    (["grid.nx=10000000"], "grid.nx"),
+    (["model=heat-quasilinear", "heat.points=100000"], "heat.points"),
+    (["model=heat-semilinear", "heat.intervals=1000000"], "heat.intervals"),
+])
+def test_oversized_grid_rejected_before_allocation(overrides, key):
+    # validation only: the estimate is checked before any model is built
+    with pytest.raises(ConfigError, match=rf"{key}.*GiB"):
+        parse_config(overrides=overrides, environ={})
+
+
 def test_override_missing_equals_rejected():
     with pytest.raises(ConfigError):
         parse_config(overrides=["cloud.nu"])
@@ -241,7 +252,7 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
 
 def test_series_columns_follow_monitored_norms(tmp_path):
     class Toy:
-        propagator = DensePropagator(np.diag([-1.0, -2.0]))
+        propagator = Propagator.from_matrix(np.diag([-1.0, -2.0]))
 
         def nonlinearity(self, state):
             return np.zeros_like(state)

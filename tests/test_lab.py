@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mildflow.exponents import BetaConstants, validate_exponents
 from mildflow.lab import (
@@ -22,6 +23,7 @@ from mildflow.lab import (
     tail_profile,
     verify_decay,
 )
+from mildflow.propagators import phi_action_dense
 
 # Oracles ------------------------------------------------------------------
 
@@ -205,6 +207,21 @@ def test_tail_profile_monotone_and_small_for_ball_data():
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     # weighted tail of ball data stays below the ball radius itself
     assert max(vals) <= 1e-2
+
+
+def test_problem_propagator_reuses_cached_eigenbasis():
+    prob = random_problem(6, np.random.default_rng(4))
+    prop = prob.propagator
+    assert np.array_equal(prop.lam, -prob.spectrum)
+    v = np.random.default_rng(5).standard_normal(prob.dimension)
+    dt = 0.2
+    mat = dt * prob.generator
+    checks = [(prop.propagate(dt, v), expm(mat) @ v),
+              (prop.phi1_action(dt, v), phi_action_dense(mat, v, 1)),
+              (prop.phi2_action(dt, v), phi_action_dense(mat, v, 2))]
+    for got, want in checks:
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # Nonlinearity contract ------------------------------------------------------

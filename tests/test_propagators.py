@@ -1,5 +1,5 @@
 """Phi functions and semigroup actions: series branches, augmented
-exponentials for defective generators, and batched mode stacks."""
+exponentials for defective generators, and batched block stacks."""
 
 import math
 
@@ -8,11 +8,10 @@ import pytest
 from scipy.linalg import expm
 
 from mildflow.propagators import (
-    DensePropagator,
-    DiagonalPropagator,
     InstabilityError,
-    ModeStackPropagator,
+    Propagator,
     apply_block_factor,
+    decompose,
     phi1,
     phi2,
     phi_action_dense,
@@ -72,8 +71,9 @@ def test_dense_symmetric_uses_orthogonal_route():
     rng = np.random.default_rng(1)
     s = rng.standard_normal((5, 5))
     s = -(s @ s.T) - np.eye(5)
-    prop = DensePropagator(s)
-    assert prop.symmetric and not prop.defective
+    prop = Propagator.from_matrix(s)
+    assert not prop.defective
+    assert np.array_equal(prop.vectors_inv, prop.vectors.T)  # eigh, not eig + inv
     v = rng.standard_normal(5)
     assert np.max(np.abs(prop.propagate(0.3, v) - expm(0.3 * s) @ v)) < 1e-13
     assert prop.propagate(0.3, v).dtype == np.float64
@@ -81,7 +81,7 @@ def test_dense_symmetric_uses_orthogonal_route():
 
 def test_dense_defective_jordan_block_fallback():
     jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
-    prop = DensePropagator(jordan)
+    prop = Propagator.from_matrix(jordan)
     assert prop.defective
     v = np.array([1.0, 2.0])
     t = 0.7
@@ -97,7 +97,7 @@ def test_dense_defective_jordan_block_fallback():
 def test_dense_nonsymmetric_phi_actions():
     rng = np.random.default_rng(3)
     a = -2.0 * np.eye(6) + 0.3 * rng.standard_normal((6, 6))
-    prop = DensePropagator(a)
+    prop = Propagator.from_matrix(a)
     assert not prop.defective
     v = rng.standard_normal(6)
     assert np.max(np.abs(prop.phi1_action(0.4, v)
@@ -109,20 +109,19 @@ def test_dense_nonsymmetric_phi_actions():
 def test_semigroup_property_dense():
     rng = np.random.default_rng(4)
     a = -np.eye(5) + 0.2 * rng.standard_normal((5, 5))
-    prop = DensePropagator(a)
+    prop = Propagator.from_matrix(a)
     v = rng.standard_normal(5)
     left = prop.propagate(0.2, prop.propagate(0.3, v))
     assert np.max(np.abs(left - prop.propagate(0.5, v))) < 1e-12
 
 
-def test_diagonal_propagator_real_output_and_abscissa():
+def test_multiplier_propagator_real_output():
     lam = np.array([-1.0, -4.0, -9.0])
-    prop = DiagonalPropagator(lam)
+    prop = Propagator(lam)
     v = np.array([1.0, 1.0, 1.0])
     out = prop.propagate(0.5, v)
     assert out.dtype == np.float64
     assert np.allclose(out, np.exp(0.5 * lam))
-    assert prop.spectral_abscissa() == -1.0
 
 
 def _random_stack(rng, modes=3, m=4):
@@ -134,8 +133,8 @@ def _random_stack(rng, modes=3, m=4):
         lams.append(lam)
         vecs.append(v)
         invs.append(np.linalg.inv(v))
-    return ModeStackPropagator(np.stack(lams), np.stack(vecs), np.stack(invs),
-                               mats, [False] * modes), mats
+    return Propagator(np.stack(lams), np.stack(vecs), np.stack(invs),
+                      [False] * modes, mats), mats
 
 
 def test_mode_stack_matches_per_block_expm():
@@ -165,12 +164,12 @@ def test_mode_stack_defective_block_fallback():
     healthy = np.diag([-2.0, -3.0])
     lam_h, v_h = np.linalg.eigh(healthy)
     # defective slot gets placeholder eigen data; mask routes around it
-    stack = ModeStackPropagator(
+    stack = Propagator(
         np.stack([lam_h.astype(complex), np.array([-1.0, -1.0], dtype=complex)]),
         np.stack([v_h.astype(complex), np.eye(2, dtype=complex)]),
         np.stack([v_h.T.astype(complex), np.eye(2, dtype=complex)]),
-        np.stack([healthy, jordan]),
         [False, True],
+        np.stack([healthy, jordan]),
     )
     u = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     out = stack.propagate(0.6, u)
@@ -182,13 +181,13 @@ def test_mode_stack_defective_block_fallback():
 
 
 def test_overflow_guard_raises_instability():
-    prop = DiagonalPropagator(np.array([800.0]))
+    prop = Propagator(np.array([800.0]))
     with pytest.raises(InstabilityError):
         prop.propagate(1.0, np.array([1.0]))
 
 
 def test_propagate_rejects_nothing_at_time_zero():
-    prop = DiagonalPropagator(np.array([-3.0, -7.0]))
+    prop = Propagator(np.array([-3.0, -7.0]))
     v = np.array([2.0, 5.0])
     assert np.allclose(prop.propagate(0.0, v), v)
 
@@ -203,7 +202,7 @@ def _assert_factors_match_actions(prop, u, dt):
 
 
 def test_diagonal_factors_are_real_multipliers():
-    prop = DiagonalPropagator(np.array([-1.0, -4.0, -9.0]))
+    prop = Propagator(np.array([-1.0, -4.0, -9.0]))
     e, p1, p2 = prop.step_factors(0.3)
     assert e.shape == (3,) and not any(np.iscomplexobj(f) for f in (e, p1, p2))
     _assert_factors_match_actions(prop, np.array([1.0, -2.0, 0.5]), 0.3)
@@ -215,14 +214,14 @@ def test_dense_factors_match_actions():
     s = rng.standard_normal((5, 5))
     nonsym = -3.0 * np.eye(5) + 0.5 * rng.standard_normal((5, 5))
     for matrix in (-(s @ s.T) - np.eye(5), nonsym):
-        prop = DensePropagator(matrix)
+        prop = Propagator.from_matrix(matrix)
         assert not prop.defective
         assert not any(np.iscomplexobj(f) for f in prop.step_factors(0.2))
         _assert_factors_match_actions(prop, rng.standard_normal(5), 0.2)
 
 
 def test_dense_defective_factors_fall_back_to_expm():
-    prop = DensePropagator(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    prop = Propagator.from_matrix(np.array([[-1.0, 1.0], [0.0, -1.0]]))
     assert prop.defective
     _assert_factors_match_actions(prop, np.array([0.3, -1.2]), 0.4)
 
@@ -231,15 +230,69 @@ def test_mode_stack_defective_factors_match_actions():
     jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
     healthy = np.diag([-2.0, -3.0])
     lam_h, v_h = np.linalg.eigh(healthy)
-    stack = ModeStackPropagator(
+    stack = Propagator(
         np.stack([lam_h.astype(complex), np.array([-1.0, -1.0], dtype=complex)]),
         np.stack([v_h.astype(complex), np.eye(2, dtype=complex)]),
         np.stack([v_h.T.astype(complex), np.eye(2, dtype=complex)]),
-        np.stack([healthy, jordan]),
         [False, True],
+        np.stack([healthy, jordan]),
     )
     u = np.array([[1.0, 2.0], [3.0 - 1j, 4.0]])
     _assert_factors_match_actions(stack, u, 0.5)
+
+
+JORDAN3 = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+
+
+def _stack_of(blocks):
+    """Block-stack propagator built block by block with decompose()."""
+    parts = [decompose(block) for block in blocks]
+    lam, vecs, invs = (np.stack([part[i] for part in parts]) for i in range(3))
+    return Propagator(lam, vecs, invs, [part[4] for part in parts], blocks)
+
+
+def _generator(kind):
+    """(propagator, its blocks as a (blocks, m, m) stack of dense matrices)."""
+    rng = np.random.default_rng(12)
+    complex_blocks = np.stack([
+        -(i + 1) * np.eye(3) + 0.3 * (rng.standard_normal((3, 3))
+                                      + 1j * rng.standard_normal((3, 3)))
+        for i in range(3)])
+    if kind == "multiplier":
+        lam = np.array([-1.0, -4.0, -9.0])
+        return Propagator(lam), np.diag(lam)[None]
+    if kind == "block":
+        block = -2.0 * np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        return Propagator.from_matrix(block), block[None]
+    if kind == "defective block":
+        return Propagator.from_matrix(JORDAN3), JORDAN3[None]
+    if kind == "stack":
+        return _stack_of(complex_blocks), complex_blocks
+    blocks = np.stack([complex_blocks[0], JORDAN3, complex_blocks[2]])
+    return _stack_of(blocks), blocks
+
+
+@pytest.mark.parametrize("kind", ["multiplier", "block", "defective block",
+                                  "stack", "defective stack"])
+def test_factors_and_actions_match_expm_for_every_generator_shape(kind):
+    prop, blocks = _generator(kind)
+    assert prop.defective == ("defective" in kind)
+    rng = np.random.default_rng(13)
+    shape = prop.lam.shape
+    dt = 0.3
+    for u in (rng.standard_normal(shape),
+              rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+        _assert_factors_match_actions(prop, u, dt)
+        for order, action in enumerate((prop.propagate, prop.phi1_action,
+                                        prop.phi2_action)):
+            out = action(dt, u)
+            assert np.iscomplexobj(out) == (np.iscomplexobj(blocks)
+                                            or np.iscomplexobj(u))
+            for block, v, got in zip(blocks, u.reshape(len(blocks), -1),
+                                     out.reshape(len(blocks), -1)):
+                want = expm(dt * block) @ v if order == 0 else \
+                    phi_action_dense(dt * block, v, order)
+                assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_step_factors_cache_only_the_latest_dt():
@@ -255,4 +308,4 @@ def test_step_factors_cache_only_the_latest_dt():
 
 def test_step_factors_guard_overflow():
     with pytest.raises(InstabilityError):
-        DiagonalPropagator(np.array([800.0])).step_factors(1.0)
+        Propagator(np.array([800.0])).step_factors(1.0)

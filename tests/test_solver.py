@@ -4,7 +4,7 @@ closed form, convergence-order sweeps, and blow-up flagging."""
 import numpy as np
 import pytest
 
-from mildflow.propagators import DensePropagator, DiagonalPropagator
+from mildflow.propagators import Propagator
 from mildflow.solver import (
     DecayFit,
     SolverConfig,
@@ -24,7 +24,7 @@ def logistic_exact(t, u0=0.1, eps=1.0):
 
 
 class ScalarLogistic:
-    propagator = DiagonalPropagator(np.array([-1.0]))
+    propagator = Propagator(np.array([-1.0]))
 
     def nonlinearity(self, u):
         return u ** 2
@@ -35,7 +35,7 @@ class ScalarLogistic:
 
 class ScalarLinear:
     def __init__(self, rate):
-        self.propagator = DiagonalPropagator(np.array([rate]))
+        self.propagator = Propagator(np.array([rate]))
 
     def nonlinearity(self, u):
         return np.zeros_like(u)
@@ -114,7 +114,7 @@ def test_weighted_record_vanishes_at_origin():
 
 def test_blowup_norm_threshold_flag():
     class Explodes:
-        propagator = DiagonalPropagator(np.array([1.0]))
+        propagator = Propagator(np.array([1.0]))
 
         def nonlinearity(self, u):
             return u ** 3
@@ -132,7 +132,7 @@ def test_blowup_norm_threshold_flag():
 
 def test_blowup_nonfinite_flag_when_threshold_disabled():
     class Explodes:
-        propagator = DiagonalPropagator(np.array([1.0]))
+        propagator = Propagator(np.array([1.0]))
 
         def nonlinearity(self, u):
             return u ** 3
@@ -176,7 +176,7 @@ def test_picard_contracts_geometrically():
 
 
 def test_picard_rejects_defective_generator():
-    jordan = DensePropagator(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    jordan = Propagator.from_matrix(np.array([[-1.0, 1.0], [0.0, -1.0]]))
     cfg = SolverConfig()
     with pytest.raises(ValueError, match="diagonalizable"):
         picard_solve(np.array([1.0, 0.0]), 0.5, cfg, jordan,

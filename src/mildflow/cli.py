@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads the same flat key=value configuration (file,
-MILDFLOW_* environment, --set overrides, convenience flags), runs one
-experiment, and writes its outputs atomically under the run directory.
-Identical configuration and seed give byte-identical outputs, so no
-timestamps or machine identifiers enter any file.
+Every configured subcommand reads the same flat key=value configuration
+(file, MILDFLOW_* environment, --set overrides, convenience flags), runs
+one experiment, and writes its outputs atomically under the run
+directory.  Each convenience flag is shorthand for one configuration key
+and is declared once, in FLAGS; COMMANDS lists which flags each command
+takes.  Identical configuration and seed give byte-identical outputs, so
+no timestamps or machine identifiers enter any file.
 
 Exit codes: 0 success (a detected blow-up is still a successful run and
 is recorded in the summary), 2 constraint or configuration infeasibility,
@@ -18,25 +20,27 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
                     assemble_mode, periodic_stability_condition)
-from .config import (MODELS, ConfigError, RunConfig, config_echo, parse_config)
-from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
+from .config import (INIT_KINDS, MODELS, ConfigError, RunConfig, config_echo,
+                     parse_config)
+from .exponents import quasilinear_recipe, semilinear_recipe
 from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
                    scaling_roundtrip_test)
 from .io import (sigma_label, write_csv, write_json, write_series,
                  write_snapshot)
-from .lab import (FixedPointDivergence, InfeasibleProblem,
-                  contraction_experiment, decay_experiment)
+from .lab import (FixedPointDivergence, contraction_experiment,
+                  decay_experiment)
 from .propagators import InstabilityError
 from .solver import SolverConfig, fit_decay_rate, run_simulation
 from .strip import (dirichlet_mode_field, open_strip, periodic_strip,
-                    random_dirichlet_field, sobolev_norm, to_grid)
+                    random_dirichlet_field, to_grid)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -44,17 +48,6 @@ EXIT_CONSTRAINT = 2
 
 
 # ---------------------------------------------------------------- helpers
-
-def _collect_overrides(args, mapping, base=()):
-    """Configuration overrides in increasing precedence: command defaults,
-    then --set pairs, then convenience flags."""
-    overrides = list(base) + list(args.set or [])
-    for attr, key in mapping:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides.append(f"{key}={value}")
-    return overrides
-
 
 def _geometry(config: RunConfig):
     if config.grid_periodic:
@@ -68,90 +61,66 @@ def _cloud_coeffs(config: RunConfig) -> CloudCoefficients:
                              beta=config.cloud_beta)
 
 
-def _normalized(model, state, amplitude: float):
-    """Scale the state so its H1 norm equals the requested amplitude."""
-    base = model.norm(state, 1.0)
-    if base <= 0.0:
-        return np.zeros_like(state)
-    return state * (amplitude / base)
+def _series(basis, coeffs):
+    """x -> sum_m coeffs[m] basis((m + 1) pi x)."""
+    return lambda x: sum(c * basis((m + 1) * np.pi * x)
+                         for m, c in enumerate(coeffs))
 
 
 def _build_model_and_state(config: RunConfig):
     """Model instance, initial state, and snapshot metadata (lx, flags)."""
     rng = np.random.default_rng(config.run_seed)
-    kind = config.init_kind
-    amp = config.init_amplitude
+    random = config.init_kind == "random"
 
     if config.model == "cloud":
         geometry = _geometry(config)
         model = CloudModel(_cloud_coeffs(config), geometry)
-        if kind == "zero":
-            state = np.zeros((geometry.nx, geometry.ny - 2), dtype=complex)
-        elif kind == "mode":
-            field = dirichlet_mode_field(geometry, n=1, m=1)
-            state = model.state_from_field(field)
+        state = model.state_from_field(
+            random_dirichlet_field(geometry, rng) if random
+            else dirichlet_mode_field(geometry, n=1, m=1))
+        meta = (2.0 * geometry.half_length, int(geometry.periodic_x))
+    elif config.model == "heat-periodic":
+        grid = PeriodicGrid(half_width=config.grid_half_width, n=config.grid_n)
+        model = PeriodicHeatModel(grid, kind=config.heat_kind,
+                                  kappa=config.heat_kappa,
+                                  diffusion=config.heat_diffusion)
+        x = grid.nodes
+        if random:
+            k0 = math.pi / grid.half_width
+            values = np.zeros(grid.n)
+            for j in range(1, 7):
+                a, b = rng.standard_normal(2)
+                values += (a * np.cos(j * k0 * x) + b * np.sin(j * k0 * x)) \
+                    / (1.0 + j) ** 1.5
         else:
-            field = random_dirichlet_field(geometry, rng)
-            state = model.state_from_field(field)
-        if kind != "zero":
-            state = _normalized(model, state, amp)
-        return model, state, 2.0 * geometry.half_length, int(geometry.periodic_x)
-
-    if config.model == "heat-semilinear":
-        model = SemilinearHeatModel(intervals=config.heat_intervals,
-                                    kappa=config.heat_kappa, p=config.heat_p)
-        if kind == "zero":
-            state = np.zeros(config.heat_intervals - 1)
-        elif kind == "mode":
-            state = model.state_from_function(lambda x: np.sin(np.pi * x))
-        else:
-            coeffs = rng.standard_normal(5) / (1.0 + np.arange(5)) ** 1.5
-            state = model.state_from_function(
-                lambda x: sum(c * np.sin((m + 1) * np.pi * x)
-                              for m, c in enumerate(coeffs)))
-        if kind != "zero":
-            state = _normalized(model, state, amp)
-        return model, state, 1.0, 0
-
-    if config.model == "heat-quasilinear":
-        spec = DiffusivitySpec(kind=config.heat_a_kind, a0=config.heat_a0)
-        model = QuasilinearHeatModel(points=config.heat_points,
-                                     kappa=config.heat_kappa, p=config.heat_p,
-                                     tau=config.heat_tau, diffusivity=spec)
-        if kind == "zero":
-            state = np.zeros(config.heat_points)
-        elif kind == "mode":
-            state = model.state_from_function(lambda x: np.cos(np.pi * x))
-        else:
-            coeffs = rng.standard_normal(5) / (1.0 + np.arange(5)) ** 1.5
-            state = model.state_from_function(
-                lambda x: sum(c * np.cos((m + 1) * np.pi * x)
-                              for m, c in enumerate(coeffs)))
-        if kind != "zero":
-            state = _normalized(model, state, amp)
-        return model, state, 1.0, 0
-
-    # heat-periodic
-    grid = PeriodicGrid(half_width=config.grid_half_width, n=config.grid_n)
-    model = PeriodicHeatModel(grid, kind=config.heat_kind,
-                              kappa=config.heat_kappa,
-                              diffusion=config.heat_diffusion)
-    x = grid.nodes
-    if kind == "zero":
-        values = np.zeros(grid.n)
-    elif kind == "mode":
-        values = np.exp(-0.5 * x ** 2)
+            values = np.exp(-0.5 * x ** 2)
+        state = model.state_from_values(values)
+        meta = (2.0 * grid.half_width, 1)
     else:
-        k0 = math.pi / grid.half_width
-        values = np.zeros(grid.n)
-        for j in range(1, 7):
-            a, b = rng.standard_normal(2)
-            values += (a * np.cos(j * k0 * x) + b * np.sin(j * k0 * x)) \
-                / (1.0 + j) ** 1.5
-    state = model.state_from_values(values)
-    if kind != "zero":
-        state = _normalized(model, state, amp)
-    return model, state, 2.0 * grid.half_width, 1
+        if config.model == "heat-semilinear":
+            model = SemilinearHeatModel(intervals=config.heat_intervals,
+                                        kappa=config.heat_kappa,
+                                        p=config.heat_p)
+            basis = np.sin
+        else:
+            spec = DiffusivitySpec(kind=config.heat_a_kind, a0=config.heat_a0)
+            model = QuasilinearHeatModel(points=config.heat_points,
+                                         kappa=config.heat_kappa,
+                                         p=config.heat_p, tau=config.heat_tau,
+                                         diffusivity=spec)
+            basis = np.cos
+        coeffs = (rng.standard_normal(5) / (1.0 + np.arange(5)) ** 1.5
+                  if random else (1.0,))
+        state = model.state_from_function(_series(basis, coeffs))
+        meta = (1.0, 0)
+
+    # zero data, or the state scaled to H1 norm init.amplitude
+    base = model.norm(state, 1.0)
+    if config.init_kind == "zero" or base <= 0.0:
+        state = np.zeros_like(state)
+    else:
+        state = state * (config.init_amplitude / base)
+    return (model, state, *meta)
 
 
 def _solver_config(config: RunConfig) -> SolverConfig:
@@ -179,13 +148,11 @@ def _snapshot_values(config: RunConfig, model, state) -> np.ndarray:
 
 
 def _write_snapshots(out_dir, config, model, trajectory, lx, flags):
-    count = 0
     for t, state in trajectory.snapshots:
         step = int(round(t / config.solver_dt))
         path = os.path.join(out_dir, "snapshots", f"step_{step:08d}.bin")
         write_snapshot(path, _snapshot_values(config, model, state), lx, flags)
-        count += 1
-    return count
+    return len(trajectory.snapshots)
 
 
 def _fit_record(trajectory, sigma: float, t_min: float):
@@ -198,94 +165,60 @@ def _fit_record(trajectory, sigma: float, t_min: float):
             "sigma": sigma, "t_min": t_min}
 
 
-def _summary_skeleton(command: str, config: RunConfig) -> dict:
-    return {"version": __version__, "command": command,
-            "config": config_echo(config)}
+def _blowup_record(trajectory):
+    if not trajectory.flagged:
+        return None
+    return {"time": trajectory.blowup_time, "reason": trajectory.blowup_reason}
 
 
-def _write_summary(out_dir: str, summary: dict) -> str:
-    path = os.path.join(out_dir, "summary.json")
-    write_json(path, summary)
+def _write_summary(config: RunConfig, args, fields: dict) -> str:
+    """summary.json: version, command label and configuration echo, then
+    the command's own fields."""
+    path = os.path.join(config.run_out, "summary.json")
+    write_json(path, {"version": __version__, "command": args.label,
+                      "config": config_echo(config), **fields})
     return path
 
 
-# ------------------------------------------------------------- simulate
-
-SIM_FLAGS = [
-    ("model", "model"), ("nu", "cloud.nu"), ("eta", "cloud.eta"),
-    ("beta", "cloud.beta"), ("t_end", "solver.t_end"), ("dt", "solver.dt"),
-    ("integrator", "solver.integrator"), ("record_every", "solver.record_every"),
-    ("snapshot_every", "solver.snapshot_every"), ("init", "init.kind"),
-    ("amplitude", "init.amplitude"), ("seed", "run.seed"), ("out", "run.out"),
-]
-
-HEAT_FLAGS = [
-    ("kappa", "heat.kappa"), ("p", "heat.p"), ("tau", "heat.tau"),
-    ("diffusion", "heat.diffusion"), ("intervals", "heat.intervals"),
-    ("points", "heat.points"), ("t_end", "solver.t_end"), ("dt", "solver.dt"),
-    ("integrator", "solver.integrator"), ("record_every", "solver.record_every"),
-    ("snapshot_every", "solver.snapshot_every"), ("init", "init.kind"),
-    ("amplitude", "init.amplitude"), ("seed", "run.seed"), ("out", "run.out"),
-]
+def _emit(command: str, report: dict, out_dir) -> int:
+    """Print a JSON report and, given a run directory, write it there."""
+    payload = {"version": __version__, "command": command, **report}
+    if out_dir is not None:
+        write_json(os.path.join(out_dir, "summary.json"), payload)
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    return EXIT_OK
 
 
-def _simulate_with(config: RunConfig, command: str) -> int:
+# ------------------------------------------------ configured commands
+
+def cmd_simulate(config: RunConfig, args) -> int:
     model, u0, lx, flags = _build_model_and_state(config)
-    solver_cfg = _solver_config(config)
-    trajectory = run_simulation(model, u0, solver_cfg)
+    trajectory = run_simulation(model, u0, _solver_config(config))
 
-    out_dir = config.run_out
-    write_series(os.path.join(out_dir, "series.csv"), trajectory)
-    n_snapshots = _write_snapshots(out_dir, config, model, trajectory,
+    write_series(os.path.join(config.run_out, "series.csv"), trajectory)
+    n_snapshots = _write_snapshots(config.run_out, config, model, trajectory,
                                    lx, flags)
-
-    summary = _summary_skeleton(command, config)
-    summary["model"] = config.model
-    summary["steps"] = int(round(config.solver_t_end / config.solver_dt))
-    summary["recorded_samples"] = int(trajectory.times.size)
-    summary["snapshots"] = n_snapshots
-    summary["blowup"] = (
-        None if not trajectory.flagged
-        else {"time": trajectory.blowup_time,
-              "reason": trajectory.blowup_reason})
-    summary["final"] = {
-        "time": trajectory.final_time,
-        "norms": {sigma_label(s): float(v[-1])
-                  for s, v in sorted(trajectory.norms.items())},
-    }
-    summary["fitted"] = (
-        None if trajectory.flagged
-        else _fit_record(trajectory, 1.0, 0.25 * config.solver_t_end))
-    path = _write_summary(out_dir, summary)
+    path = _write_summary(config, args, {
+        "model": config.model,
+        "steps": int(round(config.solver_t_end / config.solver_dt)),
+        "recorded_samples": int(trajectory.times.size),
+        "snapshots": n_snapshots,
+        "blowup": _blowup_record(trajectory),
+        "final": {
+            "time": trajectory.final_time,
+            "norms": {sigma_label(s): float(v[-1])
+                      for s, v in sorted(trajectory.norms.items())},
+        },
+        "fitted": (None if trajectory.flagged else _fit_record(
+            trajectory, 1.0, 0.25 * config.solver_t_end)),
+    })
 
     status = "blow-up flagged" if trajectory.flagged else "completed"
     print(f"{status}: {trajectory.times.size} samples -> {path}")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    config = parse_config(args.config, _collect_overrides(args, SIM_FLAGS))
-    return _simulate_with(config, "simulate")
-
-
-def cmd_heat_simulate(args) -> int:
-    model_name = {"semilinear": "heat-semilinear",
-                  "quasilinear": "heat-quasilinear",
-                  "periodic": "heat-periodic"}[args.kind]
-    config = parse_config(args.config, _collect_overrides(
-        args, HEAT_FLAGS, base=[f"model={model_name}"]))
-    return _simulate_with(config, "heat simulate")
-
-
-# -------------------------------------------------------- spectral-bound
-
-def cmd_spectral_bound(args) -> int:
-    base = ["grid.periodic=false"] if args.open_strip else []
-    mapping = [("nu", "cloud.nu"), ("eta", "cloud.eta"), ("beta", "cloud.beta"),
-               ("lx", "grid.lx"), ("nx", "grid.nx"), ("ny", "grid.ny"),
-               ("out", "run.out")]
-    config = parse_config(args.config,
-                          _collect_overrides(args, mapping, base=base))
+def cmd_spectral_bound(config: RunConfig, args) -> int:
     geometry = _geometry(config)
     coeffs = _cloud_coeffs(config)
     n_max = args.n_max if args.n_max is not None else geometry.nx // 2
@@ -309,36 +242,26 @@ def cmd_spectral_bound(args) -> int:
     else:
         analytic = analytic_bound_nonperiodic(coeffs)
 
-    out_dir = config.run_out
-    write_csv(os.path.join(out_dir, "modes.csv"),
+    write_csv(os.path.join(config.run_out, "modes.csv"),
               ["n", "re_lambda_max", "im_lambda_at_max"],
               [np.array([r[0] for r in rows], dtype=float),
                np.array([r[1] for r in rows]),
                np.array([r[2] for r in rows])])
-
-    summary = _summary_skeleton("spectral-bound", config)
-    summary["numeric_bound"] = bound
-    summary["analytic_bound"] = analytic
-    summary["n_max"] = n_max
-    summary["periodic"] = geometry.periodic_x
-    summary["max_eigenvector_condition"] = worst_condition
-    summary["defective_modes"] = defective
-    path = _write_summary(out_dir, summary)
+    path = _write_summary(config, args, {
+        "numeric_bound": bound,
+        "analytic_bound": analytic,
+        "n_max": n_max,
+        "periodic": geometry.periodic_x,
+        "max_eigenvector_condition": worst_condition,
+        "defective_modes": defective,
+    })
 
     print(f"spectral bound {bound:.10g} (analytic bound {analytic:.10g}) "
           f"-> {path}")
     return EXIT_OK
 
 
-# ------------------------------------------------------------ decay-test
-
-def cmd_decay_test(args) -> int:
-    mapping = [("nu", "cloud.nu"), ("eta", "cloud.eta"), ("beta", "cloud.beta"),
-               ("t_end", "solver.t_end"), ("dt", "solver.dt"),
-               ("amplitude", "init.amplitude"), ("seed", "run.seed"),
-               ("init", "init.kind"), ("out", "run.out")]
-    config = parse_config(args.config, _collect_overrides(
-        args, mapping, base=["model=cloud", "solver.t_end=5.0"]))
+def cmd_decay_test(config: RunConfig, args) -> int:
     if not config.grid_periodic:
         raise ConfigError("grid.periodic: the decay test runs on the "
                           "periodic strip; set grid.periodic = true")
@@ -355,35 +278,28 @@ def cmd_decay_test(args) -> int:
         raise ConfigError("init.kind: decay test needs nonzero initial data")
     u0_h1 = model.norm(u0, 1.0)
     trajectory = run_simulation(model, u0, _solver_config(config))
+    write_series(os.path.join(config.run_out, "series.csv"), trajectory)
 
-    out_dir = config.run_out
-    write_series(os.path.join(out_dir, "series.csv"), trajectory)
-
-    summary = _summary_skeleton("decay-test", config)
-    summary["stability_margin"] = check.margin
-    summary["initial_h1"] = u0_h1
-    summary["blowup"] = (
-        None if not trajectory.flagged
-        else {"time": trajectory.blowup_time,
-              "reason": trajectory.blowup_reason})
     fitted = None if trajectory.flagged else _fit_record(
         trajectory, 1.0, min(1.0, 0.2 * config.solver_t_end))
-    summary["fitted"] = fitted
-    if fitted is not None and fitted["rate"] > 0.0:
+    decays = fitted is not None and fitted["rate"] > 0.0
+    weighted_sup = None
+    if decays:
         # sup_t e^{rate t / 2} (|u|_H1 + t^{1/4} |u|_H1.5), the weighted
         # quantity the mild-solution bound controls by a fixed multiple
         # of the initial H1 norm
-        t = trajectory.times
-        quotient = np.exp(0.5 * fitted["rate"] * t) \
+        quotient = np.exp(0.5 * fitted["rate"] * trajectory.times) \
             * (trajectory.norms[1.0] + trajectory.weighted)
-        summary["weighted_sup"] = float(np.max(quotient))
-        summary["bound_factor"] = float(np.max(quotient) / u0_h1)
-        summary["decays"] = True
-    else:
-        summary["weighted_sup"] = None
-        summary["bound_factor"] = None
-        summary["decays"] = False
-    path = _write_summary(out_dir, summary)
+        weighted_sup = float(np.max(quotient))
+    path = _write_summary(config, args, {
+        "stability_margin": check.margin,
+        "initial_h1": u0_h1,
+        "blowup": _blowup_record(trajectory),
+        "fitted": fitted,
+        "weighted_sup": weighted_sup,
+        "bound_factor": None if weighted_sup is None else weighted_sup / u0_h1,
+        "decays": decays,
+    })
 
     rate = fitted["rate"] if fitted else float("nan")
     print(f"fitted decay rate {rate:.6g} "
@@ -391,18 +307,7 @@ def cmd_decay_test(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------- scaling-test
-
-def cmd_scaling_test(args) -> int:
-    mapping = [("kappa", "heat.kappa"), ("diffusion", "heat.diffusion"),
-               ("t_end", "solver.t_end"), ("dt", "solver.dt"),
-               ("amplitude", "init.amplitude"), ("half_width", "grid.half_width"),
-               ("n", "grid.n"), ("out", "run.out")]
-    base = [f"model=heat-periodic", f"heat.kind={args.kind}",
-            "heat.kappa=5.0", "solver.t_end=0.5", "init.amplitude=0.5"]
-    config = parse_config(args.config,
-                          _collect_overrides(args, mapping, base=base))
-
+def cmd_scaling_test(config: RunConfig, args) -> int:
     grid = PeriodicGrid(half_width=config.grid_half_width, n=config.grid_n)
     u0 = config.init_amplitude * np.exp(-0.5 * grid.nodes ** 2)
     solver_cfg = SolverConfig(dt=config.solver_dt, t_end=config.solver_t_end,
@@ -417,14 +322,9 @@ def cmd_scaling_test(args) -> int:
             diffusion=config.heat_diffusion, nonlinear=nonlinear)
         reports[label] = {"discrepancy": report.discrepancy,
                           "reference_norm": report.reference_norm}
-
-    summary = _summary_skeleton("scaling-test", config)
-    summary["lambda"] = args.lam
-    summary["kind"] = config.heat_kind
-    summary["kappa"] = config.heat_kappa
-    summary["nonlinear"] = reports["nonlinear"]
-    summary["linear"] = reports["linear"]
-    path = _write_summary(config.run_out, summary)
+    path = _write_summary(config, args, {
+        "lambda": args.lam, "kind": config.heat_kind,
+        "kappa": config.heat_kappa, **reports})
 
     print(f"scaling roundtrip at lambda={args.lam:g}: nonlinear "
           f"{reports['nonlinear']['discrepancy']:.3e}, pure heat "
@@ -432,73 +332,144 @@ def cmd_scaling_test(args) -> int:
     return EXIT_OK
 
 
-# ------------------------------------------------------------------ lab
+# ------------------------------------------------ lab and exponents
 
 def cmd_lab_contraction(args) -> int:
-    report = contraction_experiment(dim=args.dim, seed=args.seed,
-                                    quasilinear=args.quasilinear)
-    payload = {"version": __version__, "command": "lab contraction"}
-    payload.update(report)
-    path = os.path.join(args.out, "summary.json")
-    write_json(path, payload)
-    print(json.dumps(payload, sort_keys=True, indent=2))
-    return EXIT_OK
+    return _emit("lab contraction", contraction_experiment(
+        dim=args.dim, seed=args.seed, quasilinear=args.quasilinear), args.out)
 
 
 def cmd_lab_decay(args) -> int:
-    report = decay_experiment(dim=args.dim, seed=args.seed, varpi=args.varpi,
-                              epsilon=args.epsilon)
-    payload = {"version": __version__, "command": "lab decay"}
-    payload.update(report)
-    path = os.path.join(args.out, "summary.json")
-    write_json(path, payload)
-    print(json.dumps(payload, sort_keys=True, indent=2))
-    return EXIT_OK
+    return _emit("lab decay", decay_experiment(
+        dim=args.dim, seed=args.seed, varpi=args.varpi,
+        epsilon=args.epsilon), args.out)
 
-
-# ------------------------------------------------------------ exponents
 
 def cmd_exponents(args) -> int:
     if args.kind == "semilinear":
         recipe = semilinear_recipe(args.n, args.p, args.kappa)
     else:
         recipe = quasilinear_recipe(args.n, args.p, args.kappa, args.tau)
-
-    payload = {
-        "version": __version__,
-        "command": "exponents",
+    exps = recipe.exponents
+    report = {
         "kind": args.kind,
         "n": recipe.n, "p": recipe.p, "kappa": recipe.kappa_exp,
         "s_c": recipe.s_c, "s": recipe.s, "mu": recipe.mu,
-        "exponents": {
-            "gamma": recipe.exponents.gamma,
-            "alpha": recipe.exponents.alpha,
-            "beta": recipe.exponents.beta_exp,
-            "xi": recipe.exponents.xi,
-            "q": recipe.exponents.q,
-            "mu": recipe.exponents.mu,
-        },
+        "exponents": {"gamma": exps.gamma, "alpha": exps.alpha,
+                      "beta": exps.beta_exp, "xi": exps.xi, "q": exps.q,
+                      "mu": exps.mu},
     }
     if args.kind == "quasilinear":
-        payload["tau"] = recipe.tau
-        payload["s_bar"] = recipe.s_bar
-        payload["theta_holder"] = recipe.theta_holder
-    if args.out is not None:
-        write_json(os.path.join(args.out, "summary.json"), payload)
-    print(json.dumps(payload, sort_keys=True, indent=2))
-    return EXIT_OK
+        report.update(tau=recipe.tau, s_bar=recipe.s_bar,
+                      theta_holder=recipe.theta_holder)
+    return _emit("exponents", report, args.out)
+
+
+# ------------------------------------------------------------ flag table
+
+# convenience flag -> (configuration key, argparse options)
+FLAGS = {
+    "out": ("run.out", {"help": "run directory for outputs"}),
+    "model": ("model", {"choices": MODELS}),
+    "nu": ("cloud.nu", {"type": float}),
+    "eta": ("cloud.eta", {"type": float}),
+    "beta": ("cloud.beta", {"type": float}),
+    "lx": ("grid.lx", {"type": float, "help": "strip length for --open"}),
+    "nx": ("grid.nx", {"type": int}),
+    "ny": ("grid.ny", {"type": int}),
+    "half-width": ("grid.half_width", {"type": float}),
+    "n": ("grid.n", {"type": int, "help": "grid points on the periodic line"}),
+    "kappa": ("heat.kappa", {"type": float}),
+    "p": ("heat.p", {"type": float}),
+    "tau": ("heat.tau", {"type": float}),
+    "diffusion": ("heat.diffusion", {"type": float}),
+    "intervals": ("heat.intervals", {"type": int}),
+    "points": ("heat.points", {"type": int}),
+    "t-end": ("solver.t_end", {"type": float}),
+    "dt": ("solver.dt", {"type": float}),
+    "integrator": ("solver.integrator", {"choices": ("etdrk2", "exp_euler")}),
+    "record-every": ("solver.record_every", {"type": int}),
+    "snapshot-every": ("solver.snapshot_every", {"type": int}),
+    "init": ("init.kind", {"choices": INIT_KINDS}),
+    "amplitude": ("init.amplitude", {"type": float}),
+    "seed": ("run.seed", {"type": int}),
+}
+
+
+class Command(NamedTuple):
+    """A config-backed command: its flags (names in FLAGS, space
+    separated), the overrides it starts from, and the arguments it takes
+    outside the configuration."""
+
+    help: str
+    handler: Callable
+    flags: str
+    base: Callable = lambda args: ()
+    arguments: tuple = ()
+    options: dict = {}           # per-command argparse options of a flag
+    label: Optional[str] = None  # summary label; default the command path
+
+
+SCALING_TEST = Command(
+    "self-similar scaling roundtrip of the periodic heat model",
+    cmd_scaling_test, "out kappa diffusion t-end dt amplitude half-width n",
+    base=lambda args: ["model=heat-periodic", f"heat.kind={args.kind}",
+                       "heat.kappa=5.0", "solver.t_end=0.5",
+                       "init.amplitude=0.5"],
+    arguments=(("--lambda", {"dest": "lam", "type": float, "default": 2.0,
+                             "help": "scaling factor"}),
+               ("--kind", {"choices": ("semilinear", "quasilinear"),
+                           "default": "semilinear"})),
+    label="scaling-test")
+
+COMMANDS = {
+    ("simulate",): Command(
+        "time-march the configured model", cmd_simulate,
+        "out model nu eta beta t-end dt integrator record-every "
+        "snapshot-every init amplitude seed"),
+    ("spectral-bound",): Command(
+        "max real part of the mode-operator spectra", cmd_spectral_bound,
+        "out nu eta beta lx nx ny",
+        base=lambda args: ["grid.periodic=false"] if args.open_strip else [],
+        arguments=(("--open", {"dest": "open_strip", "action": "store_true",
+                               "help": "use the truncated open strip "
+                                       "instead of periodic"}),
+                   ("--n-max", {"type": int,
+                                "help": "largest mode index to assemble"}))),
+    ("decay-test",): Command(
+        "verify exponential decay on the periodic strip", cmd_decay_test,
+        "out nu eta beta t-end dt amplitude init seed",
+        base=lambda args: ["model=cloud", "solver.t_end=5.0"],
+        options={"init": {"choices": ("mode", "random")}}),
+    ("scaling-test",): SCALING_TEST,
+    ("heat", "simulate"): Command(
+        "time-march a heat model", cmd_simulate,
+        "out kappa p tau diffusion intervals points t-end dt integrator "
+        "record-every snapshot-every init amplitude seed",
+        base=lambda args: [f"model=heat-{args.kind}"],
+        arguments=(("--kind", {"choices": ("semilinear", "quasilinear",
+                                           "periodic"),
+                               "default": "semilinear"}),)),
+    ("heat", "scaling-test"): SCALING_TEST,
+}
+
+
+def _run_configured(args) -> int:
+    """Parse the configuration of a config-backed command and run it.
+
+    Overrides in increasing precedence: the command's base overrides,
+    then --set pairs, then convenience flags.
+    """
+    spec = args.spec
+    overrides = [*spec.base(args), *args.set]
+    for name in spec.flags.split():
+        value = getattr(args, name.replace("-", "_"))
+        if value is not None:
+            overrides.append(f"{FLAGS[name][0]}={value}")
+    return spec.handler(parse_config(args.config, overrides), args)
 
 
 # ---------------------------------------------------------------- parser
-
-def _add_config_flags(parser, default_out=None):
-    parser.add_argument("--config", metavar="FILE",
-                        help="key = value configuration file")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        default=[], help="override one configuration key")
-    parser.add_argument("--out", default=default_out,
-                        help="run directory for outputs")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -508,66 +479,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"mildflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    heat = sub.add_parser("heat", help="one-dimensional heat model runs")
+    groups = {(): sub, ("heat",): heat.add_subparsers(dest="heat_command",
+                                                     required=True)}
 
-    p = sub.add_parser("simulate", help="time-march the configured model")
-    _add_config_flags(p)
-    p.add_argument("--model", choices=MODELS)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--integrator", choices=("etdrk2", "exp_euler"))
-    p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
-    p.add_argument("--init", choices=("zero", "mode", "random"))
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("spectral-bound",
-                       help="max real part of the mode-operator spectra")
-    _add_config_flags(p)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--open", dest="open_strip", action="store_true",
-                   help="use the truncated open strip instead of periodic")
-    p.add_argument("--lx", type=float, help="strip length for --open")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help="largest mode index to assemble")
-    p.set_defaults(handler=cmd_spectral_bound)
-
-    p = sub.add_parser("decay-test",
-                       help="verify exponential decay on the periodic strip")
-    _add_config_flags(p)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--init", choices=("mode", "random"))
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=cmd_decay_test)
-
-    p = sub.add_parser("scaling-test",
-                       help="self-similar scaling roundtrip on the line")
-    _add_config_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=2.0,
-                   help="scaling factor")
-    p.add_argument("--kind", choices=("semilinear", "quasilinear"),
-                   default="semilinear")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--diffusion", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--half-width", dest="half_width", type=float)
-    p.add_argument("--n", type=int, help="grid points on the periodic line")
-    p.set_defaults(handler=cmd_scaling_test)
+    for path, spec in COMMANDS.items():
+        p = groups[path[:-1]].add_parser(path[-1], help=spec.help)
+        p.add_argument("--config", metavar="FILE",
+                       help="key = value configuration file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       default=[], help="override one configuration key")
+        for flag, options in spec.arguments:
+            p.add_argument(flag, **options)
+        for name in spec.flags.split():
+            p.add_argument(f"--{name}",
+                           **{**FLAGS[name][1], **spec.options.get(name, {})})
+        p.set_defaults(handler=_run_configured, spec=spec,
+                       label=spec.label or " ".join(path))
 
     p = sub.add_parser("lab", help="matrix fixed-point laboratory")
     lab_sub = p.add_subparsers(dest="lab_command", required=True)
@@ -602,44 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_exponents)
 
-    p = sub.add_parser("heat", help="one-dimensional heat model runs")
-    heat_sub = p.add_subparsers(dest="heat_command", required=True)
-
-    q = heat_sub.add_parser("simulate", help="time-march a heat model")
-    _add_config_flags(q)
-    q.add_argument("--kind", choices=("semilinear", "quasilinear", "periodic"),
-                   default="semilinear")
-    q.add_argument("--kappa", type=float)
-    q.add_argument("--p", type=float)
-    q.add_argument("--tau", type=float)
-    q.add_argument("--diffusion", type=float)
-    q.add_argument("--intervals", type=int)
-    q.add_argument("--points", type=int)
-    q.add_argument("--t-end", dest="t_end", type=float)
-    q.add_argument("--dt", type=float)
-    q.add_argument("--integrator", choices=("etdrk2", "exp_euler"))
-    q.add_argument("--record-every", dest="record_every", type=int)
-    q.add_argument("--snapshot-every", dest="snapshot_every", type=int)
-    q.add_argument("--init", choices=("zero", "mode", "random"))
-    q.add_argument("--amplitude", type=float)
-    q.add_argument("--seed", type=int)
-    q.set_defaults(handler=cmd_heat_simulate)
-
-    q = heat_sub.add_parser("scaling-test",
-                            help="scaling roundtrip for the periodic model")
-    _add_config_flags(q)
-    q.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    q.add_argument("--kind", choices=("semilinear", "quasilinear"),
-                   default="semilinear")
-    q.add_argument("--kappa", type=float)
-    q.add_argument("--diffusion", type=float)
-    q.add_argument("--t-end", dest="t_end", type=float)
-    q.add_argument("--dt", type=float)
-    q.add_argument("--amplitude", type=float)
-    q.add_argument("--half-width", dest="half_width", type=float)
-    q.add_argument("--n", type=int)
-    q.set_defaults(handler=cmd_scaling_test)
-
     return parser
 
 
@@ -651,10 +541,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ConfigError, ExponentError, InfeasibleProblem) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
     except ValueError as exc:
+        # ConfigError, ExponentError and InfeasibleProblem among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except (InstabilityError, FixedPointDivergence, FloatingPointError,

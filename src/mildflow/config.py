@@ -11,8 +11,9 @@ constraint.
 
 import os
 from dataclasses import dataclass, fields
-from math import pi
+from math import inf, pi
 
+from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
 from .solver import INTEGRATORS
 
 ENV_PREFIX = "MILDFLOW_"
@@ -156,18 +157,31 @@ def parse_config(path=None, overrides=None, environ=None) -> RunConfig:
 
     config = RunConfig()
     field_types = {field.name: field.type for field in fields(RunConfig)}
-    type_of = {"bool": bool, "int": int, "float": float, "str": str}
     for key, raw_value in raw.items():
         attr = KEYS[key]
-        kind = field_types[attr]
-        kind = type_of[kind] if isinstance(kind, str) else kind
-        setattr(config, attr, _convert(key, str(raw_value), kind))
+        setattr(config, attr, _convert(key, str(raw_value), field_types[attr]))
     if "heat.p" not in raw and config.model == "heat-quasilinear":
         # the shared default p = 2 is outside the quasilinear window p > 2n;
         # take the default of QuasilinearHeatModel instead
         config.heat_p = 2.5
     validate_config(config)
     return config
+
+
+# recipe violations start with the exponent they bound; the rest (the
+# exponent tuple the recipe derives) follow from kappa and p together
+_RECIPE_KEYS = {"kappa": "heat.kappa", "p": "heat.p", "tau": "heat.tau"}
+
+
+def _recipe_window(problems, recipe, *args) -> None:
+    """Run the critical-exponent recipe the heat model constructor runs and
+    report each violation under its configuration key."""
+    try:
+        recipe(*args)
+    except ExponentError as err:
+        for violation in err.violations:
+            key = _RECIPE_KEYS.get(violation.split()[0], "heat.kappa, heat.p")
+            problems.append(f"{key}: {violation}")
 
 
 def validate_config(config: RunConfig) -> None:
@@ -228,39 +242,27 @@ def validate_config(config: RunConfig) -> None:
     require(config.heat_p >= 1.0, "heat.p",
             f"must be at least 1, got {config.heat_p}")
 
-    # critical-exponent windows of the heat models, re-derived here so a
-    # bad kappa is caught before any state is allocated
     if config.model.startswith("heat"):
         require(config.heat_n == 1, "heat.n",
                 f"the desk-scale heat models are one dimensional, "
                 f"got {config.heat_n}")
-        kind = {"heat-semilinear": "semilinear",
-                "heat-quasilinear": "quasilinear"}.get(config.model,
-                                                       config.heat_kind)
-        if kind == "semilinear" and config.heat_n >= 1:
-            floor = 1.0 + 2.0 / config.heat_n
-            require(config.heat_kappa > floor, "heat.kappa",
-                    f"semilinear model needs kappa > 1 + 2/n = {floor:g} "
-                    f"for heat.n = {config.heat_n}, got {config.heat_kappa}")
-        if kind == "quasilinear":
-            require(config.heat_kappa > 3.0, "heat.kappa",
-                    "quasilinear gradient model needs kappa > 3, "
-                    f"got {config.heat_kappa}")
-            require(0.0 < config.heat_tau < 1.0, "heat.tau",
-                    f"must lie in (0, 1), got {config.heat_tau}")
-            if config.model == "heat-quasilinear":
-                # the Hoelder-space desk model pins p and tau tightly
-                require(config.heat_p > 2.0, "heat.p",
-                        f"quasilinear model needs p > 2n = 2, "
-                        f"got {config.heat_p}")
-                if config.heat_p > 2.0:
-                    hi = 1.0 - 1.0 / config.heat_p
-                    require(0.5 < 2.0 * config.heat_tau < hi, "heat.tau",
-                            "quasilinear model needs 1/2 < 2 tau < 1 - 1/p"
-                            f" = {hi:g}, got 2 tau = {2.0 * config.heat_tau:g}")
+    if config.model == "heat-semilinear":
+        _recipe_window(problems, semilinear_recipe, 1, config.heat_p,
+                       config.heat_kappa)
+    elif config.model == "heat-quasilinear":
+        _recipe_window(problems, quasilinear_recipe, 1, config.heat_p,
+                       config.heat_kappa, config.heat_tau)
+    elif config.model == "heat-periodic":
+        # no recipe for the periodic surrogate; both kinds need kappa > 3
+        # (for the semilinear kind that is the floor 1 + 2/n at n = 1)
+        require(config.heat_kappa > 3.0, "heat.kappa",
+                f"{config.heat_kind} periodic model needs kappa > 3, "
+                f"got {config.heat_kappa}")
+        require(config.heat_kind != "quasilinear"
+                or 0.0 < config.heat_tau < 1.0, "heat.tau",
+                f"must lie in (0, 1), got {config.heat_tau}")
 
-    # dense propagator storage of the configured model (the periodic
-    # model's generator is a multiplier and needs none)
+    # propagator and basis storage of the configured model
     keys, size = {
         # eigenvectors, their inverses and three step factors, complex
         "cloud": ("grid.nx, grid.ny",
@@ -269,9 +271,14 @@ def validate_config(config: RunConfig) -> None:
         "heat-quasilinear": ("heat.points", 6 * config.heat_points ** 2 * 8),
         # sine synthesis and analysis matrices, float64
         "heat-semilinear": ("heat.intervals", 2 * config.heat_intervals ** 2 * 8),
+        # the complex n x (n/2+1) basis of the scaling resampler (the
+        # generator itself is a multiplier)
+        "heat-periodic": ("grid.n",
+                          16 * config.grid_n * (config.grid_n // 2 + 1)),
     }.get(config.model, ("model", 0))
+    gib = size / 2 ** 30 if size < 2 ** 1000 else inf
     require(size <= MAX_PROPAGATOR_BYTES, keys,
-            f"propagator storage would take about {size / 2 ** 30:.3g} GiB, "
+            f"propagator storage would take about {gib:.3g} GiB, "
             f"more than the {MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB limit")
 
     if problems:

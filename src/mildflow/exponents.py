@@ -184,7 +184,10 @@ def semilinear_recipe(n: int, p: float, kappa_exp: float) -> CriticalRecipe:
             violations.append(
                 f"kappa must exceed 1 + 2/n = {kappa_floor:g}, got {kappa:g}"
             )
-        p_low = max(1.0, n * (kappa - 1.0) / (2.0 * kappa))
+        # kappa <= 0 already fails the floor above; keep it out of 1/kappa
+        p_low = 1.0
+        if kappa > 0.0:
+            p_low = max(1.0, n * (kappa - 1.0) / (2.0 * kappa))
         p_high = n * (kappa - 1.0) / 2.0
         if not p > p_low:
             violations.append(
@@ -233,7 +236,8 @@ def quasilinear_recipe(n: int, p: float, kappa_exp: float,
                 f"p = (n-1)(kappa-1) = {p_excluded:g} is excluded: the "
                 "critical index would sit on the forbidden Sobolev line s = 1+1/p"
             )
-        if not (0.5 < 2.0 * tau < 1.0 - n / p):
+        # p <= 0 already fails p > 2n above; keep it out of n/p
+        if p > 0 and not (0.5 < 2.0 * tau < 1.0 - n / p):
             violations.append(
                 f"tau must satisfy 1/2 < 2 tau < 1 - n/p = {1.0 - n / p:g}, "
                 f"got 2 tau = {2.0 * tau:g}"

@@ -8,7 +8,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from mildflow.cli import main
+from mildflow.cli import COMMANDS, FLAGS, main
+from mildflow.config import config_keys
 from mildflow.io import read_csv, read_snapshot
 
 
@@ -41,6 +42,43 @@ def test_exponents_quasilinear_reports_window(capsys):
 
 def test_exponents_subcritical_rejected():
     assert main(["exponents", "semilinear", "--n", "1", "--kappa", "3"]) == 2
+
+
+def test_exponents_nonpositive_p_exit_2(capsys):
+    assert main(["exponents", "quasilinear", "--p", "0"]) == 2
+    assert "p must exceed 2n = 2" in capsys.readouterr().err
+    assert main(["exponents", "semilinear", "--kappa", "0"]) == 2
+    assert "kappa must exceed" in capsys.readouterr().err
+
+
+# ---------- flag and command tables ----------
+
+def test_flag_table_names_config_keys():
+    keys = set(config_keys())
+    assert {key for key, _ in FLAGS.values()} <= keys
+    for path, spec in COMMANDS.items():
+        names = spec.flags.split()
+        assert set(names) <= set(FLAGS), path
+        assert len(names) == len(set(names)), path
+        assert "out" in names, path
+
+
+@pytest.mark.parametrize("path", sorted(COMMANDS) + [
+    ("lab", "contraction"), ("lab", "decay"), ("exponents",), ("heat",),
+    ("lab",), ()])
+def test_every_command_path_has_help(path, capsys):
+    assert main([*path, "--help"]) == 0
+    assert "usage: mildflow" in capsys.readouterr().out
+
+
+def test_flag_overrides_set_and_set_overrides_base(tmp_path):
+    out = tmp_path / "run"
+    # base solver.t_end=5.0 < --set < --t-end; --set beats the base model
+    assert main(["decay-test", "--set", "solver.t_end=0.3", "--t-end", "0.05",
+                 "--set", "cloud.nu=1.5", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["solver.t_end"] == 0.05
+    assert summary["config"]["cloud.nu"] == 1.5
 
 
 # ---------- spectral-bound ----------
@@ -170,6 +208,14 @@ def test_heat_quasilinear_p_outside_window_exit_2(tmp_path):
                  "--amplitude", "0.05", "--out", out]) == 0
 
 
+def test_heat_quasilinear_nonpositive_p_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["heat", "simulate", "--kind", "quasilinear", "--p", "0",
+                 "--out", out]) == 2
+    assert "heat.p" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_heat_quasilinear_defaults_complete(tmp_path):
     out = tmp_path / "run"
     assert main(["heat", "simulate", "--kind", "quasilinear",
@@ -228,6 +274,22 @@ def test_scaling_test_roundtrip_small(tmp_path):
     assert summary["lambda"] == 2.0
     assert summary["nonlinear"]["discrepancy"] <= 1e-3
     assert summary["linear"]["discrepancy"] <= 1e-6
+
+
+def test_scaling_test_blowup_is_numerical_failure_exit_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["scaling-test", "--amplitude", "100", "--t-end", "0.1",
+                 "--out", str(out)]) == 1
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_heat_scaling_test_keeps_scaling_test_label(tmp_path):
+    out = tmp_path / "run"
+    assert main(["heat", "scaling-test", "--t-end", "0.05",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["command"] == "scaling-test"
 
 
 # ---------- lab ----------

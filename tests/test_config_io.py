@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mildflow.config import (
     ConfigError,
@@ -99,14 +101,14 @@ def test_semilinear_kappa_window_rederived():
     with pytest.raises(ConfigError) as err:
         parse_config(overrides=["model=heat-semilinear", "heat.kappa=3"])
     assert "heat.kappa" in str(err.value)
-    assert "kappa > 1 + 2/n = 3" in str(err.value)
+    assert "kappa must exceed 1 + 2/n = 3" in str(err.value)
 
 
 def test_quasilinear_windows_rederived():
     with pytest.raises(ConfigError) as err:
         parse_config(overrides=["model=heat-quasilinear", "heat.p=2"])
     assert "heat.p" in str(err.value)
-    assert "p > 2n = 2" in str(err.value)
+    assert "p must exceed 2n = 2" in str(err.value)
 
     with pytest.raises(ConfigError) as err:
         parse_config(overrides=["model=heat-quasilinear", "heat.p=2.5",
@@ -146,11 +148,67 @@ def test_bad_boolean_rejected():
     (["grid.nx=10000000"], "grid.nx"),
     (["model=heat-quasilinear", "heat.points=100000"], "heat.points"),
     (["model=heat-semilinear", "heat.intervals=1000000"], "heat.intervals"),
+    # the scaling resampler's complex n x (n/2+1) basis: 32 GiB
+    (["model=heat-periodic", "grid.n=65536"], "grid.n"),
+    # too large for a float quotient; still named, not an OverflowError
+    (["grid.nx=" + "2" * 400], "grid.nx"),
 ])
 def test_oversized_grid_rejected_before_allocation(overrides, key):
     # validation only: the estimate is checked before any model is built
     with pytest.raises(ConfigError, match=rf"{key}.*GiB"):
         parse_config(overrides=overrides, environ={})
+
+
+def test_periodic_storage_limit_near_11_6k_points():
+    # 16 n (n/2+1) B crosses 1 GiB between n = 11584 and n = 11586
+    parse_config(overrides=["model=heat-periodic", "grid.n=11584"], environ={})
+    with pytest.raises(ConfigError, match="grid.n"):
+        parse_config(overrides=["model=heat-periodic", "grid.n=11586"],
+                     environ={})
+
+
+def test_heat_windows_come_from_the_recipe():
+    # every recipe violation is reported under its heat.* key
+    with pytest.raises(ConfigError) as err:
+        parse_config(overrides=["model=heat-quasilinear", "heat.p=0"],
+                     environ={})
+    assert "heat.p: p must exceed 2n = 2, got 0" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(overrides=["model=heat-semilinear", "heat.kappa=4"],
+                     environ={})
+    assert "heat.p: p >= n(kappa-1)/2 = 1.5" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(overrides=["model=heat-semilinear", "heat.kappa=0"],
+                     environ={})
+    assert "heat.kappa: kappa must exceed" in str(err.value)
+
+
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["cloud", "heat-semilinear", "heat-quasilinear",
+                     "heat-periodic", "semilinear", "quasilinear", "etdrk2",
+                     "zero", "random", "true", "false", "nan", "inf", "-inf",
+                     "0", "-1", "", "1e400", "2" * 400]),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(config_keys()), _FUZZ_VALUES),
+                max_size=6))
+@example([("model", "heat-quasilinear"), ("heat.p", "0")])
+@example([("model", "heat-semilinear"), ("heat.kappa", "0")])
+@example([("model", "heat-periodic"), ("grid.n", "2" * 400)])
+@example([("grid.ny", "2" * 400)])
+@settings(max_examples=300, deadline=None)
+def test_parse_config_fuzz_gives_config_or_config_error(pairs):
+    overrides = [f"{key}={value}" for key, value in pairs]
+    try:
+        config = parse_config(overrides=overrides, environ={})
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
 
 
 def test_override_missing_equals_rejected():

@@ -225,6 +225,16 @@ def test_quasilinear_rejects_bad_tau():
     assert "tau" in str(err.value)
 
 
+def test_recipes_name_nonpositive_exponents_instead_of_dividing():
+    # p = 0 used to reach 1 - n/p and kappa = 0 the quotient 1/kappa
+    with pytest.raises(ExponentError) as err:
+        quasilinear_recipe(n=1, p=0.0, kappa_exp=4.0, tau=0.27)
+    assert err.value.violations == ["p must exceed 2n = 2, got 0"]
+    with pytest.raises(ExponentError) as err:
+        semilinear_recipe(n=1, p=2.0, kappa_exp=0.0)
+    assert "kappa must exceed 1 + 2/n = 3, got 0" in err.value.violations
+
+
 @given(
     p_frac=st.floats(0.1, 0.9),
     kappa=st.floats(3.3, 8.0),

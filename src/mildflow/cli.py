@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
-                    assemble_mode, periodic_stability_condition)
-from .config import (INIT_KINDS, MODELS, ConfigError, RunConfig, config_echo,
-                     parse_config)
+                    mode_stack, periodic_stability_condition, top_eigenvalues)
+from .config import (INIT_KINDS, MAX_PROPAGATOR_BYTES, MODELS, ConfigError,
+                     RunConfig, config_echo, parse_config)
 from .exponents import quasilinear_recipe, semilinear_recipe
 from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
@@ -37,7 +37,7 @@ from .io import (sigma_label, write_csv, write_json, write_series,
                  write_snapshot)
 from .lab import (FixedPointDivergence, contraction_experiment,
                   decay_experiment)
-from .propagators import InstabilityError
+from .propagators import InstabilityError, decompose
 from .solver import SolverConfig, fit_decay_rate, run_simulation
 from .strip import (dirichlet_mode_field, open_strip, periodic_strip,
                     random_dirichlet_field, to_grid)
@@ -222,38 +222,34 @@ def cmd_spectral_bound(config: RunConfig, args) -> int:
     geometry = _geometry(config)
     coeffs = _cloud_coeffs(config)
     n_max = args.n_max if args.n_max is not None else geometry.nx // 2
+    if n_max < 0:
+        raise ConfigError(f"--n-max must be nonnegative, got {n_max}")
+    # complex stacks of the blocks, eigenvectors and inverses of 0..n_max
+    if 3 * (n_max + 1) * (geometry.ny - 2) ** 2 * 16 > MAX_PROPAGATOR_BYTES:
+        raise ConfigError(
+            f"--n-max {n_max}: the stacks of {n_max + 1} mode blocks would "
+            f"exceed the {MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB storage limit")
 
-    rows = []
-    bound = -math.inf
-    worst_condition = 0.0
-    defective = []
-    for n in range(n_max + 1):
-        op = assemble_mode(n, coeffs, geometry)
-        idx = int(np.argmax(op.eigenvalues.real))
-        top = op.eigenvalues[idx]
-        rows.append((n, top.real, top.imag))
-        bound = max(bound, float(top.real))
-        worst_condition = max(worst_condition, op.condition)
-        if op.defective:
-            defective.append(n)
+    lam, _, _, condition, defective = decompose(
+        mode_stack(range(n_max + 1), coeffs, geometry))
+    top = top_eigenvalues(lam)
 
     if geometry.periodic_x:
         analytic = -periodic_stability_condition(coeffs).margin
     else:
         analytic = analytic_bound_nonperiodic(coeffs)
 
+    bound = float(np.max(top.real))
     write_csv(os.path.join(config.run_out, "modes.csv"),
               ["n", "re_lambda_max", "im_lambda_at_max"],
-              [np.array([r[0] for r in rows], dtype=float),
-               np.array([r[1] for r in rows]),
-               np.array([r[2] for r in rows])])
+              [np.arange(n_max + 1, dtype=float), top.real, top.imag])
     path = _write_summary(config, args, {
         "numeric_bound": bound,
         "analytic_bound": analytic,
         "n_max": n_max,
         "periodic": geometry.periodic_x,
-        "max_eigenvector_condition": worst_condition,
-        "defective_modes": defective,
+        "max_eigenvector_condition": float(np.max(condition)),
+        "defective_modes": np.flatnonzero(defective).tolist(),
     })
 
     print(f"spectral bound {bound:.10g} (analytic bound {analytic:.10g}) "
@@ -541,14 +537,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except (InstabilityError, FixedPointDivergence, FloatingPointError,
+            RuntimeError, np.linalg.LinAlgError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         # ConfigError, ExponentError and InfeasibleProblem among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
-    except (InstabilityError, FixedPointDivergence, FloatingPointError,
-            RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ The nonlinearity is quadratic advection with integral feedback:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvals
@@ -75,25 +75,17 @@ def mode_matrix(n: int, coeffs: CloudCoefficients,
     return mat.astype(complex) - 1j * coeffs.beta * k * f_block
 
 
-@dataclass
-class ModeOperator:
-    """One assembled mode block with its eigendecomposition."""
-
-    mode_index: int
-    wavenumber: float
-    matrix: np.ndarray
-    eigenvalues: np.ndarray = field(repr=False, default=None)
-    vectors: np.ndarray = field(repr=False, default=None)
-    vectors_inv: np.ndarray = field(repr=False, default=None)
-    condition: float = np.nan
-    defective: bool = False
+def mode_stack(modes, coeffs: CloudCoefficients,
+               geometry: StripGeometry) -> np.ndarray:
+    """The blocks of the signed Fourier modes in `modes` as one
+    (len(modes), ny-2, ny-2) stack."""
+    return np.stack([mode_matrix(n, coeffs, geometry) for n in modes])
 
 
-def assemble_mode(n: int, coeffs: CloudCoefficients,
-                  geometry: StripGeometry) -> ModeOperator:
-    mat = mode_matrix(n, coeffs, geometry)
-    return ModeOperator(n, n * math.pi / geometry.half_length, mat,
-                        *decompose(mat))
+def top_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """The eigenvalue of largest real part in each row of lam (..., m)."""
+    idx = np.argmax(lam.real, axis=-1)
+    return np.take_along_axis(lam, idx[..., None], axis=-1)[..., 0]
 
 
 def spectral_bound_numeric(coeffs: CloudCoefficients, geometry: StripGeometry,
@@ -108,12 +100,12 @@ def mode_spectra(coeffs: CloudCoefficients, geometry: StripGeometry,
     """Per-mode (n, max real part, imaginary part at that maximum)."""
     if n_max is None:
         n_max = geometry.nx // 2
-    records = []
-    for n in range(n_max + 1):
-        lam = eigvals(mode_matrix(n, coeffs, geometry))
-        idx = int(np.argmax(lam.real))
-        records.append((n, float(lam[idx].real), float(lam[idx].imag)))
-    return records
+    # one block at a time (a stacked eigvals holds every block at once);
+    # the reshape keeps an empty mode range two-dimensional
+    lam = np.array([eigvals(mode_matrix(n, coeffs, geometry))
+                    for n in range(n_max + 1)]).reshape(-1, geometry.ny - 2)
+    return [(n, float(z.real), float(z.imag))
+            for n, z in enumerate(top_eigenvalues(lam))]
 
 
 def analytic_bound_nonperiodic(coeffs: CloudCoefficients) -> float:
@@ -160,29 +152,19 @@ class CloudModel:
         self.coeffs = coeffs
         self.geometry = geometry
         self.nonlinear = nonlinear
-        self.mode_numbers = np.rint(
-            np.fft.fftfreq(geometry.nx) * geometry.nx).astype(int)
-        nx, m = geometry.nx, geometry.ny - 2
-        lam = np.empty((nx, m), dtype=complex)
-        vectors = np.empty((nx, m, m), dtype=complex)
-        vectors_inv = np.empty_like(vectors)
-        defective = np.zeros(nx, dtype=bool)
-        matrices = {}
-        ident = np.eye(m)
-        for n in range(nx // 2 + 1):
-            # one decomposition per |n|: the block for -n is its conjugate
-            op = assemble_mode(n, coeffs, geometry)
-            for idx in np.nonzero(np.abs(self.mode_numbers) == n)[0]:
-                flip = np.conj if self.mode_numbers[idx] < 0 else np.asarray
-                lam[idx] = flip(op.eigenvalues)
-                vectors[idx] = flip(op.vectors)
-                vectors_inv[idx] = flip(op.vectors_inv)
-                defective[idx] = op.defective
-                if op.defective:
-                    matrices[idx] = flip(op.matrix)
-        self.propagator = Propagator(
-            lam, vectors, vectors_inv, defective,
-            np.stack([matrices.get(i, ident) for i in range(nx)]) if matrices else None)
+        nx = geometry.nx
+        self.mode_numbers = np.rint(np.fft.fftfreq(nx) * nx).astype(int)
+        # one decomposition per |n|: the block for -n is the conjugate of
+        # the block for n, and only a defective block keeps its matrix
+        blocks = mode_stack(range(nx // 2 + 1), coeffs, geometry)
+        lam, vectors, vectors_inv, _, defective = decompose(blocks)
+        order, negative = np.abs(self.mode_numbers), self.mode_numbers < 0
+        stacks = [lam[order], vectors[order], vectors_inv[order]]
+        if defective.any():
+            stacks.append(blocks[order])
+        for stack in stacks:
+            stack[negative] = stack[negative].conj()
+        self.propagator = Propagator(*stacks[:3], defective[order], *stacks[3:])
 
     def field_from_state(self, state: np.ndarray) -> SpectralField:
         full = np.zeros((self.geometry.nx, self.geometry.ny), dtype=complex)

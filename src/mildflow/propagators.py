@@ -4,12 +4,13 @@ One Propagator covers every model here. Its generator is a stack of
 blocks V_i diag(lam_i) V_i^-1: one block for the interval models and
 the matrix lab, one dense block per Fourier mode of the strip. Without
 eigenvectors the generator is the multiplier lam (sine and Fourier
-bases). decompose() eigendecomposes one block; if its eigenvector basis
-is too ill-conditioned the block is marked defective and falls back to
-scaling-and-squaring exponentials with augmented-matrix phi actions,
-trading speed for robustness. A propagator also builds the step factors
-e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers or block
-matrices), which apply_block_factor applies; the most recent h is cached.
+bases). decompose() eigendecomposes one block or a stack of blocks; a
+block whose eigenvector basis is too ill-conditioned is marked defective
+and falls back to scaling-and-squaring exponentials with augmented-matrix
+phi actions, trading speed for robustness. A propagator also builds the
+step factors e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers
+or block matrices), which apply_block_factor applies; the most recent h
+is cached.
 """
 
 from __future__ import annotations
@@ -95,26 +96,36 @@ def _defective_factor(a: np.ndarray, order: int) -> np.ndarray:
 
 
 def decompose(matrix: np.ndarray):
-    """Eigen data (lam, vectors, vectors_inv, condition, defective) of one block.
+    """Eigen data (lam, vectors, vectors_inv, condition, defective) of one
+    (m, m) block, or of each block of a (..., m, m) stack.
 
-    Exactly real-symmetric blocks take the orthogonal eigh route
-    (condition 1, inverse V^T); others the nonsymmetric eig route with a
-    conditioning guard. A defective block gets identity placeholders for
-    its vectors, since its actions fall back to expm of the matrix.
+    Exactly real-symmetric input takes the orthogonal eigh route
+    (condition 1, inverse V^T); other input the nonsymmetric eig route with
+    a conditioning guard. A defective block gets identity placeholders for
+    its vectors, since its actions fall back to expm of the matrix. For a
+    stack, eig, cond and inv each run once over all blocks, condition and
+    defective are per-block arrays, and eigh is taken only when every
+    block is real-symmetric; for one block they are a float and a bool.
+    A real stack gets complex eigen data in every block when any block
+    has complex eigenvalues (numpy's eig decides over the whole stack).
     """
     matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
+    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValueError("generator must be square")
-    if not np.iscomplexobj(matrix) and np.array_equal(matrix, matrix.T):
+    batch = matrix.shape[:-2]
+    if not np.iscomplexobj(matrix) and np.array_equal(matrix, matrix.swapaxes(-1, -2)):
         lam, vecs = np.linalg.eigh(matrix)
-        return lam, vecs, vecs.T, 1.0, False
-    lam, vecs = np.linalg.eig(matrix)
-    condition = float(np.linalg.cond(vecs))
-    if not np.isfinite(condition) or condition > EIG_CONDITION_LIMIT:
-        ident = np.eye(n, dtype=vecs.dtype)
-        return lam, ident, ident, condition, True
-    return lam, vecs, np.linalg.inv(vecs), condition, False
+        vecs_inv = vecs.swapaxes(-1, -2)
+        condition, defective = np.ones(batch), np.zeros(batch, bool)
+    else:
+        lam, vecs = np.linalg.eig(matrix)
+        condition = np.linalg.cond(vecs)
+        defective = ~(condition <= EIG_CONDITION_LIMIT)  # nan and inf too
+        vecs[defective] = np.eye(matrix.shape[-1])
+        vecs_inv = np.linalg.inv(vecs)
+    if not batch:
+        condition, defective = float(condition), bool(defective)
+    return lam, vecs, vecs_inv, condition, defective
 
 
 class Propagator:

@@ -212,12 +212,6 @@ def l2_norm(field: SpectralField) -> float:
     return math.sqrt(2.0 * field.geometry.half_length * float(per_mode.sum()))
 
 
-def sine_coefficients(field: SpectralField) -> np.ndarray:
-    """Fourier x sine coefficients, shape (nx, 2*ny)."""
-    proj, _ = _sine_projection(field.geometry.ny)
-    return field.coeffs @ proj.T
-
-
 def sobolev_norm(field: SpectralField, sigma: float) -> float:
     """Multiplier norm: sum over modes of (1 + k^2 + (m pi)^2)^sigma |c|^2."""
     return sobolev_norm_set(field, (sigma,))[sigma]

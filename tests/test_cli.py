@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from mildflow import cli
 from mildflow.cli import COMMANDS, FLAGS, main
 from mildflow.config import config_keys
 from mildflow.io import read_csv, read_snapshot
@@ -102,6 +103,36 @@ def test_spectral_bound_respects_env(tmp_path, monkeypatch):
     assert main(["spectral-bound", "--beta", "0", "--out", out]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert abs(summary["numeric_bound"] + 2.0 * math.pi ** 2) < 1e-6
+
+
+def test_spectral_bound_n_max_above_half_grid(tmp_path):
+    out = tmp_path / "run"
+    assert main(["spectral-bound", "--open", "--n-max", "70",
+                 "--out", str(out)]) == 0
+    _, columns = read_csv(str(out / "modes.csv"))
+    assert np.array_equal(columns[0], np.arange(71.0))
+    assert json.loads((out / "summary.json").read_text())["n_max"] == 70
+
+
+def test_spectral_bound_negative_n_max_exit_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["spectral-bound", "--n-max", "-1", "--out", str(out)]) == 2
+    assert "--n-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectral_bound_oversized_n_max_refused_before_assembly(
+        tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("mode stack assembled")
+
+    monkeypatch.setattr(cli, "mode_stack", fail)
+    out = tmp_path / "run"
+    assert main(["spectral-bound", "--n-max", "1000000",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--n-max" in err and "GiB" in err
+    assert not out.exists()
 
 
 # ---------- simulate ----------
@@ -282,6 +313,19 @@ def test_scaling_test_blowup_is_numerical_failure_exit_1(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_linalg_error_is_numerical_failure_exit_1(tmp_path, capsys,
+                                                  monkeypatch):
+    # LinAlgError subclasses ValueError, the constraint-error exit
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "run_simulation", fail)
+    assert main(["simulate", "--t-end", "0.01", "--dt", "0.001",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "numerical failure: eigenvalues did not converge" in \
+        capsys.readouterr().err
 
 
 def test_heat_scaling_test_keeps_scaling_test_label(tmp_path):

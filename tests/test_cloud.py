@@ -11,14 +11,13 @@ from mildflow.cloud import (
     CloudCoefficients,
     CloudModel,
     analytic_bound_nonperiodic,
-    assemble_mode,
     mode_matrix,
     mode_spectra,
     nonlinearity_cloud,
     periodic_stability_condition,
     spectral_bound_numeric,
 )
-from mildflow.propagators import phi_action_dense
+from mildflow.propagators import decompose, phi_action_dense
 from mildflow.strip import (
     field_from_function,
     open_strip,
@@ -73,12 +72,33 @@ def test_dirichlet_laplacian_eigenvalue_ladder():
 
 def test_negative_mode_is_conjugate():
     coeffs = CloudCoefficients(1.0, 0.5, 2.0)
-    plus = assemble_mode(3, coeffs, GEO)
-    minus = assemble_mode(-3, coeffs, GEO)
-    assert np.max(np.abs(minus.matrix - plus.matrix.conj())) == 0.0
-    defect = np.max(np.abs(np.sort_complex(minus.eigenvalues.conj())
-                           - np.sort_complex(plus.eigenvalues)))
+    plus = mode_matrix(3, coeffs, GEO)
+    minus = mode_matrix(-3, coeffs, GEO)
+    assert np.max(np.abs(minus - plus.conj())) == 0.0
+    lam_plus, lam_minus = decompose(plus)[0], decompose(minus)[0]
+    defect = np.max(np.abs(np.sort_complex(lam_minus.conj())
+                           - np.sort_complex(lam_plus)))
     assert defect < 1e-10
+
+
+@pytest.mark.parametrize("geo", [periodic_strip(nx=8, ny=12),
+                                 open_strip(nx=10, ny=9, half_length=3.0)])
+def test_model_stacks_match_per_mode_decompose(geo):
+    # one stacked decomposition of modes 0..nx/2; the n < 0 blocks are
+    # the conjugates of the n > 0 blocks
+    coeffs = CloudCoefficients(0.7, 1.5, -2.5)
+    model = CloudModel(coeffs, geo)
+    prop = model.propagator
+    assert sorted(model.mode_numbers) == list(range(-(geo.nx // 2), geo.nx // 2))
+    for idx, n in enumerate(model.mode_numbers):
+        lam, vecs, vecs_inv, _, defective = decompose(
+            mode_matrix(abs(n), coeffs, geo))
+        flip = np.conj if n < 0 else np.asarray
+        for got, want in ((prop.lam, lam), (prop.vectors, vecs),
+                          (prop.vectors_inv, vecs_inv)):
+            assert got[idx].tobytes() == flip(want).tobytes()
+        assert not defective
+    assert not prop.defective
 
 
 def test_semigroup_property_and_time_zero():

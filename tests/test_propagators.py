@@ -251,6 +251,41 @@ def _stack_of(blocks):
     return Propagator(lam, vecs, invs, [part[4] for part in parts], blocks)
 
 
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_decompose_matches_per_block_with_defective_block():
+    rng = np.random.default_rng(14)
+    blocks = np.stack([-np.eye(3) + 0.4 * (rng.standard_normal((3, 3))
+                                           + 1j * rng.standard_normal((3, 3))),
+                       JORDAN3,
+                       -2.0 * np.eye(3) + 0.4j * rng.standard_normal((3, 3))])
+    lam, vecs, invs, condition, defective = decompose(blocks)
+    assert defective.tolist() == [False, True, False]
+    for i, block in enumerate(blocks):
+        want = decompose(block)
+        for got, ref in zip((lam, vecs, invs), want[:3]):
+            _assert_same_bits(got[i], ref)
+        assert condition[i] == want[3] and defective[i] == want[4]
+    assert np.array_equal(vecs[1], np.eye(3)) and np.array_equal(invs[1], np.eye(3))
+
+
+def test_stacked_decompose_real_symmetric_takes_eigh():
+    rng = np.random.default_rng(15)
+    g = rng.standard_normal((4, 5, 5))
+    blocks = g + g.swapaxes(-1, -2) - 10.0 * np.eye(5)  # exactly symmetric
+    lam, vecs, invs, condition, defective = decompose(blocks)
+    _assert_same_bits(invs, vecs.swapaxes(-1, -2))
+    assert np.array_equal(condition, np.ones(4)) and not defective.any()
+    for i, block in enumerate(blocks):
+        want = decompose(block)
+        for got, ref in zip((lam, vecs, invs), want[:3]):
+            _assert_same_bits(got[i], ref)
+        assert (want[3], want[4]) == (1.0, False)
+
+
 def _generator(kind):
     """(propagator, its blocks as a (blocks, m, m) stack of dense matrices)."""
     rng = np.random.default_rng(12)

@@ -394,12 +394,14 @@ FLAGS = {
 
 class Command(NamedTuple):
     """A config-backed command: its flags (names in FLAGS, space
-    separated), the overrides it starts from, and the arguments it takes
-    outside the configuration."""
+    separated), its own defaults (above the built-in ones, below the
+    file and the environment), the overrides that fix its model, and
+    the arguments it takes outside the configuration."""
 
     help: str
     handler: Callable
     flags: str
+    defaults: tuple = ()
     base: Callable = lambda args: ()
     arguments: tuple = ()
     options: dict = {}           # per-command argparse options of a flag
@@ -409,9 +411,8 @@ class Command(NamedTuple):
 SCALING_TEST = Command(
     "self-similar scaling roundtrip of the periodic heat model",
     cmd_scaling_test, "out kappa diffusion t-end dt amplitude half-width n",
-    base=lambda args: ["model=heat-periodic", f"heat.kind={args.kind}",
-                       "heat.kappa=5.0", "solver.t_end=0.5",
-                       "init.amplitude=0.5"],
+    defaults=("heat.kappa=5.0", "solver.t_end=0.5", "init.amplitude=0.5"),
+    base=lambda args: ["model=heat-periodic", f"heat.kind={args.kind}"],
     arguments=(("--lambda", {"dest": "lam", "type": float, "default": 2.0,
                              "help": "scaling factor"}),
                ("--kind", {"choices": ("semilinear", "quasilinear"),
@@ -435,7 +436,8 @@ COMMANDS = {
     ("decay-test",): Command(
         "verify exponential decay on the periodic strip", cmd_decay_test,
         "out nu eta beta t-end dt amplitude init seed",
-        base=lambda args: ["model=cloud", "solver.t_end=5.0"],
+        defaults=("solver.t_end=5.0",),
+        base=lambda args: ["model=cloud"],
         options={"init": {"choices": ("mode", "random")}}),
     ("scaling-test",): SCALING_TEST,
     ("heat", "simulate"): Command(
@@ -453,6 +455,7 @@ COMMANDS = {
 def _run_configured(args) -> int:
     """Parse the configuration of a config-backed command and run it.
 
+    The command's defaults sit below the file and the environment.
     Overrides in increasing precedence: the command's base overrides,
     then --set pairs, then convenience flags.
     """
@@ -462,7 +465,8 @@ def _run_configured(args) -> int:
         value = getattr(args, name.replace("-", "_"))
         if value is not None:
             overrides.append(f"{FLAGS[name][0]}={value}")
-    return spec.handler(parse_config(args.config, overrides), args)
+    return spec.handler(parse_config(args.config, overrides,
+                                     defaults=spec.defaults), args)
 
 
 # ---------------------------------------------------------------- parser

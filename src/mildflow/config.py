@@ -4,9 +4,9 @@ The on-disk format is one `section.key = value` pair per line, `#`
 comments allowed; no nesting and no library dependence.  Every key can
 also be set through the environment as MILDFLOW_<KEY> with dots
 replaced by underscores (MILDFLOW_CLOUD_NU=2 overrides cloud.nu), and
-programmatic overrides win over both.  Unknown keys are rejected, and
-validation names the offending key together with the violated
-constraint.
+programmatic overrides win over both; a caller's own defaults sit below
+the file.  Unknown keys are rejected, and validation names the offending
+key together with the violated constraint.
 """
 
 import os
@@ -125,35 +125,45 @@ def _read_file(path: str) -> dict:
     return pairs
 
 
-def parse_config(path=None, overrides=None, environ=None) -> RunConfig:
+def _pairs(entries) -> dict:
+    """A mapping or an iterable of 'key=value' strings as key -> raw value,
+    every key checked."""
+    if hasattr(entries, "items"):
+        items = entries.items()
+    else:
+        items = []
+        for entry in entries:
+            if "=" not in entry:
+                raise ConfigError(
+                    f"override {entry!r} must look like key=value")
+            key, value = entry.split("=", 1)
+            items.append((key.strip(), value.strip()))
+    pairs = {}
+    for key, value in items:
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
+        pairs[key] = value
+    return pairs
+
+
+def parse_config(path=None, overrides=None, environ=None,
+                 defaults=None) -> RunConfig:
     """Assemble a RunConfig from file, environment and explicit overrides.
 
-    Precedence: defaults < file < environment < overrides.  `overrides`
-    is a mapping or an iterable of 'key=value' strings.  The result is
-    fully validated; every violation is reported with its key.
+    Precedence: built-in defaults < `defaults` < file < environment <
+    overrides.  `defaults` (a command's own starting values) and
+    `overrides` are mappings or iterables of 'key=value' strings.  The
+    result is fully validated; every violation is reported with its key.
     """
     environ = os.environ if environ is None else environ
-    raw = {}
+    raw = _pairs(defaults or ())
     if path is not None:
         raw.update(_read_file(path))
     for key in KEYS:
         value = environ.get(env_name(key))
         if value is not None:
             raw[key] = value
-    if overrides:
-        items = overrides.items() if hasattr(overrides, "items") else None
-        if items is None:
-            items = []
-            for entry in overrides:
-                if "=" not in entry:
-                    raise ConfigError(
-                        f"override {entry!r} must look like key=value")
-                key, value = entry.split("=", 1)
-                items.append((key.strip(), value.strip()))
-        for key, value in items:
-            if key not in KEYS:
-                raise ConfigError(f"unknown config key '{key}'")
-            raw[key] = value
+    raw.update(_pairs(overrides or ()))
 
     config = RunConfig()
     field_types = {field.name: field.type for field in fields(RunConfig)}

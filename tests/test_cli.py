@@ -4,6 +4,7 @@ documented example invocations."""
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -74,12 +75,31 @@ def test_every_command_path_has_help(path, capsys):
 
 def test_flag_overrides_set_and_set_overrides_base(tmp_path):
     out = tmp_path / "run"
-    # base solver.t_end=5.0 < --set < --t-end; --set beats the base model
+    # default solver.t_end=5.0 < --set < --t-end; --set beats the base model
     assert main(["decay-test", "--set", "solver.t_end=0.3", "--t-end", "0.05",
                  "--set", "cloud.nu=1.5", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["solver.t_end"] == 0.05
     assert summary["config"]["cloud.nu"] == 1.5
+
+
+def test_config_file_beats_command_default(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("solver.t_end = 0.1\n")
+    out = tmp_path / "run"
+    assert main(["decay-test", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["solver.t_end"] == 0.1
+
+
+def test_environment_beats_command_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("MILDFLOW_HEAT_KAPPA", "7")
+    out = tmp_path / "run"
+    assert main(["scaling-test", "--t-end", "0.05", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["kappa"] == 7.0
+    # the defaults the environment leaves alone still apply
+    assert summary["config"]["init.amplitude"] == 0.5
 
 
 # ---------- spectral-bound ----------
@@ -132,6 +152,24 @@ def test_spectral_bound_oversized_n_max_refused_before_assembly(
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--n-max" in err and "GiB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["spectral-bound", "--beta", "1e308", "--nx", "8", "--ny", "8"],
+     "cloud.beta"),
+    (["spectral-bound", "--beta", "1e308", "--n-max", "1"], "cloud.beta"),
+    (["spectral-bound", "--nu", "1e307"], "cloud.nu"),
+    (["spectral-bound", "--eta", "nan"], "cloud.eta"),
+    (["decay-test", "--beta", "1e200"], "cloud.beta"),
+])
+def test_overflowing_cloud_coefficient_exit_2(tmp_path, capsys, argv, key):
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from mildflow import cloud
 from mildflow.cloud import (
     CloudCoefficients,
     CloudModel,
     analytic_bound_nonperiodic,
+    mode_bounds,
     mode_matrix,
     mode_spectra,
+    mode_stack,
     nonlinearity_cloud,
     periodic_stability_condition,
     spectral_bound_numeric,
@@ -158,6 +161,103 @@ def test_periodic_condition_margin_sign():
     assert periodic_stability_condition(CloudCoefficients(1, 0, 1)).satisfied
     strong = periodic_stability_condition(CloudCoefficients(0.1, 0, 10.0))
     assert not strong.satisfied and strong.margin < 0.0
+
+
+CRITERION_STRIPS = (open_strip(128, 48, half_length=4.0 * math.pi),
+                    periodic_strip(64, 48))
+
+
+def _random_coefficients(rng, beta_max=2.0):
+    return CloudCoefficients(nu=rng.uniform(0.5, 2.0), eta=rng.uniform(-1.0, 1.0),
+                             beta=rng.uniform(-beta_max, beta_max))
+
+
+def _assert_bounds_hold(coeffs, geo):
+    tops = np.array([rec[1] for rec in mode_spectra(coeffs, geo)])
+    bounds = mode_bounds(coeffs, geo, geo.nx // 2)
+    assert np.all(bounds >= tops - 1e-11)
+
+
+@pytest.mark.parametrize("geo", CRITERION_STRIPS)
+def test_mode_bounds_hold_on_criterion_strips(geo):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        _assert_bounds_hold(_random_coefficients(rng), geo)
+
+
+@pytest.mark.parametrize("ny", [8, 12, 64])
+def test_mode_bounds_hold_across_ny(ny):
+    rng = np.random.default_rng(ny)
+    for geo in (periodic_strip(16, ny), open_strip(16, ny, half_length=3.0)):
+        for beta in (0.0, 10.0):
+            _assert_bounds_hold(CloudCoefficients(1.3, 0.4, beta), geo)
+        for _ in range(3):
+            _assert_bounds_hold(_random_coefficients(rng, beta_max=10.0), geo)
+
+
+def test_range_certificate_values():
+    top, h = cloud.range_certificate(48)
+    assert top == pytest.approx(-math.pi ** 2, abs=1e-9)
+    assert 0.3 < h < 0.35
+
+
+@pytest.mark.parametrize("geo", [open_strip(64, 24, half_length=4.0 * math.pi),
+                                 periodic_strip(32, 24)])
+@pytest.mark.parametrize("beta", [0.0, 100.0, -100.0, 1.7])
+def test_pruned_bound_equals_full_loop(geo, beta):
+    coeffs = CloudCoefficients(0.8, 0.3, beta)
+    for n_max in (None, 0, 6, geo.nx):
+        want = max(rec[1] for rec in mode_spectra(coeffs, geo, n_max))
+        got = spectral_bound_numeric(coeffs, geo, n_max)
+        assert got.hex() == want.hex()
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Record every block `cloud` hands to eigvals."""
+    calls = []
+    eigvals = cloud.eigvals
+    monkeypatch.setattr(cloud, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    return calls
+
+
+def test_missing_certificate_takes_full_loop(monkeypatch, eigvals_calls):
+    geo, coeffs = CRITERION_STRIPS[0], CloudCoefficients(1.1, 0.2, -1.4)
+    want = spectral_bound_numeric(coeffs, geo)
+    eigvals_calls.clear()
+    monkeypatch.setattr(cloud, "range_certificate", lambda ny: None)
+    assert spectral_bound_numeric(coeffs, geo).hex() == want.hex()
+    assert len(eigvals_calls) == geo.nx // 2 + 1
+
+
+def test_pruning_decomposes_few_blocks(eigvals_calls):
+    geo = CRITERION_STRIPS[0]
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        spectral_bound_numeric(_random_coefficients(rng), geo)
+    assert len(eigvals_calls) < 0.1 * 20 * (geo.nx // 2 + 1)
+
+
+@pytest.mark.parametrize("coeffs, key", [
+    (CloudCoefficients(1.0, 0.0, 1e308), "cloud.beta"),
+    (CloudCoefficients(1e307, 0.0, 1.0), "cloud.nu"),
+])
+def test_overflowing_coefficients_are_named(coeffs, key):
+    # a block of n <= 4 and a mode bound overflow; the bound check runs
+    # first, so no NaN reaches the visit order
+    geo = periodic_strip(8, 48)
+    with pytest.raises(ValueError, match=key):
+        mode_stack(range(5), coeffs, geo)
+    with pytest.raises(ValueError, match=key):
+        mode_bounds(coeffs, geo, geo.nx // 2)
+    with pytest.raises(ValueError, match=key):
+        spectral_bound_numeric(coeffs, geo)
+
+
+@pytest.mark.parametrize("name", ["nu", "eta", "beta"])
+def test_coefficients_reject_nonfinite(name):
+    with pytest.raises(ValueError, match=f"cloud.{name}"):
+        CloudCoefficients(**{name: math.inf})
 
 
 def test_mode_spectra_records():

@@ -89,6 +89,18 @@ def test_precedence_file_env_override(tmp_path):
                         environ=env).cloud_nu == 4.0
 
 
+def test_defaults_sit_between_builtin_and_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("cloud.nu = 2.0\n")
+    defaults = ["cloud.nu=5.0", "cloud.eta=0.5"]
+    cfg = parse_config(str(path), defaults=defaults, environ={})
+    assert (cfg.cloud_nu, cfg.cloud_eta) == (2.0, 0.5)
+    assert parse_config(defaults=defaults,
+                        environ={"MILDFLOW_CLOUD_ETA": "0.25"}).cloud_eta == 0.25
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config(defaults=["cloud.mu=1"], environ={})
+
+
 def test_invalid_viscosity_names_key_and_constraint():
     with pytest.raises(ConfigError) as err:
         parse_config(overrides=["cloud.nu=0"])

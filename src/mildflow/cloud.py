@@ -72,27 +72,33 @@ def _interior_blocks(ny: int):
     return d2, f_block
 
 
-def _require_finite(values, diffusion, what: str) -> None:
-    """Name the coefficient whose product with the grid overflowed."""
+def _require_finite(values, diffusion, k2, what: str) -> None:
+    """Name the key whose product with the grid overflowed: grid.lx when
+    the squared wavenumbers k2 do, else the coefficient."""
     if not np.isfinite(values).all():
-        key = "cloud.beta" if np.isfinite(diffusion).all() else "cloud.nu"
-        raise ValueError(f"{key}: {what} overflows on this grid; "
-                         "the coefficient is too large")
+        if not np.isfinite(k2).all():
+            key, cause = "grid.lx", "the strip is too short"
+        else:
+            key = "cloud.beta" if np.isfinite(diffusion).all() else "cloud.nu"
+            cause = "the coefficient is too large"
+        raise ValueError(f"{key}: {what} overflows on this grid; {cause}")
 
 
 def mode_matrix(n: int, coeffs: CloudCoefficients,
                 geometry: StripGeometry) -> np.ndarray:
     """Dense interior operator block for the signed Fourier mode n.
 
-    A block that overflows raises ValueError naming the coefficient."""
+    A block that overflows raises ValueError naming the coefficient, or
+    grid.lx when k_n^2 itself overflows."""
     d2, f_block = _interior_blocks(geometry.ny)
     k = n * math.pi / geometry.half_length
     m = geometry.ny - 2
     eye = np.eye(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = coeffs.nu * (d2 - k * k * eye) + coeffs.eta * eye
+        k2 = k * k
+        mat = coeffs.nu * (d2 - k2 * eye) + coeffs.eta * eye
         block = mat.astype(complex) - 1j * coeffs.beta * k * f_block
-    _require_finite(block, mat, f"the block of mode {n}")
+    _require_finite(block, mat, k2, f"the block of mode {n}")
     return block
 
 
@@ -153,9 +159,10 @@ def mode_bounds(coeffs: CloudCoefficients, geometry: StripGeometry,
     top, h = certificate
     k = np.arange(n_max + 1) * math.pi / geometry.half_length
     with np.errstate(over="ignore", invalid="ignore"):
-        diffusion = coeffs.eta + coeffs.nu * (top - k * k)
+        k2 = k * k
+        diffusion = coeffs.eta + coeffs.nu * (top - k2)
         bounds = diffusion + abs(coeffs.beta) * k * h
-    _require_finite(bounds, diffusion, "the mode bound")
+    _require_finite(bounds, diffusion, k2, "the mode bound")
     return bounds
 
 

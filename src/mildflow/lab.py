@@ -17,11 +17,12 @@ bound of the continuum metric).
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .exponents import BetaConstants, ExponentSet
+from .exponents import BetaConstants, ExponentSet, validate_exponents
 from .propagators import Propagator
 from .solver import SolverConfig, picard_solve, run_simulation
 
@@ -154,11 +155,16 @@ class FixedPointProblem:
     def eigen_coefficients(self, vector) -> np.ndarray:
         return self._vectors.T @ np.asarray(vector, dtype=float)
 
-    def norm(self, vector, theta: float) -> float:
+    def norm(self, vector, theta: float):
+        """Ladder norm of one vector (a float) or of each row of a
+        (..., m) stack (an array), each row on its own."""
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
-        coeff = self._vectors.T @ np.asarray(vector, dtype=float)
-        return float(np.linalg.norm(self._decay_rates ** theta * coeff))
+        coeff = np.matmul(self._vectors.T,
+                          np.asarray(vector, dtype=float)[..., None])[..., 0]
+        coeff *= self._decay_rates ** theta
+        out = np.sqrt(np.vecdot(coeff, coeff))
+        return float(out) if out.ndim == 0 else out
 
     def f(self, u) -> np.ndarray:
         if self.nonlinearity is not None:
@@ -172,32 +178,46 @@ class FixedPointProblem:
 
         Ratio ||f(w)-f(v)||_gamma / ((||w||_xi^(q-1)+||v||_xi^(q-1))
         ||w-v||_xi) maximized over random pairs in the ball, one third of
-        them nearly coincident to probe the local regime.
+        them nearly coincident to probe the local regime. The pairs are
+        drawn one at a time and evaluated as stacks, with the rounding of
+        a pair-by-pair loop over `norm` and `f`.
         """
         if self.lipschitz_n is not None:
             return self.lipschitz_n
         rng = np.random.default_rng(0) if rng is None else rng
-        exps = self.exponents
+        exps, m, radius = self.exponents, self.dimension, self.ball_radius
+        # a ball point is a normal direction scaled to a radius r in
+        # [0.05, 1); every third v is w plus 1e-4 radius times its own
+        # direction instead. pair holds the directions, then (w, v).
+        pair, r = np.empty((2, samples, m)), np.ones((2, samples, 1))
+        for i in range(samples):
+            pair[0, i], r[0, i] = rng.standard_normal(m), rng.uniform(0.05, 1.0)
+            pair[1, i] = rng.standard_normal(m)
+            if i % 3:
+                r[1, i] = rng.uniform(0.05, 1.0)
+        scale = radius * r / np.maximum(self.norm(pair, exps.xi), 1e-30)[..., None]
+        pair[0] *= scale[0]
+        near = np.arange(samples)[:, None] % 3 == 0
+        pair[1] = np.where(near, pair[0] + 1e-4 * radius * pair[1],
+                           pair[1] * scale[1])
+        xi_norms = self.norm(pair, exps.xi)
+        gaps = self.norm(pair[0] - pair[1], exps.xi)
+        if self.nonlinearity is None:
+            strength = np.reshape([self.epsilon * n ** (exps.q - 1.0)
+                                   for n in xi_norms.ravel().tolist()],
+                                  (2, samples, 1))
+            f_gap = strength[0] * pair[0] - strength[1] * pair[1]
+        else:  # a user hook takes one vector at a time
+            f_w, f_v = np.reshape([self.f(u) for u in pair.reshape(-1, m)], pair.shape)
+            f_gap = f_w - f_v
         best = 0.0
-        for trial in range(samples):
-            w = self._random_ball_point(rng)
-            if trial % 3 == 0:
-                v = w + 1e-4 * self.ball_radius * rng.standard_normal(w.shape)
-            else:
-                v = self._random_ball_point(rng)
-            gap = self.norm(w - v, exps.xi)
-            denom = (self.norm(w, exps.xi) ** (exps.q - 1.0)
-                     + self.norm(v, exps.xi) ** (exps.q - 1.0)) * gap
-            if denom < 1e-30:
-                continue
-            best = max(best, self.norm(self.f(w) - self.f(v), exps.gamma) / denom)
+        for a, b, gap, num in zip(*xi_norms.tolist(), gaps.tolist(),
+                                  self.norm(f_gap, exps.gamma).tolist()):
+            denom = (a ** (exps.q - 1.0) + b ** (exps.q - 1.0)) * gap
+            if denom >= 1e-30:  # a NaN denominator or ratio leaves best as is
+                best = max(best, num / denom)
         self.lipschitz_n = SUP_SAFETY * max(best, 1e-12)
         return self.lipschitz_n
-
-    def _random_ball_point(self, rng) -> np.ndarray:
-        x = rng.standard_normal(self.dimension)
-        nrm = self.norm(x, self.exponents.xi)
-        return x * (self.ball_radius * rng.uniform(0.05, 1.0) / max(nrm, 1e-30))
 
 
 @dataclass(frozen=True)
@@ -237,14 +257,9 @@ def estimate_semigroup_constants(problem: FixedPointProblem,
     """
     exps = problem.exponents
     if theta_pairs is None:
-        theta_pairs = [
-            (0.0, 0.0),
-            (exps.alpha, exps.gamma),
-            (exps.xi, exps.gamma),
-            (exps.xi, exps.alpha),
-            (exps.contraction_level, exps.gamma),
-        ]
-        theta_pairs = sorted(set(theta_pairs))
+        theta_pairs = sorted({(0.0, 0.0), (exps.alpha, exps.gamma),
+                              (exps.xi, exps.gamma), (exps.xi, exps.alpha),
+                              (exps.contraction_level, exps.gamma)})
     rates = problem.spectrum
     if time_grid is None:
         time_grid = np.geomspace(1e-6 / problem.lambda_max,
@@ -452,7 +467,7 @@ def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
                 lo = mid
             else:
                 hi = mid
-        T = lo
+        T = float(lo)
 
     params = ContractionParameters(L=L, r=r, T=T)
     slacks = check_contraction_inequalities(
@@ -500,20 +515,6 @@ def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
     return result, ratio
 
 
-class _EvolutionModel:
-    """Adapter exposing a FixedPointProblem to the time stepper."""
-
-    def __init__(self, problem: FixedPointProblem):
-        self.problem = problem
-        self.propagator = problem.propagator
-
-    def nonlinearity(self, state):
-        return self.problem.f(state)
-
-    def norm(self, state, sigma):
-        return self.problem.norm(state, sigma)
-
-
 @dataclass(frozen=True)
 class DecayScaleResult:
     scale: float
@@ -557,7 +558,9 @@ def verify_decay(problem: FixedPointProblem, varpi: float,
     direction = np.asarray(direction, dtype=float)
     direction = direction / max(problem.norm(direction, exps.alpha), 1e-30)
 
-    model = _EvolutionModel(problem)
+    # the problem seen as a model of the time stepper
+    model = SimpleNamespace(propagator=problem.propagator,
+                            nonlinearity=problem.f, norm=problem.norm)
     steps = int(round(t_end / dt))
     record_every = max(1, steps // 1500)
     records = []
@@ -599,14 +602,11 @@ def random_problem(dim: int, rng, quasilinear: bool = False,
     q in roughly [1.8, 3.5]; rates live in [0.6, 6] to keep the ladder
     norms of the random data well scaled.
     """
-    from .exponents import validate_exponents
-
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     rates = np.sort(rng.uniform(0.6, 6.0, size=dim))
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    generator = -(basis * rates) @ basis.T
-    generator = 0.5 * (generator + generator.T)
+    generator = -(basis * rates) @ basis.T  # symmetrized by FixedPointProblem
 
     gamma = rng.uniform(0.0, 0.25)
     alpha = rng.uniform(gamma + 0.2, 0.75)
@@ -622,36 +622,28 @@ def random_problem(dim: int, rng, quasilinear: bool = False,
                              epsilon=epsilon, ball_radius=1.0)
 
 
-def _plan(problem: FixedPointProblem, rng):
-    """Constants, Lipschitz estimate and parameters for one problem."""
-    constants = estimate_semigroup_constants(problem)
-    n_star = problem.lipschitz(rng=rng)
-    beta_consts = BetaConstants.from_exponents(problem.exponents)
-    first = select_parameters(constants, problem.exponents, n_star,
-                              beta_consts, ball_radius=problem.ball_radius)
-    direction = rng.standard_normal(problem.dimension)
-    direction /= max(problem.norm(direction, problem.exponents.alpha), 1e-30)
-    u0 = 0.9 * first.r * direction
-    params = select_parameters(
-        constants, problem.exponents, n_star, beta_consts,
-        m_profile=tail_profile(problem, u0),
-        initial_xi_norm=problem.norm(u0, problem.exponents.xi),
-        ball_radius=problem.ball_radius)
-    return constants, n_star, beta_consts, params, u0
-
-
 def contraction_experiment(dim: int = 8, seed: int = 0,
                            quasilinear: bool = False) -> dict:
     """Full pipeline on one random problem, reported as plain data."""
     rng = np.random.default_rng(seed)
     problem = random_problem(dim, rng, quasilinear=quasilinear)
-    constants, n_star, beta_consts, params, u0 = _plan(problem, rng)
+    exps = problem.exponents
+    constants = estimate_semigroup_constants(problem)
+    n_star = problem.lipschitz(rng=rng)
+    beta_consts = BetaConstants.from_exponents(exps)
+    first = select_parameters(constants, exps, n_star, beta_consts,
+                              ball_radius=problem.ball_radius)
+    direction = rng.standard_normal(problem.dimension)
+    direction /= max(problem.norm(direction, exps.alpha), 1e-30)
+    u0 = 0.9 * first.r * direction
+    profile, xi_norm = tail_profile(problem, u0), problem.norm(u0, exps.xi)
+    params = select_parameters(
+        constants, exps, n_star, beta_consts, m_profile=profile,
+        initial_xi_norm=xi_norm, ball_radius=problem.ball_radius)
     result, ratio = run_fixed_point(problem, params, u0)
     slacks = check_contraction_inequalities(
-        params, constants, problem.exponents, n_star, beta_consts,
-        tail_profile(problem, u0),
-        initial_xi_norm=problem.norm(u0, problem.exponents.xi))
-    exps = problem.exponents
+        params, constants, exps, n_star, beta_consts, profile,
+        initial_xi_norm=xi_norm)
     return {
         "dim": dim,
         "seed": seed,
@@ -665,8 +657,8 @@ def contraction_experiment(dim: int = 8, seed: int = 0,
                       "omega2": constants.omega2,
                       "lipschitz_n": n_star},
         "parameters": {"L": params.L, "r": params.r, "T": params.T},
-        "inequalities": {name: {"slack": value, "satisfied": value <= 0.0}
-                         for name, value in slacks.items()},
+        "inequalities": {name: {"slack": float(s), "satisfied": bool(s <= 0.0)}
+                         for name, s in slacks.items()},
         "contraction_ratio": ratio,
         "iterations": result.iterations,
         "converged": bool(result.converged),

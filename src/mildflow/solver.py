@@ -243,8 +243,8 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
         raise ValueError("Picard iteration needs a diagonalizable generator")
     power = config.mesh_power if config.mesh_power is not None else 2.0
     tau = graded_mesh(t_end, config.picard_segments, power)
-    h = np.diff(tau)
     lam = propagator.lam
+    h = np.diff(tau).reshape((-1,) + (1,) * lam.ndim)  # a column against lam
     want_real = not np.iscomplexobj(np.asarray(u0))
     u0_hat = propagator.to_eigen(np.asarray(u0))
 
@@ -262,23 +262,25 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
                 d_weight = max(d_weight, t_k ** mu * norm_fn(diff, sigma_weighted))
         return d_sup + d_weight
 
+    # tables of the factors of z = h_j lam and of the free orbit
+    # e^{t_k lam} u0_hat: they depend only on the mesh and the spectrum
+    z = h * lam
+    p1, p2, decay = phi1(z), phi2(z), np.exp(z)
+    free = np.exp(np.multiply.outer(tau, lam)) * u0_hat
     # first iterate: the free semigroup orbit of the initial value
-    states = [reconstruct(np.exp(t_k * lam) * u0_hat) for t_k in tau]
+    states = [reconstruct(orbit) for orbit in free]
     distances = []
     converged = False
     iterations = 0
     scale = max(norm_fn(np.asarray(u0), sigma_sup), 1e-30)
     for iterations in range(1, config.picard_max_iter + 1):
-        f_hat = [propagator.to_eigen(nonlinearity(s)) for s in states]
+        f_hat = np.stack([propagator.to_eigen(nonlinearity(s)) for s in states])
+        g = h * (p1 * f_hat[:-1] + p2 * (f_hat[1:] - f_hat[:-1]))
         new_states = [states[0]]
         running = np.zeros(u0_hat.shape, dtype=complex)
         for j in range(len(h)):
-            zj = h[j] * lam
-            g = h[j] * (phi1(zj) * f_hat[j]
-                        + phi2(zj) * (f_hat[j + 1] - f_hat[j]))
-            running = np.exp(zj) * running + g
-            new_states.append(
-                reconstruct(np.exp(tau[j + 1] * lam) * u0_hat + running))
+            running = decay[j] * running + g[j]
+            new_states.append(reconstruct(free[j + 1] + running))
         dist = distance(new_states, states)
         distances.append(dist)
         states = new_states

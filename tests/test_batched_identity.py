@@ -1,0 +1,212 @@
+"""The batched Lipschitz sampling and the tabled Picard sweep against the
+per-pair and per-segment loops they replace.
+
+The reference functions below are those loops, kept as they were: the
+Lipschitz estimate draws and evaluates one pair at a time through a
+per-vector norm, and the Picard sweep rebuilds exp, phi1 and phi2 of
+h_j lam on every segment. The fast code must reproduce them bit for bit
+on the matrix lab and to 1e-12 relative on the strip's block stack.
+"""
+
+import numpy as np
+import pytest
+
+from mildflow.cloud import CloudCoefficients, CloudModel
+from mildflow.exponents import validate_exponents
+from mildflow.lab import SUP_SAFETY, FixedPointProblem, random_problem
+from mildflow.propagators import phi1, phi2
+from mildflow.solver import SolverConfig, graded_mesh, picard_solve
+from mildflow.strip import dirichlet_mode_field, periodic_strip
+
+SEMI = validate_exponents(0.1, 0.5, 0.8, 2.0)
+
+
+# Reference loops ------------------------------------------------------------
+
+def reference_norm(problem, vector, theta):
+    """Ladder norm of one vector: eigen coefficients by a matvec, then
+    numpy's 2-norm."""
+    coeff = problem.eigen_coefficients(vector)
+    return float(np.linalg.norm(problem.spectrum ** theta * coeff))
+
+
+def reference_f(problem, u):
+    if problem.nonlinearity is not None:
+        return np.asarray(problem.nonlinearity(u))
+    exps = problem.exponents
+    strength = reference_norm(problem, u, exps.xi) ** (exps.q - 1.0)
+    return problem.epsilon * strength * u
+
+
+def reference_lipschitz(problem, samples=400, rng=None):
+    """The Lipschitz estimate, drawn and evaluated one pair at a time."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    exps = problem.exponents
+
+    def ball_point():
+        x = rng.standard_normal(problem.dimension)
+        nrm = reference_norm(problem, x, exps.xi)
+        return x * (problem.ball_radius * rng.uniform(0.05, 1.0)
+                    / max(nrm, 1e-30))
+
+    best = 0.0
+    for trial in range(samples):
+        w = ball_point()
+        if trial % 3 == 0:
+            v = w + 1e-4 * problem.ball_radius * rng.standard_normal(w.shape)
+        else:
+            v = ball_point()
+        gap = reference_norm(problem, w - v, exps.xi)
+        denom = (reference_norm(problem, w, exps.xi) ** (exps.q - 1.0)
+                 + reference_norm(problem, v, exps.xi) ** (exps.q - 1.0)) * gap
+        if denom < 1e-30:
+            continue
+        diff = reference_f(problem, w) - reference_f(problem, v)
+        best = max(best, reference_norm(problem, diff, exps.gamma) / denom)
+    return SUP_SAFETY * max(best, 1e-12)
+
+
+def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
+                     mu=0.0, sigma_sup=0.0, sigma_weighted=None):
+    """Picard iteration with the factors rebuilt on every segment of every
+    sweep; returns (states, distances, iterations, converged)."""
+    power = config.mesh_power if config.mesh_power is not None else 2.0
+    tau = graded_mesh(t_end, config.picard_segments, power)
+    h = np.diff(tau)
+    lam = propagator.lam
+    want_real = not np.iscomplexobj(np.asarray(u0))
+    u0_hat = propagator.to_eigen(np.asarray(u0))
+
+    def reconstruct(coeffs):
+        out = propagator.from_eigen(coeffs)
+        return out.real if want_real and np.iscomplexobj(out) else out
+
+    def distance(states_a, states_b):
+        d_sup = 0.0
+        d_weight = 0.0
+        for t_k, a, b in zip(tau, states_a, states_b):
+            diff = a - b
+            d_sup = max(d_sup, norm_fn(diff, sigma_sup))
+            if sigma_weighted is not None and t_k > 0.0:
+                d_weight = max(d_weight,
+                               t_k ** mu * norm_fn(diff, sigma_weighted))
+        return d_sup + d_weight
+
+    states = [reconstruct(np.exp(t_k * lam) * u0_hat) for t_k in tau]
+    distances = []
+    converged = False
+    iterations = 0
+    scale = max(norm_fn(np.asarray(u0), sigma_sup), 1e-30)
+    for iterations in range(1, config.picard_max_iter + 1):
+        f_hat = [propagator.to_eigen(nonlinearity(s)) for s in states]
+        new_states = [states[0]]
+        running = np.zeros(u0_hat.shape, dtype=complex)
+        for j in range(len(h)):
+            zj = h[j] * lam
+            g = h[j] * (phi1(zj) * f_hat[j]
+                        + phi2(zj) * (f_hat[j + 1] - f_hat[j]))
+            running = np.exp(zj) * running + g
+            new_states.append(
+                reconstruct(np.exp(tau[j + 1] * lam) * u0_hat + running))
+        dist = distance(new_states, states)
+        distances.append(dist)
+        states = new_states
+        if dist < config.picard_tol * scale:
+            converged = True
+            break
+    return states, np.asarray(distances), iterations, converged
+
+
+# Matrix lab: bit for bit ----------------------------------------------------
+
+@pytest.mark.parametrize("quasilinear", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 7, 32])
+def test_lipschitz_and_picard_match_reference_loops(dim, quasilinear):
+    problem = random_problem(dim, np.random.default_rng(dim),
+                             quasilinear=quasilinear)
+    expected = reference_lipschitz(problem, rng=np.random.default_rng(5))
+    assert problem.lipschitz(rng=np.random.default_rng(5)) == expected
+
+    exps = problem.exponents
+    direction = np.random.default_rng(6).standard_normal(dim)
+    u0 = 0.05 * direction / problem.norm(direction, exps.alpha)
+    config = SolverConfig(picard_segments=96, picard_tol=1e-10,
+                          picard_max_iter=60)
+    kwargs = dict(mu=exps.mu, sigma_sup=exps.contraction_level,
+                  sigma_weighted=exps.xi)
+    result = picard_solve(u0, 0.5, config, problem.propagator, problem.f,
+                          problem.norm, **kwargs)
+    states, distances, iterations, converged = reference_picard(
+        u0, 0.5, config, problem.propagator,
+        lambda u: reference_f(problem, u),
+        lambda v, theta: reference_norm(problem, v, theta), **kwargs)
+    assert (result.iterations, result.converged) == (iterations, converged)
+    assert iterations >= 3
+    assert np.array_equal(result.distances, distances)
+    assert len(result.states) == len(states)
+    assert all(np.array_equal(a, b) for a, b in zip(result.states, states))
+
+
+def test_lipschitz_hook_with_nan_values_matches_reference_loop():
+    nan_calls = []
+
+    def hook(u):
+        # quadratic, but undefined where the first coordinate is large
+        undefined = u[0] > 0.2
+        nan_calls.append(undefined)
+        return np.full_like(u, np.nan) if undefined else u * np.abs(u).sum()
+
+    generator = np.diag([-1.0, -2.0, -3.5])
+    expected = reference_lipschitz(
+        FixedPointProblem(generator, SEMI, nonlinearity=hook),
+        rng=np.random.default_rng(2))
+    assert any(nan_calls) and not all(nan_calls)
+    problem = FixedPointProblem(generator, SEMI, nonlinearity=hook)
+    assert problem.lipschitz(rng=np.random.default_rng(2)) == expected
+    assert np.isfinite(expected) and expected > SUP_SAFETY * 1e-12
+
+
+def test_lipschitz_skips_tiny_denominators_like_reference_loop():
+    # on a ball of radius 1e-14 the nearly coincident pairs have
+    # denominators near 1e-32 and are dropped; the others stay
+    generator = np.diag([-1.0, -2.0, -3.5])
+    problem = FixedPointProblem(generator, SEMI, ball_radius=1e-14)
+    expected = reference_lipschitz(problem, samples=30)
+    assert problem.lipschitz(samples=30) == expected > SUP_SAFETY * 1e-12
+    tiny = FixedPointProblem(generator, SEMI, ball_radius=1e-30)
+    assert tiny.lipschitz(samples=30) == reference_lipschitz(tiny, samples=30) \
+        == SUP_SAFETY * 1e-12
+
+
+def test_stacked_norm_matches_per_vector_norm():
+    problem = random_problem(9, np.random.default_rng(4))
+    rows = np.random.default_rng(8).standard_normal((2, 40, 9))
+    for theta in (0.0, problem.exponents.gamma, problem.exponents.xi, 1.0):
+        stacked = problem.norm(rows, theta)
+        assert stacked.shape == (2, 40)
+        assert stacked.tolist() == [[reference_norm(problem, row, theta)
+                                     for row in block] for block in rows]
+        assert isinstance(problem.norm(rows[0, 0], theta), float)
+
+
+# Strip block stack: to 1e-12 -------------------------------------------------
+
+def test_picard_on_strip_stack_matches_reference_sweep():
+    geometry = periodic_strip(16, 12)
+    model = CloudModel(CloudCoefficients(nu=1.0, eta=0.0, beta=1.0), geometry)
+    u0 = model.state_from_field(dirichlet_mode_field(geometry, n=1, m=1))
+    u0 = u0 * (0.3 / model.norm(u0, 1.0))
+    config = SolverConfig(dt=1e-4, t_end=0.1, picard_segments=192,
+                          picard_tol=1e-12, picard_max_iter=80)
+    result = picard_solve(u0, 0.1, config, model.propagator,
+                          model.nonlinearity, model.norm)
+    states, distances, iterations, converged = reference_picard(
+        u0, 0.1, config, model.propagator, model.nonlinearity, model.norm)
+    assert (result.iterations, result.converged) == (iterations, True)
+    scale = model.norm(u0, 0.0)
+    for a, b in zip(result.states, states):
+        assert model.norm(a - b, 0.0) <= 1e-12 * scale
+    # a distance is a difference of iterates, so its rounding is measured
+    # against the size of the data, not against the distance
+    assert np.allclose(result.distances, distances, rtol=1e-12,
+                       atol=1e-12 * scale)

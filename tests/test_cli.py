@@ -162,6 +162,8 @@ def test_spectral_bound_oversized_n_max_refused_before_assembly(
     (["spectral-bound", "--nu", "1e307"], "cloud.nu"),
     (["spectral-bound", "--eta", "nan"], "cloud.eta"),
     (["decay-test", "--beta", "1e200"], "cloud.beta"),
+    (["spectral-bound", "--open", "--lx", "1e-300", "--set", "grid.nx=8",
+      "--set", "grid.ny=8"], "grid.lx"),
 ])
 def test_overflowing_cloud_coefficient_exit_2(tmp_path, capsys, argv, key):
     out = tmp_path / "run"
@@ -408,3 +410,36 @@ def test_lab_decay_bad_varpi_exit_2(tmp_path):
     out = str(tmp_path / "run")
     assert main(["lab", "decay", "--dim", "4", "--seed", "2",
                  "--varpi", "50.0", "--out", out]) == 2
+
+
+def test_lab_contraction_quasilinear_report_is_json(tmp_path, capsys):
+    # the bisected window end used to be a numpy float, so every
+    # `satisfied` flag was a numpy bool that json could not write
+    out = str(tmp_path / "run")
+    code, payload = run_json(
+        capsys, ["lab", "contraction", "--quasilinear", "--dim", "8",
+                 "--seed", "0", "--out", out])
+    assert code == 0
+    assert payload["exponents"]["beta"] is not None
+    assert all(type(rec["satisfied"]) is bool
+               for rec in payload["inequalities"].values())
+    assert type(payload["parameters"]["T"]) is float
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+@pytest.mark.parametrize("command", [
+    ["contraction"], ["contraction", "--quasilinear"], ["decay"]])
+def test_lab_battery_exits_cleanly(tmp_path, capsys, command, dim, seed):
+    # a completed run or a named constraint error, never a traceback
+    out = tmp_path / "run"
+    code = main(["lab", *command, "--dim", str(dim), "--seed", str(seed),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        payload = json.loads(captured.out)
+        assert payload == json.loads((out / "summary.json").read_text())
+    else:
+        assert captured.err.startswith("error: ")

@@ -254,6 +254,17 @@ def test_overflowing_coefficients_are_named(coeffs, key):
         spectral_bound_numeric(coeffs, geo)
 
 
+def test_overflowing_wavenumber_names_grid_lx():
+    # k_1 = pi / 5e-301 is finite but k_1^2 overflows: the strip length,
+    # not a coefficient, is the key to change
+    geo = open_strip(8, 8, half_length=5e-301)
+    for build in (lambda: mode_stack(range(2), CloudCoefficients(), geo),
+                  lambda: mode_bounds(CloudCoefficients(), geo, 4)):
+        with pytest.raises(ValueError, match="grid.lx") as info:
+            build()
+        assert "cloud." not in str(info.value)
+
+
 @pytest.mark.parametrize("name", ["nu", "eta", "beta"])
 def test_coefficients_reject_nonfinite(name):
     with pytest.raises(ValueError, match=f"cloud.{name}"):

@@ -37,7 +37,7 @@ from .io import (sigma_label, write_csv, write_json, write_series,
                  write_snapshot)
 from .lab import (FixedPointDivergence, contraction_experiment,
                   decay_experiment)
-from .propagators import InstabilityError, decompose
+from .propagators import InstabilityError, eigen_blocks
 from .solver import SolverConfig, fit_decay_rate, run_simulation
 from .strip import (dirichlet_mode_field, open_strip, periodic_strip,
                     random_dirichlet_field, to_grid)
@@ -148,8 +148,9 @@ def _snapshot_values(config: RunConfig, model, state) -> np.ndarray:
 
 
 def _write_snapshots(out_dir, config, model, trajectory, lx, flags):
-    for t, state in trajectory.snapshots:
-        step = int(round(t / config.solver_dt))
+    # snapshot i is taken after step i * snapshot_every
+    for i, (_, state) in enumerate(trajectory.snapshots):
+        step = i * config.solver_snapshot_every
         path = os.path.join(out_dir, "snapshots", f"step_{step:08d}.bin")
         write_snapshot(path, _snapshot_values(config, model, state), lx, flags)
     return len(trajectory.snapshots)
@@ -200,7 +201,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
                                    lx, flags)
     path = _write_summary(config, args, {
         "model": config.model,
-        "steps": int(round(config.solver_t_end / config.solver_dt)),
+        "steps": trajectory.steps,
         "recorded_samples": int(trajectory.times.size),
         "snapshots": n_snapshots,
         "blowup": _blowup_record(trajectory),
@@ -224,13 +225,13 @@ def cmd_spectral_bound(config: RunConfig, args) -> int:
     n_max = args.n_max if args.n_max is not None else geometry.nx // 2
     if n_max < 0:
         raise ConfigError(f"--n-max must be nonnegative, got {n_max}")
-    # complex stacks of the blocks, eigenvectors and inverses of 0..n_max
-    if 3 * (n_max + 1) * (geometry.ny - 2) ** 2 * 16 > MAX_PROPAGATOR_BYTES:
+    # complex stacks of the blocks and eigenvectors of 0..n_max
+    if 2 * (n_max + 1) * (geometry.ny - 2) ** 2 * 16 > MAX_PROPAGATOR_BYTES:
         raise ConfigError(
             f"--n-max {n_max}: the stacks of {n_max + 1} mode blocks would "
             f"exceed the {MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB storage limit")
 
-    lam, _, _, condition, defective = decompose(
+    lam, _, condition, defective, _ = eigen_blocks(
         mode_stack(range(n_max + 1), coeffs, geometry))
     top = top_eigenvalues(lam)
 

@@ -12,7 +12,8 @@ acting on interior wall-normal collocation values:
     A_n = nu (D_yy - k_n^2 I) + eta I - i beta k_n F
 
 with F the interior block of the cumulative-integration matrix. The
-blocks for -n are complex conjugates of those for +n. The numeric
+blocks for -n are complex conjugates of those for +n, so a real field
+needs only n = 0..nx/2 (the strip's half-spectrum layout). The numeric
 spectral bound decomposes only the blocks that a numerical-range bound,
 computed once per ny, cannot rule out.
 
@@ -35,12 +36,9 @@ from .propagators import Propagator, decompose
 from .strip import (
     SpectralField,
     StripGeometry,
-    apply_T,
     dealias_x,
     derivative_x,
-    derivative_y,
     from_grid,
-    sobolev_norm,
     sobolev_norm_set,
     to_grid,
 )
@@ -70,6 +68,12 @@ def _interior_blocks(ny: int):
     d2 = (d @ d)[1:-1, 1:-1]
     f_block = cumulative_matrix(ny)[1:-1, 1:-1]
     return d2, f_block
+
+
+@lru_cache(maxsize=32)
+def _vertical_operators(ny: int) -> np.ndarray:
+    """[D^T | C^T]: coefficient rows times it give d/dy and T side by side."""
+    return np.hstack([diff_matrix(ny).T, cumulative_matrix(ny).T])
 
 
 def _require_finite(values, diffusion, k2, what: str) -> None:
@@ -237,19 +241,24 @@ def periodic_stability_condition(coeffs: CloudCoefficients) -> StabilityCheck:
 
 
 def nonlinearity_cloud(u: SpectralField) -> SpectralField:
-    """f(u) = u_y T(u_x) - u u_x, pseudospectral with 2/3 dealiasing in x."""
-    ux = derivative_x(u)
-    uy = derivative_y(u)
-    tux = apply_T(ux)
-    prod = to_grid(uy) * to_grid(tux) - to_grid(u) * to_grid(ux)
-    return dealias_x(from_grid(prod, u.geometry))
+    """f(u) = u_y T(u_x) - u u_x, pseudospectral with 2/3 dealiasing in x.
+
+    One matmul gives u_y and T u (T commutes with d/dx), one stacked
+    to_grid takes u, u_x, u_y and T u_x to the grid, and one from_grid
+    takes the product back.
+    """
+    geom, (modes, ny) = u.geometry, u.coeffs.shape
+    uy, tu = (u.coeffs @ _vertical_operators(ny)).reshape(modes, 2, ny).swapaxes(0, 1)
+    ux, tux = derivative_x(SpectralField(geom, np.stack([u.coeffs, tu]))).coeffs
+    grid = to_grid(SpectralField(geom, np.stack([u.coeffs, ux, uy, tux])))
+    return dealias_x(from_grid(grid[2] * grid[3] - grid[0] * grid[1], geom))
 
 
 class CloudModel:
     """State space and operator bundle for time integration.
 
-    The state is the full (nx, ny-2) array of interior collocation values
-    in Fourier-mode order. Modes above the dealias cutoff still decay
+    The state is the (nx/2+1, ny-2) array of interior collocation values
+    of the modes n = 0..nx/2. Modes above the dealias cutoff still decay
     under the linear flow but receive no nonlinear feedback.
     """
 
@@ -258,22 +267,14 @@ class CloudModel:
         self.coeffs = coeffs
         self.geometry = geometry
         self.nonlinear = nonlinear
-        nx = geometry.nx
-        self.mode_numbers = np.rint(np.fft.fftfreq(nx) * nx).astype(int)
-        # one decomposition per |n|: the block for -n is the conjugate of
-        # the block for n, and only a defective block keeps its matrix
-        blocks = mode_stack(range(nx // 2 + 1), coeffs, geometry)
+        self.mode_numbers = np.arange(geometry.nx // 2 + 1)
+        blocks = mode_stack(range(self.mode_numbers.size), coeffs, geometry)
         lam, vectors, vectors_inv, _, defective = decompose(blocks)
-        order, negative = np.abs(self.mode_numbers), self.mode_numbers < 0
-        stacks = [lam[order], vectors[order], vectors_inv[order]]
-        if defective.any():
-            stacks.append(blocks[order])
-        for stack in stacks:
-            stack[negative] = stack[negative].conj()
-        self.propagator = Propagator(*stacks[:3], defective[order], *stacks[3:])
+        # the propagator keeps the blocks only when one is defective
+        self.propagator = Propagator(lam, vectors, vectors_inv, defective, blocks)
 
     def field_from_state(self, state: np.ndarray) -> SpectralField:
-        full = np.zeros((self.geometry.nx, self.geometry.ny), dtype=complex)
+        full = np.zeros((self.mode_numbers.size, self.geometry.ny), dtype=complex)
         full[:, 1:-1] = state
         return SpectralField(self.geometry, full)
 
@@ -287,8 +288,8 @@ class CloudModel:
         return f.coeffs[:, 1:-1]
 
     def norm(self, state: np.ndarray, sigma: float) -> float:
-        return sobolev_norm(self.field_from_state(state), sigma)
+        return self.norms(state, (sigma,))[sigma]
 
     def norms(self, state: np.ndarray, sigmas) -> dict:
         """Norms at every sigma from one sine projection."""
-        return sobolev_norm_set(self.field_from_state(state), sigmas)
+        return sobolev_norm_set(state, sigmas, self.geometry)

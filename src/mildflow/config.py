@@ -274,9 +274,10 @@ def validate_config(config: RunConfig) -> None:
 
     # propagator and basis storage of the configured model
     keys, size = {
-        # eigenvectors, their inverses and three step factors, complex
+        # eigenvectors, their inverses and three step factors of the
+        # modes n = 0..nx/2, complex
         "cloud": ("grid.nx, grid.ny",
-                  5 * config.grid_nx * (config.grid_ny - 2) ** 2 * 16),
+                  5 * (config.grid_nx // 2 + 1) * (config.grid_ny - 2) ** 2 * 16),
         # basis, derivative, generator and eigenvector matrices, float64
         "heat-quasilinear": ("heat.points", 6 * config.heat_points ** 2 * 8),
         # sine synthesis and analysis matrices, float64

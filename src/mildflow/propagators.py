@@ -4,10 +4,11 @@ One Propagator covers every model here. Its generator is a stack of
 blocks V_i diag(lam_i) V_i^-1: one block for the interval models and
 the matrix lab, one dense block per Fourier mode of the strip. Without
 eigenvectors the generator is the multiplier lam (sine and Fourier
-bases). decompose() eigendecomposes one block or a stack of blocks; a
-block whose eigenvector basis is too ill-conditioned is marked defective
-and falls back to scaling-and-squaring exponentials with augmented-matrix
-phi actions, trading speed for robustness. A propagator also builds the
+bases). eigen_blocks() eigendecomposes one block or a stack of blocks
+and decompose() adds the inverse eigenvectors; a block whose eigenvector
+basis is too ill-conditioned is marked defective and falls back to
+scaling-and-squaring exponentials with augmented-matrix phi actions,
+trading speed for robustness. A propagator also builds the
 step factors e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers
 or block matrices), which apply_block_factor applies; the most recent h
 is cached.
@@ -95,15 +96,15 @@ def _defective_factor(a: np.ndarray, order: int) -> np.ndarray:
     return expm(a) if order == 0 else phi_action_dense(a, np.eye(a.shape[0]), order)
 
 
-def decompose(matrix: np.ndarray):
-    """Eigen data (lam, vectors, vectors_inv, condition, defective) of one
+def eigen_blocks(matrix: np.ndarray):
+    """Eigen data (lam, vectors, condition, defective, orthogonal) of one
     (m, m) block, or of each block of a (..., m, m) stack.
 
     Exactly real-symmetric input takes the orthogonal eigh route
     (condition 1, inverse V^T); other input the nonsymmetric eig route with
     a conditioning guard. A defective block gets identity placeholders for
     its vectors, since its actions fall back to expm of the matrix. For a
-    stack, eig, cond and inv each run once over all blocks, condition and
+    stack, eig and cond each run once over all blocks, condition and
     defective are per-block arrays, and eigh is taken only when every
     block is real-symmetric; for one block they are a float and a bool.
     A real stack gets complex eigen data in every block when any block
@@ -113,18 +114,26 @@ def decompose(matrix: np.ndarray):
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValueError("generator must be square")
     batch = matrix.shape[:-2]
-    if not np.iscomplexobj(matrix) and np.array_equal(matrix, matrix.swapaxes(-1, -2)):
+    orthogonal = not np.iscomplexobj(matrix) and \
+        np.array_equal(matrix, matrix.swapaxes(-1, -2))
+    if orthogonal:
         lam, vecs = np.linalg.eigh(matrix)
-        vecs_inv = vecs.swapaxes(-1, -2)
         condition, defective = np.ones(batch), np.zeros(batch, bool)
     else:
         lam, vecs = np.linalg.eig(matrix)
         condition = np.linalg.cond(vecs)
         defective = ~(condition <= EIG_CONDITION_LIMIT)  # nan and inf too
         vecs[defective] = np.eye(matrix.shape[-1])
-        vecs_inv = np.linalg.inv(vecs)
     if not batch:
         condition, defective = float(condition), bool(defective)
+    return lam, vecs, condition, defective, orthogonal
+
+
+def decompose(matrix: np.ndarray):
+    """`eigen_blocks` with the inverse eigenvectors in place of the
+    orthogonal flag: (lam, vectors, vectors_inv, condition, defective)."""
+    lam, vecs, condition, defective, orthogonal = eigen_blocks(matrix)
+    vecs_inv = vecs.swapaxes(-1, -2) if orthogonal else np.linalg.inv(vecs)
     return lam, vecs, vecs_inv, condition, defective
 
 

@@ -64,7 +64,8 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded norm histories; arrays end at the blow-up flag if raised."""
+    """Recorded norm histories; arrays end at the blow-up flag if raised.
+    steps counts the steps to final_time, a partial last step included."""
 
     times: np.ndarray
     norms: dict
@@ -75,6 +76,7 @@ class Trajectory:
     blowup_time: Optional[float] = None
     blowup_reason: Optional[str] = None
     snapshots: list = field(default_factory=list)
+    steps: int = 0
 
     @property
     def flagged(self) -> bool:
@@ -110,6 +112,16 @@ def step_exponential(state, dt, propagator, nonlinearity,
                     method), f0
 
 
+def step_plan(t_end: float, dt: float):
+    """(steps, last): whole steps of dt, then a partial step of the
+    remainder, ending at t_end; a ratio t_end/dt within 1e-12 relative
+    of a whole number takes whole steps only (last == dt)."""
+    ratio = t_end / dt
+    if abs(ratio - round(ratio)) <= 1e-12 * ratio:
+        return round(ratio), dt
+    return int(ratio) + 1, t_end - int(ratio) * dt
+
+
 def _norm_set(model, state, sigmas) -> dict:
     if hasattr(model, "norms"):
         return model.norms(state, sigmas)
@@ -120,25 +132,28 @@ def _norm_set(model, state, sigmas) -> dict:
 def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     """March the model from u0, recording norms and watching for blow-up.
 
-    Models with a fixed .propagator step with its cached per-dt factors;
-    otherwise the model must supply frozen_propagator(state) and the
-    generator is reassembled from the current state each step. f is
-    evaluated once per accepted state, and the next step reuses it.
+    The march ends at t_end (`step_plan`). Models with a fixed
+    .propagator take whole steps with its cached per-dt factors and a
+    partial last step with its actions; otherwise the model must supply
+    frozen_propagator(state) and the generator is reassembled from the
+    current state each step. f is evaluated once per accepted state, and
+    the next step reuses it.
     """
     dt = config.dt
-    if hasattr(model, "propagator"):
-        def operators(_):
+    fixed = getattr(model, "propagator", None)
+
+    def operators(st, h):
+        if fixed is not None and h == dt:
             return [partial(apply_block_factor, factor)
-                    for factor in model.propagator.step_factors(dt)]
-    else:
-        def operators(st):
-            return _actions(model.frozen_propagator(st), dt)
+                    for factor in fixed.step_factors(dt)]
+        return _actions(fixed if fixed is not None
+                        else model.frozen_propagator(st), h)
     lead = config.monitor_sigmas[0]
     extra = () if config.weighted_sigma is None else (config.weighted_sigma,)
     sigmas = tuple(dict.fromkeys(config.monitor_sigmas + extra))
     mu = config.weighted_mu if config.weighted_mu is not None else 0.0
     state = np.array(u0, copy=True)
-    n_steps = int(round(config.t_end / dt))
+    n_steps, last = step_plan(config.t_end, dt)
     norms = _norm_set(model, state, sigmas)
     threshold = config.blowup_threshold
     if threshold is None:
@@ -148,7 +163,7 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     norm_series = {s: [] for s in config.monitor_sigmas}
     snapshots = []
     blowup_time = blowup_reason = None
-    t = 0.0
+    t, taken = 0.0, 0
     f_state = model.nonlinearity(state)
 
     def record(t_now, f_val, values):
@@ -165,8 +180,9 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
         snapshots.append((0.0, state.copy()))
 
     for k in range(1, n_steps + 1):
+        h = dt if k < n_steps else last
         try:
-            new_state = _advance(state, f_state, dt, operators(state),
+            new_state = _advance(state, f_state, h, operators(state, h),
                                  model.nonlinearity, config.integrator)
         except InstabilityError:
             blowup_time, blowup_reason = t, "semigroup-overflow"
@@ -174,7 +190,7 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
         except FloatingPointError:
             blowup_time, blowup_reason = t, "nonfinite"
             break
-        t = k * dt
+        t, taken = (k * dt if k < n_steps else config.t_end), k
         if not np.all(np.isfinite(new_state)):
             blowup_time, blowup_reason = t, "nonfinite"
             break
@@ -200,6 +216,7 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
         blowup_time=blowup_time,
         blowup_reason=blowup_reason,
         snapshots=snapshots,
+        steps=taken,
     )
 
 

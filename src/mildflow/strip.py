@@ -6,8 +6,9 @@ strip fixes Lx = pi; the horizontally unbounded strip is approximated by
 a long periodic box (default Lx = 8 pi) with compactly supported data,
 and that truncation is a documented approximation, not an equality.
 
-Fields are stored as complex Fourier coefficients per collocation row,
-fft mode ordering, with conjugate symmetry expressing realness. Sobolev
+Fields are real, so only their Fourier modes n = 0..nx/2 are stored
+(rfft layout), one row per mode and one column per collocation node;
+sums over all modes count each row by its `parseval_weights`. Sobolev
 norms of order sigma use (1 + lambda)^sigma spectral multipliers in the
 Fourier x sine eigenbasis of the Dirichlet Laplacian; the plain L2 norm
 is instead evaluated by Gauss-Legendre quadrature exact at the
@@ -58,8 +59,15 @@ class StripGeometry:
         return self.nx // 3
 
     def wavenumbers(self) -> np.ndarray:
-        n = np.fft.fftfreq(self.nx, d=1.0 / self.nx)
-        return n * math.pi / self.half_length
+        """k_n = n pi / Lx of the stored modes n = 0..nx/2."""
+        return np.arange(self.nx // 2 + 1) * math.pi / self.half_length
+
+    def parseval_weights(self) -> np.ndarray:
+        """How often each stored mode counts in a sum over all modes: once
+        for n = 0 and the Nyquist mode n = nx/2, twice (n and -n) else."""
+        w = np.full(self.nx // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
 
     def y_nodes(self) -> np.ndarray:
         return lobatto_nodes(self.ny)
@@ -81,38 +89,40 @@ def open_strip(nx: int = 128, ny: int = 48,
 @dataclass
 class SpectralField:
     geometry: StripGeometry
-    coeffs: np.ndarray  # complex, shape (nx, ny)
+    coeffs: np.ndarray  # complex, shape (..., nx/2+1, ny): a field or a stack
 
     def __post_init__(self):
-        expected = (self.geometry.nx, self.geometry.ny)
-        if self.coeffs.shape != expected:
+        expected = (self.geometry.nx // 2 + 1, self.geometry.ny)
+        if self.coeffs.shape[-2:] != expected:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} does not match geometry {expected}"
             )
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.geometry, self.coeffs.copy())
 
 
 def zero_field(geometry: StripGeometry) -> SpectralField:
-    return SpectralField(geometry, np.zeros((geometry.nx, geometry.ny), dtype=complex))
+    shape = (geometry.nx // 2 + 1, geometry.ny)
+    return SpectralField(geometry, np.zeros(shape, dtype=complex))
 
 
 def from_grid(values: np.ndarray, geometry: StripGeometry) -> SpectralField:
+    """Half-spectrum coefficients of grid values of shape (..., nx, ny)."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (geometry.nx, geometry.ny):
+    if values.shape[-2:] != (geometry.nx, geometry.ny):
         raise ValueError(
             f"grid shape {values.shape} does not match geometry "
             f"({geometry.nx}, {geometry.ny})"
         )
-    coeffs = np.fft.fft(values, axis=0) / geometry.nx
+    coeffs = np.fft.rfft(values, axis=-2, norm="forward")
     return SpectralField(geometry, coeffs)
 
 
 def to_grid(field: SpectralField) -> np.ndarray:
-    values = np.fft.ifft(field.coeffs * field.geometry.nx, axis=0)
-    return values.real
+    """Grid values (..., nx, ny); the imaginary parts of the n = 0 and
+    Nyquist rows do not reach the grid."""
+    return np.fft.irfft(field.coeffs, n=field.geometry.nx, axis=-2,
+                        norm="forward")
 
 
 def field_from_function(geometry: StripGeometry, fn) -> SpectralField:
@@ -122,38 +132,29 @@ def field_from_function(geometry: StripGeometry, fn) -> SpectralField:
                      geometry)
 
 
-def conjugate_symmetry_defect(field: SpectralField) -> float:
-    """Max |coeffs[-n] - conj(coeffs[n])|; zero for real-valued fields."""
-    c = field.coeffs
-    mirrored = np.conj(np.roll(c[::-1], 1, axis=0))
-    return float(np.max(np.abs(c - mirrored)))
-
-
 def project_dirichlet(field: SpectralField) -> SpectralField:
     out = field.coeffs.copy()
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
     return SpectralField(field.geometry, out)
 
 
 def boundary_defect(field: SpectralField) -> float:
     c = field.coeffs
-    return float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
+    return float(max(np.max(np.abs(c[..., 0])), np.max(np.abs(c[..., -1]))))
 
 
 def dealias_x(field: SpectralField) -> SpectralField:
-    cut = field.geometry.dealias_cut
-    n = np.abs(np.fft.fftfreq(field.geometry.nx, d=1.0 / field.geometry.nx))
     out = field.coeffs.copy()
-    out[n > cut, :] = 0.0
+    out[..., field.geometry.dealias_cut + 1:, :] = 0.0
     return SpectralField(field.geometry, out)
 
 
 def derivative_x(field: SpectralField) -> SpectralField:
     geom = field.geometry
-    k = geom.wavenumbers().copy()
+    k = geom.wavenumbers()
     # Nyquist mode has no well-defined odd derivative on a real grid.
-    k[geom.nx // 2] = 0.0
+    k[-1] = 0.0
     return SpectralField(geom, field.coeffs * (1j * k)[:, None])
 
 
@@ -176,10 +177,6 @@ def apply_T(field: SpectralField) -> SpectralField:
 # Norms
 
 
-def _quad_point_count(ny: int, n_sine: int) -> int:
-    return int(np.ceil(0.4 * math.pi * n_sine)) + ny
-
-
 @lru_cache(maxsize=32)
 def _l2_quadrature(ny: int):
     nq = ny + 2
@@ -189,27 +186,38 @@ def _l2_quadrature(ny: int):
 
 @lru_cache(maxsize=32)
 def _sine_projection(ny: int):
-    """Matrix taking nodal values to coefficients in sqrt(2) sin(m pi y).
+    """Matrix (ny, 2*ny) taking nodal rows to coefficients in
+    sqrt(2) sin(m pi y), m = 1 .. 2*ny, and m.
 
-    Rows m = 1 .. 2*ny; Gauss-Legendre exact at working precision for the
-    collocation polynomials.
+    Gauss-Legendre exact at working precision for the collocation
+    polynomials; its interior rows are a contiguous slice.
     """
     n_sine = 2 * ny
-    nq = _quad_point_count(ny, n_sine)
+    nq = int(np.ceil(0.4 * math.pi * n_sine)) + ny
     yq, w = gauss_legendre_unit(nq)
     evalmat = quadrature_eval_matrix(ny, nq)
     m = np.arange(1, n_sine + 1)
     sines = np.sin(np.pi * np.outer(m, yq))
     proj = math.sqrt(2.0) * (sines * w) @ evalmat
-    return proj, m
+    return np.ascontiguousarray(proj.T), m
+
+
+@lru_cache(maxsize=64)
+def _norm_multipliers(geometry: StripGeometry, sigmas: tuple) -> np.ndarray:
+    """Rows w_n (1 + k_n^2 + (m pi)^2)^sigma, one per sigma, over the
+    flattened (n, m) grid; w_n the Parseval weights."""
+    _, m = _sine_projection(geometry.ny)
+    lam = geometry.wavenumbers()[:, None] ** 2 + (math.pi * m[None, :]) ** 2
+    w = geometry.parseval_weights()[:, None]
+    return np.stack([(w * (1.0 + lam) ** sigma).ravel() for sigma in sigmas])
 
 
 def l2_norm(field: SpectralField) -> float:
     """Quadrature L2(Omega) norm, exact for the collocation representation."""
     evalmat, w = _l2_quadrature(field.geometry.ny)
     vals = field.coeffs @ evalmat.T
-    per_mode = (np.abs(vals) ** 2) @ w
-    return math.sqrt(2.0 * field.geometry.half_length * float(per_mode.sum()))
+    per_mode = field.geometry.parseval_weights() @ (np.abs(vals) ** 2)
+    return math.sqrt(2.0 * field.geometry.half_length * float(per_mode @ w))
 
 
 def sobolev_norm(field: SpectralField, sigma: float) -> float:
@@ -217,23 +225,27 @@ def sobolev_norm(field: SpectralField, sigma: float) -> float:
     return sobolev_norm_set(field, (sigma,))[sigma]
 
 
-def sobolev_norm_set(field: SpectralField, sigmas) -> dict:
-    """All requested orders from a single sine projection."""
+def sobolev_norm_set(field, sigmas, geometry: StripGeometry | None = None) -> dict:
+    """All requested orders from a single sine projection.
+
+    `field` is a SpectralField or, given its `geometry`, the (nx/2+1, ny-2)
+    interior columns of a field that vanishes on the walls.
+    """
     for sigma in sigmas:
         if not (0.0 <= sigma <= 2.0):
             raise ValueError(f"sigma must lie in [0, 2], got {sigma}")
-    geom = field.geometry
-    proj, m = _sine_projection(geom.ny)
-    snm = field.coeffs @ proj.T
-    k = geom.wavenumbers()
-    lam = k[:, None] ** 2 + (math.pi * m[None, :]) ** 2
-    weight2 = np.abs(snm) ** 2
-    scale = 2.0 * geom.half_length
-    out = {}
-    for sigma in sigmas:
-        total = float((((1.0 + lam) ** sigma) * weight2).sum())
-        out[sigma] = math.sqrt(scale * total)
-    return out
+    if geometry is None:
+        geometry, coeffs, rows = field.geometry, field.coeffs, slice(None)
+    else:
+        coeffs, rows = field, slice(1, -1)
+    sigmas = tuple(sigmas)
+    multipliers = _norm_multipliers(geometry, sigmas)
+    analysis, _ = _sine_projection(geometry.ny)
+    snm = coeffs @ analysis[rows]
+    totals = multipliers @ (snm.real ** 2 + snm.imag ** 2).ravel()
+    scale = 2.0 * geometry.half_length
+    return {sigma: math.sqrt(scale * float(total))
+            for sigma, total in zip(sigmas, totals)}
 
 
 def h1_norm_quadrature(field: SpectralField) -> float:
@@ -283,22 +295,15 @@ def rough_dirichlet_field(geometry: StripGeometry, rng, sigma: float,
     space dimensions), so the H^sigma norm converges while any higher
     order diverges as resolution grows.
     """
-    cut = geometry.dealias_cut
-    k = geometry.wavenumbers()
-    n_abs = np.abs(np.fft.fftfreq(geometry.nx, d=1.0 / geometry.nx))
     m = np.arange(1, geometry.ny - 1)
-    lam = k[:, None] ** 2 + (math.pi * m[None, :]) ** 2
+    lam = geometry.wavenumbers()[:, None] ** 2 + (math.pi * m[None, :]) ** 2
     decay_exp = 0.5 * (sigma + 1.0 + margin)
     amp = lam ** (-decay_exp)
-    amp[n_abs > cut, :] = 0.0
-    half = geometry.nx // 2
-    phases = np.exp(2j * math.pi * rng.random((half + 1, m.size)))
-    signs = rng.choice([-1.0, 1.0], size=(half + 1, m.size))
-    c_half = amp[: half + 1] * signs * phases
-    c_half[0] = c_half[0].real  # n = 0 row must be real
-    coeffs_sine = np.zeros((geometry.nx, m.size), dtype=complex)
-    coeffs_sine[: half + 1] = c_half
-    coeffs_sine[half + 1:] = np.conj(c_half[1:half][::-1])
+    amp[geometry.dealias_cut + 1:, :] = 0.0
+    phases = np.exp(2j * math.pi * rng.random(amp.shape))
+    signs = rng.choice([-1.0, 1.0], size=amp.shape)
+    coeffs_sine = amp * signs * phases
+    coeffs_sine[0] = coeffs_sine[0].real  # n = 0 row must be real
     # back to nodal values in y: u = sum_m c sqrt(2) sin(m pi y)
     y = geometry.y_nodes()
     sines = math.sqrt(2.0) * np.sin(math.pi * np.outer(m, y))

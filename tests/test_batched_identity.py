@@ -1,22 +1,35 @@
-"""The batched Lipschitz sampling and the tabled Picard sweep against the
-per-pair and per-segment loops they replace.
+"""Batched and reduced code paths against the loops and layouts they
+replace.
 
 The reference functions below are those loops, kept as they were: the
 Lipschitz estimate draws and evaluates one pair at a time through a
 per-vector norm, and the Picard sweep rebuilds exp, phi1 and phi2 of
 h_j lam on every segment. The fast code must reproduce them bit for bit
 on the matrix lab and to 1e-12 relative on the strip's block stack.
+
+`FullLayoutCloud` is the strip model on the full spectrum n = -nx/2 ..
+nx/2-1 in fft order, with the n < 0 blocks mirrored from the n > 0 ones
+by conjugation and the five-FFT nonlinearity. The half-spectrum model
+must march, iterate and snapshot as it does, to 1e-12 relative.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from mildflow.cloud import CloudCoefficients, CloudModel
+from mildflow import cli
+from mildflow.chebyshev import cumulative_matrix, diff_matrix
+from mildflow.cloud import CloudCoefficients, CloudModel, mode_stack
+from mildflow.config import parse_config
 from mildflow.exponents import validate_exponents
+from mildflow.io import read_snapshot
 from mildflow.lab import SUP_SAFETY, FixedPointProblem, random_problem
-from mildflow.propagators import phi1, phi2
-from mildflow.solver import SolverConfig, graded_mesh, picard_solve
-from mildflow.strip import dirichlet_mode_field, periodic_strip
+from mildflow.propagators import Propagator, decompose, phi1, phi2
+from mildflow.solver import (SolverConfig, graded_mesh, picard_solve,
+                             run_simulation)
+from mildflow.strip import (_sine_projection, dirichlet_mode_field, open_strip,
+                            periodic_strip, random_dirichlet_field)
 
 SEMI = validate_exponents(0.1, 0.5, 0.8, 2.0)
 
@@ -210,3 +223,158 @@ def test_picard_on_strip_stack_matches_reference_sweep():
     # against the size of the data, not against the distance
     assert np.allclose(result.distances, distances, rtol=1e-12,
                        atol=1e-12 * scale)
+
+
+# Strip half spectrum against the full layout: to 1e-12 ---------------------
+
+class FullLayoutCloud:
+    """The strip model on the full (nx, ny-2) spectrum in fft order."""
+
+    def __init__(self, coeffs, geometry):
+        nx = geometry.nx
+        self.geometry = geometry
+        self.mode_numbers = np.rint(np.fft.fftfreq(nx) * nx).astype(int)
+        blocks = mode_stack(range(nx // 2 + 1), coeffs, geometry)
+        lam, vectors, vectors_inv, _, defective = decompose(blocks)
+        assert not defective.any()
+        order, negative = np.abs(self.mode_numbers), self.mode_numbers < 0
+        stacks = [lam[order], vectors[order], vectors_inv[order]]
+        for stack in stacks:
+            stack[negative] = stack[negative].conj()
+        self.propagator = Propagator(*stacks)
+        self.k = self.mode_numbers * math.pi / geometry.half_length
+
+    def full(self, state):
+        out = np.zeros((self.geometry.nx, self.geometry.ny), dtype=complex)
+        out[:, 1:-1] = state
+        return out
+
+    def grid(self, coeffs):
+        return np.fft.ifft(coeffs * self.geometry.nx, axis=0).real
+
+    def nonlinearity(self, state):
+        ny = self.geometry.ny
+        u = self.full(state)
+        k = self.k.copy()
+        k[self.geometry.nx // 2] = 0.0
+        ux = u * (1j * k)[:, None]
+        uy = u @ diff_matrix(ny).T
+        tux = ux @ cumulative_matrix(ny).T
+        prod = self.grid(uy) * self.grid(tux) - self.grid(u) * self.grid(ux)
+        f = np.fft.fft(prod, axis=0) / self.geometry.nx
+        f[np.abs(self.mode_numbers) > self.geometry.dealias_cut] = 0.0
+        return f[:, 1:-1]
+
+    def norms(self, state, sigmas):
+        # the sine projection in y is shared; the layout under test is in x
+        analysis, m = _sine_projection(self.geometry.ny)
+        snm = self.full(state) @ analysis
+        lam = self.k[:, None] ** 2 + (math.pi * m[None, :]) ** 2
+        scale = 2.0 * self.geometry.half_length
+        return {s: math.sqrt(scale * float(np.sum((1.0 + lam) ** s
+                                                   * np.abs(snm) ** 2)))
+                for s in sigmas}
+
+    def norm(self, state, sigma):
+        return self.norms(state, (sigma,))[sigma]
+
+    def from_half(self, half):
+        """The full-layout state of a half-spectrum one."""
+        nx = self.geometry.nx
+        return np.fft.fft(np.fft.irfft(half, n=nx, axis=0), axis=0)
+
+    def to_half(self, full):
+        """Rows n = 0..nx/2 of a full-layout state. The full layout marches
+        the Nyquist row with the conjugate block (its fft index holds
+        n = -nx/2), so that row is conjugated; its real part, the only
+        part that reaches the grid, is the same either way."""
+        half = full[: self.geometry.nx // 2 + 1].copy()
+        half[-1] = half[-1].conj()
+        return half
+
+
+STRIPS = [periodic_strip(16, 12), open_strip(10, 9, half_length=3.0)]
+
+
+def _strip_pair(geometry, seed=3, amplitude=0.5):
+    coeffs = CloudCoefficients(nu=0.8, eta=0.5, beta=1.5)
+    model, reference = CloudModel(coeffs, geometry), FullLayoutCloud(coeffs, geometry)
+    u0 = model.state_from_field(
+        random_dirichlet_field(geometry, np.random.default_rng(seed)))
+    u0 = u0 * (amplitude / model.norm(u0, 1.0))
+    return model, reference, u0, reference.from_half(u0)
+
+
+def _assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("integrator", ["exp_euler", "etdrk2"])
+@pytest.mark.parametrize("geometry", STRIPS, ids=["periodic16x12", "open10x9"])
+def test_half_spectrum_march_matches_full_layout(geometry, integrator,
+                                                 record_every):
+    model, reference, u0, u0_full = _strip_pair(geometry)
+    assert u0.shape == (geometry.nx // 2 + 1, geometry.ny - 2)
+    _assert_close(reference.to_half(u0_full), u0)
+    config = SolverConfig(dt=2e-3, t_end=0.1, integrator=integrator,
+                          record_every=record_every,
+                          monitor_sigmas=(0.0, 1.0, 1.5), weighted_sigma=1.5,
+                          weighted_mu=0.25)
+    got = run_simulation(model, u0, config)
+    want = run_simulation(reference, u0_full, config)
+    assert not got.flagged and not want.flagged
+    assert np.array_equal(got.times, want.times)
+    for sigma in config.monitor_sigmas:
+        _assert_close(got.norms[sigma], want.norms[sigma])
+    _assert_close(got.weighted, want.weighted)
+    _assert_close(got.f_norms, want.f_norms)
+    # the nonlinearity moved the state: f is not negligible
+    assert got.f_norms[0] > 1e-2 * got.norms[0.0][0]
+    _assert_close(got.final_state, reference.to_half(want.final_state))
+
+
+def test_half_spectrum_picard_matches_full_layout():
+    model, reference, u0, u0_full = _strip_pair(periodic_strip(16, 12),
+                                                amplitude=0.3)
+    config = SolverConfig(picard_segments=64, picard_tol=1e-12,
+                          picard_max_iter=80)
+    got = picard_solve(u0, 0.1, config, model.propagator, model.nonlinearity,
+                       model.norm, mu=0.25, sigma_weighted=1.5)
+    want = picard_solve(u0_full, 0.1, config, reference.propagator,
+                        reference.nonlinearity, reference.norm, mu=0.25,
+                        sigma_weighted=1.5)
+    assert (got.iterations, got.converged) == (want.iterations, True)
+    for a, b in zip(got.states, want.states):
+        _assert_close(a, reference.to_half(b))
+    scale = model.norm(u0, 0.0)
+    assert np.allclose(got.distances, want.distances, rtol=1e-12,
+                       atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("extra", [[], ["--set", "grid.periodic=false",
+                                        "--set", "grid.lx=6"]])
+def test_snapshot_grid_values_match_full_layout(tmp_path, extra):
+    out = tmp_path / "run"
+    argv = ["simulate", "--init", "random", "--seed", "4", "--amplitude", "0.5",
+            "--set", "grid.nx=16", "--set", "grid.ny=12", *extra,
+            "--t-end", "0.02", "--dt", "0.002", "--snapshot-every", "3",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    config = parse_config(None, [f"run.out={out}", "grid.nx=16", "grid.ny=12",
+                                 "init.kind=random", "run.seed=4",
+                                 "init.amplitude=0.5", "solver.t_end=0.02",
+                                 "solver.dt=0.002", "solver.snapshot_every=3",
+                                 *extra[1::2]])
+    model, u0, _, _ = cli._build_model_and_state(config)
+    reference = FullLayoutCloud(model.coeffs, model.geometry)
+    want = run_simulation(reference, reference.from_half(u0),
+                          cli._solver_config(config))
+    files = sorted((out / "snapshots").iterdir())
+    assert [p.name for p in files] == [f"step_{k:08d}.bin" for k in (0, 3, 6, 9)]
+    assert len(want.snapshots) == len(files)
+    for path, (_, state) in zip(files, want.snapshots):
+        values, _, _ = read_snapshot(str(path))
+        _assert_close(values, reference.grid(reference.full(state)))

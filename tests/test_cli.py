@@ -155,6 +155,19 @@ def test_spectral_bound_oversized_n_max_refused_before_assembly(
     assert not out.exists()
 
 
+def test_spectral_bound_inverts_no_block(tmp_path, monkeypatch):
+    # the per-mode records need eig and cond, never an inverse
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("a block was inverted")
+
+    monkeypatch.setattr(np.linalg, "inv", fail)
+    out = tmp_path / "run"
+    assert main(["spectral-bound", "--open", "--nx", "16", "--ny", "12",
+                 "--out", str(out)]) == 0
+    _, columns = read_csv(str(out / "modes.csv"))
+    assert columns[0].tolist() == list(range(9))
+
+
 @pytest.mark.parametrize("argv, key", [
     (["spectral-bound", "--beta", "1e308", "--nx", "8", "--ny", "8"],
      "cloud.beta"),
@@ -255,6 +268,31 @@ def test_heat_blowup_recorded_with_exit_zero(tmp_path):
     assert summary["blowup"] is not None
     assert summary["blowup"]["time"] < 1.0
     assert summary["fitted"] is None
+
+
+def test_flagged_run_reports_the_steps_taken(tmp_path):
+    out = tmp_path / "run"
+    assert main(["heat", "simulate", "--kind", "semilinear",
+                 "--amplitude", "50", "--t-end", "0.5",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["blowup"]["time"] == 0.001
+    assert summary["steps"] == 1
+    assert summary["final"]["time"] == 0.001
+
+
+def test_off_grid_t_end_ends_with_a_partial_step(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--set", "grid.nx=16", "--set", "grid.ny=12",
+                 "--dt", "0.001", "--t-end", "0.0015", "--snapshot-every", "1",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["final"]["time"] == 0.0015
+    assert summary["steps"] == 2
+    _, columns = read_csv(str(out / "series.csv"))
+    assert columns[0].tolist() == [0.0, 0.001, 0.0015]
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+        f"step_{k:08d}.bin" for k in range(3)]
 
 
 def test_one_sample_blowup_writes_series_without_weighted(tmp_path):
@@ -443,3 +481,32 @@ def test_lab_battery_exits_cleanly(tmp_path, capsys, command, dim, seed):
         assert payload == json.loads((out / "summary.json").read_text())
     else:
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("t_end, steps", [("0.02", 10), ("0.021", 11)])
+@pytest.mark.parametrize("grid", [
+    ["grid.nx=8", "grid.ny=8"],
+    ["grid.nx=10", "grid.ny=9", "grid.periodic=false"],
+    ["grid.nx=16", "grid.ny=12"]], ids=["8x8", "10x9-open", "16x12"])
+@pytest.mark.parametrize("command", ["simulate", "decay-test"])
+def test_strip_battery_exits_cleanly(tmp_path, capsys, command, grid, t_end,
+                                     steps, seed):
+    # on-grid and off-grid horizons (dt 0.002) on tiny strips: a run that
+    # ends at t_end, or a named error, never a traceback
+    out = tmp_path / "run"
+    sets = [arg for key in grid for arg in ("--set", key)]
+    code = main([command, "--init", "random", "--seed", str(seed),
+                 "--t-end", t_end, "--dt", "0.002", *sets, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.startswith(("error: ", "numerical failure: "))
+        return
+    _, columns = read_csv(str(out / "series.csv"))
+    assert columns[0][-1] == float(t_end)
+    if command == "simulate":
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final"]["time"] == float(t_end)
+        assert summary["steps"] == steps

@@ -87,19 +87,17 @@ def test_negative_mode_is_conjugate():
 @pytest.mark.parametrize("geo", [periodic_strip(nx=8, ny=12),
                                  open_strip(nx=10, ny=9, half_length=3.0)])
 def test_model_stacks_match_per_mode_decompose(geo):
-    # one stacked decomposition of modes 0..nx/2; the n < 0 blocks are
-    # the conjugates of the n > 0 blocks
+    # one stacked decomposition of the stored modes n = 0..nx/2
     coeffs = CloudCoefficients(0.7, 1.5, -2.5)
     model = CloudModel(coeffs, geo)
     prop = model.propagator
-    assert sorted(model.mode_numbers) == list(range(-(geo.nx // 2), geo.nx // 2))
+    assert model.mode_numbers.tolist() == list(range(geo.nx // 2 + 1))
     for idx, n in enumerate(model.mode_numbers):
         lam, vecs, vecs_inv, _, defective = decompose(
-            mode_matrix(abs(n), coeffs, geo))
-        flip = np.conj if n < 0 else np.asarray
+            mode_matrix(int(n), coeffs, geo))
         for got, want in ((prop.lam, lam), (prop.vectors, vecs),
                           (prop.vectors_inv, vecs_inv)):
-            assert got[idx].tobytes() == flip(want).tobytes()
+            assert got[idx].tobytes() == want.tobytes()
         assert not defective
     assert not prop.defective
 
@@ -107,7 +105,7 @@ def test_model_stacks_match_per_mode_decompose(geo):
 def test_semigroup_property_and_time_zero():
     prop = CloudModel(CloudCoefficients(1.0, 0.0, 1.5), GEO).propagator
     rng = np.random.default_rng(11)
-    shape = (GEO.nx, GEO.ny - 2)
+    shape = (GEO.nx // 2 + 1, GEO.ny - 2)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     two_leg = prop.propagate(0.2, prop.propagate(0.3, v))
     assert np.max(np.abs(two_leg - prop.propagate(0.5, v))) < 1e-9
@@ -313,7 +311,7 @@ def test_model_state_round_trip_and_norms():
     model = CloudModel(CloudCoefficients(1, 0, 1), geo)
     u = field_from_function(geo, lambda x, y: np.sin(x) * np.sin(np.pi * y))
     state = model.state_from_field(u)
-    assert state.shape == (geo.nx, geo.ny - 2)
+    assert state.shape == (geo.nx // 2 + 1, geo.ny - 2)
     back = model.field_from_state(state)
     assert np.max(np.abs(to_grid(back) - to_grid(u))) < 1e-12
     # |u|_{H^1}^2 = pi + pi^3/2 for sin x sin pi y on the 2 pi strip

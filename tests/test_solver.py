@@ -14,6 +14,7 @@ from mildflow.solver import (
     picard_solve,
     run_simulation,
     step_exponential,
+    step_plan,
 )
 
 
@@ -100,6 +101,49 @@ def test_trajectory_recording_cadence():
     assert tr.times[0] == 0.0 and tr.times[-1] == pytest.approx(1.0)
     assert [round(t, 10) for t in tr.times] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     assert [round(t, 10) for t, _ in tr.snapshots] == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("t_end, dt, steps", [
+    (0.1, 1e-3, 100), (5.0, 1e-3, 5000), (0.3, 0.1, 3), (1.0, 0.1, 10),
+    (0.5, 2.0 ** -10, 512)])
+def test_step_plan_keeps_whole_step_counts(t_end, dt, steps):
+    # t_end/dt within roundoff of a whole number: no extra step
+    assert step_plan(t_end, dt) == (steps, dt)
+
+
+class ScalarFrozen(ScalarLinear):
+    """ScalarLinear through the reassembled-generator path."""
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def frozen_propagator(self, u):
+        return Propagator(np.array([self.rate]))
+
+
+@pytest.mark.parametrize("model", [ScalarLinear(-1.0), ScalarFrozen(-1.0)],
+                         ids=["fixed", "frozen"])
+def test_off_grid_t_end_takes_a_partial_last_step(model):
+    cfg = SolverConfig(dt=0.1, t_end=0.25, monitor_sigmas=(0.0,),
+                       snapshot_every=1)
+    tr = run_simulation(model, np.array([1.0]), cfg)
+    assert tr.final_time == 0.25 and tr.steps == 3
+    assert tr.times.tolist() == [0.0, 0.1, 0.2, 0.25]
+    assert [t for t, _ in tr.snapshots] == [0.0, 0.1, 0.2, 0.25]
+    # the exponential integrators are exact on a linear problem
+    assert tr.final_state[0] == pytest.approx(np.exp(-0.25), rel=1e-12)
+
+
+def test_partial_step_keeps_the_step_factor_cache(monkeypatch):
+    model = ScalarLinear(-1.0)
+    builds = []
+    factor = model.propagator._factor
+    monkeypatch.setattr(model.propagator, "_factor",
+                        lambda dt, *args: builds.append(dt) or factor(dt, *args))
+    cfg = SolverConfig(dt=0.1, t_end=0.25, monitor_sigmas=(0.0,))
+    for _ in range(2):
+        run_simulation(model, np.array([1.0]), cfg)
+    assert builds == [0.1, 0.1, 0.1]
 
 
 def test_weighted_record_vanishes_at_origin():

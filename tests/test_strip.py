@@ -10,7 +10,6 @@ from mildflow.strip import (
     StripGeometry,
     apply_T,
     boundary_defect,
-    conjugate_symmetry_defect,
     dealias_x,
     derivative_x,
     derivative_y,
@@ -171,11 +170,53 @@ def test_norms_monotone_in_sigma():
         assert norms[lo] <= norms[hi] * (1.0 + 1e-12)
 
 
-def test_conjugate_symmetry_preserved():
+def test_half_spectrum_layout_and_stacks():
     rng = np.random.default_rng(8)
+    values = rng.standard_normal((3, GEOM.nx, GEOM.ny))
+    stack = from_grid(values, GEOM)
+    assert stack.coeffs.shape == (3, GEOM.nx // 2 + 1, GEOM.ny)
+    for one, field_values in zip(stack.coeffs, values):
+        assert np.array_equal(one, from_grid(field_values, GEOM).coeffs)
+    full = np.fft.fft(values, axis=-2) / GEOM.nx
+    assert np.max(np.abs(stack.coeffs - full[:, : GEOM.nx // 2 + 1])) <= 1e-15
+    assert np.max(np.abs(to_grid(stack) - values)) <= 1e-12
+
+
+def test_nyquist_row_counts_once_and_has_no_x_derivative():
+    # (-1)^j sin(pi y): the Nyquist mode alone, ||.||^2 = 2 Lx * 1/2
+    nyquist = GEOM.nx // 2
+    f = field_from_function(
+        GEOM, lambda x, y: np.cos(nyquist * x) * np.sin(math.pi * y))
+    assert np.max(np.abs(f.coeffs[:nyquist])) <= 1e-15
+    assert GEOM.parseval_weights().tolist() == [1.0] + [2.0] * (nyquist - 1) + [1.0]
+    assert l2_norm(f) == pytest.approx(math.sqrt(GEOM.half_length), rel=1e-12)
+    assert sobolev_norm(f, 1.0) == pytest.approx(
+        math.sqrt((1.0 + nyquist ** 2 + math.pi ** 2) * GEOM.half_length), rel=1e-10)
+    assert np.max(np.abs(derivative_x(f).coeffs)) == 0.0
+    # the imaginary part of the Nyquist row does not reach the grid
+    shifted = SpectralFieldLike_add(f, f, 1.0 + 1e3j, 0.0)
+    assert np.max(np.abs(to_grid(shifted) - to_grid(f))) <= 1e-12
+
+
+def test_parseval_weights_match_grid_sum():
+    # the quadrature L2 norm is the x-trapezoid sum of the y-quadrature
+    # of every grid row, Nyquist mode included
+    from mildflow.strip import _l2_quadrature
+
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((GEOM.nx, GEOM.ny))
+    evalmat, w = _l2_quadrature(GEOM.ny)
+    grid_sum = 2.0 * GEOM.half_length / GEOM.nx * np.sum((values @ evalmat.T) ** 2 @ w)
+    assert l2_norm(from_grid(values, GEOM)) ** 2 == pytest.approx(grid_sum, rel=1e-12)
+
+
+def test_dealias_zeroes_rows_above_cut():
+    rng = np.random.default_rng(13)
     f = from_grid(rng.standard_normal((GEOM.nx, GEOM.ny)), GEOM)
-    for op in (derivative_x, derivative_y, apply_T, dealias_x, project_dirichlet):
-        assert conjugate_symmetry_defect(op(f)) <= 1e-12
+    out = dealias_x(f).coeffs
+    cut = GEOM.dealias_cut
+    assert np.all(out[cut + 1:] == 0.0)
+    assert np.array_equal(out[: cut + 1], f.coeffs[: cut + 1])
 
 
 def test_projection_enforces_boundary_rows():
@@ -203,7 +244,6 @@ def test_rough_field_finite_target_norm():
     assert math.isfinite(n1) and n1 > 0.0
     # rougher than H^1.5: the higher norm is markedly larger
     assert n15 / n1 > 3.0
-    assert conjugate_symmetry_defect(f) <= 1e-12
     assert boundary_defect(f) <= 1e-12
 
 

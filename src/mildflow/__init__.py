@@ -35,7 +35,6 @@ from .lab import (
     contraction_experiment,
     decay_experiment,
     estimate_semigroup_constants,
-    fractional_norm,
     run_fixed_point,
     select_parameters,
     verify_decay,
@@ -69,7 +68,6 @@ __all__ = [
     "decay_experiment",
     "estimate_semigroup_constants",
     "fit_decay_rate",
-    "fractional_norm",
     "picard_solve",
     "quasilinear_recipe",
     "run_fixed_point",

@@ -72,8 +72,9 @@ def _interior_blocks(ny: int):
 
 @lru_cache(maxsize=32)
 def _vertical_operators(ny: int) -> np.ndarray:
-    """[D^T | C^T]: coefficient rows times it give d/dy and T side by side."""
-    return np.hstack([diff_matrix(ny).T, cumulative_matrix(ny).T])
+    """[D^T | C^T]: coefficient rows times it give d/dy and T side by side.
+    Complex, as the coefficients are, so no matmul casts it."""
+    return np.hstack([diff_matrix(ny).T, cumulative_matrix(ny).T]).astype(complex)
 
 
 def _require_finite(values, diffusion, k2, what: str) -> None:

@@ -16,12 +16,13 @@ graded-mesh discretization of the weighted metric (a documented lower
 bound of the continuum metric).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
+from .config import MAX_PROPAGATOR_BYTES
 from .exponents import BetaConstants, ExponentSet, validate_exponents
 from .propagators import Propagator
 from .solver import SolverConfig, picard_solve, run_simulation
@@ -38,7 +39,6 @@ __all__ = [
     "contraction_experiment",
     "decay_experiment",
     "estimate_semigroup_constants",
-    "fractional_norm",
     "random_problem",
     "run_fixed_point",
     "select_parameters",
@@ -50,7 +50,12 @@ __all__ = [
 SUP_SAFETY = 1.1
 SELECT_SAFETY = 0.9
 T_FLOOR = 1e-12
+T_MAX = 0.99
 L_FLOOR = 1e-8
+# inequalities that bound the horizon T, in the order selection names
+# the binding one
+T_BOUNDS = ("tail_smallness", "initial_weight", "window_compatibility",
+            "holder_budget")
 
 
 class InfeasibleProblem(ValueError):
@@ -69,59 +74,33 @@ class FixedPointDivergence(RuntimeError):
         self.ratios = np.asarray(ratios)
 
 
-def _negative_definite_eigh(generator):
-    """Symmetrized generator and its eigh pair (lam, vectors).
-
-    Rejects a generator that is not square, not symmetric up to rounding
-    or not negative definite.
-    """
-    a = np.asarray(generator, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("generator must be a square matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    if not np.allclose(a, a.T, atol=1e-12 * scale):
-        raise ValueError("generator must be symmetric")
-    a = 0.5 * (a + a.T)
-    lam, vecs = np.linalg.eigh(a)
-    if lam.max() >= 0.0:
-        raise ValueError("generator must be negative definite")
-    return a, lam, vecs
-
-
-def fractional_norm(generator, theta: float, vector) -> float:
-    """Norm of (-A)^theta x for a symmetric negative-definite A.
-
-    The ladder norm is computed exactly through the eigendecomposition;
-    theta = 0 is the Euclidean norm, theta = 1 the graph norm of A.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    _, lam, vecs = _negative_definite_eigh(generator)
-    coeff = vecs.T @ np.asarray(vector, dtype=float)
-    return float(np.linalg.norm((-lam) ** theta * coeff))
-
-
 @dataclass
 class FixedPointProblem:
     """Generator, nonlinearity and exponent data for one contraction run.
 
-    The default nonlinearity is f(u) = epsilon ||u||_xi^(q-1) u; a user
-    hook replaces it wholesale but must still vanish at the origin.
-    lipschitz_n, when left unset, is estimated by pair sampling on the
-    ball of radius ball_radius at the xi level.
+    The nonlinearity is f(u) = epsilon ||u||_xi^(q-1) u; its Lipschitz
+    constant is estimated by pair sampling on the ball of radius
+    ball_radius at the xi level. The generator must be square, symmetric
+    up to rounding and negative definite; it is stored symmetrized.
     """
 
     generator: np.ndarray
     exponents: ExponentSet
     epsilon: float = 1.0
     ball_radius: float = 1.0
-    lipschitz_n: Optional[float] = None
-    nonlinearity: Optional[Callable] = None
 
     def __post_init__(self):
-        self.generator, lam, vecs = _negative_definite_eigh(self.generator)
+        a = np.asarray(self.generator, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("generator must be a square matrix")
+        scale = max(1.0, float(np.abs(a).max()))
+        if not np.allclose(a, a.T, atol=1e-12 * scale):
+            raise ValueError("generator must be symmetric")
+        self.generator = 0.5 * (a + a.T)
+        lam, self._vectors = np.linalg.eigh(self.generator)
+        if lam.max() >= 0.0:
+            raise ValueError("generator must be negative definite")
         self._decay_rates = -lam
-        self._vectors = vecs
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be nonnegative")
         if self.ball_radius <= 0.0:
@@ -167,8 +146,6 @@ class FixedPointProblem:
         return float(out) if out.ndim == 0 else out
 
     def f(self, u) -> np.ndarray:
-        if self.nonlinearity is not None:
-            return np.asarray(self.nonlinearity(u))
         u = np.asarray(u, dtype=float)
         strength = self.norm(u, self.exponents.xi) ** (self.exponents.q - 1.0)
         return self.epsilon * strength * u
@@ -182,8 +159,6 @@ class FixedPointProblem:
         drawn one at a time and evaluated as stacks, with the rounding of
         a pair-by-pair loop over `norm` and `f`.
         """
-        if self.lipschitz_n is not None:
-            return self.lipschitz_n
         rng = np.random.default_rng(0) if rng is None else rng
         exps, m, radius = self.exponents, self.dimension, self.ball_radius
         # a ball point is a normal direction scaled to a radius r in
@@ -202,22 +177,17 @@ class FixedPointProblem:
                            pair[1] * scale[1])
         xi_norms = self.norm(pair, exps.xi)
         gaps = self.norm(pair[0] - pair[1], exps.xi)
-        if self.nonlinearity is None:
-            strength = np.reshape([self.epsilon * n ** (exps.q - 1.0)
-                                   for n in xi_norms.ravel().tolist()],
-                                  (2, samples, 1))
-            f_gap = strength[0] * pair[0] - strength[1] * pair[1]
-        else:  # a user hook takes one vector at a time
-            f_w, f_v = np.reshape([self.f(u) for u in pair.reshape(-1, m)], pair.shape)
-            f_gap = f_w - f_v
+        strength = np.reshape([self.epsilon * n ** (exps.q - 1.0)
+                               for n in xi_norms.ravel().tolist()],
+                              (2, samples, 1))
+        f_gap = strength[0] * pair[0] - strength[1] * pair[1]
         best = 0.0
         for a, b, gap, num in zip(*xi_norms.tolist(), gaps.tolist(),
                                   self.norm(f_gap, exps.gamma).tolist()):
             denom = (a ** (exps.q - 1.0) + b ** (exps.q - 1.0)) * gap
             if denom >= 1e-30:  # a NaN denominator or ratio leaves best as is
                 best = max(best, num / denom)
-        self.lipschitz_n = SUP_SAFETY * max(best, 1e-12)
-        return self.lipschitz_n
+        return SUP_SAFETY * max(best, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -241,40 +211,39 @@ class SemigroupConstants:
             if value is not None and value < 1.0:
                 raise ValueError(f"{name} must be at least 1, got {value}")
 
+    def weights(self, exponents: ExponentSet):
+        """(omega0, omega1, omega2) as the inequalities use them: omega1
+        and omega2 are 0 for a semilinear exponent set."""
+        if exponents.beta_exp is None:
+            return self.omega0, 0.0, 0.0
+        if self.omega1 is None or self.omega2 is None:
+            raise ValueError(
+                "selection with a quasilinear exponent set needs omega1 and omega2")
+        return self.omega0, self.omega1, self.omega2
 
-def estimate_semigroup_constants(problem: FixedPointProblem,
-                                 theta_pairs=None, time_grid=None,
-                                 omega1: Optional[float] = None,
-                                 omega2: Optional[float] = None
+
+def estimate_semigroup_constants(problem: FixedPointProblem
                                  ) -> SemigroupConstants:
     """Sample t^(theta-vartheta) ||(-A)^theta e^{tA} (-A)^-vartheta||_2.
 
     For a self-adjoint generator the norm is max_k rate_k^(theta-vartheta)
-    e^{-rate_k t}, evaluated on a log time grid; the t -> 0 limit (exactly
-    1 when theta = vartheta, 0 otherwise) is included so contraction
-    pairs come out sharp.  omega0 aggregates all pairs with a 1.1 safety
-    margin and is clamped to at least 1.
+    e^{-rate_k t}, evaluated on a log time grid for every pair of levels
+    the contraction estimates use; the t -> 0 limit (exactly 1 when
+    theta = vartheta, 0 otherwise) is included so contraction pairs come
+    out sharp.  omega0 aggregates all pairs with a 1.1 safety margin and
+    is clamped to at least 1; omega1 = omega2 = 1 for a quasilinear set.
     """
     exps = problem.exponents
-    if theta_pairs is None:
-        theta_pairs = sorted({(0.0, 0.0), (exps.alpha, exps.gamma),
-                              (exps.xi, exps.gamma), (exps.xi, exps.alpha),
-                              (exps.contraction_level, exps.gamma)})
+    theta_pairs = sorted({(0.0, 0.0), (exps.alpha, exps.gamma),
+                          (exps.xi, exps.gamma), (exps.xi, exps.alpha),
+                          (exps.contraction_level, exps.gamma)})
     rates = problem.spectrum
-    if time_grid is None:
-        time_grid = np.geomspace(1e-6 / problem.lambda_max,
-                                 50.0 / problem.lambda_min, 600)
-    else:
-        time_grid = np.asarray(time_grid, dtype=float)
-        if time_grid.min() <= 0.0:
-            raise ValueError("time grid must be strictly positive")
+    time_grid = np.geomspace(1e-6 / problem.lambda_max,
+                             50.0 / problem.lambda_min, 600)
 
     sampled = []
     overall = 0.0
     for theta, vartheta in theta_pairs:
-        if theta < vartheta:
-            raise ValueError(
-                f"sampled pair needs theta >= vartheta, got ({theta}, {vartheta})")
         delta = theta - vartheta
         values = (time_grid[:, None] ** delta
                   * rates[None, :] ** delta
@@ -285,13 +254,10 @@ def estimate_semigroup_constants(problem: FixedPointProblem,
         sampled.append((float(theta), float(vartheta), sup))
         overall = max(overall, sup)
 
-    quasilinear = exps.beta_exp is not None
-    if quasilinear:
-        omega1 = 1.0 if omega1 is None else omega1
-        omega2 = 1.0 if omega2 is None else omega2
+    omega = 1.0 if exps.beta_exp is not None else None
     return SemigroupConstants(
         omega0=max(1.0, SUP_SAFETY * overall),
-        omega1=omega1, omega2=omega2, sampled_pairs=tuple(sampled))
+        omega1=omega, omega2=omega, sampled_pairs=tuple(sampled))
 
 
 @dataclass(frozen=True)
@@ -309,17 +275,17 @@ class ContractionParameters:
                     f"{name} must lie strictly in (0, 1), got {value}")
 
 
-def tail_profile(problem: FixedPointProblem, u0, t_max: float = 1.0,
-                 points: int = 1200) -> Callable[[float], float]:
+def tail_profile(problem: FixedPointProblem, u0) -> Callable[[float], float]:
     """Running sup of t^mu ||e^{tA} u0||_xi, monotone by construction.
 
-    Evaluated once on a fixed log grid and accumulated, so the bisection
-    in select_parameters sees a genuinely nondecreasing profile.
+    Evaluated once on a fixed log grid over [T_FLOOR, 1] and accumulated,
+    so the bisection in select_parameters sees a genuinely nondecreasing
+    profile.
     """
     exps = problem.exponents
     rates = problem.spectrum
     hat = problem.eigen_coefficients(u0)
-    ts = np.geomspace(T_FLOOR, t_max, points)
+    ts = np.geomspace(T_FLOOR, 1.0, 1200)
     modes = (rates[None, :] ** exps.xi * np.exp(-ts[:, None] * rates[None, :])
              * hat[None, :])
     values = ts ** exps.mu * np.sqrt((modes ** 2).sum(axis=1))
@@ -334,53 +300,36 @@ def tail_profile(problem: FixedPointProblem, u0, t_max: float = 1.0,
     return profile
 
 
-def _budget_terms(constants: SemigroupConstants, exponents: ExponentSet,
-                  beta_consts: BetaConstants):
-    quasilinear = exponents.beta_exp is not None
-    w0 = constants.omega0
-    if quasilinear:
-        if constants.omega1 is None or constants.omega2 is None:
-            raise ValueError(
-                "selection with a quasilinear exponent set needs omega1 and omega2")
-        w1, w2 = constants.omega1, constants.omega2
-    else:
-        w1 = w2 = 0.0
-    return quasilinear, w0, w1, w2, beta_consts.contraction_pair_sum
-
-
 def check_contraction_inequalities(params: ContractionParameters,
                                    constants: SemigroupConstants,
                                    exponents: ExponentSet,
                                    n_star: float,
                                    beta_consts: Optional[BetaConstants] = None,
                                    m_profile: Optional[Callable] = None,
-                                   reference_alpha_norm: float = 0.0,
                                    initial_xi_norm: float = 0.0) -> dict:
     """Slack (lhs - rhs, nonpositive when satisfied) of every inequality.
 
-    The time-regularity window exponent is eliminated: asking for some
-    admissible rho with T^rho <= r turns the window pair into the
-    monotone conditions T^(alpha-beta) < r and
-    coefficient * T^(alpha-beta) / r <= 1.
+    This table is the only statement of the contraction inequalities:
+    select_parameters inverts it. The time-regularity window exponent is
+    eliminated: asking for some admissible rho with T^rho <= r turns the
+    window pair into the monotone conditions T^(alpha-beta) < r (strict)
+    and coefficient * T^(alpha-beta) / r <= 1.
     """
     if beta_consts is None:
         beta_consts = BetaConstants.from_exponents(exponents)
-    quasilinear, w0, w1, w2, pair_sum = _budget_terms(
-        constants, exponents, beta_consts)
+    w0, w1, w2 = constants.weights(exponents)
     L, r, T = params.L, params.r, params.T
-    q = exponents.q
 
     slacks = {
-        "lipschitz_budget":
-            (2.0 * w0 + w1) * n_star * pair_sum * L ** (q - 1.0) - 0.25,
-        "ball_radius":
-            r * (w0 + 2.0 * w1 * reference_alpha_norm) - L / 4.0,
+        "lipschitz_budget": (2.0 * w0 + w1) * n_star
+        * beta_consts.contraction_pair_sum * L ** (exponents.q - 1.0) - 0.25,
+        "ball_radius": r * w0 - L / 4.0,
     }
     if m_profile is not None:
         slacks["tail_smallness"] = m_profile(T) - L / 4.0
-    if quasilinear:
+    if exponents.beta_exp is not None:
         window = T ** (exponents.alpha - exponents.beta_exp)
-        coeff = (w2 * (reference_alpha_norm + r)
+        coeff = (w2 * r
                  + w0 * n_star * (w2 * beta_consts.at_level("alpha")
                                   + beta_consts.at_level("beta_exp")))
         slacks["drift_radius"] = 4.0 * w1 * r - 0.125
@@ -391,32 +340,40 @@ def check_contraction_inequalities(params: ContractionParameters,
     return slacks
 
 
+def _binding(slacks: dict) -> Optional[str]:
+    """First inequality of T_BOUNDS that the slacks violate, or None.
+    The window is strict: a zero slack there violates it too."""
+    for name in T_BOUNDS:
+        slack = slacks.get(name, -1.0)
+        if slack > 0.0 or (slack == 0.0 and name == "window_compatibility"):
+            return name
+    return None
+
+
 def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
                       n_star: float,
                       beta_consts: Optional[BetaConstants] = None,
                       m_profile: Optional[Callable] = None,
-                      reference_alpha_norm: float = 0.0,
                       initial_xi_norm: float = 0.0,
-                      ball_radius: Optional[float] = None,
-                      t_max: float = 0.99) -> ContractionParameters:
+                      ball_radius: Optional[float] = None
+                      ) -> ContractionParameters:
     """Invert the contraction inequalities for the largest (L, r, T).
 
-    L comes from the Lipschitz budget in closed form, r from the ball
-    inequalities given L, and T from bisection of the remaining monotone
-    conditions (the tail profile M(T), the weighted initial-value term
-    and, with a quasilinear exponent set, the time-regularity window).
-    A 0.9 safety factor compensates the sampled constants.
+    L comes from the Lipschitz budget in closed form and r from the ball
+    inequalities given L. T is T_MAX when check_contraction_inequalities
+    finds no T_BOUNDS inequality violated there, else the bisection
+    point below the first horizon its slacks block. A 0.9 safety factor
+    compensates the sampled constants.
     """
     if n_star <= 0.0:
         raise ValueError("n_star must be positive")
     if beta_consts is None:
         beta_consts = BetaConstants.from_exponents(exponents)
-    quasilinear, w0, w1, w2, pair_sum = _budget_terms(
-        constants, exponents, beta_consts)
-    q = exponents.q
+    w0, w1, _ = constants.weights(exponents)
 
-    bound = (1.0 / (4.0 * (2.0 * w0 + w1) * n_star * pair_sum)) \
-        ** (1.0 / (q - 1.0))
+    bound = (1.0 / (4.0 * (2.0 * w0 + w1) * n_star
+                    * beta_consts.contraction_pair_sum)) \
+        ** (1.0 / (exponents.q - 1.0))
     L = SELECT_SAFETY * min(1.0, bound)
     if L < L_FLOOR:
         raise InfeasibleProblem(
@@ -425,61 +382,43 @@ def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
             f"(2*omega0+omega1)*N*(B_low+B_xi)*L^(q-1) <= 1/4 forces "
             f"L <= {bound:.3e}")
 
-    r_caps = [L / (4.0 * (w0 + 2.0 * w1 * reference_alpha_norm)), 0.999]
-    if quasilinear:
+    r_caps = [L / (4.0 * w0), 0.999]
+    if exponents.beta_exp is not None:
         r_caps.append(1.0 / (32.0 * w1))
     if ball_radius is not None:
         r_caps.append(ball_radius)
     r = SELECT_SAFETY * min(r_caps)
 
-    profile = m_profile if m_profile is not None else (lambda _t: 0.0)
-    if quasilinear:
-        coeff = (w2 * (reference_alpha_norm + r)
-                 + w0 * n_star * (w2 * beta_consts.at_level("alpha")
-                                  + beta_consts.at_level("beta_exp")))
+    def slacks(t_end: float) -> dict:
+        return check_contraction_inequalities(
+            ContractionParameters(L=L, r=r, T=t_end), constants, exponents,
+            n_star, beta_consts, m_profile, initial_xi_norm)
 
-    def blocking(t_end: float) -> Optional[str]:
-        if profile(t_end) > L / 4.0:
-            return "tail_smallness"
-        if quasilinear:
-            if w1 * initial_xi_norm * t_end ** exponents.mu > 1.0 / 16.0:
-                return "initial_weight"
-            window = t_end ** (exponents.alpha - exponents.beta_exp)
-            if window >= r:
-                return "window_compatibility"
-            if coeff * window / r > 1.0:
-                return "holder_budget"
-        return None
-
-    if blocking(t_max) is None:
-        T = t_max
+    if _binding(slacks(T_MAX)) is None:
+        T = T_MAX
     else:
-        binding = blocking(T_FLOOR)
+        binding = _binding(slacks(T_FLOOR))
         if binding is not None:
             raise InfeasibleProblem(
                 binding,
                 f"no contraction window above T = {T_FLOOR}: inequality "
                 f"'{binding}' already fails there")
-        lo, hi = T_FLOOR, t_max
+        lo, hi = T_FLOOR, T_MAX
         for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            if blocking(mid) is None:
+            mid = float(np.sqrt(lo * hi))
+            if _binding(slacks(mid)) is None:
                 lo = mid
             else:
                 hi = mid
-        T = float(lo)
+        T = lo
 
-    params = ContractionParameters(L=L, r=r, T=T)
-    slacks = check_contraction_inequalities(
-        params, constants, exponents, n_star, beta_consts, profile,
-        reference_alpha_norm=reference_alpha_norm,
-        initial_xi_norm=initial_xi_norm)
-    worst = max(slacks.values())
+    final = slacks(T)
+    worst = max(final.values())
     if worst > 1e-9:
         raise InfeasibleProblem(
-            max(slacks, key=slacks.get),
+            max(final, key=final.get),
             f"selection re-validation failed with slack {worst:.3e}")
-    return params
+    return ContractionParameters(L=L, r=r, T=T)
 
 
 def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
@@ -492,9 +431,6 @@ def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
     """
     exps = problem.exponents
     u0 = np.asarray(u0, dtype=float)
-    fz = problem.f(np.zeros(problem.dimension))
-    if problem.norm(fz, exps.gamma) > 1e-12:
-        raise ValueError("nonlinearity must vanish at the origin")
     alpha_norm = problem.norm(u0, exps.alpha)
     if alpha_norm > params.r * (1.0 + 1e-12):
         raise ValueError(
@@ -534,7 +470,7 @@ class DecayReport:
 
 def verify_decay(problem: FixedPointProblem, varpi: float,
                  scales=(1e-3, 1e-2, 1e-1), direction=None,
-                 dt: Optional[float] = None, rng=None) -> DecayReport:
+                 rng=None) -> DecayReport:
     """Check the weighted exponential-decay estimate over a scale sweep.
 
     Each initial value scale*direction is evolved to T = 20/varpi and the
@@ -550,8 +486,7 @@ def verify_decay(problem: FixedPointProblem, varpi: float,
         raise ValueError(
             f"varpi must lie in (0, {lam_min:.6g}), got {varpi}")
     t_end = 20.0 / varpi
-    if dt is None:
-        dt = min(t_end / 2000.0, 0.2 / problem.lambda_max)
+    dt = min(t_end / 2000.0, 0.2 / problem.lambda_max)
     if direction is None:
         rng = np.random.default_rng(0) if rng is None else rng
         direction = rng.standard_normal(problem.dimension)
@@ -561,13 +496,13 @@ def verify_decay(problem: FixedPointProblem, varpi: float,
     # the problem seen as a model of the time stepper
     model = SimpleNamespace(propagator=problem.propagator,
                             nonlinearity=problem.f, norm=problem.norm)
-    steps = int(round(t_end / dt))
-    record_every = max(1, steps // 1500)
+    # SolverConfig refuses a horizon of too many steps before it is counted
+    config = SolverConfig(dt=dt, t_end=t_end,
+                          monitor_sigmas=(exps.alpha, exps.xi))
+    config = replace(config, record_every=max(1, round(t_end / dt) // 1500))
     records = []
     for scale in sorted(float(s) for s in scales):
         u0 = scale * direction
-        config = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
-                              monitor_sigmas=(exps.alpha, exps.xi))
         traj = run_simulation(model, u0, config)
         base = max(problem.norm(u0, exps.alpha), 1e-30)
         weight = np.exp(varpi * traj.times) * (
@@ -604,6 +539,13 @@ def random_problem(dim: int, rng, quasilinear: bool = False,
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
+    # at most six dense float64 (dim, dim) matrices live at once: the
+    # normal draw, its QR factors, the generator, its symmetrized copy
+    # and its eigenvectors
+    if 6 * dim ** 2 * 8 > MAX_PROPAGATOR_BYTES:
+        raise ValueError(
+            f"dim {dim}: the lab's matrices would exceed the "
+            f"{MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB storage limit")
     rates = np.sort(rng.uniform(0.6, 6.0, size=dim))
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     generator = -(basis * rates) @ basis.T  # symmetrized by FixedPointProblem

@@ -26,6 +26,10 @@ import numpy as np
 from .propagators import InstabilityError, apply_block_factor, phi1, phi2
 
 INTEGRATORS = ("exp_euler", "etdrk2")
+# the longest march a configuration may ask for, in steps of dt
+MAX_STEPS = 10 ** 7
+# nodes of the Picard mesh are t_k = T (k/K)^MESH_POWER
+MESH_POWER = 2.0
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,9 @@ class SolverConfig:
     weighted_sigma: Optional[float] = None
     weighted_mu: Optional[float] = None
     blowup_factor: float = 1e6
-    blowup_threshold: Optional[float] = None
     picard_segments: int = 128
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
-    mesh_power: Optional[float] = None
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -53,6 +55,9 @@ class SolverConfig:
         if not self.dt <= self.t_end < np.inf:
             raise ValueError("need finite dt <= t_end, "
                              f"got dt={self.dt}, t_end={self.t_end}")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ValueError(f"t_end/dt asks for more than {MAX_STEPS:,} "
+                             f"steps, got dt={self.dt}, t_end={self.t_end}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
@@ -155,9 +160,7 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     state = np.array(u0, copy=True)
     n_steps, last = step_plan(config.t_end, dt)
     norms = _norm_set(model, state, sigmas)
-    threshold = config.blowup_threshold
-    if threshold is None:
-        threshold = config.blowup_factor * max(norms[lead], 1.0)
+    threshold = config.blowup_factor * max(norms[lead], 1.0)
 
     times, f_norms, weighted = [], [], []
     norm_series = {s: [] for s in config.monitor_sigmas}
@@ -258,8 +261,7 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
     """
     if propagator.defective:
         raise ValueError("Picard iteration needs a diagonalizable generator")
-    power = config.mesh_power if config.mesh_power is not None else 2.0
-    tau = graded_mesh(t_end, config.picard_segments, power)
+    tau = graded_mesh(t_end, config.picard_segments, MESH_POWER)
     lam = propagator.lam
     h = np.diff(tau).reshape((-1,) + (1,) * lam.ndim)  # a column against lam
     want_real = not np.iscomplexobj(np.asarray(u0))

@@ -6,6 +6,9 @@ Lipschitz estimate draws and evaluates one pair at a time through a
 per-vector norm, and the Picard sweep rebuilds exp, phi1 and phi2 of
 h_j lam on every segment. The fast code must reproduce them bit for bit
 on the matrix lab and to 1e-12 relative on the strip's block stack.
+Parameter selection once bisected the horizon on its own copy of the
+contraction inequalities; `select_parameters` bisects the slack table
+of `check_contraction_inequalities` and must land on the same (L, r, T).
 
 `FullLayoutCloud` is the strip model on the full spectrum n = -nx/2 ..
 nx/2-1 in fft order, with the n < 0 blocks mirrored from the n > 0 ones
@@ -22,9 +25,13 @@ from mildflow import cli
 from mildflow.chebyshev import cumulative_matrix, diff_matrix
 from mildflow.cloud import CloudCoefficients, CloudModel, mode_stack
 from mildflow.config import parse_config
-from mildflow.exponents import validate_exponents
+from mildflow.exponents import BetaConstants, validate_exponents
 from mildflow.io import read_snapshot
-from mildflow.lab import SUP_SAFETY, FixedPointProblem, random_problem
+from mildflow.lab import (SUP_SAFETY, ContractionParameters,
+                          FixedPointProblem, InfeasibleProblem, _binding,
+                          check_contraction_inequalities,
+                          estimate_semigroup_constants, random_problem,
+                          select_parameters, tail_profile)
 from mildflow.propagators import Propagator, decompose, phi1, phi2
 from mildflow.solver import (SolverConfig, graded_mesh, picard_solve,
                              run_simulation)
@@ -44,8 +51,6 @@ def reference_norm(problem, vector, theta):
 
 
 def reference_f(problem, u):
-    if problem.nonlinearity is not None:
-        return np.asarray(problem.nonlinearity(u))
     exps = problem.exponents
     strength = reference_norm(problem, u, exps.xi) ** (exps.q - 1.0)
     return problem.epsilon * strength * u
@@ -83,8 +88,7 @@ def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
                      mu=0.0, sigma_sup=0.0, sigma_weighted=None):
     """Picard iteration with the factors rebuilt on every segment of every
     sweep; returns (states, distances, iterations, converged)."""
-    power = config.mesh_power if config.mesh_power is not None else 2.0
-    tau = graded_mesh(t_end, config.picard_segments, power)
+    tau = graded_mesh(t_end, config.picard_segments, 2.0)
     h = np.diff(tau)
     lam = propagator.lam
     want_real = not np.iscomplexobj(np.asarray(u0))
@@ -130,6 +134,61 @@ def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
     return states, np.asarray(distances), iterations, converged
 
 
+def reference_select(constants, exps, n_star, beta_consts, m_profile=None,
+                     initial_xi_norm=0.0, ball_radius=None):
+    """Selection bisecting on its own `blocking` predicate, which restates
+    the inequalities (with a zero reference alpha norm, the only value
+    ever passed). Returns (L, r, T, hi, binding): hi is the top of the
+    last bisection bracket and binding what blocks there, both None when
+    T = 0.99. Raises InfeasibleProblem naming the binding inequality."""
+    quasilinear = exps.beta_exp is not None
+    w0 = constants.omega0
+    w1, w2 = (constants.omega1, constants.omega2) if quasilinear else (0.0, 0.0)
+    pair_sum = beta_consts.contraction_pair_sum
+    bound = (1.0 / (4.0 * (2.0 * w0 + w1) * n_star * pair_sum)) \
+        ** (1.0 / (exps.q - 1.0))
+    L = 0.9 * min(1.0, bound)
+    if L < 1e-8:
+        raise InfeasibleProblem("lipschitz_budget", "L below its floor")
+    r_caps = [L / (4.0 * w0), 0.999]
+    if quasilinear:
+        r_caps.append(1.0 / (32.0 * w1))
+    if ball_radius is not None:
+        r_caps.append(ball_radius)
+    r = 0.9 * min(r_caps)
+    profile = m_profile if m_profile is not None else (lambda _t: 0.0)
+    if quasilinear:
+        coeff = (w2 * r + w0 * n_star * (w2 * beta_consts.at_level("alpha")
+                                         + beta_consts.at_level("beta_exp")))
+
+    def blocking(t_end):
+        if profile(t_end) > L / 4.0:
+            return "tail_smallness"
+        if quasilinear:
+            if w1 * initial_xi_norm * t_end ** exps.mu > 1.0 / 16.0:
+                return "initial_weight"
+            window = t_end ** (exps.alpha - exps.beta_exp)
+            if window >= r:
+                return "window_compatibility"
+            if coeff * window / r > 1.0:
+                return "holder_budget"
+        return None
+
+    if blocking(0.99) is None:
+        return L, r, 0.99, None, None
+    binding = blocking(1e-12)
+    if binding is not None:
+        raise InfeasibleProblem(binding, "no window above the floor")
+    lo, hi = 1e-12, 0.99
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        if blocking(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return L, r, float(lo), float(hi), blocking(hi)
+
+
 # Matrix lab: bit for bit ----------------------------------------------------
 
 @pytest.mark.parametrize("quasilinear", [False, True])
@@ -160,23 +219,69 @@ def test_lipschitz_and_picard_match_reference_loops(dim, quasilinear):
     assert all(np.array_equal(a, b) for a, b in zip(result.states, states))
 
 
-def test_lipschitz_hook_with_nan_values_matches_reference_loop():
-    nan_calls = []
+def selections_against_reference(dim, seed, quasilinear):
+    """Both selections of `contraction_experiment` and their references.
 
-    def hook(u):
-        # quadratic, but undefined where the first coordinate is large
-        undefined = u[0] > 0.2
-        nan_calls.append(undefined)
-        return np.full_like(u, np.nan) if undefined else u * np.abs(u).sum()
+    Each selection must equal its reference in (L, r, T), or raise
+    InfeasibleProblem with the same binding name. Returns the slack
+    tables at the top hi of each feasible bisection bracket, after
+    checking that the table blocks there with the reference's binding
+    name and does not block at T."""
+    rng = np.random.default_rng(seed)
+    problem = random_problem(dim, rng, quasilinear=quasilinear)
+    exps = problem.exponents
+    constants = estimate_semigroup_constants(problem)
+    n_star = problem.lipschitz(rng=rng)
+    beta = BetaConstants.from_exponents(exps)
+    at_hi = []
 
-    generator = np.diag([-1.0, -2.0, -3.5])
-    expected = reference_lipschitz(
-        FixedPointProblem(generator, SEMI, nonlinearity=hook),
-        rng=np.random.default_rng(2))
-    assert any(nan_calls) and not all(nan_calls)
-    problem = FixedPointProblem(generator, SEMI, nonlinearity=hook)
-    assert problem.lipschitz(rng=np.random.default_rng(2)) == expected
-    assert np.isfinite(expected) and expected > SUP_SAFETY * 1e-12
+    def compare(**kwargs):
+        args = (constants, exps, n_star, beta)
+        try:
+            L, r, T, hi, binding = reference_select(*args, **kwargs)
+        except InfeasibleProblem as expected:
+            with pytest.raises(InfeasibleProblem) as got:
+                select_parameters(*args, **kwargs)
+            assert got.value.binding == expected.binding
+            return None
+        params = select_parameters(*args, **kwargs)
+        assert (params.L, params.r, params.T) == (L, r, T)
+
+        def table(t_end):
+            return check_contraction_inequalities(
+                ContractionParameters(L=L, r=r, T=t_end), *args,
+                kwargs.get("m_profile"), kwargs.get("initial_xi_norm", 0.0))
+        assert _binding(table(T)) is None
+        if hi is not None:
+            at_hi.append(table(hi))
+            assert _binding(at_hi[-1]) == binding
+        return params
+
+    first = compare(ball_radius=problem.ball_radius)
+    if first is not None:
+        direction = rng.standard_normal(dim)
+        direction /= max(problem.norm(direction, exps.alpha), 1e-30)
+        u0 = 0.9 * first.r * direction
+        compare(m_profile=tail_profile(problem, u0),
+                initial_xi_norm=problem.norm(u0, exps.xi),
+                ball_radius=problem.ball_radius)
+    return at_hi
+
+
+@pytest.mark.parametrize("quasilinear", [False, True])
+def test_selection_matches_reference_bisection(quasilinear):
+    for dim in range(1, 41):
+        for seed in range(4):
+            selections_against_reference(dim, seed, quasilinear)
+
+
+@pytest.mark.parametrize("dim, seed", [(33, 0), (38, 2)])
+def test_selection_keeps_the_window_strict(dim, seed):
+    # both selections bisect exactly onto window == r: the zero slack
+    # must block, or T would move up by ulps
+    at_hi = selections_against_reference(dim, seed, quasilinear=True)
+    assert [t["window_compatibility"] for t in at_hi] == [0.0, 0.0]
+    assert [_binding(t) for t in at_hi] == ["window_compatibility"] * 2
 
 
 def test_lipschitz_skips_tiny_denominators_like_reference_loop():

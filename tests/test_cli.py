@@ -250,7 +250,10 @@ def test_missing_subcommand_exits_2():
 
 
 @pytest.mark.parametrize("flags", [
-    ["--t-end", "inf"], ["--dt", "inf"], ["--dt", "1", "--t-end", "0.5"]])
+    ["--t-end", "inf"], ["--dt", "inf"], ["--dt", "1", "--t-end", "0.5"],
+    # a step count that overflows: refused before the march
+    ["--set", "grid.nx=8", "--set", "grid.ny=8", "--dt", "1e-300",
+     "--t-end", "1e300"]])
 def test_nonfinite_or_oversized_step_exits_2(tmp_path, capsys, flags):
     out = str(tmp_path / "run")
     assert main(["simulate", "--init", "zero", *flags, "--out", out]) == 2
@@ -444,10 +447,25 @@ def test_lab_contraction_dim_zero_exit_2(tmp_path, capsys):
     assert "dim" in capsys.readouterr().err
 
 
+def test_lab_contraction_dim_above_storage_limit_exit_2(tmp_path, capsys):
+    # refused before the (dim, dim) draw is allocated
+    out = str(tmp_path / "run")
+    assert main(["lab", "contraction", "--dim", "100000", "--out", out]) == 2
+    assert "storage limit" in capsys.readouterr().err
+
+
 def test_lab_decay_bad_varpi_exit_2(tmp_path):
     out = str(tmp_path / "run")
     assert main(["lab", "decay", "--dim", "4", "--seed", "2",
                  "--varpi", "50.0", "--out", out]) == 2
+
+
+def test_lab_decay_infinite_horizon_exit_2(tmp_path, capsys):
+    # varpi = 5e-324 puts the horizon 20/varpi at infinity
+    out = str(tmp_path / "run")
+    assert main(["lab", "decay", "--dim", "4", "--seed", "2",
+                 "--varpi", "5e-324", "--out", out]) == 2
+    assert "t_end" in capsys.readouterr().err
 
 
 def test_lab_contraction_quasilinear_report_is_json(tmp_path, capsys):

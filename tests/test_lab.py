@@ -16,7 +16,6 @@ from mildflow.lab import (
     contraction_experiment,
     decay_experiment,
     estimate_semigroup_constants,
-    fractional_norm,
     random_problem,
     run_fixed_point,
     select_parameters,
@@ -49,6 +48,10 @@ UNIT_CONSTANTS = SemigroupConstants(omega0=1.0, omega1=1.0, omega2=1.0)
 
 def scalar_problem(epsilon=1.0, exps=SEMI):
     return FixedPointProblem(np.array([[-1.0]]), exps, epsilon=epsilon)
+
+
+def fractional_norm(generator, theta, vector):
+    return FixedPointProblem(generator, SEMI).norm(vector, theta)
 
 
 # Fractional norms ----------------------------------------------------------
@@ -99,29 +102,25 @@ def test_log_convexity_in_theta():
 # Semigroup constants --------------------------------------------------------
 
 def test_semigroup_constants_scalar_frozen():
-    consts = estimate_semigroup_constants(
-        scalar_problem(), theta_pairs=[(1.0, 0.0), (0.0, 0.0)])
+    consts = estimate_semigroup_constants(scalar_problem())
     by_pair = {(t, v): s for t, v, s in consts.sampled_pairs}
-    assert by_pair[(1.0, 0.0)] == pytest.approx(1.0 / math.e, rel=1e-3)
+    # (0, 0), (alpha, gamma), (xi, gamma) and (xi, alpha); the semilinear
+    # contraction level is alpha, so its pair repeats (alpha, gamma)
+    assert set(by_pair) == {(0.0, 0.0), (0.5, 0.1), (0.8, 0.1), (0.8, 0.5)}
     assert by_pair[(0.0, 0.0)] == 1.0
+    assert by_pair[(0.8, 0.1)] == pytest.approx(0.7 ** 0.7 / math.e ** 0.7,
+                                                rel=1e-3)
     assert consts.omega0 >= max(by_pair.values())
     assert consts.omega0 >= 1.0
 
 
 def test_semigroup_constants_two_mode_closed_form():
     prob = FixedPointProblem(np.diag([-1.0, -10.0]), SEMI)
-    consts = estimate_semigroup_constants(prob, theta_pairs=[(0.5, 0.0)])
-    sup = consts.sampled_pairs[0][2]
-    assert sup == pytest.approx((2.0 * math.e) ** -0.5, rel=1e-4)
-    assert sup == pytest.approx(mode_sup_exact(0.5), rel=1e-4)
-
-
-def test_semigroup_constants_pair_and_grid_validation():
-    prob = scalar_problem()
-    with pytest.raises(ValueError, match="theta >= vartheta"):
-        estimate_semigroup_constants(prob, theta_pairs=[(0.0, 0.5)])
-    with pytest.raises(ValueError, match="positive"):
-        estimate_semigroup_constants(prob, time_grid=np.array([0.0, 1.0]))
+    consts = estimate_semigroup_constants(prob)
+    for theta, vartheta, sup in consts.sampled_pairs:
+        assert sup == pytest.approx(mode_sup_exact(theta - vartheta), rel=1e-4)
+    by_pair = {(t, v): s for t, v, s in consts.sampled_pairs}
+    assert by_pair[(0.8, 0.5)] == pytest.approx((0.3 / math.e) ** 0.3, rel=1e-4)
 
 
 def test_semigroup_constants_type_validation():
@@ -136,9 +135,6 @@ def test_omega_defaults_by_exponent_kind():
     assert semi.omega1 is None and semi.omega2 is None
     quasi = estimate_semigroup_constants(scalar_problem(exps=QUASI))
     assert quasi.omega1 == 1.0 and quasi.omega2 == 1.0
-    override = estimate_semigroup_constants(
-        scalar_problem(exps=QUASI), omega1=2.0, omega2=3.0)
-    assert override.omega1 == 2.0 and override.omega2 == 3.0
 
 
 # Parameter selection --------------------------------------------------------
@@ -241,18 +237,6 @@ def test_lipschitz_estimate_scalar_quadratic():
     assert 0.9 <= n_star <= 1.1 * (1.0 + 1e-9)
 
 
-def test_user_hook_nonlinearity_is_used():
-    calls = []
-
-    def hook(u):
-        calls.append(1)
-        return 0.0 * np.asarray(u)
-
-    prob = FixedPointProblem(np.array([[-1.0]]), SEMI, nonlinearity=hook)
-    assert prob.f(np.ones(1)) == pytest.approx(0.0)
-    assert calls
-
-
 # Fixed-point runs -----------------------------------------------------------
 
 def plan_for(problem, rng, u0_factor=0.9):
@@ -299,18 +283,18 @@ def test_fixed_point_rejects_out_of_ball_data():
         run_fixed_point(prob, params, np.array([0.01]))
 
 
-def test_fixed_point_rejects_origin_violating_hook():
-    prob = FixedPointProblem(np.array([[-1.0]]), SEMI,
-                             nonlinearity=lambda u: np.asarray(u) + 1.0)
-    params = ContractionParameters(L=0.01, r=0.002, T=0.5)
-    with pytest.raises(ValueError, match="vanish at the origin"):
-        run_fixed_point(prob, params, np.zeros(1))
-
-
 def test_random_problem_rejects_empty_dimension():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="dim must be at least 1, got 0"):
         random_problem(0, rng)
+
+
+def test_random_problem_dimension_storage_limit():
+    # six float64 (dim, dim) matrices fit in 1 GiB up to dim 4729
+    with pytest.raises(ValueError, match="dim 4730: .*storage limit"):
+        random_problem(4730, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="storage limit"):
+        random_problem(100000, np.random.default_rng(0))
 
 
 def test_random_problems_contract_within_iteration_budget():
@@ -400,3 +384,15 @@ def test_decay_experiment_report_shape():
     assert report["largest_passing_scale"] is not None
     assert report["m_report"] < 5.0 * report["omega0"]
     json.dumps(report)
+
+
+# Exports --------------------------------------------------------------------
+
+def test_public_exports_resolve():
+    import mildflow
+    from mildflow import lab
+
+    for module in (mildflow, lab):
+        missing = [name for name in module.__all__
+                   if not hasattr(module, name)]
+        assert not missing, f"{module.__name__} exports {missing}"

@@ -6,6 +6,7 @@ import pytest
 
 from mildflow.propagators import Propagator
 from mildflow.solver import (
+    MAX_STEPS,
     DecayFit,
     SolverConfig,
     Trajectory,
@@ -185,7 +186,7 @@ def test_blowup_nonfinite_flag_when_threshold_disabled():
             return float(np.abs(u[0]))
 
     cfg = SolverConfig(dt=1e-3, t_end=1.0, monitor_sigmas=(0.0,),
-                       blowup_threshold=np.inf)
+                       blowup_factor=np.inf)
     tr = run_simulation(Explodes(), np.array([2.0]), cfg)
     assert tr.flagged and tr.blowup_reason == "nonfinite"
     assert np.all(np.isfinite(tr.final_state))
@@ -254,10 +255,16 @@ def test_fit_decay_rate_needs_samples():
 
 
 @pytest.mark.parametrize("dt, t_end", [
-    (1e-3, float("inf")), (float("inf"), 1.0), (1.0, 0.5)])
+    (1e-3, float("inf")), (float("inf"), 1.0), (1.0, 0.5),
+    # step counts that overflow or exceed MAX_STEPS; no march is started
+    (1e-300, 1e300), (1e-12, 1.0), (1.0, MAX_STEPS * (1.0 + 1e-15))])
 def test_config_rejects_nonfinite_or_oversized_step(dt, t_end):
     with pytest.raises(ValueError, match="dt=.*t_end="):
         SolverConfig(dt=dt, t_end=t_end)
+
+
+def test_config_accepts_the_step_cap():
+    assert SolverConfig(dt=1.0, t_end=float(MAX_STEPS)).t_end == MAX_STEPS
 
 
 def test_config_accepts_horizon_off_the_step_grid():

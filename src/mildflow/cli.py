@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
-                    mode_stack, periodic_stability_condition, top_eigenvalues)
+                    mode_spectra, periodic_stability_condition)
 from .config import (INIT_KINDS, MAX_PROPAGATOR_BYTES, MODELS, ConfigError,
                      RunConfig, config_echo, parse_config)
 from .exponents import quasilinear_recipe, semilinear_recipe
@@ -37,7 +37,7 @@ from .io import (sigma_label, write_csv, write_json, write_series,
                  write_snapshot)
 from .lab import (FixedPointDivergence, contraction_experiment,
                   decay_experiment)
-from .propagators import InstabilityError, eigen_blocks
+from .propagators import InstabilityError
 from .solver import SolverConfig, fit_decay_rate, run_simulation
 from .strip import (dirichlet_mode_field, open_strip, periodic_strip,
                     random_dirichlet_field, to_grid)
@@ -231,9 +231,7 @@ def cmd_spectral_bound(config: RunConfig, args) -> int:
             f"--n-max {n_max}: the stacks of {n_max + 1} mode blocks would "
             f"exceed the {MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB storage limit")
 
-    lam, _, condition, defective, _ = eigen_blocks(
-        mode_stack(range(n_max + 1), coeffs, geometry))
-    top = top_eigenvalues(lam)
+    top, condition, defective = mode_spectra(coeffs, geometry, n_max)
 
     if geometry.periodic_x:
         analytic = -periodic_stability_condition(coeffs).margin
@@ -371,7 +369,9 @@ FLAGS = {
     "nu": ("cloud.nu", {"type": float}),
     "eta": ("cloud.eta", {"type": float}),
     "beta": ("cloud.beta", {"type": float}),
-    "lx": ("grid.lx", {"type": float, "help": "strip length for --open"}),
+    "lx": ("grid.lx", {"type": float,
+                       "help": "strip length for --open (default 2 pi, "
+                               "half-length pi)"}),
     "nx": ("grid.nx", {"type": int}),
     "ny": ("grid.ny", {"type": int}),
     "half-width": ("grid.half_width", {"type": float}),

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigvals
 
 from .chebyshev import cumulative_matrix, diff_matrix
-from .propagators import Propagator, decompose
+from .propagators import Propagator, decompose, eigen_blocks
 from .strip import (
     SpectralField,
     StripGeometry,
@@ -114,12 +114,6 @@ def mode_stack(modes, coeffs: CloudCoefficients,
     return np.stack([mode_matrix(n, coeffs, geometry) for n in modes])
 
 
-def top_eigenvalues(lam: np.ndarray) -> np.ndarray:
-    """The eigenvalue of largest real part in each row of lam (..., m)."""
-    idx = np.argmax(lam.real, axis=-1)
-    return np.take_along_axis(lam, idx[..., None], axis=-1)[..., 0]
-
-
 # Largest 1-norm condition of the D2 eigenbasis the mode certificate
 # trusts; about 40 at ny = 48 and 210 at ny = 256.
 CERTIFICATE_CONDITION_LIMIT = 1e4
@@ -175,44 +169,43 @@ def spectral_bound_numeric(coeffs: CloudCoefficients, geometry: StripGeometry,
                            n_max: int | None = None) -> float:
     """max Re spec(A_n) over modes 0..n_max (negative modes are mirrors).
 
-    The value is that of the full loop over `mode_spectra`, but `eigvals`
-    runs only on the modes that the numerical-range certificate
+    The value is that of a full loop of `eigvals` over the modes, but
+    `eigvals` runs only on the modes that the numerical-range certificate
     max Re spec(A_n) <= eta + nu (max Lambda - k_n^2) + |beta k_n| h
     (`range_certificate`, `mode_bounds`) cannot rule out. Modes are
     visited in order of decreasing bound, and the visit stops once the
     next bound lies below the largest real part found so far. A relative
     slack of 1e-8 covers roundoff in the bounds; it decides only which
-    modes are visited. Without a certificate the full loop runs.
+    modes are visited. Without a certificate every bound is infinite, so
+    every mode is visited in order.
     """
     if n_max is None:
         n_max = geometry.nx // 2
     bounds = mode_bounds(coeffs, geometry, n_max)
     if bounds is None:
-        return max((rec[1] for rec in mode_spectra(coeffs, geometry, n_max)),
-                   default=-np.inf)
+        bounds = np.full(n_max + 1, np.inf)
     found = {}
     best = -np.inf
     for n in np.argsort(-bounds, kind="stable"):
         if bounds[n] + 1e-8 * (1.0 + abs(bounds[n])) < best:
             break
-        z = top_eigenvalues(eigvals(mode_matrix(int(n), coeffs, geometry)))
-        found[n] = float(z.real)
+        found[n] = float(np.max(eigvals(mode_matrix(int(n), coeffs, geometry)).real))
         best = max(best, found[n])
     # the maximum in mode order, as the full loop takes it (0.0 vs -0.0)
     return max((found[n] for n in sorted(found)), default=-np.inf)
 
 
 def mode_spectra(coeffs: CloudCoefficients, geometry: StripGeometry,
-                 n_max: int | None = None):
-    """Per-mode (n, max real part, imaginary part at that maximum)."""
-    if n_max is None:
-        n_max = geometry.nx // 2
-    # one block at a time (a stacked eigvals holds every block at once);
-    # the reshape keeps an empty mode range two-dimensional
-    lam = np.array([eigvals(mode_matrix(n, coeffs, geometry))
-                    for n in range(n_max + 1)]).reshape(-1, geometry.ny - 2)
-    return [(n, float(z.real), float(z.imag))
-            for n, z in enumerate(top_eigenvalues(lam))]
+                 n_max: int):
+    """(top, condition, defective) of the mode blocks n = 0..n_max: the
+    eigenvalue of largest real part, the eigenvector condition and the
+    defective flag of each block, from one stacked `eigen_blocks` call
+    (eig and cond; no block is inverted)."""
+    lam, _, condition, defective, _ = eigen_blocks(
+        mode_stack(range(n_max + 1), coeffs, geometry))
+    idx = np.argmax(lam.real, axis=-1)
+    top = np.take_along_axis(lam, idx[:, None], axis=-1)[:, 0]
+    return top, condition, defective
 
 
 def analytic_bound_nonperiodic(coeffs: CloudCoefficients) -> float:

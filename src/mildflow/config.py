@@ -50,7 +50,6 @@ class RunConfig:
     cloud_beta: float = 1.0
     heat_kind: str = "semilinear"
     heat_kappa: float = 6.0
-    heat_n: int = 1
     heat_p: float = 2.0
     heat_tau: float = 0.27
     heat_a0: float = 1.0
@@ -89,11 +88,6 @@ def _key_table():
 KEYS = _key_table()
 
 _CONVERTERS = {bool: _parse_bool, int: int, float: float, str: str}
-
-
-def config_keys() -> tuple:
-    """All recognized configuration keys, sorted."""
-    return tuple(sorted(KEYS))
 
 
 def env_name(key: str) -> str:
@@ -231,20 +225,20 @@ def validate_config(config: RunConfig) -> None:
             f"must exceed 1, got {config.solver_blowup_factor}")
     require(config.init_kind in INIT_KINDS, "init.kind",
             f"must be one of {', '.join(INIT_KINDS)}, got '{config.init_kind}'")
-    require(config.init_amplitude >= 0.0, "init.amplitude",
-            f"must be nonnegative, got {config.init_amplitude}")
+    require(0.0 <= config.init_amplitude < inf, "init.amplitude",
+            f"must be finite and nonnegative, got {config.init_amplitude}")
     require(config.run_seed >= 0, "run.seed",
             f"must be nonnegative, got {config.run_seed}")
     require(config.heat_kind in ("semilinear", "quasilinear"), "heat.kind",
             "must be 'semilinear' or 'quasilinear', "
             f"got '{config.heat_kind}'")
-    require(config.heat_a0 > 0.0, "heat.a0",
-            f"must be positive, got {config.heat_a0}")
+    require(0.0 < config.heat_a0 < inf, "heat.a0",
+            f"must be finite and positive, got {config.heat_a0}")
     require(config.heat_a_kind in DIFFUSIVITY_KINDS, "heat.a_kind",
             f"must be one of {', '.join(DIFFUSIVITY_KINDS)}, "
             f"got '{config.heat_a_kind}'")
-    require(config.heat_diffusion > 0.0, "heat.diffusion",
-            f"must be positive, got {config.heat_diffusion}")
+    require(0.0 < config.heat_diffusion < inf, "heat.diffusion",
+            f"must be finite and positive, got {config.heat_diffusion}")
     require(config.heat_intervals >= 8, "heat.intervals",
             f"must be at least 8, got {config.heat_intervals}")
     require(config.heat_points >= 9, "heat.points",
@@ -252,10 +246,6 @@ def validate_config(config: RunConfig) -> None:
     require(config.heat_p >= 1.0, "heat.p",
             f"must be at least 1, got {config.heat_p}")
 
-    if config.model.startswith("heat"):
-        require(config.heat_n == 1, "heat.n",
-                f"the desk-scale heat models are one dimensional, "
-                f"got {config.heat_n}")
     if config.model == "heat-semilinear":
         _recipe_window(problems, semilinear_recipe, 1, config.heat_p,
                        config.heat_kappa)

@@ -53,18 +53,6 @@ def write_csv(path: str, header, columns) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_csv(path: str):
-    """Header list and float columns of a CSV written by write_csv."""
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = [line.strip() for line in handle if line.strip()]
-    header = rows[0].split(",")
-    data = np.array([[float(cell) for cell in row.split(",")]
-                     for row in rows[1:]], dtype=float)
-    if data.size == 0:
-        data = np.zeros((0, len(header)))
-    return header, [data[:, j] for j in range(len(header))]
-
-
 def _json_default(value):
     if isinstance(value, (np.floating,)):
         return float(value)
@@ -92,19 +80,6 @@ def write_snapshot(path: str, values: np.ndarray, lx: float,
     nx, ny = values.shape
     header = SNAPSHOT_HEADER.pack(nx, ny, float(lx), int(flags))
     _atomic_write_bytes(path, header + values.tobytes(order="C"))
-
-
-def read_snapshot(path: str):
-    """Inverse of write_snapshot: (values, lx, flags)."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    nx, ny, lx, flags = SNAPSHOT_HEADER.unpack_from(blob, 0)
-    expected = SNAPSHOT_HEADER.size + 8 * nx * ny
-    if len(blob) != expected:
-        raise ValueError(
-            f"snapshot {path} is {len(blob)} bytes, expected {expected}")
-    payload = np.frombuffer(blob, dtype="<f8", offset=SNAPSHOT_HEADER.size)
-    return payload.reshape(nx, ny).copy(), lx, flags
 
 
 def sigma_label(sigma: float) -> str:

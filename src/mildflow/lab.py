@@ -101,10 +101,13 @@ class FixedPointProblem:
         if lam.max() >= 0.0:
             raise ValueError("generator must be negative definite")
         self._decay_rates = -lam
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.ball_radius <= 0.0:
-            raise ValueError("ball_radius must be positive")
+        # the negated forms refuse NaN too
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(
+                f"epsilon must be finite and nonnegative, got {self.epsilon}")
+        if not 0.0 < self.ball_radius < np.inf:
+            raise ValueError(
+                f"ball_radius must be finite and positive, got {self.ball_radius}")
         self._propagator = None
 
     @property

@@ -89,32 +89,18 @@ class Trajectory:
 
 
 def _advance(state, f0, dt, operators, nonlinearity, method):
-    """One step from u given f(u); operators apply e^{hA}, phi1(hA), phi2(hA)."""
+    """One step from u given f(u); operators apply e^{hA}, phi1(hA), phi2(hA).
+    A method other than exp_euler is etdrk2: SolverConfig admits no third."""
     expo, phi1_op, phi2_op = operators
     stage = expo(state) + dt * phi1_op(f0)
     if method == "exp_euler":
         return stage
-    if method != "etdrk2":
-        raise ValueError(f"unknown integrator {method!r}")
     return stage + dt * phi2_op(nonlinearity(stage) - f0)
 
 
 def _actions(propagator, dt):
     return tuple(partial(fn, dt) for fn in (
         propagator.propagate, propagator.phi1_action, propagator.phi2_action))
-
-
-def step_exponential(state, dt, propagator, nonlinearity,
-                     method: str = "etdrk2"):
-    """One exponential-integrator step; returns (new_state, f(state)).
-
-    exp_euler:  u+ = e^{h A} u + h phi1(h A) f(u)
-    etdrk2:     a  = e^{h A} u + h phi1(h A) f(u)
-                u+ = a + h phi2(h A) (f(a) - f(u))
-    """
-    f0 = nonlinearity(state)
-    return _advance(state, f0, dt, _actions(propagator, dt), nonlinearity,
-                    method), f0
 
 
 def step_plan(t_end: float, dt: float):

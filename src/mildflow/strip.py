@@ -27,7 +27,6 @@ import numpy as np
 
 from .chebyshev import (
     cumulative_matrix,
-    diff_matrix,
     gauss_legendre_unit,
     lobatto_nodes,
     quadrature_eval_matrix,
@@ -100,12 +99,6 @@ class SpectralField:
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
 
 
-
-def zero_field(geometry: StripGeometry) -> SpectralField:
-    shape = (geometry.nx // 2 + 1, geometry.ny)
-    return SpectralField(geometry, np.zeros(shape, dtype=complex))
-
-
 def from_grid(values: np.ndarray, geometry: StripGeometry) -> SpectralField:
     """Half-spectrum coefficients of grid values of shape (..., nx, ny)."""
     values = np.asarray(values, dtype=float)
@@ -132,18 +125,6 @@ def field_from_function(geometry: StripGeometry, fn) -> SpectralField:
                      geometry)
 
 
-def project_dirichlet(field: SpectralField) -> SpectralField:
-    out = field.coeffs.copy()
-    out[..., 0] = 0.0
-    out[..., -1] = 0.0
-    return SpectralField(field.geometry, out)
-
-
-def boundary_defect(field: SpectralField) -> float:
-    c = field.coeffs
-    return float(max(np.max(np.abs(c[..., 0])), np.max(np.abs(c[..., -1]))))
-
-
 def dealias_x(field: SpectralField) -> SpectralField:
     out = field.coeffs.copy()
     out[..., field.geometry.dealias_cut + 1:, :] = 0.0
@@ -156,11 +137,6 @@ def derivative_x(field: SpectralField) -> SpectralField:
     # Nyquist mode has no well-defined odd derivative on a real grid.
     k[-1] = 0.0
     return SpectralField(geom, field.coeffs * (1j * k)[:, None])
-
-
-def derivative_y(field: SpectralField) -> SpectralField:
-    d = diff_matrix(field.geometry.ny)
-    return SpectralField(field.geometry, field.coeffs @ d.T)
 
 
 def apply_T(field: SpectralField) -> SpectralField:
@@ -220,11 +196,6 @@ def l2_norm(field: SpectralField) -> float:
     return math.sqrt(2.0 * field.geometry.half_length * float(per_mode @ w))
 
 
-def sobolev_norm(field: SpectralField, sigma: float) -> float:
-    """Multiplier norm: sum over modes of (1 + k^2 + (m pi)^2)^sigma |c|^2."""
-    return sobolev_norm_set(field, (sigma,))[sigma]
-
-
 def sobolev_norm_set(field, sigmas, geometry: StripGeometry | None = None) -> dict:
     """All requested orders from a single sine projection.
 
@@ -248,15 +219,8 @@ def sobolev_norm_set(field, sigmas, geometry: StripGeometry | None = None) -> di
             for sigma, total in zip(sigmas, totals)}
 
 
-def h1_norm_quadrature(field: SpectralField) -> float:
-    """sqrt(||u||^2 + ||grad u||^2) by quadrature; oracle for the multiplier norm."""
-    ux = derivative_x(field)
-    uy = derivative_y(field)
-    return math.sqrt(l2_norm(field) ** 2 + l2_norm(ux) ** 2 + l2_norm(uy) ** 2)
-
-
 # ---------------------------------------------------------------------------
-# Field constructors for tests and initial data
+# Field constructors for initial data
 
 
 def dirichlet_mode_field(geometry: StripGeometry, n: int, m: int,
@@ -286,25 +250,3 @@ def random_dirichlet_field(geometry: StripGeometry, rng,
                 * np.sin(m * math.pi * y)
     return from_grid(vals, geometry)
 
-
-def rough_dirichlet_field(geometry: StripGeometry, rng, sigma: float,
-                          margin: float = 0.02) -> SpectralField:
-    """Random field with eigen-coefficients decaying just fast enough for H^sigma.
-
-    |c| ~ lambda^{-(sigma + n/2 + margin)/2} in eigenvalue magnitude (n = 2
-    space dimensions), so the H^sigma norm converges while any higher
-    order diverges as resolution grows.
-    """
-    m = np.arange(1, geometry.ny - 1)
-    lam = geometry.wavenumbers()[:, None] ** 2 + (math.pi * m[None, :]) ** 2
-    decay_exp = 0.5 * (sigma + 1.0 + margin)
-    amp = lam ** (-decay_exp)
-    amp[geometry.dealias_cut + 1:, :] = 0.0
-    phases = np.exp(2j * math.pi * rng.random(amp.shape))
-    signs = rng.choice([-1.0, 1.0], size=amp.shape)
-    coeffs_sine = amp * signs * phases
-    coeffs_sine[0] = coeffs_sine[0].real  # n = 0 row must be real
-    # back to nodal values in y: u = sum_m c sqrt(2) sin(m pi y)
-    y = geometry.y_nodes()
-    sines = math.sqrt(2.0) * np.sin(math.pi * np.outer(m, y))
-    return SpectralField(geometry, coeffs_sine @ sines)

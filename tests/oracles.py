@@ -1,0 +1,114 @@
+"""Reference routines and artifact readers that only the tests need.
+
+The oracles recompute what the package computes by a second route
+(quadrature instead of multipliers, one Propagator action at a time
+instead of cached step factors), and the readers parse the artifacts
+the package writes, so tests can check them value by value.
+"""
+
+import math
+
+import numpy as np
+
+from mildflow.chebyshev import diff_matrix
+from mildflow.io import SNAPSHOT_HEADER
+from mildflow.strip import (
+    SpectralField,
+    StripGeometry,
+    derivative_x,
+    l2_norm,
+    sobolev_norm_set,
+)
+
+# ---------------------------------------------------------------- strip
+
+
+def derivative_y(field: SpectralField) -> SpectralField:
+    d = diff_matrix(field.geometry.ny)
+    return SpectralField(field.geometry, field.coeffs @ d.T)
+
+
+def sobolev_norm(field: SpectralField, sigma: float) -> float:
+    """Multiplier norm: sum over modes of (1 + k^2 + (m pi)^2)^sigma |c|^2."""
+    return sobolev_norm_set(field, (sigma,))[sigma]
+
+
+def h1_norm_quadrature(field: SpectralField) -> float:
+    """sqrt(||u||^2 + ||grad u||^2) by quadrature; oracle for the multiplier norm."""
+    ux = derivative_x(field)
+    uy = derivative_y(field)
+    return math.sqrt(l2_norm(field) ** 2 + l2_norm(ux) ** 2 + l2_norm(uy) ** 2)
+
+
+def rough_dirichlet_field(geometry: StripGeometry, rng, sigma: float,
+                          margin: float = 0.02) -> SpectralField:
+    """Random field with eigen-coefficients decaying just fast enough for H^sigma.
+
+    |c| ~ lambda^{-(sigma + n/2 + margin)/2} in eigenvalue magnitude (n = 2
+    space dimensions), so the H^sigma norm converges while any higher
+    order diverges as resolution grows.
+    """
+    m = np.arange(1, geometry.ny - 1)
+    lam = geometry.wavenumbers()[:, None] ** 2 + (math.pi * m[None, :]) ** 2
+    decay_exp = 0.5 * (sigma + 1.0 + margin)
+    amp = lam ** (-decay_exp)
+    amp[geometry.dealias_cut + 1:, :] = 0.0
+    phases = np.exp(2j * math.pi * rng.random(amp.shape))
+    signs = rng.choice([-1.0, 1.0], size=amp.shape)
+    coeffs_sine = amp * signs * phases
+    coeffs_sine[0] = coeffs_sine[0].real  # n = 0 row must be real
+    # back to nodal values in y: u = sum_m c sqrt(2) sin(m pi y)
+    y = geometry.y_nodes()
+    sines = math.sqrt(2.0) * np.sin(math.pi * np.outer(m, y))
+    return SpectralField(geometry, coeffs_sine @ sines)
+
+
+# --------------------------------------------------------------- solver
+
+
+def step_exponential(state, dt, propagator, nonlinearity,
+                     method: str = "etdrk2"):
+    """One exponential-integrator step; returns (new_state, f(state)).
+
+    exp_euler:  u+ = e^{h A} u + h phi1(h A) f(u)
+    etdrk2:     a  = e^{h A} u + h phi1(h A) f(u)
+                u+ = a + h phi2(h A) (f(a) - f(u))
+
+    Built on the public Propagator actions only, so it shares no code
+    with the stepper of `run_simulation`.
+    """
+    if method not in ("exp_euler", "etdrk2"):
+        raise ValueError(f"unknown integrator {method!r}")
+    f0 = nonlinearity(state)
+    stage = propagator.propagate(dt, state) + dt * propagator.phi1_action(dt, f0)
+    if method == "exp_euler":
+        return stage, f0
+    return stage + dt * propagator.phi2_action(dt, nonlinearity(stage) - f0), f0
+
+
+# ------------------------------------------------------------------- io
+
+
+def read_csv(path: str):
+    """Header list and float columns of a CSV written by write_csv."""
+    with open(path, "r", encoding="utf-8") as handle:
+        rows = [line.strip() for line in handle if line.strip()]
+    header = rows[0].split(",")
+    data = np.array([[float(cell) for cell in row.split(",")]
+                     for row in rows[1:]], dtype=float)
+    if data.size == 0:
+        data = np.zeros((0, len(header)))
+    return header, [data[:, j] for j in range(len(header))]
+
+
+def read_snapshot(path: str):
+    """Inverse of write_snapshot: (values, lx, flags)."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    nx, ny, lx, flags = SNAPSHOT_HEADER.unpack_from(blob, 0)
+    expected = SNAPSHOT_HEADER.size + 8 * nx * ny
+    if len(blob) != expected:
+        raise ValueError(
+            f"snapshot {path} is {len(blob)} bytes, expected {expected}")
+    payload = np.frombuffer(blob, dtype="<f8", offset=SNAPSHOT_HEADER.size)
+    return payload.reshape(nx, ny).copy(), lx, flags

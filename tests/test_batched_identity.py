@@ -26,7 +26,6 @@ from mildflow.chebyshev import cumulative_matrix, diff_matrix
 from mildflow.cloud import CloudCoefficients, CloudModel, mode_stack
 from mildflow.config import parse_config
 from mildflow.exponents import BetaConstants, validate_exponents
-from mildflow.io import read_snapshot
 from mildflow.lab import (SUP_SAFETY, ContractionParameters,
                           FixedPointProblem, InfeasibleProblem, _binding,
                           check_contraction_inequalities,
@@ -37,6 +36,7 @@ from mildflow.solver import (SolverConfig, graded_mesh, picard_solve,
                              run_simulation)
 from mildflow.strip import (_sine_projection, dirichlet_mode_field, open_strip,
                             periodic_strip, random_dirichlet_field)
+from oracles import read_snapshot
 
 SEMI = validate_exponents(0.1, 0.5, 0.8, 2.0)
 

@@ -9,10 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from mildflow import cli
+from mildflow import chebyshev, cli, cloud
 from mildflow.cli import COMMANDS, FLAGS, main
-from mildflow.config import config_keys
-from mildflow.io import read_csv, read_snapshot
+from mildflow.config import KEYS
+from oracles import read_csv, read_snapshot
 
 
 def run_json(capsys, argv):
@@ -56,7 +56,7 @@ def test_exponents_nonpositive_p_exit_2(capsys):
 # ---------- flag and command tables ----------
 
 def test_flag_table_names_config_keys():
-    keys = set(config_keys())
+    keys = set(KEYS)
     assert {key for key, _ in FLAGS.values()} <= keys
     for path, spec in COMMANDS.items():
         names = spec.flags.split()
@@ -146,7 +146,7 @@ def test_spectral_bound_oversized_n_max_refused_before_assembly(
     def fail(*args):
         raise AssertionError("mode stack assembled")
 
-    monkeypatch.setattr(cli, "mode_stack", fail)
+    monkeypatch.setattr(cloud, "mode_stack", fail)
     out = tmp_path / "run"
     assert main(["spectral-bound", "--n-max", "1000000",
                  "--out", str(out)]) == 2
@@ -156,10 +156,13 @@ def test_spectral_bound_oversized_n_max_refused_before_assembly(
 
 
 def test_spectral_bound_inverts_no_block(tmp_path, monkeypatch):
-    # the per-mode records need eig and cond, never an inverse
+    # the per-mode records need eig and cond, never an inverse; the
+    # cumulative-integration table of ny = 12 inverts the Chebyshev
+    # Vandermonde matrix once, so it is cached before inv is patched
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("a block was inverted")
 
+    chebyshev.cumulative_matrix(12)
     monkeypatch.setattr(np.linalg, "inv", fail)
     out = tmp_path / "run"
     assert main(["spectral-bound", "--open", "--nx", "16", "--ny", "12",
@@ -184,6 +187,23 @@ def test_overflowing_cloud_coefficient_exit_2(tmp_path, capsys, argv, key):
         warnings.simplefilter("always")
         assert main([*argv, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["heat", "simulate", "--kind", "periodic", "--diffusion", "inf"],
+     "heat.diffusion"),
+    (["heat", "simulate", "--kind", "quasilinear", "--set", "heat.a0=inf"],
+     "heat.a0"),
+    (["simulate", "--amplitude", "inf"], "init.amplitude"),
+])
+def test_infinite_config_value_exit_2(tmp_path, capsys, argv, key):
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--t-end", "0.01", "--out", str(out)]) == 2
+    assert f"{key}: must be finite" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
@@ -466,6 +486,15 @@ def test_lab_decay_infinite_horizon_exit_2(tmp_path, capsys):
     assert main(["lab", "decay", "--dim", "4", "--seed", "2",
                  "--varpi", "5e-324", "--out", out]) == 2
     assert "t_end" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_lab_decay_nonfinite_epsilon_exit_2(tmp_path, capsys, epsilon):
+    out = tmp_path / "run"
+    assert main(["lab", "decay", "--dim", "3", "--epsilon", epsilon,
+                 "--out", str(out)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lab_contraction_quasilinear_report_is_json(tmp_path, capsys):

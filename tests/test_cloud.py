@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigvals, expm
 
 from mildflow import cloud
 from mildflow.cloud import (
@@ -170,8 +170,22 @@ def _random_coefficients(rng, beta_max=2.0):
                              beta=rng.uniform(-beta_max, beta_max))
 
 
+def mode_spectra_loop(coeffs, geo, n_max=None):
+    """Per-mode (n, max real part, imaginary part at that maximum), one
+    eigvals call per block: the full loop both strip-spectrum routines
+    must reproduce."""
+    if n_max is None:
+        n_max = geo.nx // 2
+    records = []
+    for n in range(n_max + 1):
+        lam = eigvals(mode_matrix(n, coeffs, geo))
+        z = lam[np.argmax(lam.real)]
+        records.append((n, float(z.real), float(z.imag)))
+    return records
+
+
 def _assert_bounds_hold(coeffs, geo):
-    tops = np.array([rec[1] for rec in mode_spectra(coeffs, geo)])
+    tops = np.array([rec[1] for rec in mode_spectra_loop(coeffs, geo)])
     bounds = mode_bounds(coeffs, geo, geo.nx // 2)
     assert np.all(bounds >= tops - 1e-11)
 
@@ -205,7 +219,7 @@ def test_range_certificate_values():
 def test_pruned_bound_equals_full_loop(geo, beta):
     coeffs = CloudCoefficients(0.8, 0.3, beta)
     for n_max in (None, 0, 6, geo.nx):
-        want = max(rec[1] for rec in mode_spectra(coeffs, geo, n_max))
+        want = max(rec[1] for rec in mode_spectra_loop(coeffs, geo, n_max))
         got = spectral_bound_numeric(coeffs, geo, n_max)
         assert got.hex() == want.hex()
 
@@ -270,11 +284,15 @@ def test_coefficients_reject_nonfinite(name):
 
 
 def test_mode_spectra_records():
-    records = mode_spectra(CloudCoefficients(1, 0, 1), GEO, n_max=4)
-    assert [r[0] for r in records] == [0, 1, 2, 3, 4]
+    coeffs = CloudCoefficients(1, 0, 1)
+    top, condition, defective = mode_spectra(coeffs, GEO, n_max=4)
+    assert top.shape == condition.shape == defective.shape == (5,)
     # mode 0 has no drift term: purely real spectrum
-    assert records[0][2] == pytest.approx(0.0, abs=1e-9)
-    assert records[0][1] == pytest.approx(-math.pi ** 2, abs=1e-6)
+    assert top[0].imag == pytest.approx(0.0, abs=1e-9)
+    assert top[0].real == pytest.approx(-math.pi ** 2, abs=1e-6)
+    want = [complex(re, im) for _, re, im in mode_spectra_loop(coeffs, GEO, 4)]
+    assert np.allclose(top, want, rtol=1e-10, atol=1e-10)
+    assert np.all(condition >= 1.0) and not defective.any()
 
 
 def test_nonlinearity_closed_form():

@@ -14,9 +14,9 @@ from mildflow.solver import (
     graded_mesh,
     picard_solve,
     run_simulation,
-    step_exponential,
     step_plan,
 )
+from oracles import step_exponential
 
 
 def logistic_exact(t, u0=0.1, eps=1.0):

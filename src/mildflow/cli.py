@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
                     mode_spectra, periodic_stability_condition)
-from .config import (INIT_KINDS, MAX_PROPAGATOR_BYTES, MODELS, ConfigError,
-                     RunConfig, config_echo, parse_config)
+from .config import (CHOICES, MAX_PROPAGATOR_BYTES, ConfigError, RunConfig,
+                     config_echo, parse_config)
 from .exponents import quasilinear_recipe, semilinear_recipe
 from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
@@ -362,34 +362,34 @@ def cmd_exponents(args) -> int:
 
 # ------------------------------------------------------------ flag table
 
-# convenience flag -> (configuration key, argparse options)
+# convenience flag -> (configuration key, help); the value is passed on as
+# text, so the configuration converts and checks it under its key, and a
+# key with allowed values lends them to the flag as choices
 FLAGS = {
-    "out": ("run.out", {"help": "run directory for outputs"}),
-    "model": ("model", {"choices": MODELS}),
-    "nu": ("cloud.nu", {"type": float}),
-    "eta": ("cloud.eta", {"type": float}),
-    "beta": ("cloud.beta", {"type": float}),
-    "lx": ("grid.lx", {"type": float,
-                       "help": "strip length for --open (default 2 pi, "
-                               "half-length pi)"}),
-    "nx": ("grid.nx", {"type": int}),
-    "ny": ("grid.ny", {"type": int}),
-    "half-width": ("grid.half_width", {"type": float}),
-    "n": ("grid.n", {"type": int, "help": "grid points on the periodic line"}),
-    "kappa": ("heat.kappa", {"type": float}),
-    "p": ("heat.p", {"type": float}),
-    "tau": ("heat.tau", {"type": float}),
-    "diffusion": ("heat.diffusion", {"type": float}),
-    "intervals": ("heat.intervals", {"type": int}),
-    "points": ("heat.points", {"type": int}),
-    "t-end": ("solver.t_end", {"type": float}),
-    "dt": ("solver.dt", {"type": float}),
-    "integrator": ("solver.integrator", {"choices": ("etdrk2", "exp_euler")}),
-    "record-every": ("solver.record_every", {"type": int}),
-    "snapshot-every": ("solver.snapshot_every", {"type": int}),
-    "init": ("init.kind", {"choices": INIT_KINDS}),
-    "amplitude": ("init.amplitude", {"type": float}),
-    "seed": ("run.seed", {"type": int}),
+    "out": ("run.out", "run directory for outputs"),
+    "model": ("model", None),
+    "nu": ("cloud.nu", None),
+    "eta": ("cloud.eta", None),
+    "beta": ("cloud.beta", None),
+    "lx": ("grid.lx", "strip length for --open (default 2 pi, half-length pi)"),
+    "nx": ("grid.nx", None),
+    "ny": ("grid.ny", None),
+    "half-width": ("grid.half_width", None),
+    "n": ("grid.n", "grid points on the periodic line"),
+    "kappa": ("heat.kappa", None),
+    "p": ("heat.p", None),
+    "tau": ("heat.tau", None),
+    "diffusion": ("heat.diffusion", None),
+    "intervals": ("heat.intervals", None),
+    "points": ("heat.points", None),
+    "t-end": ("solver.t_end", None),
+    "dt": ("solver.dt", None),
+    "integrator": ("solver.integrator", None),
+    "record-every": ("solver.record_every", None),
+    "snapshot-every": ("solver.snapshot_every", None),
+    "init": ("init.kind", None),
+    "amplitude": ("init.amplitude", None),
+    "seed": ("run.seed", None),
 }
 
 
@@ -405,7 +405,6 @@ class Command(NamedTuple):
     defaults: tuple = ()
     base: Callable = lambda args: ()
     arguments: tuple = ()
-    options: dict = {}           # per-command argparse options of a flag
     label: Optional[str] = None  # summary label; default the command path
 
 
@@ -416,7 +415,7 @@ SCALING_TEST = Command(
     base=lambda args: ["model=heat-periodic", f"heat.kind={args.kind}"],
     arguments=(("--lambda", {"dest": "lam", "type": float, "default": 2.0,
                              "help": "scaling factor"}),
-               ("--kind", {"choices": ("semilinear", "quasilinear"),
+               ("--kind", {"choices": CHOICES["heat.kind"],
                            "default": "semilinear"})),
     label="scaling-test")
 
@@ -438,16 +437,14 @@ COMMANDS = {
         "verify exponential decay on the periodic strip", cmd_decay_test,
         "out nu eta beta t-end dt amplitude init seed",
         defaults=("solver.t_end=5.0",),
-        base=lambda args: ["model=cloud"],
-        options={"init": {"choices": ("mode", "random")}}),
+        base=lambda args: ["model=cloud"]),
     ("scaling-test",): SCALING_TEST,
     ("heat", "simulate"): Command(
         "time-march a heat model", cmd_simulate,
         "out kappa p tau diffusion intervals points t-end dt integrator "
         "record-every snapshot-every init amplitude seed",
         base=lambda args: [f"model=heat-{args.kind}"],
-        arguments=(("--kind", {"choices": ("semilinear", "quasilinear",
-                                           "periodic"),
+        arguments=(("--kind", {"choices": (*CHOICES["heat.kind"], "periodic"),
                                "default": "semilinear"}),)),
     ("heat", "scaling-test"): SCALING_TEST,
 }
@@ -493,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in spec.arguments:
             p.add_argument(flag, **options)
         for name in spec.flags.split():
-            p.add_argument(f"--{name}",
-                           **{**FLAGS[name][1], **spec.options.get(name, {})})
+            key, text = FLAGS[name]
+            p.add_argument(f"--{name}", help=text, choices=CHOICES.get(key))
         p.set_defaults(handler=_run_configured, spec=spec,
                        label=spec.label or " ".join(path))
 

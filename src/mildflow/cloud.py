@@ -256,11 +256,9 @@ class CloudModel:
     under the linear flow but receive no nonlinear feedback.
     """
 
-    def __init__(self, coeffs: CloudCoefficients, geometry: StripGeometry,
-                 nonlinear: bool = True):
+    def __init__(self, coeffs: CloudCoefficients, geometry: StripGeometry):
         self.coeffs = coeffs
         self.geometry = geometry
-        self.nonlinear = nonlinear
         self.mode_numbers = np.arange(geometry.nx // 2 + 1)
         blocks = mode_stack(range(self.mode_numbers.size), coeffs, geometry)
         lam, vectors, vectors_inv, _, defective = decompose(blocks)
@@ -276,8 +274,6 @@ class CloudModel:
         return u.coeffs[:, 1:-1].copy()
 
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
-        if not self.nonlinear:
-            return np.zeros_like(state)
         f = nonlinearity_cloud(self.field_from_state(state))
         return f.coeffs[:, 1:-1]
 

@@ -11,16 +11,12 @@ key together with the violated constraint.
 
 import os
 from dataclasses import dataclass, fields
-from math import inf, pi
+from math import inf, isfinite, pi
 
 from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
-from .solver import INTEGRATORS
+from .solver import INTEGRATORS, MAX_STEPS
 
 ENV_PREFIX = "MILDFLOW_"
-
-MODELS = ("cloud", "heat-semilinear", "heat-quasilinear", "heat-periodic")
-INIT_KINDS = ("zero", "mode", "random")
-DIFFUSIVITY_KINDS = ("constant", "one_plus_square")
 
 # Largest propagator storage a run may ask for; a bigger grid is refused
 # before anything is allocated.
@@ -75,17 +71,43 @@ class RunConfig:
     run_out: str = "run"
 
 
-def _key_table():
-    table = {}
-    for field in fields(RunConfig):
-        key = field.name.replace("_", ".", 1) if "_" in field.name else field.name
-        table[key] = field.name
-    return table
-
-
 # config keys are the dataclass fields with the first underscore dotted:
 # cloud_nu <-> cloud.nu, run_seed <-> run.seed, model <-> model
-KEYS = _key_table()
+KEYS = {field.name.replace("_", ".", 1): field.name
+        for field in fields(RunConfig)}
+
+# Single-key constraints, checked by validate_config for every key:
+# allowed values; lower bounds as (bound, whether the bound itself is
+# admissible); keys that must be even.  Every float key must also be
+# finite, except blowup_factor, whose infinity switches the threshold off.
+CHOICES = {
+    "model": ("cloud", "heat-semilinear", "heat-quasilinear", "heat-periodic"),
+    "init.kind": ("zero", "mode", "random"),
+    "solver.integrator": INTEGRATORS,
+    "heat.kind": ("semilinear", "quasilinear"),
+    "heat.a_kind": ("constant", "one_plus_square"),
+}
+LOWER_BOUNDS = {
+    "cloud.nu": (0, False),
+    "grid.nx": (8, True),
+    "grid.ny": (8, True),
+    "grid.lx": (0, False),
+    "grid.half_width": (0, False),
+    "grid.n": (16, True),
+    "solver.dt": (0, False),
+    "solver.t_end": (0, False),
+    "solver.record_every": (1, True),
+    "solver.snapshot_every": (0, True),
+    "solver.blowup_factor": (1, False),
+    "init.amplitude": (0, True),
+    "run.seed": (0, True),
+    "heat.a0": (0, False),
+    "heat.diffusion": (0, False),
+    "heat.intervals": (8, True),
+    "heat.points": (9, True),
+    "heat.p": (1, True),
+}
+EVEN_KEYS = ("grid.nx", "grid.n")
 
 _CONVERTERS = {bool: _parse_bool, int: int, float: float, str: str}
 
@@ -120,20 +142,12 @@ def _read_file(path: str) -> dict:
 
 
 def _pairs(entries) -> dict:
-    """A mapping or an iterable of 'key=value' strings as key -> raw value,
-    every key checked."""
-    if hasattr(entries, "items"):
-        items = entries.items()
-    else:
-        items = []
-        for entry in entries:
-            if "=" not in entry:
-                raise ConfigError(
-                    f"override {entry!r} must look like key=value")
-            key, value = entry.split("=", 1)
-            items.append((key.strip(), value.strip()))
+    """'key=value' strings as key -> raw value, every key checked."""
     pairs = {}
-    for key, value in items:
+    for entry in entries:
+        if "=" not in entry:
+            raise ConfigError(f"override {entry!r} must look like key=value")
+        key, value = (part.strip() for part in entry.split("=", 1))
         if key not in KEYS:
             raise ConfigError(f"unknown config key '{key}'")
         pairs[key] = value
@@ -146,8 +160,8 @@ def parse_config(path=None, overrides=None, environ=None,
 
     Precedence: built-in defaults < `defaults` < file < environment <
     overrides.  `defaults` (a command's own starting values) and
-    `overrides` are mappings or iterables of 'key=value' strings.  The
-    result is fully validated; every violation is reported with its key.
+    `overrides` are iterables of 'key=value' strings.  The result is
+    fully validated; every violation is reported with its key.
     """
     environ = os.environ if environ is None else environ
     raw = _pairs(defaults or ())
@@ -163,7 +177,7 @@ def parse_config(path=None, overrides=None, environ=None,
     field_types = {field.name: field.type for field in fields(RunConfig)}
     for key, raw_value in raw.items():
         attr = KEYS[key]
-        setattr(config, attr, _convert(key, str(raw_value), field_types[attr]))
+        setattr(config, attr, _convert(key, raw_value, field_types[attr]))
     if "heat.p" not in raw and config.model == "heat-quasilinear":
         # the shared default p = 2 is outside the quasilinear window p > 2n;
         # take the default of QuasilinearHeatModel instead
@@ -188,63 +202,45 @@ def _recipe_window(problems, recipe, *args) -> None:
             problems.append(f"{key}: {violation}")
 
 
+def _key_problem(key: str, value) -> str:
+    """The first single-key constraint `value` violates, or ''."""
+    if key in CHOICES and value not in CHOICES[key]:
+        return f"must be one of {', '.join(CHOICES[key])}"
+    if (isinstance(value, float) and not isfinite(value)
+            and key != "solver.blowup_factor"):
+        return "must be finite"
+    if key not in LOWER_BOUNDS:
+        return ""
+    bound, admissible = LOWER_BOUNDS[key]
+    if not (value >= bound if admissible else value > bound):
+        if bound == 0:
+            return "must be nonnegative" if admissible else "must be positive"
+        return f"must be at least {bound}" if admissible else f"must exceed {bound}"
+    if key in EVEN_KEYS and value % 2:
+        return "must be even"
+    return ""
+
+
 def validate_config(config: RunConfig) -> None:
     """Re-check every module invariant the configuration touches."""
     problems = []
+    for key, attr in KEYS.items():
+        value = getattr(config, attr)
+        problem = _key_problem(key, value)
+        if problem:
+            problems.append(f"{key}: {problem}, got {value!r}")
 
     def require(condition, key, constraint):
         if not condition:
             problems.append(f"{key}: {constraint}")
 
-    require(config.model in MODELS, "model",
-            f"must be one of {', '.join(MODELS)}, got '{config.model}'")
-    require(config.cloud_nu > 0.0, "cloud.nu",
-            f"must be positive, got {config.cloud_nu}")
-    require(config.grid_nx >= 8 and config.grid_nx % 2 == 0, "grid.nx",
-            f"must be an even integer of at least 8, got {config.grid_nx}")
-    require(config.grid_ny >= 8, "grid.ny",
-            f"must be at least 8, got {config.grid_ny}")
-    require(config.grid_lx > 0.0, "grid.lx",
-            f"must be positive, got {config.grid_lx}")
-    require(config.grid_half_width > 0.0, "grid.half_width",
-            f"must be positive, got {config.grid_half_width}")
-    require(config.grid_n >= 16 and config.grid_n % 2 == 0, "grid.n",
-            f"must be an even integer of at least 16, got {config.grid_n}")
-    require(config.solver_dt > 0.0, "solver.dt",
-            f"must be positive, got {config.solver_dt}")
-    require(config.solver_t_end > 0.0, "solver.t_end",
-            f"must be positive, got {config.solver_t_end}")
-    require(config.solver_integrator in INTEGRATORS, "solver.integrator",
-            f"must be one of {', '.join(INTEGRATORS)}, "
-            f"got '{config.solver_integrator}'")
-    require(config.solver_record_every >= 1, "solver.record_every",
-            f"must be at least 1, got {config.solver_record_every}")
-    require(config.solver_snapshot_every >= 0, "solver.snapshot_every",
-            f"must be nonnegative, got {config.solver_snapshot_every}")
-    require(config.solver_blowup_factor > 1.0, "solver.blowup_factor",
-            f"must exceed 1, got {config.solver_blowup_factor}")
-    require(config.init_kind in INIT_KINDS, "init.kind",
-            f"must be one of {', '.join(INIT_KINDS)}, got '{config.init_kind}'")
-    require(0.0 <= config.init_amplitude < inf, "init.amplitude",
-            f"must be finite and nonnegative, got {config.init_amplitude}")
-    require(config.run_seed >= 0, "run.seed",
-            f"must be nonnegative, got {config.run_seed}")
-    require(config.heat_kind in ("semilinear", "quasilinear"), "heat.kind",
-            "must be 'semilinear' or 'quasilinear', "
-            f"got '{config.heat_kind}'")
-    require(0.0 < config.heat_a0 < inf, "heat.a0",
-            f"must be finite and positive, got {config.heat_a0}")
-    require(config.heat_a_kind in DIFFUSIVITY_KINDS, "heat.a_kind",
-            f"must be one of {', '.join(DIFFUSIVITY_KINDS)}, "
-            f"got '{config.heat_a_kind}'")
-    require(0.0 < config.heat_diffusion < inf, "heat.diffusion",
-            f"must be finite and positive, got {config.heat_diffusion}")
-    require(config.heat_intervals >= 8, "heat.intervals",
-            f"must be at least 8, got {config.heat_intervals}")
-    require(config.heat_points >= 9, "heat.points",
-            f"must be at least 9, got {config.heat_points}")
-    require(config.heat_p >= 1.0, "heat.p",
-            f"must be at least 1, got {config.heat_p}")
+    # the step plan, wherever the quotient exists: a zero or nan step has
+    # failed its own bound already, an infinite one fails here as well
+    dt, t_end = config.solver_dt, config.solver_t_end
+    if dt > 0.0 and t_end > 0.0:
+        require(dt <= t_end and t_end / dt <= MAX_STEPS, "solver.dt, solver.t_end",
+                f"need dt <= t_end <= {MAX_STEPS:,} dt, "
+                f"got dt={dt}, t_end={t_end}")
 
     if config.model == "heat-semilinear":
         _recipe_window(problems, semilinear_recipe, 1, config.heat_p,

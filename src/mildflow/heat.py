@@ -83,13 +83,11 @@ class SemilinearHeatModel:
     L2(0,1), so Sobolev norms are plain weighted sums.
     """
 
-    def __init__(self, intervals: int = 64, kappa: float = 6.0, p: float = 2.0,
-                 nonlinear: bool = True):
+    def __init__(self, intervals: int = 64, kappa: float = 6.0, p: float = 2.0):
         if intervals < 8:
             raise ValueError("need at least 8 intervals")
         self.intervals = intervals
         self.kappa = kappa
-        self.nonlinear = nonlinear
         self.recipe: CriticalRecipe = semilinear_recipe(1, p, kappa)
         m = np.arange(1, intervals)
         nodes = np.arange(1, intervals) / intervals
@@ -109,8 +107,6 @@ class SemilinearHeatModel:
         return self.synth @ state
 
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
-        if not self.nonlinear:
-            return np.zeros_like(state)
         f_nodal = nonlinearity_semilinear(self.nodal_values(state), self.kappa)
         f_hat = self.analyze @ f_nodal
         f_hat[self.dealias_keep:] = 0.0
@@ -132,13 +128,11 @@ class QuasilinearHeatModel:
 
     def __init__(self, points: int = 65, kappa: float = 4.0, p: float = 2.5,
                  tau: float = 0.27,
-                 diffusivity: DiffusivitySpec = DiffusivitySpec(),
-                 nonlinear: bool = True):
+                 diffusivity: DiffusivitySpec = DiffusivitySpec()):
         if points < 9:
             raise ValueError("need at least 9 collocation points")
         self.points = points
         self.kappa = kappa
-        self.nonlinear = nonlinear
         self.diffusivity = diffusivity
         self.recipe: CriticalRecipe = quasilinear_recipe(1, p, kappa, tau)
         self.nodes = np.arange(points) / (points - 1)
@@ -177,8 +171,6 @@ class QuasilinearHeatModel:
         return Propagator.from_matrix(self.operator_matrix(state))
 
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
-        if not self.nonlinear:
-            return np.zeros_like(state)
         grad_full = np.zeros(self.points)
         grad_full[1:-1] = self._deriv_nodal @ state
         f_nodal = nonlinearity_gradient(grad_full, self.kappa)

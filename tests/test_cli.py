@@ -4,14 +4,17 @@ documented example invocations."""
 import json
 import math
 import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mildflow import chebyshev, cli, cloud
 from mildflow.cli import COMMANDS, FLAGS, main
-from mildflow.config import KEYS
+from mildflow.config import CHOICES, KEYS
 from oracles import read_csv, read_snapshot
 
 
@@ -197,6 +200,13 @@ def test_overflowing_cloud_coefficient_exit_2(tmp_path, capsys, argv, key):
     (["heat", "simulate", "--kind", "quasilinear", "--set", "heat.a0=inf"],
      "heat.a0"),
     (["simulate", "--amplitude", "inf"], "init.amplitude"),
+    # the whole strip at wavenumber 0; a periodic run "completed"; a numpy
+    # warning and exit 1
+    (["simulate", "--set", "grid.periodic=false", "--set", "grid.lx=inf"],
+     "grid.lx"),
+    (["heat", "simulate", "--kind", "periodic", "--kappa", "inf"],
+     "heat.kappa"),
+    (["scaling-test", "--half-width", "inf"], "grid.half_width"),
 ])
 def test_infinite_config_value_exit_2(tmp_path, capsys, argv, key):
     out = tmp_path / "run"
@@ -278,6 +288,46 @@ def test_nonfinite_or_oversized_step_exits_2(tmp_path, capsys, flags):
     out = str(tmp_path / "run")
     assert main(["simulate", "--init", "zero", *flags, "--out", out]) == 2
     assert "t_end" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["0", "nan", "inf"])
+def test_bad_step_names_solver_dt(tmp_path, capsys, dt):
+    out = tmp_path / "run"
+    assert main(["simulate", "--dt", dt, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: solver.dt: ")
+    assert not out.exists()
+
+
+# flag values of the CLI fuzz: degenerate numbers, text, and every
+# allowed value of a configuration key
+_FUZZ_VALUES = ("0", "-1", "nan", "inf", "-inf", "abc", "1e300", "8", "0.01",
+                *sorted({value for values in CHOICES.values()
+                         for value in values}))
+# tiny grids, and two steps unless a flag sets the step or the horizon
+_FUZZ_BASE = ("grid.nx=8", "grid.ny=8", "grid.n=64", "grid.half_width=8",
+              "heat.intervals=8", "heat.points=9", "solver.dt=0.01",
+              "solver.t_end=0.02")
+
+
+@st.composite
+def _command_lines(draw):
+    path = draw(st.sampled_from(sorted(COMMANDS)))
+    names = [name for name in COMMANDS[path].flags.split() if name != "out"]
+    chosen = draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
+    return [*path, *(arg for name in chosen
+                     for arg in (f"--{name}", draw(st.sampled_from(_FUZZ_VALUES))))]
+
+
+@given(_command_lines())
+@example(["simulate", "--dt", "0"])
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_0_1_or_2(argv):
+    # a completed run, a named numerical failure or a named constraint
+    # error; an escaping exception fails the test
+    sets = [arg for pair in _FUZZ_BASE for arg in ("--set", pair)]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main([*argv, *sets, "--out", f"{tmp}/run"]) in (0, 1, 2)
 
 
 # ---------- heat ----------

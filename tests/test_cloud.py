@@ -339,17 +339,10 @@ def test_model_state_round_trip_and_norms():
 
 def test_model_linear_mode_evolution_matches_eigenvalue():
     geo = periodic_strip(nx=32, ny=32)
-    model = CloudModel(CloudCoefficients(1, 0, 0), geo, nonlinear=False)
+    model = CloudModel(CloudCoefficients(1, 0, 0), geo)
     u = field_from_function(geo, lambda x, y: np.sin(x) * np.sin(np.pi * y))
     state = model.state_from_field(u)
     t = 0.05
     out = model.propagator.propagate(t, state)
     decay = math.exp(-(math.pi ** 2 + 1.0) * t)
     assert np.max(np.abs(out - decay * state)) < 1e-8 * np.max(np.abs(state))
-
-
-def test_model_nonlinear_switch():
-    geo = periodic_strip(nx=32, ny=32)
-    model = CloudModel(CloudCoefficients(1, 0, 1), geo, nonlinear=False)
-    u = field_from_function(geo, lambda x, y: np.sin(x) * np.sin(np.pi * y))
-    assert np.max(np.abs(model.nonlinearity(model.state_from_field(u)))) == 0.0

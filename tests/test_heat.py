@@ -96,7 +96,8 @@ def test_semilinear_model_norms_closed_form():
 
 
 def test_semilinear_linear_decay_rate_is_pi_squared():
-    m = SemilinearHeatModel(intervals=32, kappa=6.0, nonlinear=False)
+    m = SemilinearHeatModel(intervals=32, kappa=6.0)
+    m.nonlinearity = np.zeros_like
     u0 = m.state_from_function(lambda x: np.sin(np.pi * x))
     tr = run_simulation(m, u0, SolverConfig(dt=1e-3, t_end=0.5,
                                             monitor_sigmas=(0.0,)))
@@ -149,7 +150,8 @@ def test_quasilinear_constant_a_reduces_to_laplacian():
 
 
 def test_quasilinear_mass_conserved_without_forcing():
-    q = QuasilinearHeatModel(points=65, kappa=4.0, nonlinear=False)
+    q = QuasilinearHeatModel(points=65, kappa=4.0)
+    q.nonlinearity = np.zeros_like
     u0 = q.state_from_function(lambda x: 0.3 * np.cos(np.pi * x) + 0.5)
     tr = run_simulation(q, u0, SolverConfig(dt=1e-3, t_end=0.3,
                                             monitor_sigmas=(0.0,)))
@@ -189,7 +191,8 @@ def test_quasilinear_frozen_step_self_convergence():
 def test_quasilinear_mean_decouples():
     # adding a constant shifts a(u) but the dynamics of the fluctuation
     # part see only that shifted diffusivity; the mean itself is static
-    q = QuasilinearHeatModel(points=33, kappa=4.0, nonlinear=False)
+    q = QuasilinearHeatModel(points=33, kappa=4.0)
+    q.nonlinearity = np.zeros_like
     u0 = q.state_from_function(lambda x: np.cos(2 * np.pi * x) + 2.0)
     tr = run_simulation(q, u0, SolverConfig(dt=1e-3, t_end=0.1,
                                             monitor_sigmas=(0.0,)))

@@ -303,6 +303,8 @@ def cmd_decay_test(config: RunConfig, args) -> int:
 
 
 def cmd_scaling_test(config: RunConfig, args) -> int:
+    if not 0.0 < args.lam < np.inf:  # the negated form refuses NaN too
+        raise ValueError(f"--lambda: must be positive and finite, got {args.lam}")
     grid = PeriodicGrid(half_width=config.grid_half_width, n=config.grid_n)
     u0 = config.init_amplitude * np.exp(-0.5 * grid.nodes ** 2)
     solver_cfg = SolverConfig(dt=config.solver_dt, t_end=config.solver_t_end,

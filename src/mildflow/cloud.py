@@ -239,10 +239,11 @@ def nonlinearity_cloud(u: SpectralField) -> SpectralField:
 
     One matmul gives u_y and T u (T commutes with d/dx), one stacked
     to_grid takes u, u_x, u_y and T u_x to the grid, and one from_grid
-    takes the product back.
+    takes the product back. u may be a stack of fields.
     """
-    geom, (modes, ny) = u.geometry, u.coeffs.shape
-    uy, tu = (u.coeffs @ _vertical_operators(ny)).reshape(modes, 2, ny).swapaxes(0, 1)
+    geom, ny = u.geometry, u.coeffs.shape[-1]
+    vertical = u.coeffs @ _vertical_operators(ny)
+    uy, tu = vertical[..., :ny], vertical[..., ny:]
     ux, tux = derivative_x(SpectralField(geom, np.stack([u.coeffs, tu]))).coeffs
     grid = to_grid(SpectralField(geom, np.stack([u.coeffs, ux, uy, tux])))
     return dealias_x(from_grid(grid[2] * grid[3] - grid[0] * grid[1], geom))
@@ -266,8 +267,8 @@ class CloudModel:
         self.propagator = Propagator(lam, vectors, vectors_inv, defective, blocks)
 
     def field_from_state(self, state: np.ndarray) -> SpectralField:
-        full = np.zeros((self.mode_numbers.size, self.geometry.ny), dtype=complex)
-        full[:, 1:-1] = state
+        full = np.zeros(state.shape[:-1] + (self.geometry.ny,), dtype=complex)
+        full[..., 1:-1] = state
         return SpectralField(self.geometry, full)
 
     def state_from_field(self, u: SpectralField) -> np.ndarray:
@@ -275,11 +276,11 @@ class CloudModel:
 
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
         f = nonlinearity_cloud(self.field_from_state(state))
-        return f.coeffs[:, 1:-1]
+        return f.coeffs[..., 1:-1]
 
-    def norm(self, state: np.ndarray, sigma: float) -> float:
+    def norm(self, state: np.ndarray, sigma: float):
         return self.norms(state, (sigma,))[sigma]
 
     def norms(self, state: np.ndarray, sigmas) -> dict:
-        """Norms at every sigma from one sine projection."""
+        """Norms at every sigma from one sine projection (arrays for a stack)."""
         return sobolev_norm_set(state, sigmas, self.geometry)

@@ -149,9 +149,13 @@ class FixedPointProblem:
         return float(out) if out.ndim == 0 else out
 
     def f(self, u) -> np.ndarray:
+        """f of one vector or of each row of a stack; a row's strength is a
+        scalar power, which numpy's array power would round differently."""
         u = np.asarray(u, dtype=float)
-        strength = self.norm(u, self.exponents.xi) ** (self.exponents.q - 1.0)
-        return self.epsilon * strength * u
+        xi_norms = np.asarray(self.norm(u, self.exponents.xi))
+        strength = [self.epsilon * n ** (self.exponents.q - 1.0)
+                    for n in xi_norms.ravel().tolist()]
+        return np.reshape(strength, xi_norms.shape + (1,)) * u
 
     def lipschitz(self, samples: int = 400, rng=None) -> float:
         """Sampled Lipschitz constant of f on the xi-ball, with safety.
@@ -180,10 +184,8 @@ class FixedPointProblem:
                            pair[1] * scale[1])
         xi_norms = self.norm(pair, exps.xi)
         gaps = self.norm(pair[0] - pair[1], exps.xi)
-        strength = np.reshape([self.epsilon * n ** (exps.q - 1.0)
-                               for n in xi_norms.ravel().tolist()],
-                              (2, samples, 1))
-        f_gap = strength[0] * pair[0] - strength[1] * pair[1]
+        f_pair = self.f(pair)
+        f_gap = f_pair[0] - f_pair[1]
         best = 0.0
         for a, b, gap, num in zip(*xi_norms.tolist(), gaps.tolist(),
                                   self.norm(f_gap, exps.gamma).tolist()):

@@ -224,10 +224,8 @@ class Propagator:
 
 
 def _matvec(matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """matrix @ state for one (m, m) block, or block by block for a
-    (modes, m, m) stack acting on a (modes, m) state."""
-    if matrix.ndim == 2:
-        return matrix @ state
+    """matrix @ state block by block: one (m, m) block or a (modes, m, m)
+    stack, acting on a state or a stack of states with leading axes."""
     return np.matmul(matrix, state[..., None])[..., 0]
 
 

@@ -200,7 +200,8 @@ def sobolev_norm_set(field, sigmas, geometry: StripGeometry | None = None) -> di
     """All requested orders from a single sine projection.
 
     `field` is a SpectralField or, given its `geometry`, the (nx/2+1, ny-2)
-    interior columns of a field that vanishes on the walls.
+    interior columns of a field that vanishes on the walls; a stack of
+    either (leading axes) gets an array of norms per order.
     """
     for sigma in sigmas:
         if not (0.0 <= sigma <= 2.0):
@@ -213,10 +214,10 @@ def sobolev_norm_set(field, sigmas, geometry: StripGeometry | None = None) -> di
     multipliers = _norm_multipliers(geometry, sigmas)
     analysis, _ = _sine_projection(geometry.ny)
     snm = coeffs @ analysis[rows]
-    totals = multipliers @ (snm.real ** 2 + snm.imag ** 2).ravel()
-    scale = 2.0 * geometry.half_length
-    return {sigma: math.sqrt(scale * float(total))
-            for sigma, total in zip(sigmas, totals)}
+    power = (snm.real ** 2 + snm.imag ** 2).reshape(snm.shape[:-2] + (-1, 1))
+    totals = np.sqrt(2.0 * geometry.half_length * (multipliers @ power)[..., 0])
+    per_sigma = totals.tolist() if totals.ndim == 1 else np.moveaxis(totals, -1, 0)
+    return dict(zip(sigmas, per_sigma))
 
 
 # ---------------------------------------------------------------------------

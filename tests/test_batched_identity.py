@@ -17,6 +17,7 @@ must march, iterate and snapshot as it does, to 1e-12 relative.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -448,15 +449,84 @@ def test_half_spectrum_picard_matches_full_layout():
                           picard_max_iter=80)
     got = picard_solve(u0, 0.1, config, model.propagator, model.nonlinearity,
                        model.norm, mu=0.25, sigma_weighted=1.5)
-    want = picard_solve(u0_full, 0.1, config, reference.propagator,
-                        reference.nonlinearity, reference.norm, mu=0.25,
-                        sigma_weighted=1.5)
+    # the full layout's callables take one state, so the per-node oracle
+    # iterates them
+    want = SimpleNamespace(**dict(zip(
+        ("states", "distances", "iterations", "converged"),
+        reference_picard(u0_full, 0.1, config, reference.propagator,
+                         reference.nonlinearity, reference.norm, mu=0.25,
+                         sigma_weighted=1.5))))
     assert (got.iterations, got.converged) == (want.iterations, True)
     for a, b in zip(got.states, want.states):
         _assert_close(a, reference.to_half(b))
     scale = model.norm(u0, 0.0)
     assert np.allclose(got.distances, want.distances, rtol=1e-12,
                        atol=1e-12 * scale)
+
+
+# Picard's stack contract ----------------------------------------------------
+
+def _counted(fn, shapes):
+    """fn, recording the shape of the states of each call."""
+    def counted(states, *args):
+        shapes.append(np.shape(states))
+        return fn(states, *args)
+    return counted
+
+
+def _picard_case(kind):
+    """(propagator, nonlinearity, norm, u0, distance keywords) of a lab
+    problem or of the 16x12 strip."""
+    if kind == "lab":
+        problem = random_problem(7, np.random.default_rng(7))
+        exps = problem.exponents
+        direction = np.random.default_rng(6).standard_normal(7)
+        u0 = 0.05 * direction / problem.norm(direction, exps.alpha)
+        return (problem.propagator, problem.f, problem.norm, u0,
+                dict(mu=exps.mu, sigma_sup=exps.contraction_level,
+                     sigma_weighted=exps.xi))
+    model, _, u0, _ = _strip_pair(periodic_strip(16, 12), amplitude=0.3)
+    return (model.propagator, model.nonlinearity, model.norm, u0,
+            dict(mu=0.25, sigma_weighted=1.5))
+
+
+@pytest.mark.parametrize("kind", ["lab", "cloud"])
+def test_picard_sweep_calls_f_and_norms_once_over_the_node_stack(kind):
+    propagator, nonlinearity, norm, u0, kwargs = _picard_case(kind)
+    config = SolverConfig(picard_segments=32, picard_tol=1e-12,
+                          picard_max_iter=40)
+    f_shapes, norm_shapes = [], []
+    result = picard_solve(u0, 0.1, config, propagator,
+                          _counted(nonlinearity, f_shapes),
+                          _counted(norm, norm_shapes), **kwargs)
+    assert result.converged and result.iterations >= 3
+    nodes = config.picard_segments + 1
+    assert f_shapes == [(nodes,) + u0.shape] * result.iterations
+    # the scale of u0, then at most the sup and the weighted term per sweep
+    assert norm_shapes[0] == u0.shape
+    assert len(norm_shapes) <= 1 + 2 * result.iterations
+    assert result.states.shape == (nodes,) + u0.shape
+
+
+def test_stacked_callables_match_single_states():
+    geometry = periodic_strip(16, 12)
+    model, _, _, _ = _strip_pair(geometry)
+    stack = np.stack([model.state_from_field(random_dirichlet_field(
+        geometry, np.random.default_rng(seed))) for seed in range(5)])
+    f_stack = model.nonlinearity(stack)
+    sigmas = (0.0, 1.0, 1.5)
+    norms = model.norms(stack, sigmas)
+    for k, state in enumerate(stack):
+        _assert_close(f_stack[k], model.nonlinearity(state))
+        single = model.norms(state, sigmas)
+        for sigma in sigmas:
+            assert isinstance(single[sigma], float)
+            assert abs(norms[sigma][k] - single[sigma]) <= 1e-12 * single[sigma]
+
+    problem = random_problem(9, np.random.default_rng(4))
+    rows = np.random.default_rng(8).standard_normal((2, 40, 9))
+    assert np.array_equal(problem.f(rows),
+                          [[problem.f(row) for row in block] for block in rows])
 
 
 @pytest.mark.parametrize("extra", [[], ["--set", "grid.periodic=false",

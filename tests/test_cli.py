@@ -466,6 +466,18 @@ def test_scaling_test_blowup_is_numerical_failure_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["inf", "-inf", "nan", "0"])
+def test_scaling_test_bad_lambda_names_the_flag(tmp_path, capsys, lam):
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["scaling-test", f"--lambda={lam}", "--t-end", "0.1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --lambda: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def test_linalg_error_is_numerical_failure_exit_1(tmp_path, capsys,
                                                   monkeypatch):
     # LinAlgError subclasses ValueError, the constraint-error exit

@@ -32,7 +32,8 @@ class ScalarLogistic:
         return u ** 2
 
     def norm(self, u, sigma):
-        return float(np.abs(u[0]))
+        # one value per row of a stack of states
+        return np.abs(u[..., 0])
 
 
 class ScalarLinear:

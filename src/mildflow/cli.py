@@ -331,12 +331,19 @@ def cmd_scaling_test(config: RunConfig, args) -> int:
 
 # ------------------------------------------------ lab and exponents
 
+def _require_seed(args) -> None:
+    if args.seed < 0:  # numpy's generator refuses it too, but unnamed
+        raise ValueError(f"--seed: must be nonnegative, got {args.seed}")
+
+
 def cmd_lab_contraction(args) -> int:
+    _require_seed(args)
     return _emit("lab contraction", contraction_experiment(
         dim=args.dim, seed=args.seed, quasilinear=args.quasilinear), args.out)
 
 
 def cmd_lab_decay(args) -> int:
+    _require_seed(args)
     return _emit("lab decay", decay_experiment(
         dim=args.dim, seed=args.seed, varpi=args.varpi,
         epsilon=args.epsilon), args.out)

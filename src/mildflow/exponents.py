@@ -131,16 +131,13 @@ class BetaConstants:
     """Beta constants of an exponent set, keyed by level name."""
 
     b_theta: dict
-    levels: dict
 
     @classmethod
     def from_exponents(cls, exps: ExponentSet) -> "BetaConstants":
-        levels = exps.theta_levels()
-        values = {
+        return cls(b_theta={
             name: beta_constant(exps.gamma, theta, exps.mu, exps.q)
-            for name, theta in levels.items()
-        }
-        return cls(b_theta=values, levels=dict(levels))
+            for name, theta in exps.theta_levels().items()
+        })
 
     def at_level(self, name: str) -> float:
         return self.b_theta[name]
@@ -150,6 +147,14 @@ class BetaConstants:
         """B_beta + B_xi (with B_alpha standing in when beta_exp is absent)."""
         b_low = self.b_theta.get("beta_exp", self.b_theta["alpha"])
         return b_low + self.b_theta["xi"]
+
+
+def _require_finite(**values) -> None:
+    """Refuse a non-finite recipe input by name."""
+    bad = [f"{name} must be finite, got {value}" for name, value in values.items()
+           if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise ExponentError(bad)
 
 
 @dataclass(frozen=True)
@@ -174,6 +179,7 @@ def semilinear_recipe(n: int, p: float, kappa_exp: float) -> CriticalRecipe:
     s_c = n/p - 2/(kappa-1) is the scaling-critical Sobolev index, s the
     regularity the weighted norm controls, mu the time weight.
     """
+    _require_finite(n=n, p=p, kappa=kappa_exp)
     kappa = float(kappa_exp)
     violations = []
     if n < 1:
@@ -219,6 +225,7 @@ def quasilinear_recipe(n: int, p: float, kappa_exp: float,
     tau shifts the whole interpolation ladder; the Hoelder gap of the
     frozen-coefficient argument is theta_holder = (kappa-2)/(2(kappa-1)) - tau.
     """
+    _require_finite(n=n, p=p, kappa=kappa_exp, tau=tau)
     kappa = float(kappa_exp)
     violations = []
     if n < 1:

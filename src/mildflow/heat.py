@@ -45,6 +45,10 @@ def nonlinearity_gradient(grad_values: np.ndarray, kappa: float) -> np.ndarray:
     return np.abs(np.asarray(grad_values)) ** kappa
 
 
+# a(u) at or below this value stops a quasilinear run: ellipticity lost
+DIFFUSIVITY_FLOOR = 1e-8
+
+
 @dataclass(frozen=True)
 class DiffusivitySpec:
     """Descriptor for a(u): positive on the simulated range.
@@ -54,7 +58,6 @@ class DiffusivitySpec:
 
     kind: str = "one_plus_square"
     a0: float = 1.0
-    floor: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("constant", "one_plus_square"):
@@ -158,10 +161,10 @@ class QuasilinearHeatModel:
     def operator_matrix(self, state: np.ndarray) -> np.ndarray:
         """Assemble A(u) = d/dx a(u) d/dx = -G^T G, G = sqrt(w a(u)) H."""
         a_vals = self.diffusivity.evaluate(self.nodal_values(state)[1:-1])
-        if np.min(a_vals) <= self.diffusivity.floor:
+        if np.min(a_vals) <= DIFFUSIVITY_FLOOR:
             raise ValueError(
                 "diffusivity dropped to its positivity floor "
-                f"{self.diffusivity.floor}; ellipticity lost")
+                f"{DIFFUSIVITY_FLOOR}; ellipticity lost")
         if not np.all(np.isfinite(a_vals)):
             raise FloatingPointError("diffusivity a(u) is not finite: state overflowed")
         root = np.sqrt(self._quad_weight * a_vals)[:, None] * self._deriv_nodal
@@ -177,9 +180,6 @@ class QuasilinearHeatModel:
         f_hat = self.cos_analyze @ f_nodal
         f_hat[self.dealias_keep:] = 0.0
         return f_hat
-
-    def mass(self, state: np.ndarray) -> float:
-        return float(state[0])
 
     def norm(self, state: np.ndarray, sigma: float) -> float:
         return float(np.sqrt(np.sum(self._norm_weights(sigma) * np.abs(state) ** 2)))
@@ -314,9 +314,6 @@ def scaling_transform(values: np.ndarray, grid: PeriodicGrid, lam_scale: float,
 
 @dataclass(frozen=True)
 class ScalingReport:
-    lam_scale: float
-    model_kind: str
-    kappa: float
     discrepancy: float
     reference_norm: float
 
@@ -347,6 +344,5 @@ def scaling_roundtrip_test(u0_values: np.ndarray, lam_scale: float,
 
     gap = np.linalg.norm(scaled_after - evolved_scaled)
     ref = np.linalg.norm(scaled_after)
-    return ScalingReport(lam_scale=lam_scale, model_kind=model_kind,
-                         kappa=kappa, discrepancy=float(gap / max(ref, 1e-300)),
+    return ScalingReport(discrepancy=float(gap / max(ref, 1e-300)),
                          reference_norm=float(ref))

@@ -25,7 +25,7 @@ import numpy as np
 from .config import MAX_PROPAGATOR_BYTES
 from .exponents import BetaConstants, ExponentSet, validate_exponents
 from .propagators import Propagator
-from .solver import SolverConfig, picard_solve, run_simulation
+from .solver import MAX_STEPS, SolverConfig, picard_solve, run_simulation
 
 __all__ = [
     "ContractionParameters",
@@ -52,6 +52,12 @@ SELECT_SAFETY = 0.9
 T_FLOOR = 1e-12
 T_MAX = 0.99
 L_FLOOR = 1e-8
+LIPSCHITZ_SAMPLES = 400
+# the Picard mesh and stopping rule of run_fixed_point
+PICARD_CONFIG = SolverConfig(picard_segments=96, picard_tol=1e-10,
+                             picard_max_iter=60)
+# initial-value scales of decay_experiment
+DECAY_SCALES = (1e-3, 1e-2, 1e-1, 1.0)
 # inequalities that bound the horizon T, in the order selection names
 # the binding one
 T_BOUNDS = ("tail_smallness", "initial_weight", "window_compatibility",
@@ -96,11 +102,11 @@ class FixedPointProblem:
         scale = max(1.0, float(np.abs(a).max()))
         if not np.allclose(a, a.T, atol=1e-12 * scale):
             raise ValueError("generator must be symmetric")
-        self.generator = 0.5 * (a + a.T)
-        lam, self._vectors = np.linalg.eigh(self.generator)
-        if lam.max() >= 0.0:
+        self.generator = 0.5 * (a + a.T)  # exactly symmetric: the eigh route
+        self.propagator = Propagator.from_matrix(self.generator)
+        if self.propagator.lam.max() >= 0.0:
             raise ValueError("generator must be negative definite")
-        self._decay_rates = -lam
+        self._decay_rates = -self.propagator.lam
         # the negated forms refuse NaN too
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(
@@ -108,7 +114,6 @@ class FixedPointProblem:
         if not 0.0 < self.ball_radius < np.inf:
             raise ValueError(
                 f"ball_radius must be finite and positive, got {self.ball_radius}")
-        self._propagator = None
 
     @property
     def dimension(self) -> int:
@@ -127,22 +132,15 @@ class FixedPointProblem:
     def lambda_max(self) -> float:
         return float(self._decay_rates.max())
 
-    @property
-    def propagator(self) -> Propagator:
-        if self._propagator is None:
-            self._propagator = Propagator(-self._decay_rates, self._vectors,
-                                          self._vectors.T)
-        return self._propagator
-
     def eigen_coefficients(self, vector) -> np.ndarray:
-        return self._vectors.T @ np.asarray(vector, dtype=float)
+        return self.propagator.vectors.T @ np.asarray(vector, dtype=float)
 
     def norm(self, vector, theta: float):
         """Ladder norm of one vector (a float) or of each row of a
         (..., m) stack (an array), each row on its own."""
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
-        coeff = np.matmul(self._vectors.T,
+        coeff = np.matmul(self.propagator.vectors.T,
                           np.asarray(vector, dtype=float)[..., None])[..., 0]
         coeff *= self._decay_rates ** theta
         out = np.sqrt(np.vecdot(coeff, coeff))
@@ -157,17 +155,19 @@ class FixedPointProblem:
                     for n in xi_norms.ravel().tolist()]
         return np.reshape(strength, xi_norms.shape + (1,)) * u
 
-    def lipschitz(self, samples: int = 400, rng=None) -> float:
+    def lipschitz(self, rng=None) -> float:
         """Sampled Lipschitz constant of f on the xi-ball, with safety.
 
         Ratio ||f(w)-f(v)||_gamma / ((||w||_xi^(q-1)+||v||_xi^(q-1))
         ||w-v||_xi) maximized over random pairs in the ball, one third of
-        them nearly coincident to probe the local regime. The pairs are
-        drawn one at a time and evaluated as stacks, with the rounding of
-        a pair-by-pair loop over `norm` and `f`.
+        them nearly coincident to probe the local regime, over
+        LIPSCHITZ_SAMPLES pairs. The pairs are drawn one at a time and
+        evaluated as stacks, with the rounding of a pair-by-pair loop over
+        `norm` and `f`.
         """
         rng = np.random.default_rng(0) if rng is None else rng
         exps, m, radius = self.exponents, self.dimension, self.ball_radius
+        samples = LIPSCHITZ_SAMPLES
         # a ball point is a normal direction scaled to a radius r in
         # [0.05, 1); every third v is w plus 1e-4 radius times its own
         # direction instead. pair holds the directions, then (w, v).
@@ -427,7 +427,7 @@ def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
 
 
 def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
-                    u0, config: Optional[SolverConfig] = None):
+                    u0):
     """Picard-iterate the mild-solution map inside the selected window.
 
     Returns the converged iteration record and the largest observed
@@ -441,18 +441,16 @@ def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
         raise ValueError(
             f"initial value outside the contraction ball: ||u0||_alpha = "
             f"{alpha_norm:.6e} exceeds r = {params.r:.6e}")
-    if config is None:
-        config = SolverConfig(picard_segments=96, picard_tol=1e-10,
-                              picard_max_iter=60)
     result = picard_solve(
-        u0, params.T, config, problem.propagator, problem.f, problem.norm,
+        u0, params.T, PICARD_CONFIG, problem.propagator, problem.f, problem.norm,
         mu=exps.mu, sigma_sup=exps.contraction_level, sigma_weighted=exps.xi)
     ratios = result.contraction_ratios
     ratio = float(ratios.max()) if ratios.size else 0.0
     if not result.converged:
         raise FixedPointDivergence(
-            f"Picard iteration did not settle within {config.picard_max_iter} "
-            f"sweeps (last ratio {ratio:.3f})", ratios)
+            "Picard iteration did not settle within "
+            f"{PICARD_CONFIG.picard_max_iter} sweeps (last ratio {ratio:.3f})",
+            ratios)
     return result, ratio
 
 
@@ -492,6 +490,10 @@ def verify_decay(problem: FixedPointProblem, varpi: float,
             f"varpi must lie in (0, {lam_min:.6g}), got {varpi}")
     t_end = 20.0 / varpi
     dt = min(t_end / 2000.0, 0.2 / problem.lambda_max)
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(
+            f"varpi {varpi:g} is too small: the horizon t_end = 20/varpi = "
+            f"{t_end:.3g} takes more than {MAX_STEPS:,} steps of {dt:.3g}")
     if direction is None:
         rng = np.random.default_rng(0) if rng is None else rng
         direction = rng.standard_normal(problem.dimension)
@@ -501,7 +503,6 @@ def verify_decay(problem: FixedPointProblem, varpi: float,
     # the problem seen as a model of the time stepper
     model = SimpleNamespace(propagator=problem.propagator,
                             nonlinearity=problem.f, norm=problem.norm)
-    # SolverConfig refuses a horizon of too many steps before it is counted
     config = SolverConfig(dt=dt, t_end=t_end,
                           monitor_sigmas=(exps.alpha, exps.xi))
     config = replace(config, record_every=max(1, round(t_end / dt) // 1500))
@@ -615,16 +616,14 @@ def contraction_experiment(dim: int = 8, seed: int = 0,
 
 def decay_experiment(dim: int = 6, seed: int = 0,
                      varpi: Optional[float] = None,
-                     epsilon: float = 0.5, scales=None) -> dict:
+                     epsilon: float = 0.5) -> dict:
     """Decay sweep on one random semilinear problem, as plain data."""
     rng = np.random.default_rng(seed)
     problem = random_problem(dim, rng, epsilon=epsilon)
     constants = estimate_semigroup_constants(problem)
     if varpi is None:
         varpi = 0.5 * problem.lambda_min
-    if scales is None:
-        scales = (1e-3, 1e-2, 1e-1, 1.0)
-    report = verify_decay(problem, varpi, scales=scales, rng=rng)
+    report = verify_decay(problem, varpi, scales=DECAY_SCALES, rng=rng)
     return {
         "dim": dim,
         "seed": seed,

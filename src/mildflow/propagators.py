@@ -4,10 +4,11 @@ One Propagator covers every model here. Its generator is a stack of
 blocks V_i diag(lam_i) V_i^-1: one block for the interval models and
 the matrix lab, one dense block per Fourier mode of the strip. Without
 eigenvectors the generator is the multiplier lam (sine and Fourier
-bases). eigen_blocks() eigendecomposes one block or a stack of blocks
-and decompose() adds the inverse eigenvectors; a block whose eigenvector
-basis is too ill-conditioned is marked defective and falls back to
-scaling-and-squaring exponentials with augmented-matrix phi actions,
+bases). Propagator.from_matrix is the one route from a dense generator
+(one block or a stack) to a propagator: eigen_blocks() eigendecomposes
+it, and a block whose eigenvector basis is too ill-conditioned is marked
+defective. A defective block falls back to one expm of an augmented
+matrix, whose top block row holds e^a, phi1(a) and phi2(a) together,
 trading speed for robustness. A propagator also builds the
 step factors e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers
 or block matrices), which apply_block_factor applies; the most recent h
@@ -68,32 +69,16 @@ def phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, acc, out)
 
 
-def phi_action_dense(matrix: np.ndarray, vectors: np.ndarray, order: int) -> np.ndarray:
-    """phi_order(matrix) @ vectors by the augmented-exponential identity.
-
-    Robust for defective matrices; order 1 and 2 only.
-    """
-    n = matrix.shape[0]
-    vecs = np.atleast_2d(vectors.T).T  # (n, k)
-    k = vecs.shape[1]
-    if order == 1:
-        aug = np.zeros((n + k, n + k), dtype=np.promote_types(matrix.dtype, vecs.dtype))
-        aug[:n, :n] = matrix
-        aug[:n, n:] = vecs
-        return expm(aug)[:n, n:].reshape(vectors.shape)
-    if order == 2:
-        aug = np.zeros((n + 2 * k, n + 2 * k),
-                       dtype=np.promote_types(matrix.dtype, vecs.dtype))
-        aug[:n, :n] = matrix
-        aug[:n, n:n + k] = vecs
-        aug[n:n + k, n + k:] = np.eye(k)
-        return expm(aug)[:n, n + k:].reshape(vectors.shape)
-    raise ValueError(f"phi order {order} not supported")
-
-
-def _defective_factor(a: np.ndarray, order: int) -> np.ndarray:
-    """phi_order(a) as a matrix (phi_0 = exp) without eigenvectors."""
-    return expm(a) if order == 0 else phi_action_dense(a, np.eye(a.shape[0]), order)
+def _dense_phis(a: np.ndarray):
+    """(e^a, phi1(a), phi2(a)) of one dense block without eigenvectors:
+    the top block row of one expm of [[a, I, 0], [0, 0, I], [0, 0, 0]]
+    (Al-Mohy & Higham 2011, Thm 2.1)."""
+    m = a.shape[-1]
+    aug = np.zeros((3 * m, 3 * m), dtype=np.promote_types(a.dtype, float))
+    aug[:m, :m] = a
+    aug[:m, m:2 * m] = aug[m:2 * m, 2 * m:] = np.eye(m)
+    top = expm(aug)[:m]
+    return top[:, :m], top[:, m:2 * m], top[:, 2 * m:]
 
 
 def eigen_blocks(matrix: np.ndarray):
@@ -103,7 +88,7 @@ def eigen_blocks(matrix: np.ndarray):
     Exactly real-symmetric input takes the orthogonal eigh route
     (condition 1, inverse V^T); other input the nonsymmetric eig route with
     a conditioning guard. A defective block gets identity placeholders for
-    its vectors, since its actions fall back to expm of the matrix. For a
+    its vectors, since its actions fall back to `_dense_phis`. For a
     stack, eig and cond each run once over all blocks, condition and
     defective are per-block arrays, and eigh is taken only when every
     block is real-symmetric; for one block they are a float and a bool.
@@ -129,25 +114,19 @@ def eigen_blocks(matrix: np.ndarray):
     return lam, vecs, condition, defective, orthogonal
 
 
-def decompose(matrix: np.ndarray):
-    """`eigen_blocks` with the inverse eigenvectors in place of the
-    orthogonal flag: (lam, vectors, vectors_inv, condition, defective)."""
-    lam, vecs, condition, defective, orthogonal = eigen_blocks(matrix)
-    vecs_inv = vecs.swapaxes(-1, -2) if orthogonal else np.linalg.inv(vecs)
-    return lam, vecs, vecs_inv, condition, defective
-
-
 class Propagator:
     """e^{tA}, phi1(tA) and phi2(tA) of one generator, as actions or step factors.
 
     lam has shape (..., m). With vectors and vectors_inv of shape
     (..., m, m), block i of the generator is vectors[i] diag(lam[i])
     vectors_inv[i] and acts on state[i]; without them the generator is
-    the multiplier lam. Blocks flagged in `defective` fall back to expm of
-    their generator block in `matrices` (shape (..., m, m)), which is kept
-    only when some block is defective. The generator is real when its
-    matrices are real or, without matrices, when its eigen data are real;
-    outputs are real when the generator and the state are real.
+    the multiplier lam. Blocks flagged in `defective` fall back to
+    `_dense_phis`: one augmented expm of the block per action or per set
+    of step factors. The blocks come from `matrices` (shape (..., m, m)),
+    which is kept only when some block is defective. The generator is
+    real when its matrices are real or, without matrices, when its eigen
+    data are real; outputs are real when the generator and the state are
+    real.
     """
 
     def __init__(self, lam, vectors=None, vectors_inv=None, defective=False,
@@ -165,8 +144,11 @@ class Propagator:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "Propagator":
-        """Propagator of one dense generator, eigendecomposed once."""
-        lam, vecs, vecs_inv, _, defective = decompose(matrix)
+        """Propagator of one dense (m, m) generator or a (..., m, m) stack,
+        eigendecomposed once by `eigen_blocks`; the inverse eigenvectors
+        are V^T on the orthogonal route."""
+        lam, vecs, _, defective, orthogonal = eigen_blocks(matrix)
+        vecs_inv = vecs.swapaxes(-1, -2) if orthogonal else np.linalg.inv(vecs)
         return cls(lam, vecs, vecs_inv, defective, np.asarray(matrix))
 
     def _apply(self, t: float, state: np.ndarray, scalar_fn, order: int) -> np.ndarray:
@@ -176,7 +158,7 @@ class Propagator:
         else:
             out = _matvec(self.vectors, mult * _matvec(self.vectors_inv, state))
         for idx in self._defective_blocks:
-            out[idx] = _defective_factor(t * self.matrices[idx], order) @ state[idx]
+            out[idx] = _dense_phis(t * self.matrices[idx])[order] @ state[idx]
         return out.real if self.real and not np.iscomplexobj(state) else out
 
     def propagate(self, t: float, state: np.ndarray) -> np.ndarray:
@@ -205,11 +187,13 @@ class Propagator:
         marching with h = dt; only the most recent dt is cached."""
         dt = float(dt)
         if self._cache is None or self._cache[0] != dt:
-            self._cache = (dt, tuple(self._factor(dt, fn, order) for order, fn
-                                     in enumerate((_exp, phi1, phi2))))
+            dense = [_dense_phis(dt * self.matrices[idx])
+                     for idx in self._defective_blocks]
+            self._cache = (dt, tuple(self._factor(dt, fn, [d[order] for d in dense])
+                                     for order, fn in enumerate((_exp, phi1, phi2))))
         return self._cache[1]
 
-    def _factor(self, dt, scalar_fn, order):
+    def _factor(self, dt, scalar_fn, dense):
         mult = scalar_fn(dt * self.lam)
         if self.vectors is None:
             out = mult
@@ -218,8 +202,8 @@ class Propagator:
             for idx in np.ndindex(self.lam.shape[:-1]):  # no stack-sized temporary
                 np.matmul(self.vectors[idx] * mult[idx], self.vectors_inv[idx],
                           out=out[idx])
-        for idx in self._defective_blocks:
-            out[idx] = _defective_factor(dt * self.matrices[idx], order)
+        for idx, block in zip(self._defective_blocks, dense):
+            out[idx] = block
         return out.real if self.real else out
 
 

@@ -224,28 +224,26 @@ def sobolev_norm_set(field, sigmas, geometry: StripGeometry | None = None) -> di
 # Field constructors for initial data
 
 
-def dirichlet_mode_field(geometry: StripGeometry, n: int, m: int,
-                         amplitude: float = 1.0) -> SpectralField:
+def dirichlet_mode_field(geometry: StripGeometry, n: int, m: int) -> SpectralField:
     """cos(n pi x / Lx) * sin(m pi y) style product mode (real)."""
     kx = n * math.pi / geometry.half_length
 
     def fn(x, y):
-        return amplitude * np.cos(kx * x) * np.sin(m * math.pi * y)
+        return np.cos(kx * x) * np.sin(m * math.pi * y)
 
     return field_from_function(geometry, fn)
 
 
-def random_dirichlet_field(geometry: StripGeometry, rng,
-                           n_modes_x: int = 6, n_modes_y: int = 6,
-                           decay: float = 1.5) -> SpectralField:
-    """Random smooth field from a finite sine expansion (Dirichlet exact)."""
+def random_dirichlet_field(geometry: StripGeometry, rng) -> SpectralField:
+    """Random smooth field from a finite sine expansion (Dirichlet exact):
+    modes n <= 6 in x and m <= 6 in y, amplitude (1 + n + m)^-1.5."""
     x = geometry.x_nodes()[:, None]
     y = geometry.y_nodes()[None, :]
     vals = np.zeros((geometry.nx, geometry.ny))
     kx_base = math.pi / geometry.half_length
-    for n in range(n_modes_x + 1):
-        for m in range(1, n_modes_y + 1):
-            amp = (1.0 + n + m) ** (-decay)
+    for n in range(7):
+        for m in range(1, 7):
+            amp = (1.0 + n + m) ** -1.5
             a, b = rng.standard_normal(2)
             vals += amp * (a * np.cos(n * kx_base * x) + b * np.sin(n * kx_base * x)) \
                 * np.sin(m * math.pi * y)

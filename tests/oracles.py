@@ -9,9 +9,11 @@ the package writes, so tests can check them value by value.
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from mildflow.chebyshev import diff_matrix
 from mildflow.io import SNAPSHOT_HEADER
+from mildflow.propagators import Propagator, eigen_blocks
 from mildflow.strip import (
     SpectralField,
     StripGeometry,
@@ -61,6 +63,41 @@ def rough_dirichlet_field(geometry: StripGeometry, rng, sigma: float,
     y = geometry.y_nodes()
     sines = math.sqrt(2.0) * np.sin(math.pi * np.outer(m, y))
     return SpectralField(geometry, coeffs_sine @ sines)
+
+
+# ---------------------------------------------------------- propagators
+
+
+def phi_action_dense(matrix: np.ndarray, vectors: np.ndarray, order: int) -> np.ndarray:
+    """phi_order(matrix) @ vectors by the augmented-exponential identity.
+
+    Robust for defective matrices; order 1 and 2 only.
+    """
+    n = matrix.shape[0]
+    vecs = np.atleast_2d(vectors.T).T  # (n, k)
+    k = vecs.shape[1]
+    if order == 1:
+        aug = np.zeros((n + k, n + k), dtype=np.promote_types(matrix.dtype, vecs.dtype))
+        aug[:n, :n] = matrix
+        aug[:n, n:] = vecs
+        return expm(aug)[:n, n:].reshape(vectors.shape)
+    if order == 2:
+        aug = np.zeros((n + 2 * k, n + 2 * k),
+                       dtype=np.promote_types(matrix.dtype, vecs.dtype))
+        aug[:n, :n] = matrix
+        aug[:n, n:n + k] = vecs
+        aug[n:n + k, n + k:] = np.eye(k)
+        return expm(aug)[:n, n + k:].reshape(vectors.shape)
+    raise ValueError(f"phi order {order} not supported")
+
+
+def decompose(matrix: np.ndarray):
+    """(lam, vectors, vectors_inv, condition, defective) of one block or a
+    stack: the eigen data of `Propagator.from_matrix` with the condition
+    and defective flags of `eigen_blocks`."""
+    _, _, condition, defective, _ = eigen_blocks(matrix)
+    prop = Propagator.from_matrix(matrix)
+    return prop.lam, prop.vectors, prop.vectors_inv, condition, defective
 
 
 # --------------------------------------------------------------- solver

@@ -27,17 +27,17 @@ from mildflow.chebyshev import cumulative_matrix, diff_matrix
 from mildflow.cloud import CloudCoefficients, CloudModel, mode_stack
 from mildflow.config import parse_config
 from mildflow.exponents import BetaConstants, validate_exponents
-from mildflow.lab import (SUP_SAFETY, ContractionParameters,
+from mildflow.lab import (LIPSCHITZ_SAMPLES, SUP_SAFETY, ContractionParameters,
                           FixedPointProblem, InfeasibleProblem, _binding,
                           check_contraction_inequalities,
                           estimate_semigroup_constants, random_problem,
                           select_parameters, tail_profile)
-from mildflow.propagators import Propagator, decompose, phi1, phi2
+from mildflow.propagators import Propagator, phi1, phi2
 from mildflow.solver import (SolverConfig, graded_mesh, picard_solve,
                              run_simulation)
 from mildflow.strip import (_sine_projection, dirichlet_mode_field, open_strip,
                             periodic_strip, random_dirichlet_field)
-from oracles import read_snapshot
+from oracles import decompose, read_snapshot
 
 SEMI = validate_exponents(0.1, 0.5, 0.8, 2.0)
 
@@ -57,7 +57,7 @@ def reference_f(problem, u):
     return problem.epsilon * strength * u
 
 
-def reference_lipschitz(problem, samples=400, rng=None):
+def reference_lipschitz(problem, rng=None):
     """The Lipschitz estimate, drawn and evaluated one pair at a time."""
     rng = np.random.default_rng(0) if rng is None else rng
     exps = problem.exponents
@@ -69,7 +69,7 @@ def reference_lipschitz(problem, samples=400, rng=None):
                     / max(nrm, 1e-30))
 
     best = 0.0
-    for trial in range(samples):
+    for trial in range(LIPSCHITZ_SAMPLES):
         w = ball_point()
         if trial % 3 == 0:
             v = w + 1e-4 * problem.ball_radius * rng.standard_normal(w.shape)
@@ -290,11 +290,10 @@ def test_lipschitz_skips_tiny_denominators_like_reference_loop():
     # denominators near 1e-32 and are dropped; the others stay
     generator = np.diag([-1.0, -2.0, -3.5])
     problem = FixedPointProblem(generator, SEMI, ball_radius=1e-14)
-    expected = reference_lipschitz(problem, samples=30)
-    assert problem.lipschitz(samples=30) == expected > SUP_SAFETY * 1e-12
+    expected = reference_lipschitz(problem)
+    assert problem.lipschitz() == expected > SUP_SAFETY * 1e-12
     tiny = FixedPointProblem(generator, SEMI, ball_radius=1e-30)
-    assert tiny.lipschitz(samples=30) == reference_lipschitz(tiny, samples=30) \
-        == SUP_SAFETY * 1e-12
+    assert tiny.lipschitz() == reference_lipschitz(tiny) == SUP_SAFETY * 1e-12
 
 
 def test_stacked_norm_matches_per_vector_norm():

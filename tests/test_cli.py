@@ -330,6 +330,50 @@ def test_cli_fuzz_exits_0_1_or_2(argv):
         assert main([*argv, *sets, "--out", f"{tmp}/run"]) in (0, 1, 2)
 
 
+# lab and exponents flags: values from _FUZZ_VALUES, the lab on dims <= 4
+_LAB_FLAGS = {("lab", "contraction"): ("seed", "quasilinear"),
+              ("lab", "decay"): ("seed", "varpi", "epsilon"),
+              ("exponents", "semilinear"): ("n", "p", "kappa", "tau"),
+              ("exponents", "quasilinear"): ("n", "p", "kappa", "tau")}
+
+
+@st.composite
+def _lab_command_lines(draw):
+    path = draw(st.sampled_from(sorted(_LAB_FLAGS)))
+    argv = list(path)
+    if path[0] == "lab":
+        argv += ["--dim", draw(st.sampled_from(("-1", "0", "1", "2", "3", "4")))]
+    for name in draw(st.lists(st.sampled_from(_LAB_FLAGS[path]), max_size=3,
+                              unique=True)):
+        argv += [f"--{name}"] if name == "quasilinear" else \
+            [f"--{name}", draw(st.sampled_from(_FUZZ_VALUES))]
+    return argv
+
+
+@given(_lab_command_lines())
+@example(["lab", "decay", "--dim", "3", "--varpi", "1e300"])
+@settings(max_examples=40, deadline=None)
+def test_lab_and_exponents_fuzz_exits_0_1_or_2(argv):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main([*argv, "--out", f"{tmp}/run"]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["exponents", "semilinear", "--kappa", "inf"], "kappa must be finite"),
+    (["exponents", "quasilinear", "--tau", "nan"], "tau must be finite"),
+    (["exponents", "semilinear", "--p=-inf"], "p must be finite"),
+    (["lab", "contraction", "--dim", "3", "--seed", "-1"], "--seed"),
+    (["lab", "decay", "--dim", "3", "--seed", "-1"], "--seed"),
+    (["lab", "decay", "--dim", "3", "--varpi", "1e-300"], "varpi"),
+])
+def test_lab_and_exponents_name_the_offending_input(tmp_path, capsys, argv,
+                                                     named):
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 # ---------- heat ----------
 
 def test_heat_blowup_recorded_with_exit_zero(tmp_path):

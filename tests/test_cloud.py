@@ -20,13 +20,13 @@ from mildflow.cloud import (
     periodic_stability_condition,
     spectral_bound_numeric,
 )
-from mildflow.propagators import decompose, phi_action_dense
 from mildflow.strip import (
     field_from_function,
     open_strip,
     periodic_strip,
     to_grid,
 )
+from oracles import decompose, phi_action_dense
 
 GEO = periodic_strip(nx=32, ny=32)
 

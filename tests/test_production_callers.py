@@ -1,10 +1,13 @@
-"""Every public function and class of the package has a production caller.
+"""Every public function, class, method and property of the package has
+a production caller.
 
-A public top-level name of src/mildflow counts as called when a module
-of the package refers to it outside its own definition, or when the
-acceptance criteria or the benchmark workloads do. Imports and __all__
-are not references. Oracles and readers that only tests need live in
-tests/oracles.py instead.
+A public top-level name of src/mildflow, or a public method or property
+of one of its classes, counts as called when a module of the package
+refers to it outside its own definition, or when the acceptance
+criteria or the benchmark workloads do. A method counts by its
+attribute name, whatever object it is reached through. Imports and
+__all__ are not references. Oracles and readers that only tests need
+live in tests/oracles.py instead.
 """
 
 import ast
@@ -43,14 +46,25 @@ def uncalled_names() -> list:
                    for path in CALLERS_OUTSIDE), Counter())
     missing = []
     for path, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
-                continue
+        for node, owner in _definitions(tree):
             own = _references(node)[node.name]
             if used[node.name] <= own and not outside[node.name]:
-                missing.append(f"{path.stem}.{node.name}")
+                missing.append(f"{path.stem}.{owner}{node.name}")
     return missing
+
+
+def _definitions(tree):
+    """(node, owner prefix) of each public top-level function and class
+    and of each public method or property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node, ""
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and not member.name.startswith("_"):
+                    yield member, f"{node.name}."
 
 
 def test_every_public_definition_has_a_production_caller():

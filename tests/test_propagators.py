@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from mildflow import propagators
 from mildflow.propagators import (
     InstabilityError,
     Propagator,
     apply_block_factor,
-    decompose,
+    eigen_blocks,
     phi1,
     phi2,
-    phi_action_dense,
 )
+from oracles import decompose, phi_action_dense
 
 
 def taylor_phi(z, order, terms=30):
@@ -284,6 +285,29 @@ def test_stacked_decompose_real_symmetric_takes_eigh():
         for got, ref in zip((lam, vecs, invs), want[:3]):
             _assert_same_bits(got[i], ref)
         assert (want[3], want[4]) == (1.0, False)
+
+
+def test_defective_block_step_factors_take_one_expm(monkeypatch):
+    # e^{hA}, phi1(hA) and phi2(hA) of a defective block are the top block
+    # row of one augmented exponential, not three separate ones
+    calls = []
+    monkeypatch.setattr(propagators, "expm",
+                        lambda a: calls.append(a.shape) or expm(a))
+    blocks = np.stack([np.diag([-2.0, -3.0, -4.0]), JORDAN3])
+    assert eigen_blocks(blocks)[3].tolist() == [False, True]
+    prop = Propagator.from_matrix(blocks)
+    dt = 0.5
+    factors = prop.step_factors(dt)
+    assert calls == [(9, 9)]
+    jordan = dt * JORDAN3
+    for order, factor in enumerate(factors):
+        taylor = sum(np.linalg.matrix_power(jordan, k) / math.factorial(k + order)
+                     for k in range(30))
+        want = expm(jordan) if order == 0 else \
+            phi_action_dense(jordan, np.eye(3), order)
+        assert np.max(np.abs(factor[1] - taylor)) < 1e-13
+        assert np.max(np.abs(factor[1] - want)) < 1e-12
+    assert np.max(np.abs(factors[0][0] - expm(dt * blocks[0]))) < 1e-12
 
 
 def _generator(kind):

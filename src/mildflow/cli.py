@@ -27,17 +27,15 @@ import numpy as np
 from . import __version__
 from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
                     mode_spectra, periodic_stability_condition)
-from .config import (CHOICES, MAX_PROPAGATOR_BYTES, ConfigError, RunConfig,
-                     config_echo, parse_config)
+from .config import CHOICES, ConfigError, RunConfig, config_echo, parse_config
 from .exponents import quasilinear_recipe, semilinear_recipe
 from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
                    scaling_roundtrip_test)
 from .io import (sigma_label, write_csv, write_json, write_series,
                  write_snapshot)
-from .lab import (FixedPointDivergence, contraction_experiment,
-                  decay_experiment)
-from .propagators import InstabilityError
+from .lab import contraction_experiment, decay_experiment
+from .propagators import MAX_PROPAGATOR_BYTES
 from .solver import SolverConfig, fit_decay_rate, run_simulation
 from .strip import (dirichlet_mode_field, open_strip, periodic_strip,
                     random_dirichlet_field, to_grid)
@@ -548,9 +546,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (InstabilityError, FixedPointDivergence, FloatingPointError,
-            RuntimeError, np.linalg.LinAlgError) as exc:
-        # before ValueError, which LinAlgError subclasses
+    except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
+        # InstabilityError and FixedPointDivergence among them; before
+        # ValueError, which LinAlgError subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

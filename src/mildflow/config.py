@@ -14,13 +14,10 @@ from dataclasses import dataclass, fields
 from math import inf, isfinite, pi
 
 from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
+from .propagators import MAX_PROPAGATOR_BYTES
 from .solver import INTEGRATORS, MAX_STEPS
 
 ENV_PREFIX = "MILDFLOW_"
-
-# Largest propagator storage a run may ask for; a bigger grid is refused
-# before anything is allocated.
-MAX_PROPAGATOR_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):

@@ -16,6 +16,7 @@ divergence form with Neumann data).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -150,9 +151,13 @@ class BetaConstants:
 
 
 def _require_finite(**values) -> None:
-    """Refuse a non-finite recipe input by name."""
+    """Refuse a non-finite recipe input, or an integer no float can hold,
+    by name."""
     bad = [f"{name} must be finite, got {value}" for name, value in values.items()
            if isinstance(value, float) and not math.isfinite(value)]
+    bad += [f"{name} must not exceed the largest float, got an integer of "
+            f"{value.bit_length()} bits" for name, value in values.items()
+            if isinstance(value, int) and abs(value) > sys.float_info.max]
     if bad:
         raise ExponentError(bad)
 

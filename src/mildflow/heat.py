@@ -32,16 +32,12 @@ from .solver import SolverConfig, run_simulation
 
 def nonlinearity_semilinear(values: np.ndarray, kappa: float) -> np.ndarray:
     """Pointwise |u|^{kappa-1} u; odd in u exactly."""
-    if not kappa > 1.0:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
     values = np.asarray(values)
     return np.abs(values) ** (kappa - 1.0) * values
 
 
 def nonlinearity_gradient(grad_values: np.ndarray, kappa: float) -> np.ndarray:
     """Pointwise |grad u|^kappa from sampled gradient values."""
-    if not kappa > 3.0:
-        raise ValueError(f"kappa must exceed 3, got {kappa}")
     return np.abs(np.asarray(grad_values)) ** kappa
 
 
@@ -229,6 +225,9 @@ class PeriodicHeatModel:
                  nonlinear: bool = True):
         if kind not in ("semilinear", "quasilinear"):
             raise ValueError(f"unknown model kind {kind!r}")
+        floor = 1.0 if kind == "semilinear" else 3.0
+        if not kappa > floor:
+            raise ValueError(f"kappa must exceed {floor:g}, got {kappa}")
         if not diffusion > 0.0:
             raise ValueError("diffusion must be positive")
         self.grid = grid

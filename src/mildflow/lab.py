@@ -22,9 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import MAX_PROPAGATOR_BYTES
 from .exponents import BetaConstants, ExponentSet, validate_exponents
-from .propagators import Propagator
+from .propagators import MAX_PROPAGATOR_BYTES, Propagator
 from .solver import MAX_STEPS, SolverConfig, picard_solve, run_simulation
 
 __all__ = [
@@ -106,7 +105,8 @@ class FixedPointProblem:
         self.propagator = Propagator.from_matrix(self.generator)
         if self.propagator.lam.max() >= 0.0:
             raise ValueError("generator must be negative definite")
-        self._decay_rates = -self.propagator.lam
+        # positive decay rates, aligned with the propagator's eigenbasis
+        self.spectrum = -self.propagator.lam
         # the negated forms refuse NaN too
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(
@@ -120,29 +120,20 @@ class FixedPointProblem:
         return self.generator.shape[0]
 
     @property
-    def spectrum(self) -> np.ndarray:
-        """Positive decay rates, aligned with the cached eigenbasis."""
-        return self._decay_rates
-
-    @property
     def lambda_min(self) -> float:
-        return float(self._decay_rates.min())
+        return float(self.spectrum.min())
 
     @property
     def lambda_max(self) -> float:
-        return float(self._decay_rates.max())
-
-    def eigen_coefficients(self, vector) -> np.ndarray:
-        return self.propagator.vectors.T @ np.asarray(vector, dtype=float)
+        return float(self.spectrum.max())
 
     def norm(self, vector, theta: float):
         """Ladder norm of one vector (a float) or of each row of a
         (..., m) stack (an array), each row on its own."""
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
-        coeff = np.matmul(self.propagator.vectors.T,
-                          np.asarray(vector, dtype=float)[..., None])[..., 0]
-        coeff *= self._decay_rates ** theta
+        coeff = self.propagator.to_eigen(np.asarray(vector, dtype=float))
+        coeff *= self.spectrum ** theta
         out = np.sqrt(np.vecdot(coeff, coeff))
         return float(out) if out.ndim == 0 else out
 
@@ -289,7 +280,7 @@ def tail_profile(problem: FixedPointProblem, u0) -> Callable[[float], float]:
     """
     exps = problem.exponents
     rates = problem.spectrum
-    hat = problem.eigen_coefficients(u0)
+    hat = problem.propagator.to_eigen(np.asarray(u0, dtype=float))
     ts = np.geomspace(T_FLOOR, 1.0, 1200)
     modes = (rates[None, :] ** exps.xi * np.exp(-ts[:, None] * rates[None, :])
              * hat[None, :])
@@ -309,7 +300,7 @@ def check_contraction_inequalities(params: ContractionParameters,
                                    constants: SemigroupConstants,
                                    exponents: ExponentSet,
                                    n_star: float,
-                                   beta_consts: Optional[BetaConstants] = None,
+                                   beta_consts: BetaConstants,
                                    m_profile: Optional[Callable] = None,
                                    initial_xi_norm: float = 0.0) -> dict:
     """Slack (lhs - rhs, nonpositive when satisfied) of every inequality.
@@ -320,8 +311,6 @@ def check_contraction_inequalities(params: ContractionParameters,
     window pair into the monotone conditions T^(alpha-beta) < r (strict)
     and coefficient * T^(alpha-beta) / r <= 1.
     """
-    if beta_consts is None:
-        beta_consts = BetaConstants.from_exponents(exponents)
     w0, w1, w2 = constants.weights(exponents)
     L, r, T = params.L, params.r, params.T
 
@@ -356,8 +345,7 @@ def _binding(slacks: dict) -> Optional[str]:
 
 
 def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
-                      n_star: float,
-                      beta_consts: Optional[BetaConstants] = None,
+                      n_star: float, beta_consts: BetaConstants,
                       m_profile: Optional[Callable] = None,
                       initial_xi_norm: float = 0.0,
                       ball_radius: Optional[float] = None
@@ -372,8 +360,6 @@ def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
     """
     if n_star <= 0.0:
         raise ValueError("n_star must be positive")
-    if beta_consts is None:
-        beta_consts = BetaConstants.from_exponents(exponents)
     w0, w1, _ = constants.weights(exponents)
 
     bound = (1.0 / (4.0 * (2.0 * w0 + w1) * n_star

@@ -24,6 +24,9 @@ from scipy.linalg import expm
 
 EIG_CONDITION_LIMIT = 1e8
 _EXP_OVERFLOW = 700.0
+# Largest propagator storage a run may ask for; a bigger grid, lab
+# dimension or mode stack is refused before anything is allocated.
+MAX_PROPAGATOR_BYTES = 1 << 30
 
 
 class InstabilityError(RuntimeError):

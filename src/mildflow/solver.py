@@ -98,11 +98,6 @@ def _advance(state, f0, dt, operators, nonlinearity, method):
     return stage + dt * phi2_op(nonlinearity(stage) - f0)
 
 
-def _actions(propagator, dt):
-    return tuple(partial(fn, dt) for fn in (
-        propagator.propagate, propagator.phi1_action, propagator.phi2_action))
-
-
 def step_plan(t_end: float, dt: float):
     """(steps, last): whole steps of dt, then a partial step of the
     remainder, ending at t_end; a ratio t_end/dt within 1e-12 relative
@@ -137,8 +132,9 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
         if fixed is not None and h == dt:
             return [partial(apply_block_factor, factor)
                     for factor in fixed.step_factors(dt)]
-        return _actions(fixed if fixed is not None
-                        else model.frozen_propagator(st), h)
+        prop = fixed if fixed is not None else model.frozen_propagator(st)
+        return [partial(fn, h) for fn in (
+            prop.propagate, prop.phi1_action, prop.phi2_action)]
     lead = config.monitor_sigmas[0]
     extra = () if config.weighted_sigma is None else (config.weighted_sigma,)
     sigmas = tuple(dict.fromkeys(config.monitor_sigmas + extra))

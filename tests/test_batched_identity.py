@@ -47,7 +47,7 @@ SEMI = validate_exponents(0.1, 0.5, 0.8, 2.0)
 def reference_norm(problem, vector, theta):
     """Ladder norm of one vector: eigen coefficients by a matvec, then
     numpy's 2-norm."""
-    coeff = problem.eigen_coefficients(vector)
+    coeff = problem.propagator.vectors.T @ np.asarray(vector, dtype=float)
     return float(np.linalg.norm(problem.spectrum ** theta * coeff))
 
 

@@ -6,13 +6,14 @@ import math
 import pathlib
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mildflow import chebyshev, cli, cloud
+from mildflow import chebyshev, cli, cloud, lab
 from mildflow.cli import COMMANDS, FLAGS, main
 from mildflow.config import CHOICES, KEYS
 from oracles import read_csv, read_snapshot
@@ -366,6 +367,10 @@ def test_lab_and_exponents_fuzz_exits_0_1_or_2(argv):
     (["lab", "contraction", "--dim", "3", "--seed", "-1"], "--seed"),
     (["lab", "decay", "--dim", "3", "--seed", "-1"], "--seed"),
     (["lab", "decay", "--dim", "3", "--varpi", "1e-300"], "varpi"),
+    (["exponents", "semilinear", "--n", "1" + "0" * 400],
+     "n must not exceed the largest float"),
+    (["exponents", "quasilinear", "--n", "1" + "0" * 400],
+     "n must not exceed the largest float"),
 ])
 def test_lab_and_exponents_name_the_offending_input(tmp_path, capsys, argv,
                                                      named):
@@ -473,6 +478,22 @@ def test_heat_small_data_completes(tmp_path):
     assert summary["final"]["norms"]["H1"] < 0.01
 
 
+@pytest.mark.parametrize("command", [["heat", "simulate", "--kind", "periodic"],
+                                     ["simulate", "--model", "heat-periodic"]])
+@pytest.mark.parametrize("init", ["mode", "random"])
+def test_heat_periodic_runs_and_writes_line_snapshots(tmp_path, command, init):
+    out = tmp_path / "run"
+    assert main([*command, "--init", init, "--t-end", "0.02", "--dt", "0.001",
+                 "--snapshot-every", "10", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["model"] == "heat-periodic" and summary["snapshots"] == 3
+    for path in sorted((out / "snapshots").iterdir()):
+        values, lx, flags = read_snapshot(str(path))
+        assert values.shape == (1, summary["config"]["grid.n"])
+        assert lx == 2.0 * summary["config"]["grid.half_width"]
+        assert flags == 1
+
+
 # ---------- decay-test ----------
 
 def test_decay_test_unstable_coefficients_exit_2(tmp_path):
@@ -556,6 +577,16 @@ def test_lab_contraction_cli(tmp_path, capsys):
     assert all(rec["satisfied"] for rec in payload["inequalities"].values())
     on_disk = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert on_disk == payload
+
+
+def test_lab_picard_divergence_is_numerical_failure_exit_1(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(lab, "PICARD_CONFIG",
+                        replace(lab.PICARD_CONFIG, picard_max_iter=1))
+    assert main(["lab", "contraction", "--dim", "4",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "numerical failure: Picard iteration did not settle" in \
+        capsys.readouterr().err
 
 
 def test_lab_decay_cli(tmp_path, capsys):

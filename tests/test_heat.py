@@ -51,7 +51,7 @@ def test_semilinear_lipschitz_estimate():
 
 def test_semilinear_rejects_small_kappa():
     with pytest.raises(ValueError, match="kappa"):
-        nonlinearity_semilinear(np.array([1.0]), 1.0)
+        PeriodicHeatModel(PeriodicGrid(), "semilinear", kappa=1.0)
 
 
 def test_gradient_constant_profile_and_patch():
@@ -80,7 +80,7 @@ def test_gradient_translation_invariance_exact():
 
 def test_gradient_rejects_small_kappa():
     with pytest.raises(ValueError, match="kappa"):
-        nonlinearity_gradient(np.array([1.0]), 3.0)
+        PeriodicHeatModel(PeriodicGrid(), "quasilinear", kappa=3.0)
 
 
 # ---------- semilinear Dirichlet model ----------

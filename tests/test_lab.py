@@ -44,6 +44,7 @@ FROZEN_L_BOUND = 0.010748140142761027
 QUASI = validate_exponents(0.1, 0.5, 0.8, 2.0, beta_exp=0.2)
 SEMI = validate_exponents(0.1, 0.5, 0.8, 2.0)
 UNIT_CONSTANTS = SemigroupConstants(omega0=1.0, omega1=1.0, omega2=1.0)
+QUASI_BETA = BetaConstants.from_exponents(QUASI)
 
 
 def scalar_problem(epsilon=1.0, exps=SEMI):
@@ -140,7 +141,7 @@ def test_omega_defaults_by_exponent_kind():
 # Parameter selection --------------------------------------------------------
 
 def test_select_parameters_frozen_contraction_budget():
-    params = select_parameters(UNIT_CONSTANTS, QUASI, 1.0)
+    params = select_parameters(UNIT_CONSTANTS, QUASI, 1.0, QUASI_BETA)
     assert params.L == pytest.approx(0.9 * FROZEN_L_BOUND, rel=1e-9)
     assert params.L <= FROZEN_L_BOUND
     # r caps at 0.9 * L / (4 * omega0) here (the drift cap 1/32 is larger)
@@ -149,8 +150,9 @@ def test_select_parameters_frozen_contraction_budget():
 
 
 def test_select_parameters_revalidation_slack():
-    params = select_parameters(UNIT_CONSTANTS, QUASI, 1.0)
-    slacks = check_contraction_inequalities(params, UNIT_CONSTANTS, QUASI, 1.0)
+    params = select_parameters(UNIT_CONSTANTS, QUASI, 1.0, QUASI_BETA)
+    slacks = check_contraction_inequalities(params, UNIT_CONSTANTS, QUASI, 1.0,
+                                            QUASI_BETA)
     assert set(slacks) == {
         "lipschitz_budget", "ball_radius", "drift_radius",
         "initial_weight", "window_compatibility", "holder_budget"}
@@ -161,28 +163,32 @@ def test_select_parameters_large_q_cap():
     levels = []
     for q in (2.0, 51.0, 2001.0):
         exps = validate_exponents(0.1, 0.5, 0.5 + 0.6 / q, q, beta_exp=0.2)
-        levels.append(select_parameters(UNIT_CONSTANTS, exps, 1.0).L)
+        levels.append(select_parameters(
+            UNIT_CONSTANTS, exps, 1.0, BetaConstants.from_exponents(exps)).L)
     assert levels == sorted(levels)
     assert 0.88 <= levels[-1] <= 0.9 + 1e-12
 
 
 def test_select_parameters_infeasible_names_budget():
     with pytest.raises(InfeasibleProblem) as err:
-        select_parameters(UNIT_CONSTANTS, QUASI, 1e9)
+        select_parameters(UNIT_CONSTANTS, QUASI, 1e9, QUASI_BETA)
     assert err.value.binding == "lipschitz_budget"
 
 
 def test_select_parameters_semilinear_window_free():
     consts = SemigroupConstants(omega0=1.0)
-    params = select_parameters(consts, SEMI, 1.0)
-    slacks = check_contraction_inequalities(params, consts, SEMI, 1.0)
+    beta_consts = BetaConstants.from_exponents(SEMI)
+    params = select_parameters(consts, SEMI, 1.0, beta_consts)
+    slacks = check_contraction_inequalities(params, consts, SEMI, 1.0,
+                                            beta_consts)
     assert set(slacks) == {"lipschitz_budget", "ball_radius"}
     assert params.T == pytest.approx(0.99)
 
 
 def test_select_parameters_quasilinear_needs_omegas():
     with pytest.raises(ValueError, match="omega1"):
-        select_parameters(SemigroupConstants(omega0=1.0), QUASI, 1.0)
+        select_parameters(SemigroupConstants(omega0=1.0), QUASI, 1.0,
+                          QUASI_BETA)
 
 
 def test_contraction_parameters_range_validation():

@@ -1,0 +1,17 @@
+"""The README's Python API example runs as written."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    s_c, q = map(float, lines[0].split())
+    assert abs(s_c - 0.1) < 1e-12 and q == 6.0
+    assert abs(float(lines[1]) - 10.87) < 0.01
+    assert lines[2].startswith("True ")

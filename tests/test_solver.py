@@ -193,6 +193,14 @@ def test_blowup_nonfinite_flag_when_threshold_disabled():
     assert np.all(np.isfinite(tr.final_state))
 
 
+def test_semigroup_overflow_flags_before_the_first_step():
+    # h lam = 1e3 exceeds the exponent guard in the first step factor
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, monitor_sigmas=(0.0,))
+    tr = run_simulation(ScalarLinear(1e6), U0, cfg)
+    assert tr.blowup_reason == "semigroup-overflow" and tr.blowup_time == 0.0
+    assert tr.steps == 0 and tr.times.size == 1
+
+
 def test_picard_matches_logistic_closed_form():
     m = ScalarLogistic()
     cfg = SolverConfig(picard_segments=512, picard_tol=1e-13,

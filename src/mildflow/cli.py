@@ -429,7 +429,7 @@ SCALING_TEST = Command(
 COMMANDS = {
     ("simulate",): Command(
         "time-march the configured model", cmd_simulate,
-        "out model nu eta beta t-end dt integrator record-every "
+        "out model nu eta beta kappa t-end dt integrator record-every "
         "snapshot-every init amplitude seed"),
     ("spectral-bound",): Command(
         "max real part of the mode-operator spectra", cmd_spectral_bound,
@@ -448,8 +448,8 @@ COMMANDS = {
     ("scaling-test",): SCALING_TEST,
     ("heat", "simulate"): Command(
         "time-march a heat model", cmd_simulate,
-        "out kappa p tau diffusion intervals points t-end dt integrator "
-        "record-every snapshot-every init amplitude seed",
+        "out kappa p tau diffusion intervals points n half-width t-end dt "
+        "integrator record-every snapshot-every init amplitude seed",
         base=lambda args: [f"model=heat-{args.kind}"],
         arguments=(("--kind", {"choices": (*CHOICES["heat.kind"], "periodic"),
                                "default": "semilinear"}),)),

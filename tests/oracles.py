@@ -2,8 +2,9 @@
 
 The oracles recompute what the package computes by a second route
 (quadrature instead of multipliers, one Propagator action at a time
-instead of cached step factors), and the readers parse the artifacts
-the package writes, so tests can check them value by value.
+instead of cached step factors, sampled sups under the lab's closed-form
+constants), and the readers parse the artifacts the package writes, so
+tests can check them value by value.
 """
 
 import math
@@ -121,6 +122,51 @@ def step_exponential(state, dt, propagator, nonlinearity,
     if method == "exp_euler":
         return stage, f0
     return stage + dt * propagator.phi2_action(dt, nonlinearity(stage) - f0), f0
+
+
+# ------------------------------------------------------------------- lab
+
+
+def sampled_lipschitz(problem, rng, samples: int = 400) -> float:
+    """Largest ||f(w)-f(v)||_gamma / ((||w||_xi^(q-1) + ||v||_xi^(q-1))
+    ||w-v||_xi) over random pairs of a `FixedPointProblem`.
+
+    Each point is a normal direction scaled to xi-norm ball_radius times a
+    radius in [0.05, 1); every third v is w plus 1e-4 ball_radius times a
+    normal vector instead, to probe the local regime. Pairs whose
+    denominator falls below 1e-30 are skipped, and 0 is returned when all
+    are. A lower bound of the closed-form `FixedPointProblem.lipschitz`.
+    """
+    exps, m, radius = problem.exponents, problem.dimension, problem.ball_radius
+
+    def ball_points():
+        x = rng.standard_normal((samples, m))
+        length = radius * rng.uniform(0.05, 1.0, samples)
+        return x * (length / np.maximum(problem.norm(x, exps.xi), 1e-30))[:, None]
+
+    w, v = ball_points(), ball_points()
+    near = np.arange(samples) % 3 == 0
+    v[near] = w[near] + 1e-4 * radius * rng.standard_normal((near.sum(), m))
+    p = exps.q - 1.0
+    denom = ((problem.norm(w, exps.xi) ** p + problem.norm(v, exps.xi) ** p)
+             * problem.norm(w - v, exps.xi))
+    ratio = problem.norm(problem.f(w) - problem.f(v), exps.gamma) / denom
+    return float(np.max(ratio[denom >= 1e-30], initial=0.0))
+
+
+def sampled_semigroup_sup(problem, theta: float, vartheta: float,
+                          points: int = 600) -> float:
+    """t^delta ||(-A)^theta e^{tA} (-A)^-vartheta||_2, delta = theta -
+    vartheta, maximized over a log time grid from 1e-6/lambda_max to
+    50/lambda_min: for a self-adjoint generator, the largest (t rate)^delta
+    e^(-t rate) over the spectrum. The t -> 0 limit 1 of delta = 0 is
+    included. A lower bound of omega0."""
+    delta = theta - vartheta
+    times = np.geomspace(1e-6 / problem.lambda_max, 50.0 / problem.lambda_min,
+                         points)
+    x = times[:, None] * problem.spectrum[None, :]
+    sup = float((x ** delta * np.exp(-x)).max())
+    return max(sup, 1.0) if delta == 0.0 else sup
 
 
 # ------------------------------------------------------------------- io

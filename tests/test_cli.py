@@ -494,6 +494,20 @@ def test_heat_periodic_runs_and_writes_line_snapshots(tmp_path, command, init):
         assert flags == 1
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["heat", "simulate", "--kind", "periodic", "--n", "32"], "grid.n", 32),
+    (["heat", "simulate", "--kind", "periodic", "--half-width", "4"],
+     "grid.half_width", 4.0),
+    (["simulate", "--model", "heat-periodic", "--kappa", "5"], "heat.kappa", 5.0),
+])
+def test_heat_periodic_flags_reach_their_keys(tmp_path, argv, key, value):
+    out = tmp_path / "run"
+    assert main([*argv, "--t-end", "0.002", "--dt", "0.001",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"][key] == value
+
+
 # ---------- decay-test ----------
 
 def test_decay_test_unstable_coefficients_exit_2(tmp_path):

@@ -22,7 +22,7 @@ from mildflow.lab import (
     tail_profile,
     verify_decay,
 )
-from oracles import phi_action_dense
+from oracles import phi_action_dense, sampled_lipschitz, sampled_semigroup_sup
 
 # Oracles ------------------------------------------------------------------
 
@@ -49,6 +49,13 @@ QUASI_BETA = BetaConstants.from_exponents(QUASI)
 
 def scalar_problem(epsilon=1.0, exps=SEMI):
     return FixedPointProblem(np.array([[-1.0]]), exps, epsilon=epsilon)
+
+
+def level_pairs(exps):
+    """(theta, vartheta) of every semigroup estimate of the contraction
+    argument."""
+    return sorted({(0.0, 0.0), (exps.alpha, exps.gamma), (exps.xi, exps.gamma),
+                   (exps.xi, exps.alpha), (exps.contraction_level, exps.gamma)})
 
 
 def fractional_norm(generator, theta, vector):
@@ -103,25 +110,44 @@ def test_log_convexity_in_theta():
 # Semigroup constants --------------------------------------------------------
 
 def test_semigroup_constants_scalar_frozen():
-    consts = estimate_semigroup_constants(scalar_problem())
-    by_pair = {(t, v): s for t, v, s in consts.sampled_pairs}
+    problem = scalar_problem()
+    consts = estimate_semigroup_constants(problem)
+    assert (consts.omega0, consts.omega1, consts.omega2) == (1.0, None, None)
     # (0, 0), (alpha, gamma), (xi, gamma) and (xi, alpha); the semilinear
     # contraction level is alpha, so its pair repeats (alpha, gamma)
-    assert set(by_pair) == {(0.0, 0.0), (0.5, 0.1), (0.8, 0.1), (0.8, 0.5)}
-    assert by_pair[(0.0, 0.0)] == 1.0
+    pairs = level_pairs(SEMI)
+    assert pairs == [(0.0, 0.0), (0.5, 0.1), (0.8, 0.1), (0.8, 0.5)]
+    by_pair = {pair: sampled_semigroup_sup(problem, *pair) for pair in pairs}
+    assert by_pair[(0.0, 0.0)] == consts.omega0
     assert by_pair[(0.8, 0.1)] == pytest.approx(0.7 ** 0.7 / math.e ** 0.7,
                                                 rel=1e-3)
-    assert consts.omega0 >= max(by_pair.values())
-    assert consts.omega0 >= 1.0
+    assert max(by_pair.values()) <= consts.omega0
 
 
 def test_semigroup_constants_two_mode_closed_form():
     prob = FixedPointProblem(np.diag([-1.0, -10.0]), SEMI)
-    consts = estimate_semigroup_constants(prob)
-    for theta, vartheta, sup in consts.sampled_pairs:
+    assert estimate_semigroup_constants(prob).omega0 == 1.0
+    for theta, vartheta in level_pairs(SEMI):
+        sup = sampled_semigroup_sup(prob, theta, vartheta)
         assert sup == pytest.approx(mode_sup_exact(theta - vartheta), rel=1e-4)
-    by_pair = {(t, v): s for t, v, s in consts.sampled_pairs}
-    assert by_pair[(0.8, 0.5)] == pytest.approx((0.3 / math.e) ** 0.3, rel=1e-4)
+        assert sup <= 1.0
+    assert sampled_semigroup_sup(prob, 0.8, 0.5) == pytest.approx(
+        (0.3 / math.e) ** 0.3, rel=1e-4)
+
+
+@pytest.mark.parametrize("quasilinear", [False, True])
+def test_closed_form_constants_bound_their_samples(quasilinear):
+    # sampled sups are lower bounds of the closed forms; at dim 1 the
+    # Lipschitz bound is sharp, so its samples reach it up to rounding
+    for dim in range(1, 41):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            problem = random_problem(dim, rng, quasilinear=quasilinear)
+            n_star = problem.lipschitz()
+            assert sampled_lipschitz(problem, rng) <= n_star * (1.0 + 1e-9)
+            omega0 = estimate_semigroup_constants(problem).omega0
+            for theta, vartheta in level_pairs(problem.exponents):
+                assert sampled_semigroup_sup(problem, theta, vartheta) <= omega0
 
 
 def test_semigroup_constants_type_validation():
@@ -237,10 +263,14 @@ def test_default_nonlinearity_vanishes_at_origin():
 
 
 def test_lipschitz_estimate_scalar_quadratic():
-    # for |u| u on the unit ball the sampled ratio is exactly 1 because
-    # ||w|w - |v|v| <= (|w| + |v|) |w - v| with equality as v -> w
-    n_star = scalar_problem().lipschitz()
-    assert 0.9 <= n_star <= 1.1 * (1.0 + 1e-9)
+    # for |u| u the ratio is at most 1 because ||w|w - |v|v| <= (|w| + |v|)
+    # |w - v|, with equality as v -> w: the closed form is sharp here
+    problem = scalar_problem()
+    n_star = problem.lipschitz()
+    assert n_star == 1.0
+    # nearly coincident pairs reach it up to the rounding of their gap
+    sampled = sampled_lipschitz(problem, np.random.default_rng(0))
+    assert 0.99 <= sampled <= 1.0 + 1e-9
 
 
 # Fixed-point runs -----------------------------------------------------------

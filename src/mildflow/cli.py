@@ -10,7 +10,7 @@ no timestamps or machine identifiers enter any file.
 
 Exit codes: 0 success (a detected blow-up is still a successful run and
 is recorded in the summary), 2 constraint or configuration infeasibility,
-1 numerical failure.
+1 numerical failure or a stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _series(basis, coeffs):
 
 
 def _build_model_and_state(config: RunConfig):
-    """Model instance, initial state, and snapshot metadata (lx, flags)."""
+    """Model, initial state, and the snapshot metadata of `_write_snapshots`."""
     rng = np.random.default_rng(config.run_seed)
     random = config.init_kind == "random"
 
@@ -76,7 +76,8 @@ def _build_model_and_state(config: RunConfig):
         state = model.state_from_field(
             random_dirichlet_field(geometry, rng) if random
             else dirichlet_mode_field(geometry, n=1, m=1))
-        meta = (2.0 * geometry.half_length, int(geometry.periodic_x))
+        meta = (lambda st: to_grid(model.field_from_state(st)),
+                2.0 * geometry.half_length, int(geometry.periodic_x))
     elif config.model == "heat-periodic":
         grid = PeriodicGrid(half_width=config.grid_half_width, n=config.grid_n)
         model = PeriodicHeatModel(grid, kind=config.heat_kind,
@@ -93,7 +94,7 @@ def _build_model_and_state(config: RunConfig):
         else:
             values = np.exp(-0.5 * x ** 2)
         state = model.state_from_values(values)
-        meta = (2.0 * grid.half_width, 1)
+        meta = (lambda st: model.values(st)[None, :], 2.0 * grid.half_width, 1)
     else:
         if config.model == "heat-semilinear":
             model = SemilinearHeatModel(intervals=config.heat_intervals,
@@ -110,7 +111,7 @@ def _build_model_and_state(config: RunConfig):
         coeffs = (rng.standard_normal(5) / (1.0 + np.arange(5)) ** 1.5
                   if random else (1.0,))
         state = model.state_from_function(_series(basis, coeffs))
-        meta = (1.0, 0)
+        meta = (lambda st: model.nodal_values(st)[None, :], 1.0, 0)
 
     # zero data, or the state scaled to H1 norm init.amplitude
     base = model.norm(state, 1.0)
@@ -136,21 +137,13 @@ def _solver_config(config: RunConfig) -> SolverConfig:
     )
 
 
-def _snapshot_values(config: RunConfig, model, state) -> np.ndarray:
-    """Real-valued field on the natural grid, always two dimensional."""
-    if config.model == "cloud":
-        return to_grid(model.field_from_state(state))
-    if config.model == "heat-periodic":
-        return model.values(state)[None, :]
-    return model.nodal_values(state)[None, :]
-
-
-def _write_snapshots(out_dir, config, model, trajectory, lx, flags):
-    # snapshot i is taken after step i * snapshot_every
+def _write_snapshots(out_dir, config, trajectory, grid_values, lx, flags):
+    # grid_values maps a state to its real field on the natural grid, two
+    # dimensional; snapshot i is taken after step i * snapshot_every
     for i, (_, state) in enumerate(trajectory.snapshots):
         step = i * config.solver_snapshot_every
         path = os.path.join(out_dir, "snapshots", f"step_{step:08d}.bin")
-        write_snapshot(path, _snapshot_values(config, model, state), lx, flags)
+        write_snapshot(path, grid_values(state), lx, flags)
     return len(trajectory.snapshots)
 
 
@@ -191,12 +184,12 @@ def _emit(command: str, report: dict, out_dir) -> int:
 # ------------------------------------------------ configured commands
 
 def cmd_simulate(config: RunConfig, args) -> int:
-    model, u0, lx, flags = _build_model_and_state(config)
+    model, u0, *snapshot_meta = _build_model_and_state(config)
     trajectory = run_simulation(model, u0, _solver_config(config))
 
     write_series(os.path.join(config.run_out, "series.csv"), trajectory)
-    n_snapshots = _write_snapshots(config.run_out, config, model, trajectory,
-                                   lx, flags)
+    n_snapshots = _write_snapshots(config.run_out, config, trajectory,
+                                   *snapshot_meta)
     path = _write_summary(config, args, {
         "model": config.model,
         "steps": trajectory.steps,
@@ -266,7 +259,7 @@ def cmd_decay_test(config: RunConfig, args) -> int:
             "eta + beta^2/(16 nu) < pi^2 nu "
             f"(margin {check.margin:.6g}); no exponential decay to verify")
 
-    model, u0, _, _ = _build_model_and_state(config)
+    model, u0, *_ = _build_model_and_state(config)
     if not np.any(u0):
         raise ConfigError("init.kind: decay test needs nonzero initial data")
     u0_h1 = model.norm(u0, 1.0)
@@ -378,7 +371,7 @@ FLAGS = {
     "nu": ("cloud.nu", None),
     "eta": ("cloud.eta", None),
     "beta": ("cloud.beta", None),
-    "lx": ("grid.lx", "strip length for --open (default 2 pi, half-length pi)"),
+    "lx": ("grid.lx", "length of the open strip (default 2 pi, half-length pi)"),
     "nx": ("grid.nx", None),
     "ny": ("grid.ny", None),
     "half-width": ("grid.half_width", None),
@@ -398,6 +391,9 @@ FLAGS = {
     "amplitude": ("init.amplitude", None),
     "seed": ("run.seed", None),
 }
+# the flags of the heat models' keys and of the march: both march commands
+HEAT_FLAGS = "kappa p tau diffusion intervals points n half-width"
+MARCH_FLAGS = "t-end dt integrator record-every snapshot-every init amplitude seed"
 
 
 class Command(NamedTuple):
@@ -429,8 +425,7 @@ SCALING_TEST = Command(
 COMMANDS = {
     ("simulate",): Command(
         "time-march the configured model", cmd_simulate,
-        "out model nu eta beta kappa t-end dt integrator record-every "
-        "snapshot-every init amplitude seed"),
+        f"out model nu eta beta lx nx ny {HEAT_FLAGS} {MARCH_FLAGS}"),
     ("spectral-bound",): Command(
         "max real part of the mode-operator spectra", cmd_spectral_bound,
         "out nu eta beta lx nx ny",
@@ -448,8 +443,7 @@ COMMANDS = {
     ("scaling-test",): SCALING_TEST,
     ("heat", "simulate"): Command(
         "time-march a heat model", cmd_simulate,
-        "out kappa p tau diffusion intervals points n half-width t-end dt "
-        "integrator record-every snapshot-every init amplitude seed",
+        f"out {HEAT_FLAGS} {MARCH_FLAGS}",
         base=lambda args: [f"model=heat-{args.kind}"],
         arguments=(("--kind", {"choices": (*CHOICES["heat.kind"], "periodic"),
                                "default": "semilinear"}),)),
@@ -542,10 +536,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except SystemExit as exc:  # argparse: usage errors, --help, --version
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
+    except BrokenPipeError:
+        # quiet the exit-time flush of what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("broken pipe: stdout closed before the output was written",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
         # InstabilityError and FixedPointDivergence among them; before
         # ValueError, which LinAlgError subclasses

@@ -258,9 +258,8 @@ class CloudModel:
     def __init__(self, coeffs: CloudCoefficients, geometry: StripGeometry):
         self.coeffs = coeffs
         self.geometry = geometry
-        self.mode_numbers = np.arange(geometry.nx // 2 + 1)
         self.propagator = Propagator.from_matrix(
-            mode_stack(range(self.mode_numbers.size), coeffs, geometry))
+            mode_stack(range(geometry.nx // 2 + 1), coeffs, geometry))
 
     def field_from_state(self, state: np.ndarray) -> SpectralField:
         full = np.zeros(state.shape[:-1] + (self.geometry.ny,), dtype=complex)

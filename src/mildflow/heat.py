@@ -68,10 +68,15 @@ class DiffusivitySpec:
         return self.a0 + u ** 2
 
 
-def _sobolev_weights(modes: np.ndarray, scale=1.0):
-    """sigma -> (1 + (m pi)^2)^sigma * scale over the modes m, cached per sigma."""
-    base = 1.0 + (modes * math.pi) ** 2
+def _sobolev_weights(wavenumbers: np.ndarray, scale=1.0):
+    """sigma -> (1 + k^2)^sigma * scale over the wavenumbers k, cached per sigma."""
+    base = 1.0 + wavenumbers ** 2
     return lru_cache(maxsize=None)(lambda sigma: base ** sigma * scale)
+
+
+def _weighted_norm(weights: np.ndarray, state: np.ndarray, volume=1.0) -> float:
+    """sqrt(volume * sum_k weights_k |state_k|^2)."""
+    return float(np.sqrt(volume * np.sum(weights * np.abs(state) ** 2)))
 
 
 class SemilinearHeatModel:
@@ -97,7 +102,7 @@ class SemilinearHeatModel:
         self.lam = -(m * math.pi) ** 2
         self.propagator = Propagator(self.lam)
         self.dealias_keep = 2 * (intervals - 1) // 3
-        self._norm_weights = _sobolev_weights(m)
+        self._norm_weights = _sobolev_weights(m * math.pi)
 
     def state_from_function(self, fn) -> np.ndarray:
         return self.analyze @ fn(self.nodes)
@@ -112,7 +117,7 @@ class SemilinearHeatModel:
         return f_hat
 
     def norm(self, state: np.ndarray, sigma: float) -> float:
-        return float(np.sqrt(np.sum(self._norm_weights(sigma) * np.abs(state) ** 2)))
+        return _weighted_norm(self._norm_weights(sigma), state)
 
 
 class QuasilinearHeatModel:
@@ -146,7 +151,8 @@ class QuasilinearHeatModel:
         self._deriv_nodal = sin_synth @ c2s
         self._quad_weight = 2.0 / (points - 1)
         self.dealias_keep = 2 * points // 3
-        self._norm_weights = _sobolev_weights(modes, np.where(modes == 0, 1.0, 0.5))
+        self._norm_weights = _sobolev_weights(modes * math.pi,
+                                              np.where(modes == 0, 1.0, 0.5))
 
     def state_from_function(self, fn) -> np.ndarray:
         return self.cos_analyze @ fn(self.nodes)
@@ -166,9 +172,6 @@ class QuasilinearHeatModel:
         root = np.sqrt(self._quad_weight * a_vals)[:, None] * self._deriv_nodal
         return -(root.T @ root)
 
-    def frozen_propagator(self, state: np.ndarray) -> Propagator:
-        return Propagator.from_matrix(self.operator_matrix(state))
-
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
         grad_full = np.zeros(self.points)
         grad_full[1:-1] = self._deriv_nodal @ state
@@ -178,7 +181,7 @@ class QuasilinearHeatModel:
         return f_hat
 
     def norm(self, state: np.ndarray, sigma: float) -> float:
-        return float(np.sqrt(np.sum(self._norm_weights(sigma) * np.abs(state) ** 2)))
+        return _weighted_norm(self._norm_weights(sigma), state)
 
 
 @dataclass(frozen=True)
@@ -238,6 +241,9 @@ class PeriodicHeatModel:
         self.propagator = Propagator(self.lam)
         k_index = np.arange(grid.n // 2 + 1)
         self.dealias_mask = (k_index <= grid.n // 3).astype(float)
+        self._norm_weights = _sobolev_weights(grid.wavenumbers,
+                                              grid.parseval_weights)
+        self._volume = 2.0 * grid.half_width
 
     def state_from_values(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfft(values) / self.grid.n
@@ -256,16 +262,14 @@ class PeriodicHeatModel:
         return self.state_from_values(f_nodal) * self.dealias_mask
 
     def norm(self, state: np.ndarray, sigma: float) -> float:
-        mult = (1.0 + self.grid.wavenumbers ** 2) ** sigma
-        total = np.sum(self.grid.parseval_weights * mult * np.abs(state) ** 2)
-        return float(np.sqrt(2.0 * self.grid.half_width * total))
+        return _weighted_norm(self._norm_weights(sigma), state, self._volume)
 
     def homogeneous_seminorm(self, state: np.ndarray, exponent: float) -> float:
         if exponent < 0.0:
             raise ValueError("seminorm exponent must be nonnegative")
         mult = self.grid.wavenumbers ** (2.0 * exponent)  # 0^0 = 1 keeps L2
-        total = np.sum(self.grid.parseval_weights * mult * np.abs(state) ** 2)
-        return float(np.sqrt(2.0 * self.grid.half_width * total))
+        return _weighted_norm(self.grid.parseval_weights * mult, state,
+                              self._volume)
 
 
 def scaling_amplitude(lam_scale: float, model_kind: str, kappa: float) -> float:

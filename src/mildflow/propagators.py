@@ -9,7 +9,9 @@ bases). Propagator.from_matrix is the one route from a dense generator
 it, and a block whose eigenvector basis is too ill-conditioned is marked
 defective. A defective block falls back to one expm of an augmented
 matrix, whose top block row holds e^a, phi1(a) and phi2(a) together,
-trading speed for robustness. A propagator also builds the
+trading speed for robustness. Every scalar exponent goes through one
+function, phi(z, order), whose orders 0, 1 and 2 are e^z, phi1 and phi2
+under one overflow guard. A propagator also builds the
 step factors e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers
 or block matrices), which apply_block_factor applies; the most recent h
 is cached.
@@ -33,42 +35,26 @@ class InstabilityError(RuntimeError):
     """exp(t A) overflowed: positive spectral part too large for horizon."""
 
 
-def _guard_exponent(z) -> None:
+def phi(z, order: int) -> np.ndarray:
+    """phi_order(z) for order 0, 1, 2: e^z, (e^z - 1)/z and
+    (e^z - 1 - z)/z^2, refused above Re z = 700. Orders 1 and 2 are
+    complex and sum the series z^k / (k + order)! where |z| < 0.25."""
+    if order:
+        z = np.asarray(z, dtype=complex)
     zmax = float(np.max(z.real)) if np.size(z) else 0.0
     if zmax > _EXP_OVERFLOW:
         raise InstabilityError(
             f"semigroup exponent reaches {zmax:.3g}; unstable spectrum at this step"
         )
-
-
-def _exp(z: np.ndarray) -> np.ndarray:
-    _guard_exponent(z)
-    return np.exp(z)
-
-
-def phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z with the series branch near the removable singularity."""
-    z = np.asarray(z, dtype=complex)
-    _guard_exponent(z)
+    if order == 0:
+        return np.exp(z)
     small = np.abs(z) < 0.25
     zs = np.where(small, 1.0, z)
-    out = (np.exp(zs) - 1.0) / zs
+    num = np.exp(zs) - 1.0
+    out = num / zs if order == 1 else (num - zs) / zs ** 2
     acc = np.zeros_like(z)
-    for k in range(16, -1, -1):  # Horner for sum_k z^k / (k+1)!
-        acc = acc * z + 1.0 / math.factorial(k + 1)
-    return np.where(small, acc, out)
-
-
-def phi2(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1 - z)/z^2 with the series branch near zero."""
-    z = np.asarray(z, dtype=complex)
-    _guard_exponent(z)
-    small = np.abs(z) < 0.25
-    zs = np.where(small, 1.0, z)
-    out = (np.exp(zs) - 1.0 - zs) / zs ** 2
-    acc = np.zeros_like(z)
-    for k in range(16, -1, -1):  # Horner for sum_k z^k / (k+2)!
-        acc = acc * z + 1.0 / math.factorial(k + 2)
+    for k in range(16, -1, -1):
+        acc = acc * z + 1.0 / math.factorial(k + order)
     return np.where(small, acc, out)
 
 
@@ -93,8 +79,8 @@ def eigen_blocks(matrix: np.ndarray):
     a conditioning guard. A defective block gets identity placeholders for
     its vectors, since its actions fall back to `_dense_phis`. For a
     stack, eig and cond each run once over all blocks, condition and
-    defective are per-block arrays, and eigh is taken only when every
-    block is real-symmetric; for one block they are a float and a bool.
+    defective are per-block arrays (0-d arrays for one block), and eigh
+    is taken only when every block is real-symmetric.
     A real stack gets complex eigen data in every block when any block
     has complex eigenvalues (numpy's eig decides over the whole stack).
     """
@@ -112,8 +98,6 @@ def eigen_blocks(matrix: np.ndarray):
         condition = np.linalg.cond(vecs)
         defective = ~(condition <= EIG_CONDITION_LIMIT)  # nan and inf too
         vecs[defective] = np.eye(matrix.shape[-1])
-    if not batch:
-        condition, defective = float(condition), bool(defective)
     return lam, vecs, condition, defective, orthogonal
 
 
@@ -154,8 +138,8 @@ class Propagator:
         vecs_inv = vecs.swapaxes(-1, -2) if orthogonal else np.linalg.inv(vecs)
         return cls(lam, vecs, vecs_inv, defective, np.asarray(matrix))
 
-    def _apply(self, t: float, state: np.ndarray, scalar_fn, order: int) -> np.ndarray:
-        mult = scalar_fn(t * self.lam)
+    def _apply(self, t: float, state: np.ndarray, order: int) -> np.ndarray:
+        mult = phi(t * self.lam, order)
         if self.vectors is None:
             out = mult * state
         else:
@@ -165,13 +149,13 @@ class Propagator:
         return out.real if self.real and not np.iscomplexobj(state) else out
 
     def propagate(self, t: float, state: np.ndarray) -> np.ndarray:
-        return self._apply(t, state, _exp, 0)
+        return self._apply(t, state, 0)
 
     def phi1_action(self, t: float, state: np.ndarray) -> np.ndarray:
-        return self._apply(t, state, phi1, 1)
+        return self._apply(t, state, 1)
 
     def phi2_action(self, t: float, state: np.ndarray) -> np.ndarray:
-        return self._apply(t, state, phi2, 2)
+        return self._apply(t, state, 2)
 
     def _transform(self, basis, state: np.ndarray) -> np.ndarray:
         if self.defective:
@@ -192,12 +176,12 @@ class Propagator:
         if self._cache is None or self._cache[0] != dt:
             dense = [_dense_phis(dt * self.matrices[idx])
                      for idx in self._defective_blocks]
-            self._cache = (dt, tuple(self._factor(dt, fn, [d[order] for d in dense])
-                                     for order, fn in enumerate((_exp, phi1, phi2))))
+            self._cache = (dt, tuple(self._factor(dt, order, [d[order] for d in dense])
+                                     for order in range(3)))
         return self._cache[1]
 
-    def _factor(self, dt, scalar_fn, dense):
-        mult = scalar_fn(dt * self.lam)
+    def _factor(self, dt, order, dense):
+        mult = phi(dt * self.lam, order)
         if self.vectors is None:
             out = mult
         else:

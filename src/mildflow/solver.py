@@ -2,10 +2,10 @@
 
 Two stepping families share one trajectory recorder:
 
-* exponential integrators (first-order exponential Euler and the
-  two-stage second-order scheme) for autonomous generators, including a
-  frozen-coefficient variant that reassembles the generator each step
-  for quasilinear problems;
+* exponential integrators (exponential Euler and ETDRK2), including a
+  frozen-coefficient variant for quasilinear problems that freezes
+  A(u_n) for the whole step, which makes ETDRK2 first order in time
+  there (second order for a fixed generator);
 * Picard iteration for the integral fixed-point map itself, discretized
   by product integration of a piecewise-linear nonlinearity on a graded
   mesh clustered at t = 0 where the weighted norms live.
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .propagators import InstabilityError, apply_block_factor, phi1, phi2
+from .propagators import InstabilityError, Propagator, apply_block_factor, phi
 
 INTEGRATORS = ("exp_euler", "etdrk2")
 # the longest march a configuration may ask for, in steps of dt
@@ -120,10 +120,10 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
 
     The march ends at t_end (`step_plan`). Models with a fixed
     .propagator take whole steps with its cached per-dt factors and a
-    partial last step with its actions; otherwise the model must supply
-    frozen_propagator(state) and the generator is reassembled from the
-    current state each step. f is evaluated once per accepted state, and
-    the next step reuses it.
+    partial last step with its actions. Otherwise the model supplies only
+    operator_matrix(state) = A(u), and each step builds the propagator of
+    A frozen at the current state. f is evaluated once per accepted
+    state, and the next step reuses it.
     """
     dt = config.dt
     fixed = getattr(model, "propagator", None)
@@ -132,7 +132,7 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
         if fixed is not None and h == dt:
             return [partial(apply_block_factor, factor)
                     for factor in fixed.step_factors(dt)]
-        prop = fixed if fixed is not None else model.frozen_propagator(st)
+        prop = fixed or Propagator.from_matrix(model.operator_matrix(st))
         return [partial(fn, h) for fn in (
             prop.propagate, prop.phi1_action, prop.phi2_action)]
     lead = config.monitor_sigmas[0]
@@ -271,7 +271,7 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
     # tables of the factors of z = h_j lam and of the free orbit
     # e^{t_k lam} u0_hat: they depend only on the mesh and the spectrum
     z = h * lam
-    p1, p2, decay = phi1(z), phi2(z), np.exp(z)
+    p1, p2, decay = phi(z, 1), phi(z, 2), phi(z, 0)
     free = np.exp(np.multiply.outer(tau, lam)) * u0_hat
     # first iterate: the free semigroup orbit of the initial value
     states = reconstruct(free)

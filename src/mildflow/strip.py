@@ -3,8 +3,9 @@
 Fourier modes in the periodic horizontal direction, Chebyshev-Gauss-
 Lobatto collocation in the wall-bounded vertical direction. The periodic
 strip fixes Lx = pi; the horizontally unbounded strip is approximated by
-a long periodic box (default Lx = 8 pi) with compactly supported data,
-and that truncation is a documented approximation, not an equality.
+a long periodic box, whose half-length its caller chooses, with compactly
+supported data, and that truncation is a documented approximation, not
+an equality.
 
 Fields are real, so only their Fourier modes n = 0..nx/2 are stored
 (rfft layout), one row per mode and one column per collocation node;
@@ -31,9 +32,6 @@ from .chebyshev import (
     lobatto_nodes,
     quadrature_eval_matrix,
 )
-
-DEFAULT_HALF_LENGTH_OPEN = 8.0 * math.pi
-
 
 @dataclass(frozen=True)
 class StripGeometry:
@@ -79,8 +77,7 @@ def periodic_strip(nx: int = 64, ny: int = 48) -> StripGeometry:
     return StripGeometry(periodic_x=True, half_length=math.pi, nx=nx, ny=ny)
 
 
-def open_strip(nx: int = 128, ny: int = 48,
-               half_length: float = DEFAULT_HALF_LENGTH_OPEN) -> StripGeometry:
+def open_strip(nx: int, ny: int, half_length: float) -> StripGeometry:
     """Truncated periodic surrogate for the horizontally unbounded strip."""
     return StripGeometry(periodic_x=False, half_length=half_length, nx=nx, ny=ny)
 

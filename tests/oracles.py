@@ -92,6 +92,31 @@ def phi_action_dense(matrix: np.ndarray, vectors: np.ndarray, order: int) -> np.
     raise ValueError(f"phi order {order} not supported")
 
 
+def phi1_closed_form(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1)/z by its own body: the series branch below |z| = 0.25,
+    the quotient above, and no overflow guard."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 0.25
+    zs = np.where(small, 1.0, z)
+    out = (np.exp(zs) - 1.0) / zs
+    acc = np.zeros_like(z)
+    for k in range(16, -1, -1):  # Horner for sum_k z^k / (k+1)!
+        acc = acc * z + 1.0 / math.factorial(k + 1)
+    return np.where(small, acc, out)
+
+
+def phi2_closed_form(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1 - z)/z^2 in the same two branches."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 0.25
+    zs = np.where(small, 1.0, z)
+    out = (np.exp(zs) - 1.0 - zs) / zs ** 2
+    acc = np.zeros_like(z)
+    for k in range(16, -1, -1):  # Horner for sum_k z^k / (k+2)!
+        acc = acc * z + 1.0 / math.factorial(k + 2)
+    return np.where(small, acc, out)
+
+
 def decompose(matrix: np.ndarray):
     """(lam, vectors, vectors_inv, condition, defective) of one block or a
     stack: the eigen data of `Propagator.from_matrix` with the condition

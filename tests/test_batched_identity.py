@@ -32,7 +32,7 @@ from mildflow.lab import (ContractionParameters, FixedPointProblem,
                           check_contraction_inequalities,
                           estimate_semigroup_constants, random_problem,
                           select_parameters, tail_profile)
-from mildflow.propagators import Propagator, phi1, phi2
+from mildflow.propagators import Propagator, phi
 from mildflow.solver import (SolverConfig, graded_mesh, picard_solve,
                              run_simulation)
 from mildflow.strip import (_sine_projection, dirichlet_mode_field, open_strip,
@@ -101,8 +101,8 @@ def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
         running = np.zeros(u0_hat.shape, dtype=complex)
         for j in range(len(h)):
             zj = h[j] * lam
-            g = h[j] * (phi1(zj) * f_hat[j]
-                        + phi2(zj) * (f_hat[j + 1] - f_hat[j]))
+            g = h[j] * (phi(zj, 1) * f_hat[j]
+                        + phi(zj, 2) * (f_hat[j + 1] - f_hat[j]))
             running = np.exp(zj) * running + g
             new_states.append(
                 reconstruct(np.exp(tau[j + 1] * lam) * u0_hat + running))
@@ -543,7 +543,7 @@ def test_snapshot_grid_values_match_full_layout(tmp_path, extra):
                                  "init.amplitude=0.5", "solver.t_end=0.02",
                                  "solver.dt=0.002", "solver.snapshot_every=3",
                                  *extra[1::2]])
-    model, u0, _, _ = cli._build_model_and_state(config)
+    model, u0, *_ = cli._build_model_and_state(config)
     reference = FullLayoutCloud(model.coeffs, model.geometry)
     want = run_simulation(reference, reference.from_half(u0),
                           cli._solver_config(config))

@@ -3,7 +3,10 @@ documented example invocations."""
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -506,6 +509,49 @@ def test_heat_periodic_flags_reach_their_keys(tmp_path, argv, key, value):
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"][key] == value
+
+
+def test_simulate_takes_every_heat_simulate_flag():
+    heat = set(COMMANDS[("heat", "simulate")].flags.split())
+    simulate = set(COMMANDS[("simulate",)].flags.split())
+    assert heat <= simulate
+    assert simulate - heat == {"model", "nu", "eta", "beta", "lx", "nx", "ny"}
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["--model", "heat-semilinear", "--intervals", "32"], "heat.intervals", 32),
+    (["--model", "heat-quasilinear", "--points", "33"], "heat.points", 33),
+    (["--model", "heat-quasilinear", "--p", "3"], "heat.p", 3.0),
+    (["--set", "grid.periodic=false", "--lx", "4", "--nx", "16", "--ny", "12"],
+     "grid.lx", 4.0),
+])
+def test_simulate_heat_and_grid_flags_reach_their_keys(tmp_path, argv, key,
+                                                       value):
+    out = tmp_path / "run"
+    assert main(["simulate", *argv, "--t-end", "0.01", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"][key] == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["lab", "contraction", "--dim", "8", "--seed", "0"],
+    ["simulate", "--nx", "16", "--ny", "12", "--t-end", "0.01"]])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
+    # the reader of stdout is gone before the command prints
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mildflow.cli", *argv,
+             "--out", str(tmp_path / "run")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 1, stderr
+    assert "Traceback" not in stderr
+    assert stderr.startswith("broken pipe: ")
 
 
 # ---------- decay-test ----------

@@ -91,8 +91,7 @@ def test_model_stacks_match_per_mode_decompose(geo):
     coeffs = CloudCoefficients(0.7, 1.5, -2.5)
     model = CloudModel(coeffs, geo)
     prop = model.propagator
-    assert model.mode_numbers.tolist() == list(range(geo.nx // 2 + 1))
-    for idx, n in enumerate(model.mode_numbers):
+    for idx, n in enumerate(range(geo.nx // 2 + 1)):
         lam, vecs, vecs_inv, _, defective = decompose(
             mode_matrix(int(n), coeffs, geo))
         for got, want in ((prop.lam, lam), (prop.vectors, vecs),
@@ -121,7 +120,7 @@ def test_model_step_factors_match_expm_per_block(beta):
     dt = 1e-3
     factors = model.propagator.step_factors(dt)
     eye = np.eye(geo.ny - 2)
-    for idx, n in enumerate(model.mode_numbers):
+    for idx, n in enumerate(range(geo.nx // 2 + 1)):
         block = dt * mode_matrix(int(n), coeffs, geo)
         wants = (expm(block), phi_action_dense(block, eye, 1),
                  phi_action_dense(block, eye, 2))
@@ -132,7 +131,7 @@ def test_model_step_factors_match_expm_per_block(beta):
 
 def test_numeric_bound_below_analytic_bound():
     rng = np.random.default_rng(21)
-    geo = open_strip(nx=32, ny=32)
+    geo = open_strip(nx=32, ny=32, half_length=8.0 * math.pi)
     for _ in range(10):
         coeffs = CloudCoefficients(nu=rng.uniform(0.2, 2.0),
                                    eta=rng.uniform(-2.0, 2.0),

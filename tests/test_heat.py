@@ -19,6 +19,7 @@ from mildflow.heat import (
     scaling_roundtrip_test,
     scaling_transform,
 )
+from mildflow.propagators import Propagator
 from mildflow.solver import SolverConfig, fit_decay_rate, run_simulation
 from oracles import phi_action_dense
 
@@ -239,7 +240,7 @@ def test_quasilinear_frozen_propagator_takes_eigh_route():
     dt = 1e-3
     rng = np.random.default_rng(17)
     for q, u in _quasilinear_cases():
-        prop = q.frozen_propagator(u)
+        prop = Propagator.from_matrix(q.operator_matrix(u))
         assert not prop.defective
         assert np.array_equal(prop.vectors_inv, prop.vectors.T)  # eigh, not eig + inv
         # the eigen route against expm and the augmented-exponential phi

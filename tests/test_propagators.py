@@ -13,10 +13,14 @@ from mildflow.propagators import (
     Propagator,
     apply_block_factor,
     eigen_blocks,
-    phi1,
-    phi2,
+    phi,
 )
-from oracles import decompose, phi_action_dense
+from oracles import (
+    decompose,
+    phi1_closed_form,
+    phi2_closed_form,
+    phi_action_dense,
+)
 
 
 def taylor_phi(z, order, terms=30):
@@ -24,28 +28,46 @@ def taylor_phi(z, order, terms=30):
 
 
 def test_phi_values_at_zero():
-    assert phi1(np.array([0.0]))[0] == pytest.approx(1.0, abs=0.0)
-    assert phi2(np.array([0.0]))[0] == pytest.approx(0.5, abs=0.0)
+    assert phi(np.array([0.0]), 1)[0] == pytest.approx(1.0, abs=0.0)
+    assert phi(np.array([0.0]), 2)[0] == pytest.approx(0.5, abs=0.0)
 
 
 @pytest.mark.parametrize("z", [1e-6, 1e-3, 0.1, 0.2, 0.24])
 def test_phi_series_branch_matches_taylor(z):
-    assert abs(phi1(np.array([z]))[0] - taylor_phi(z, 1)) < 1e-15
-    assert abs(phi2(np.array([z]))[0] - taylor_phi(z, 2)) < 1e-15
+    assert abs(phi(np.array([z]), 1)[0] - taylor_phi(z, 1)) < 1e-15
+    assert abs(phi(np.array([z]), 2)[0] - taylor_phi(z, 2)) < 1e-15
 
 
 def test_phi_identity_across_branch_threshold():
     # phi1(z) = 1 + z phi2(z) ties the two branches together
     z = np.array([1e-12, 0.01, 0.2, 0.2499, 0.2501, 0.5, 3.0, -4.0,
                   0.2j, 0.3j, 1 + 1j, -2 + 0.7j])
-    defect = np.max(np.abs(phi1(z) - 1.0 - z * phi2(z)))
+    defect = np.max(np.abs(phi(z, 1) - 1.0 - z * phi(z, 2)))
     assert defect < 1e-14
 
 
 def test_phi_formula_branch_large_argument():
     z = np.array([2.0])
-    assert phi1(z)[0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-15)
-    assert phi2(z)[0] == pytest.approx((math.exp(2.0) - 3.0) / 4.0, rel=1e-14)
+    assert phi(z, 1)[0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-15)
+    assert phi(z, 2)[0] == pytest.approx((math.exp(2.0) - 3.0) / 4.0, rel=1e-14)
+
+
+def test_phi_matches_the_closed_forms_bit_for_bit():
+    # the one phi body against separate phi1/phi2 bodies, on both
+    # branches, on and next to |z| = 0.25 and up to Re z = 600
+    rng = np.random.default_rng(5)
+    edge = np.array([0.25, -0.25, 0.25j, -0.25j, 0.0])
+    z = np.concatenate([
+        rng.uniform(-50, 50, 40_000) + 1j * rng.uniform(-50, 50, 40_000),
+        0.5 * rng.uniform(-1, 1, 40_000) + 0.5j * rng.uniform(-1, 1, 40_000),
+        0.25 * np.exp(2j * np.pi * rng.uniform(size=10_000)),
+        rng.uniform(-700, 600, 10_000),
+        edge, np.nextafter(edge.real, 1.0), np.nextafter(edge.real, -1.0)])
+    assert z.size >= 100_000
+    assert phi(z, 1).tobytes() == phi1_closed_form(z).tobytes()
+    assert phi(z, 2).tobytes() == phi2_closed_form(z).tobytes()
+    for values in (z, z.real):
+        assert phi(values, 0).tobytes() == np.exp(values).tobytes()
 
 
 def test_augmented_phi_actions_match_eigen_route():
@@ -54,8 +76,8 @@ def test_augmented_phi_actions_match_eigen_route():
     w = rng.standard_normal((6, 3))
     lam, vecs = np.linalg.eig(a)
     inv = np.linalg.inv(vecs)
-    ref1 = ((vecs * phi1(lam)) @ inv).real @ w
-    ref2 = ((vecs * phi2(lam)) @ inv).real @ w
+    ref1 = ((vecs * phi(lam, 1)) @ inv).real @ w
+    ref2 = ((vecs * phi(lam, 2)) @ inv).real @ w
     assert np.max(np.abs(phi_action_dense(a, w, 1) - ref1)) < 1e-12
     assert np.max(np.abs(phi_action_dense(a, w, 2) - ref2)) < 1e-12
 

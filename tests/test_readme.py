@@ -1,7 +1,13 @@
-"""The README's Python API example runs as written."""
+"""The README's Python API example runs as written, and its command
+lines parse."""
 
 import pathlib
 import re
+import shlex
+
+import pytest
+
+from mildflow.cli import build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +21,16 @@ def test_readme_python_example_runs(capsys):
     assert abs(s_c - 0.1) < 1e-12 and q == 6.0
     assert abs(float(lines[1]) - 10.87) < 0.01
     assert lines[2].startswith("True ")
+
+
+def test_readme_command_lines_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("mildflow ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")

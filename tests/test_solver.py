@@ -119,8 +119,8 @@ class ScalarFrozen(ScalarLinear):
     def __init__(self, rate):
         self.rate = rate
 
-    def frozen_propagator(self, u):
-        return Propagator(np.array([self.rate]))
+    def operator_matrix(self, u):
+        return np.array([[self.rate]])
 
 
 @pytest.mark.parametrize("model", [ScalarLinear(-1.0), ScalarFrozen(-1.0)],

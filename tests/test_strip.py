@@ -236,7 +236,7 @@ def test_rough_field_finite_target_norm():
 
 
 def test_open_strip_wavenumbers():
-    geom = open_strip(nx=32, ny=16)
+    geom = open_strip(nx=32, ny=16, half_length=8.0 * math.pi)
     k = geom.wavenumbers()
     assert k[1] == pytest.approx(1.0 / 8.0)
     assert geom.dealias_cut == 10

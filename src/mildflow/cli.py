@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Every configured subcommand reads the same flat key=value configuration
-(file, MILDFLOW_* environment, --set overrides, convenience flags), runs
-one experiment, and writes its outputs atomically under the run
-directory.  Each convenience flag is shorthand for one configuration key
-and is declared once, in FLAGS; COMMANDS lists which flags each command
-takes.  Identical configuration and seed give byte-identical outputs, so
-no timestamps or machine identifiers enter any file.
+Every command is one row of COMMANDS.  A configured command reads the
+flat key=value configuration (file, MILDFLOW_* environment, --set
+overrides, flags), runs one experiment, and writes its outputs
+atomically under the run directory.  Its row lists the configuration
+keys it takes as flags, and each flag is named by its key (`_flag`).
+The lab and exponents commands take plain arguments instead.  Identical
+configuration and seed give byte-identical outputs, so no timestamps or
+machine identifiers enter any file.
 
 Exit codes: 0 success (a detected blow-up is still a successful run and
 is recorded in the summary), 2 constraint or configuration infeasibility,
@@ -27,7 +28,8 @@ import numpy as np
 from . import __version__
 from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
                     mode_spectra, periodic_stability_condition)
-from .config import CHOICES, ConfigError, RunConfig, config_echo, parse_config
+from .config import (CHOICES, KEYS, ConfigError, RunConfig, config_echo,
+                     parse_config)
 from .exponents import quasilinear_recipe, semilinear_recipe
 from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
@@ -172,11 +174,11 @@ def _write_summary(config: RunConfig, args, fields: dict) -> str:
     return path
 
 
-def _emit(command: str, report: dict, out_dir) -> int:
+def _emit(args, report: dict) -> int:
     """Print a JSON report and, given a run directory, write it there."""
-    payload = {"version": __version__, "command": command, **report}
-    if out_dir is not None:
-        write_json(os.path.join(out_dir, "summary.json"), payload)
+    payload = {"version": __version__, "command": args.label, **report}
+    if args.out is not None:
+        write_json(os.path.join(args.out, "summary.json"), payload)
     print(json.dumps(payload, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -329,15 +331,15 @@ def _require_seed(args) -> None:
 
 def cmd_lab_contraction(args) -> int:
     _require_seed(args)
-    return _emit("lab contraction", contraction_experiment(
-        dim=args.dim, seed=args.seed, quasilinear=args.quasilinear), args.out)
+    return _emit(args, contraction_experiment(
+        dim=args.dim, seed=args.seed, quasilinear=args.quasilinear))
 
 
 def cmd_lab_decay(args) -> int:
     _require_seed(args)
-    return _emit("lab decay", decay_experiment(
+    return _emit(args, decay_experiment(
         dim=args.dim, seed=args.seed, varpi=args.varpi,
-        epsilon=args.epsilon), args.out)
+        epsilon=args.epsilon))
 
 
 def cmd_exponents(args) -> int:
@@ -357,78 +359,58 @@ def cmd_exponents(args) -> int:
     if args.kind == "quasilinear":
         report.update(tau=recipe.tau, s_bar=recipe.s_bar,
                       theta_holder=recipe.theta_holder)
-    return _emit("exponents", report, args.out)
+    return _emit(args, report)
 
 
-# ------------------------------------------------------------ flag table
+# ---------------------------------------------------------- command table
 
-# convenience flag -> (configuration key, help); the value is passed on as
-# text, so the configuration converts and checks it under its key, and a
-# key with allowed values lends them to the flag as choices
-FLAGS = {
-    "out": ("run.out", "run directory for outputs"),
-    "model": ("model", None),
-    "nu": ("cloud.nu", None),
-    "eta": ("cloud.eta", None),
-    "beta": ("cloud.beta", None),
-    "lx": ("grid.lx", "length of the open strip (default 2 pi, half-length pi)"),
-    "nx": ("grid.nx", None),
-    "ny": ("grid.ny", None),
-    "half-width": ("grid.half_width", None),
-    "n": ("grid.n", "grid points on the periodic line"),
-    "kappa": ("heat.kappa", None),
-    "p": ("heat.p", None),
-    "tau": ("heat.tau", None),
-    "diffusion": ("heat.diffusion", None),
-    "intervals": ("heat.intervals", None),
-    "points": ("heat.points", None),
-    "t-end": ("solver.t_end", None),
-    "dt": ("solver.dt", None),
-    "integrator": ("solver.integrator", None),
-    "record-every": ("solver.record_every", None),
-    "snapshot-every": ("solver.snapshot_every", None),
-    "init": ("init.kind", None),
-    "amplitude": ("init.amplitude", None),
-    "seed": ("run.seed", None),
+# help texts of the flags whose key does not say enough
+KEY_HELP = {
+    "run.out": "run directory for outputs",
+    "grid.lx": "length of the open strip (default 2 pi, half-length pi)",
+    "grid.n": "grid points on the periodic line",
 }
-# the flags of the heat models' keys and of the march: both march commands
-HEAT_FLAGS = "kappa p tau diffusion intervals points n half-width"
-MARCH_FLAGS = "t-end dt integrator record-every snapshot-every init amplitude seed"
+# help of the command groups, the first parts of two-part command paths
+GROUPS = {"lab": "matrix fixed-point laboratory"}
+
+
+def _flag(key: str) -> str:
+    """The flag of a configuration key: its last part with dashes
+    (grid.half_width gives --half-width), except init.kind, whose flag is
+    --init because --kind names the model kind of scaling-test."""
+    if key == "init.kind":
+        return "--init"
+    return "--" + key.rsplit(".", 1)[-1].replace("_", "-")
 
 
 class Command(NamedTuple):
-    """A config-backed command: its flags (names in FLAGS, space
-    separated), its own defaults (above the built-in ones, below the
-    file and the environment), the overrides that fix its model, and
-    the arguments it takes outside the configuration."""
+    """A command: its help, its handler and the arguments it takes
+    outside the configuration.  A configured command also lists the
+    configuration keys it takes as flags (space separated), its own
+    defaults (above the built-in ones, below the file and the
+    environment) and the overrides that fix its model, and its handler
+    receives the parsed configuration.  With keys None the handler
+    receives the arguments alone."""
 
     help: str
     handler: Callable
-    flags: str
+    keys: Optional[str] = None
     defaults: tuple = ()
     base: Callable = lambda args: ()
     arguments: tuple = ()
-    label: Optional[str] = None  # summary label; default the command path
 
-
-SCALING_TEST = Command(
-    "self-similar scaling roundtrip of the periodic heat model",
-    cmd_scaling_test, "out kappa diffusion t-end dt amplitude half-width n",
-    defaults=("heat.kappa=5.0", "solver.t_end=0.5", "init.amplitude=0.5"),
-    base=lambda args: ["model=heat-periodic", f"heat.kind={args.kind}"],
-    arguments=(("--lambda", {"dest": "lam", "type": float, "default": 2.0,
-                             "help": "scaling factor"}),
-               ("--kind", {"choices": CHOICES["heat.kind"],
-                           "default": "semilinear"})),
-    label="scaling-test")
 
 COMMANDS = {
     ("simulate",): Command(
         "time-march the configured model", cmd_simulate,
-        f"out model nu eta beta lx nx ny {HEAT_FLAGS} {MARCH_FLAGS}"),
+        "run.out model cloud.nu cloud.eta cloud.beta grid.lx grid.nx grid.ny "
+        "heat.kappa heat.p heat.tau heat.diffusion heat.intervals heat.points "
+        "grid.n grid.half_width solver.t_end solver.dt solver.integrator "
+        "solver.record_every solver.snapshot_every init.kind init.amplitude "
+        "run.seed"),
     ("spectral-bound",): Command(
         "max real part of the mode-operator spectra", cmd_spectral_bound,
-        "out nu eta beta lx nx ny",
+        "run.out cloud.nu cloud.eta cloud.beta grid.lx grid.nx grid.ny",
         base=lambda args: ["grid.periodic=false"] if args.open_strip else [],
         arguments=(("--open", {"dest": "open_strip", "action": "store_true",
                                "help": "use the truncated open strip "
@@ -437,33 +419,66 @@ COMMANDS = {
                                 "help": "largest mode index to assemble"}))),
     ("decay-test",): Command(
         "verify exponential decay on the periodic strip", cmd_decay_test,
-        "out nu eta beta t-end dt amplitude init seed",
+        "run.out cloud.nu cloud.eta cloud.beta solver.t_end solver.dt "
+        "init.amplitude init.kind run.seed",
         defaults=("solver.t_end=5.0",),
         base=lambda args: ["model=cloud"]),
-    ("scaling-test",): SCALING_TEST,
-    ("heat", "simulate"): Command(
-        "time-march a heat model", cmd_simulate,
-        f"out {HEAT_FLAGS} {MARCH_FLAGS}",
-        base=lambda args: [f"model=heat-{args.kind}"],
-        arguments=(("--kind", {"choices": (*CHOICES["heat.kind"], "periodic"),
-                               "default": "semilinear"}),)),
-    ("heat", "scaling-test"): SCALING_TEST,
+    ("scaling-test",): Command(
+        "self-similar scaling roundtrip of the periodic heat model",
+        cmd_scaling_test,
+        "run.out heat.kappa heat.diffusion solver.t_end solver.dt "
+        "init.amplitude grid.half_width grid.n",
+        defaults=("heat.kappa=5.0", "solver.t_end=0.5", "init.amplitude=0.5"),
+        base=lambda args: ["model=heat-periodic", f"heat.kind={args.kind}"],
+        arguments=(("--lambda", {"dest": "lam", "type": float, "default": 2.0,
+                                 "help": "scaling factor"}),
+                   ("--kind", {"choices": CHOICES["heat.kind"],
+                               "default": "semilinear"}))),
+    ("lab", "contraction"): Command(
+        "select contraction parameters and iterate", cmd_lab_contraction,
+        arguments=(("--dim", {"type": int, "default": 8}),
+                   ("--seed", {"type": int, "default": 0}),
+                   ("--quasilinear", {"action": "store_true"}),
+                   ("--out", {"default": "run"}))),
+    ("lab", "decay"): Command(
+        "weighted exponential-decay verification", cmd_lab_decay,
+        arguments=(("--dim", {"type": int, "default": 6}),
+                   ("--seed", {"type": int, "default": 0}),
+                   ("--varpi", {"type": float, "default": None,
+                                "help": "decay rate to verify (default: "
+                                        "half the spectral gap)"}),
+                   ("--epsilon", {"type": float, "default": 0.5}),
+                   ("--out", {"default": "run"}))),
+    ("exponents",): Command(
+        "critical exponent recipes for the heat models", cmd_exponents,
+        arguments=(("kind", {"choices": CHOICES["heat.kind"]}),
+                   ("--n", {"type": int, "default": 1,
+                            "help": "space dimension"}),
+                   ("--p", {"type": float, "default": 2.0,
+                            "help": "Lebesgue exponent"}),
+                   ("--kappa", {"type": float, "default": 6.0,
+                                "help": "nonlinearity power"}),
+                   ("--tau", {"type": float, "default": 0.27,
+                              "help": "Hoelder index (quasilinear only)"}),
+                   ("--out", {"default": None}))),
 }
 
 
-def _run_configured(args) -> int:
-    """Parse the configuration of a config-backed command and run it.
+def _run(args) -> int:
+    """Run the parsed command; a configured one on its configuration.
 
     The command's defaults sit below the file and the environment.
     Overrides in increasing precedence: the command's base overrides,
-    then --set pairs, then convenience flags.
+    then --set pairs, then flags.
     """
     spec = args.spec
+    if spec.keys is None:
+        return spec.handler(args)
     overrides = [*spec.base(args), *args.set]
-    for name in spec.flags.split():
-        value = getattr(args, name.replace("-", "_"))
+    for key in spec.keys.split():
+        value = getattr(args, KEYS[key])
         if value is not None:
-            overrides.append(f"{FLAGS[name][0]}={value}")
+            overrides.append(f"{key}={value}")
     return spec.handler(parse_config(args.config, overrides,
                                      defaults=spec.defaults), args)
 
@@ -478,56 +493,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"mildflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    heat = sub.add_parser("heat", help="one-dimensional heat model runs")
-    groups = {(): sub, ("heat",): heat.add_subparsers(dest="heat_command",
-                                                     required=True)}
+    groups = {(): sub}
 
     for path, spec in COMMANDS.items():
+        if path[:-1] not in groups:
+            group = sub.add_parser(path[0], help=GROUPS[path[0]])
+            groups[path[:-1]] = group.add_subparsers(
+                dest=f"{path[0]}_command", required=True)
         p = groups[path[:-1]].add_parser(path[-1], help=spec.help)
-        p.add_argument("--config", metavar="FILE",
-                       help="key = value configuration file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       default=[], help="override one configuration key")
+        if spec.keys is not None:
+            p.add_argument("--config", metavar="FILE",
+                           help="key = value configuration file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           default=[], help="override one configuration key")
         for flag, options in spec.arguments:
             p.add_argument(flag, **options)
-        for name in spec.flags.split():
-            key, text = FLAGS[name]
-            p.add_argument(f"--{name}", help=text, choices=CHOICES.get(key))
-        p.set_defaults(handler=_run_configured, spec=spec,
-                       label=spec.label or " ".join(path))
-
-    p = sub.add_parser("lab", help="matrix fixed-point laboratory")
-    lab_sub = p.add_subparsers(dest="lab_command", required=True)
-
-    q = lab_sub.add_parser("contraction",
-                           help="select contraction parameters and iterate")
-    q.add_argument("--dim", type=int, default=8)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--quasilinear", action="store_true")
-    q.add_argument("--out", default="run")
-    q.set_defaults(handler=cmd_lab_contraction)
-
-    q = lab_sub.add_parser("decay",
-                           help="weighted exponential-decay verification")
-    q.add_argument("--dim", type=int, default=6)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--varpi", type=float, default=None,
-                   help="decay rate to verify (default: half the spectral gap)")
-    q.add_argument("--epsilon", type=float, default=0.5)
-    q.add_argument("--out", default="run")
-    q.set_defaults(handler=cmd_lab_decay)
-
-    p = sub.add_parser("exponents",
-                       help="critical exponent recipes for the heat models")
-    p.add_argument("kind", choices=("semilinear", "quasilinear"))
-    p.add_argument("--n", type=int, default=1, help="space dimension")
-    p.add_argument("--p", type=float, default=2.0, help="Lebesgue exponent")
-    p.add_argument("--kappa", type=float, default=6.0,
-                   help="nonlinearity power")
-    p.add_argument("--tau", type=float, default=0.27,
-                   help="Hoelder index (quasilinear only)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_exponents)
+        for key in (spec.keys or "").split():
+            # the value is passed on as text, so the configuration
+            # converts and checks it under its key
+            p.add_argument(_flag(key), dest=KEYS[key], help=KEY_HELP.get(key),
+                           choices=CHOICES.get(key))
+        p.set_defaults(spec=spec, label=" ".join(path))
 
     return parser
 
@@ -536,7 +522,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.handler(args)
+        code = _run(args)
         sys.stdout.flush()  # a reader gone early shows here, not at exit
         return code
     except SystemExit as exc:  # argparse: usage errors, --help, --version

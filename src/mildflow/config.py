@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from math import inf, isfinite, pi
 
 from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
+from .heat import PERIODIC_KAPPA_FLOOR
 from .propagators import MAX_PROPAGATOR_BYTES
 from .solver import INTEGRATORS, MAX_STEPS
 
@@ -121,32 +122,16 @@ def _convert(key: str, raw: str, kind):
             f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
-def _read_file(path: str) -> dict:
-    pairs = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-            pairs[key] = raw
-    return pairs
-
-
 def _pairs(entries) -> dict:
-    """'key=value' strings as key -> raw value, every key checked."""
+    """(location, 'key = value') entries as key -> raw value, every key
+    checked; errors name the entry's location."""
     pairs = {}
-    for entry in entries:
+    for where, entry in entries:
         if "=" not in entry:
-            raise ConfigError(f"override {entry!r} must look like key=value")
+            raise ConfigError(f"{where}: expected 'key = value', got {entry!r}")
         key, value = (part.strip() for part in entry.split("=", 1))
         if key not in KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
+            raise ConfigError(f"{where}: unknown config key '{key}'")
         pairs[key] = value
     return pairs
 
@@ -161,14 +146,17 @@ def parse_config(path=None, overrides=None, environ=None,
     fully validated; every violation is reported with its key.
     """
     environ = os.environ if environ is None else environ
-    raw = _pairs(defaults or ())
+    raw = _pairs(("default", entry) for entry in defaults or ())
     if path is not None:
-        raw.update(_read_file(path))
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [(f"{path}:{lineno}", line.split("#", 1)[0].strip())
+                     for lineno, line in enumerate(handle, start=1)]
+        raw.update(_pairs(line for line in lines if line[1]))
     for key in KEYS:
         value = environ.get(env_name(key))
         if value is not None:
             raw[key] = value
-    raw.update(_pairs(overrides or ()))
+    raw.update(_pairs(("override", entry) for entry in overrides or ()))
 
     config = RunConfig()
     field_types = {field.name: field.type for field in fields(RunConfig)}
@@ -246,11 +234,10 @@ def validate_config(config: RunConfig) -> None:
         _recipe_window(problems, quasilinear_recipe, 1, config.heat_p,
                        config.heat_kappa, config.heat_tau)
     elif config.model == "heat-periodic":
-        # no recipe for the periodic surrogate; both kinds need kappa > 3
-        # (for the semilinear kind that is the floor 1 + 2/n at n = 1)
-        require(config.heat_kappa > 3.0, "heat.kappa",
-                f"{config.heat_kind} periodic model needs kappa > 3, "
-                f"got {config.heat_kappa}")
+        # no recipe for the periodic surrogate
+        require(config.heat_kappa > PERIODIC_KAPPA_FLOOR, "heat.kappa",
+                f"{config.heat_kind} periodic model needs kappa > "
+                f"{PERIODIC_KAPPA_FLOOR:g}, got {config.heat_kappa}")
         require(config.heat_kind != "quasilinear"
                 or 0.0 < config.heat_tau < 1.0, "heat.tau",
                 f"must lie in (0, 1), got {config.heat_tau}")

@@ -213,6 +213,11 @@ class PeriodicGrid:
         return w
 
 
+# kappa floor of the periodic model, both kinds; for the semilinear kind
+# it is the recipe floor 1 + 2/n at n = 1
+PERIODIC_KAPPA_FLOOR = 3.0
+
+
 class PeriodicHeatModel:
     """Free-space surrogate on the periodic box.
 
@@ -228,16 +233,21 @@ class PeriodicHeatModel:
                  nonlinear: bool = True):
         if kind not in ("semilinear", "quasilinear"):
             raise ValueError(f"unknown model kind {kind!r}")
-        floor = 1.0 if kind == "semilinear" else 3.0
-        if not kappa > floor:
-            raise ValueError(f"kappa must exceed {floor:g}, got {kappa}")
+        if not kappa > PERIODIC_KAPPA_FLOOR:
+            raise ValueError(f"kappa must exceed {PERIODIC_KAPPA_FLOOR:g}, "
+                             f"got {kappa}")
         if not diffusion > 0.0:
             raise ValueError("diffusion must be positive")
+        with np.errstate(over="ignore"):
+            k2 = grid.wavenumbers ** 2
+            self.lam = -diffusion * k2
+        if not np.isfinite(self.lam).all():
+            key = "heat.diffusion" if np.isfinite(k2).all() else "grid.half_width"
+            raise ValueError(f"{key}: the generator overflows on this grid")
         self.grid = grid
         self.kind = kind
         self.kappa = kappa
         self.nonlinear = nonlinear
-        self.lam = -diffusion * grid.wavenumbers ** 2
         self.propagator = Propagator(self.lam)
         k_index = np.arange(grid.n // 2 + 1)
         self.dealias_mask = (k_index <= grid.n // 3).astype(float)

@@ -25,25 +25,6 @@ from .exponents import BetaConstants, ExponentSet, validate_exponents
 from .propagators import MAX_PROPAGATOR_BYTES, Propagator
 from .solver import MAX_STEPS, SolverConfig, picard_solve, run_simulation
 
-__all__ = [
-    "ContractionParameters",
-    "DecayReport",
-    "DecayScaleResult",
-    "FixedPointDivergence",
-    "FixedPointProblem",
-    "InfeasibleProblem",
-    "SemigroupConstants",
-    "check_contraction_inequalities",
-    "contraction_experiment",
-    "decay_experiment",
-    "estimate_semigroup_constants",
-    "random_problem",
-    "run_fixed_point",
-    "select_parameters",
-    "tail_profile",
-    "verify_decay",
-]
-
 # selection takes L and r at this share of their caps, so their slacks
 # stay strictly negative
 SELECT_SAFETY = 0.9

@@ -163,6 +163,9 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     record(0.0, f_state, norms)
     if config.snapshot_every:
         snapshots.append((0.0, state.copy()))
+    if not (np.all(np.isfinite(state)) and np.isfinite(norms[lead])):
+        blowup_time, blowup_reason = 0.0, "nonfinite"
+        n_steps = 0
 
     for k in range(1, n_steps + 1):
         h = dt if k < n_steps else last

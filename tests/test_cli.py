@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mildflow import chebyshev, cli, cloud, lab
-from mildflow.cli import COMMANDS, FLAGS, main
+from mildflow.cli import COMMANDS, _flag, main
 from mildflow.config import CHOICES, KEYS
 from oracles import read_csv, read_snapshot
 
@@ -63,18 +63,18 @@ def test_exponents_nonpositive_p_exit_2(capsys):
 # ---------- flag and command tables ----------
 
 def test_flag_table_names_config_keys():
-    keys = set(KEYS)
-    assert {key for key, _ in FLAGS.values()} <= keys
     for path, spec in COMMANDS.items():
-        names = spec.flags.split()
-        assert set(names) <= set(FLAGS), path
-        assert len(names) == len(set(names)), path
-        assert "out" in names, path
+        if spec.keys is None:
+            continue
+        keys = spec.keys.split()
+        assert set(keys) <= set(KEYS), path
+        assert "run.out" in keys, path
+        flags = [_flag(key) for key in keys] + [
+            flag for flag, _ in spec.arguments]
+        assert len(flags) == len(set(flags)), path
 
 
-@pytest.mark.parametrize("path", sorted(COMMANDS) + [
-    ("lab", "contraction"), ("lab", "decay"), ("exponents",), ("heat",),
-    ("lab",), ()])
+@pytest.mark.parametrize("path", sorted(COMMANDS) + [("lab",), ()])
 def test_every_command_path_has_help(path, capsys):
     assert main([*path, "--help"]) == 0
     assert "usage: mildflow" in capsys.readouterr().out
@@ -199,16 +199,16 @@ def test_overflowing_cloud_coefficient_exit_2(tmp_path, capsys, argv, key):
 
 
 @pytest.mark.parametrize("argv, key", [
-    (["heat", "simulate", "--kind", "periodic", "--diffusion", "inf"],
+    (["simulate", "--model", "heat-periodic", "--diffusion", "inf"],
      "heat.diffusion"),
-    (["heat", "simulate", "--kind", "quasilinear", "--set", "heat.a0=inf"],
+    (["simulate", "--model", "heat-quasilinear", "--set", "heat.a0=inf"],
      "heat.a0"),
     (["simulate", "--amplitude", "inf"], "init.amplitude"),
     # the whole strip at wavenumber 0; a periodic run "completed"; a numpy
     # warning and exit 1
     (["simulate", "--set", "grid.periodic=false", "--set", "grid.lx=inf"],
      "grid.lx"),
-    (["heat", "simulate", "--kind", "periodic", "--kappa", "inf"],
+    (["simulate", "--model", "heat-periodic", "--kappa", "inf"],
      "heat.kappa"),
     (["scaling-test", "--half-width", "inf"], "grid.half_width"),
 ])
@@ -218,6 +218,24 @@ def test_infinite_config_value_exit_2(tmp_path, capsys, argv, key):
         warnings.simplefilter("always")
         assert main([*argv, "--t-end", "0.01", "--out", str(out)]) == 2
     assert f"{key}: must be finite" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    # the squared wavenumber of the top mode overflows
+    (["simulate", "--model", "heat-periodic", "--half-width", "1e-153"],
+     "grid.half_width"),
+    (["scaling-test", "--half-width", "1e-300"], "grid.half_width"),
+    (["simulate", "--model", "heat-periodic", "--diffusion", "1e308"],
+     "heat.diffusion"),
+])
+def test_overflowing_periodic_generator_exit_2(tmp_path, capsys, argv, key):
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--t-end", "0.01", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
@@ -311,15 +329,17 @@ _FUZZ_VALUES = ("0", "-1", "nan", "inf", "-inf", "abc", "1e300", "8", "0.01",
 _FUZZ_BASE = ("grid.nx=8", "grid.ny=8", "grid.n=64", "grid.half_width=8",
               "heat.intervals=8", "heat.points=9", "solver.dt=0.01",
               "solver.t_end=0.02")
+_CONFIGURED = {path: spec.keys for path, spec in COMMANDS.items()
+               if spec.keys is not None}
 
 
 @st.composite
 def _command_lines(draw):
-    path = draw(st.sampled_from(sorted(COMMANDS)))
-    names = [name for name in COMMANDS[path].flags.split() if name != "out"]
-    chosen = draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
-    return [*path, *(arg for name in chosen
-                     for arg in (f"--{name}", draw(st.sampled_from(_FUZZ_VALUES))))]
+    path = draw(st.sampled_from(sorted(_CONFIGURED)))
+    flags = [_flag(key) for key in _CONFIGURED[path].split() if key != "run.out"]
+    chosen = draw(st.lists(st.sampled_from(flags), max_size=4, unique=True))
+    return [*path, *(arg for flag in chosen
+                     for arg in (flag, draw(st.sampled_from(_FUZZ_VALUES))))]
 
 
 @given(_command_lines())
@@ -334,23 +354,26 @@ def test_cli_fuzz_exits_0_1_or_2(argv):
         assert main([*argv, *sets, "--out", f"{tmp}/run"]) in (0, 1, 2)
 
 
-# lab and exponents flags: values from _FUZZ_VALUES, the lab on dims <= 4
-_LAB_FLAGS = {("lab", "contraction"): ("seed", "quasilinear"),
-              ("lab", "decay"): ("seed", "varpi", "epsilon"),
-              ("exponents", "semilinear"): ("n", "p", "kappa", "tau"),
-              ("exponents", "quasilinear"): ("n", "p", "kappa", "tau")}
+# lab and exponents arguments: a positional one takes one of its choices,
+# --dim at most 4, and up to three others a value from _FUZZ_VALUES
+_LAB_ARGUMENTS = {path: dict(spec.arguments) for path, spec in COMMANDS.items()
+                  if spec.keys is None}
 
 
 @st.composite
 def _lab_command_lines(draw):
-    path = draw(st.sampled_from(sorted(_LAB_FLAGS)))
-    argv = list(path)
-    if path[0] == "lab":
+    path = draw(st.sampled_from(sorted(_LAB_ARGUMENTS)))
+    arguments = _LAB_ARGUMENTS[path]
+    argv = [*path, *(draw(st.sampled_from(options["choices"]))
+                     for flag, options in arguments.items()
+                     if not flag.startswith("--"))]
+    if "--dim" in arguments:
         argv += ["--dim", draw(st.sampled_from(("-1", "0", "1", "2", "3", "4")))]
-    for name in draw(st.lists(st.sampled_from(_LAB_FLAGS[path]), max_size=3,
-                              unique=True)):
-        argv += [f"--{name}"] if name == "quasilinear" else \
-            [f"--{name}", draw(st.sampled_from(_FUZZ_VALUES))]
+    others = [flag for flag in arguments
+              if flag.startswith("--") and flag not in ("--dim", "--out")]
+    for flag in draw(st.lists(st.sampled_from(others), max_size=3, unique=True)):
+        argv += [flag] if arguments[flag].get("action") == "store_true" else \
+            [flag, draw(st.sampled_from(_FUZZ_VALUES))]
     return argv
 
 
@@ -386,7 +409,7 @@ def test_lab_and_exponents_name_the_offending_input(tmp_path, capsys, argv,
 
 def test_heat_blowup_recorded_with_exit_zero(tmp_path):
     out = str(tmp_path / "run")
-    assert main(["heat", "simulate", "--kind", "semilinear",
+    assert main(["simulate", "--model", "heat-semilinear",
                  "--init", "mode", "--amplitude", "80", "--t-end", "1.0",
                  "--dt", "0.001", "--out", out]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
@@ -397,7 +420,7 @@ def test_heat_blowup_recorded_with_exit_zero(tmp_path):
 
 def test_flagged_run_reports_the_steps_taken(tmp_path):
     out = tmp_path / "run"
-    assert main(["heat", "simulate", "--kind", "semilinear",
+    assert main(["simulate", "--model", "heat-semilinear",
                  "--amplitude", "50", "--t-end", "0.5",
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -422,7 +445,7 @@ def test_off_grid_t_end_ends_with_a_partial_step(tmp_path):
 
 def test_one_sample_blowup_writes_series_without_weighted(tmp_path):
     out = tmp_path / "run"
-    assert main(["heat", "simulate", "--kind", "semilinear",
+    assert main(["simulate", "--model", "heat-semilinear",
                  "--amplitude", "1e300", "--t-end", "0.01",
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -434,9 +457,9 @@ def test_one_sample_blowup_writes_series_without_weighted(tmp_path):
 
 def test_heat_quasilinear_p_outside_window_exit_2(tmp_path):
     out = str(tmp_path / "run")
-    assert main(["heat", "simulate", "--kind", "quasilinear",
+    assert main(["simulate", "--model", "heat-quasilinear",
                  "--p", "2", "--out", out]) == 2
-    assert main(["heat", "simulate", "--kind", "quasilinear",
+    assert main(["simulate", "--model", "heat-quasilinear",
                  "--kappa", "4", "--p", "2.5", "--tau", "0.27",
                  "--t-end", "0.05", "--dt", "0.001",
                  "--amplitude", "0.05", "--out", out]) == 0
@@ -444,7 +467,7 @@ def test_heat_quasilinear_p_outside_window_exit_2(tmp_path):
 
 def test_heat_quasilinear_nonpositive_p_exit_2(tmp_path, capsys):
     out = str(tmp_path / "run")
-    assert main(["heat", "simulate", "--kind", "quasilinear", "--p", "0",
+    assert main(["simulate", "--model", "heat-quasilinear", "--p", "0",
                  "--out", out]) == 2
     assert "heat.p" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -452,7 +475,7 @@ def test_heat_quasilinear_nonpositive_p_exit_2(tmp_path, capsys):
 
 def test_heat_quasilinear_defaults_complete(tmp_path):
     out = tmp_path / "run"
-    assert main(["heat", "simulate", "--kind", "quasilinear",
+    assert main(["simulate", "--model", "heat-quasilinear",
                  "--t-end", "0.05", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["heat.p"] == 2.5
@@ -461,7 +484,7 @@ def test_heat_quasilinear_defaults_complete(tmp_path):
 
 def test_heat_quasilinear_nonfinite_diffusivity_flagged(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["heat", "simulate", "--kind", "quasilinear", "--p", "2.5",
+    assert main(["simulate", "--model", "heat-quasilinear", "--p", "2.5",
                  "--amplitude", "1e200", "--t-end", "0.05",
                  "--out", str(out)]) == 0
     assert "blow-up flagged" in capsys.readouterr().out
@@ -472,7 +495,7 @@ def test_heat_quasilinear_nonfinite_diffusivity_flagged(tmp_path, capsys):
 
 def test_heat_small_data_completes(tmp_path):
     out = str(tmp_path / "run")
-    assert main(["heat", "simulate", "--kind", "semilinear",
+    assert main(["simulate", "--model", "heat-semilinear",
                  "--t-end", "0.2", "--dt", "0.001", "--amplitude", "0.01",
                  "--out", out]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
@@ -481,7 +504,7 @@ def test_heat_small_data_completes(tmp_path):
     assert summary["final"]["norms"]["H1"] < 0.01
 
 
-@pytest.mark.parametrize("command", [["heat", "simulate", "--kind", "periodic"],
+@pytest.mark.parametrize("command", [["simulate", "--set", "model=heat-periodic"],
                                      ["simulate", "--model", "heat-periodic"]])
 @pytest.mark.parametrize("init", ["mode", "random"])
 def test_heat_periodic_runs_and_writes_line_snapshots(tmp_path, command, init):
@@ -498,8 +521,8 @@ def test_heat_periodic_runs_and_writes_line_snapshots(tmp_path, command, init):
 
 
 @pytest.mark.parametrize("argv, key, value", [
-    (["heat", "simulate", "--kind", "periodic", "--n", "32"], "grid.n", 32),
-    (["heat", "simulate", "--kind", "periodic", "--half-width", "4"],
+    (["simulate", "--model", "heat-periodic", "--n", "32"], "grid.n", 32),
+    (["simulate", "--model", "heat-periodic", "--half-width", "4"],
      "grid.half_width", 4.0),
     (["simulate", "--model", "heat-periodic", "--kappa", "5"], "heat.kappa", 5.0),
 ])
@@ -509,13 +532,6 @@ def test_heat_periodic_flags_reach_their_keys(tmp_path, argv, key, value):
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"][key] == value
-
-
-def test_simulate_takes_every_heat_simulate_flag():
-    heat = set(COMMANDS[("heat", "simulate")].flags.split())
-    simulate = set(COMMANDS[("simulate",)].flags.split())
-    assert heat <= simulate
-    assert simulate - heat == {"model", "nu", "eta", "beta", "lx", "nx", "ny"}
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -614,14 +630,6 @@ def test_linalg_error_is_numerical_failure_exit_1(tmp_path, capsys,
                  "--out", str(tmp_path / "run")]) == 1
     assert "numerical failure: eigenvalues did not converge" in \
         capsys.readouterr().err
-
-
-def test_heat_scaling_test_keeps_scaling_test_label(tmp_path):
-    out = tmp_path / "run"
-    assert main(["heat", "scaling-test", "--t-end", "0.05",
-                 "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["command"] == "scaling-test"
 
 
 # ---------- lab ----------

@@ -51,8 +51,10 @@ def test_semilinear_lipschitz_estimate():
 
 
 def test_semilinear_rejects_small_kappa():
-    with pytest.raises(ValueError, match="kappa"):
-        PeriodicHeatModel(PeriodicGrid(), "semilinear", kappa=1.0)
+    # the floor is 3 for both kinds, as the configuration checks it
+    for kappa in (1.0, 2.0):
+        with pytest.raises(ValueError, match="kappa"):
+            PeriodicHeatModel(PeriodicGrid(), "semilinear", kappa=kappa)
 
 
 def test_gradient_constant_profile_and_patch():

@@ -421,14 +421,3 @@ def test_decay_experiment_report_shape():
     assert report["m_report"] < 5.0 * report["omega0"]
     json.dumps(report)
 
-
-# Exports --------------------------------------------------------------------
-
-def test_public_exports_resolve():
-    import mildflow
-    from mildflow import lab
-
-    for module in (mildflow, lab):
-        missing = [name for name in module.__all__
-                   if not hasattr(module, name)]
-        assert not missing, f"{module.__name__} exports {missing}"

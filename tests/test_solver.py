@@ -201,6 +201,13 @@ def test_semigroup_overflow_flags_before_the_first_step():
     assert tr.steps == 0 and tr.times.size == 1
 
 
+def test_nonfinite_start_flags_before_the_first_step():
+    cfg = SolverConfig(dt=0.01, t_end=1.0, monitor_sigmas=(0.0,))
+    tr = run_simulation(ScalarLinear(-1.0), np.array([np.nan]), cfg)
+    assert tr.blowup_reason == "nonfinite" and tr.blowup_time == 0.0
+    assert tr.steps == 0 and tr.times.size == 1
+
+
 def test_picard_matches_logistic_closed_form():
     m = ScalarLogistic()
     cfg = SolverConfig(picard_segments=512, picard_tol=1e-13,

@@ -4,8 +4,9 @@ Every command is one row of COMMANDS.  A configured command reads the
 flat key=value configuration (file, MILDFLOW_* environment, --set
 overrides, flags), runs one experiment, and writes its outputs
 atomically under the run directory.  Its row lists the configuration
-keys it takes as flags, and each flag is named by its key (`_flag`).
-The lab and exponents commands take plain arguments instead.  Identical
+keys it takes as flags, and each flag is named by its key (`_flag`); a
+command that runs one model fixes it above every layer.  The lab and
+exponents commands take plain arguments instead.  Identical
 configuration and seed give byte-identical outputs, so no timestamps or
 machine identifiers enter any file.
 
@@ -364,23 +365,25 @@ def cmd_exponents(args) -> int:
 
 # ---------------------------------------------------------- command table
 
-# help texts of the flags whose key does not say enough
-KEY_HELP = {
-    "run.out": "run directory for outputs",
-    "grid.lx": "length of the open strip (default 2 pi, half-length pi)",
-    "grid.n": "grid points on the periodic line",
+# options of the flags that are not a plain `--key VALUE` with the
+# key's choices
+FLAG_OPTIONS = {
+    "run.out": {"help": "run directory for outputs"},
+    "grid.lx": {"help": "length of the open strip (default 2 pi, half-length pi)"},
+    "grid.n": {"help": "grid points on the periodic line"},
+    "grid.periodic": {"action": "store_const", "const": "false",
+                      "help": "use the truncated open strip instead of periodic"},
 }
+# flags not named by the last part of their key (--kind is heat.kind's)
+FLAG_NAMES = {"init.kind": "--init", "grid.periodic": "--open"}
 # help of the command groups, the first parts of two-part command paths
 GROUPS = {"lab": "matrix fixed-point laboratory"}
 
 
 def _flag(key: str) -> str:
-    """The flag of a configuration key: its last part with dashes
-    (grid.half_width gives --half-width), except init.kind, whose flag is
-    --init because --kind names the model kind of scaling-test."""
-    if key == "init.kind":
-        return "--init"
-    return "--" + key.rsplit(".", 1)[-1].replace("_", "-")
+    """The flag of a configuration key: its FLAG_NAMES entry, else its
+    last part with dashes (grid.half_width gives --half-width)."""
+    return FLAG_NAMES.get(key) or "--" + key.rsplit(".", 1)[-1].replace("_", "-")
 
 
 class Command(NamedTuple):
@@ -388,15 +391,15 @@ class Command(NamedTuple):
     outside the configuration.  A configured command also lists the
     configuration keys it takes as flags (space separated), its own
     defaults (above the built-in ones, below the file and the
-    environment) and the overrides that fix its model, and its handler
-    receives the parsed configuration.  With keys None the handler
-    receives the arguments alone."""
+    environment) and the model it runs if it runs only one (above every
+    layer); its handler receives the parsed configuration.  With keys
+    None the handler receives the arguments alone."""
 
     help: str
     handler: Callable
     keys: Optional[str] = None
     defaults: tuple = ()
-    base: Callable = lambda args: ()
+    model: Optional[str] = None
     arguments: tuple = ()
 
 
@@ -410,30 +413,24 @@ COMMANDS = {
         "run.seed"),
     ("spectral-bound",): Command(
         "max real part of the mode-operator spectra", cmd_spectral_bound,
-        "run.out cloud.nu cloud.eta cloud.beta grid.lx grid.nx grid.ny",
-        base=lambda args: ["grid.periodic=false"] if args.open_strip else [],
-        arguments=(("--open", {"dest": "open_strip", "action": "store_true",
-                               "help": "use the truncated open strip "
-                                       "instead of periodic"}),
-                   ("--n-max", {"type": int,
-                                "help": "largest mode index to assemble"}))),
+        "run.out grid.periodic cloud.nu cloud.eta cloud.beta grid.lx grid.nx "
+        "grid.ny", model="cloud",
+        arguments=(("--n-max", {"type": int,
+                                "help": "largest mode index to assemble"}),)),
     ("decay-test",): Command(
         "verify exponential decay on the periodic strip", cmd_decay_test,
         "run.out cloud.nu cloud.eta cloud.beta solver.t_end solver.dt "
         "init.amplitude init.kind run.seed",
-        defaults=("solver.t_end=5.0",),
-        base=lambda args: ["model=cloud"]),
+        defaults=("solver.t_end=5.0",), model="cloud"),
     ("scaling-test",): Command(
         "self-similar scaling roundtrip of the periodic heat model",
         cmd_scaling_test,
-        "run.out heat.kappa heat.diffusion solver.t_end solver.dt "
+        "run.out heat.kind heat.kappa heat.diffusion solver.t_end solver.dt "
         "init.amplitude grid.half_width grid.n",
         defaults=("heat.kappa=5.0", "solver.t_end=0.5", "init.amplitude=0.5"),
-        base=lambda args: ["model=heat-periodic", f"heat.kind={args.kind}"],
+        model="heat-periodic",
         arguments=(("--lambda", {"dest": "lam", "type": float, "default": 2.0,
-                                 "help": "scaling factor"}),
-                   ("--kind", {"choices": CHOICES["heat.kind"],
-                               "default": "semilinear"}))),
+                                 "help": "scaling factor"}),)),
     ("lab", "contraction"): Command(
         "select contraction parameters and iterate", cmd_lab_contraction,
         arguments=(("--dim", {"type": int, "default": 8}),
@@ -467,18 +464,20 @@ COMMANDS = {
 def _run(args) -> int:
     """Run the parsed command; a configured one on its configuration.
 
-    The command's defaults sit below the file and the environment.
-    Overrides in increasing precedence: the command's base overrides,
-    then --set pairs, then flags.
+    The command's defaults sit below the file and the environment, the
+    --set pairs above them and the flags above those.  The model of a
+    command that runs one comes last, so no layer can change it.
     """
     spec = args.spec
     if spec.keys is None:
         return spec.handler(args)
-    overrides = [*spec.base(args), *args.set]
+    overrides = list(args.set)
     for key in spec.keys.split():
         value = getattr(args, KEYS[key])
         if value is not None:
             overrides.append(f"{key}={value}")
+    if spec.model is not None:
+        overrides.append(f"model={spec.model}")
     return spec.handler(parse_config(args.config, overrides,
                                      defaults=spec.defaults), args)
 
@@ -511,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
         for key in (spec.keys or "").split():
             # the value is passed on as text, so the configuration
             # converts and checks it under its key
-            p.add_argument(_flag(key), dest=KEYS[key], help=KEY_HELP.get(key),
-                           choices=CHOICES.get(key))
+            p.add_argument(_flag(key), dest=KEYS[key], **(
+                FLAG_OPTIONS.get(key) or {"choices": CHOICES.get(key)}))
         p.set_defaults(spec=spec, label=" ".join(path))
 
     return parser

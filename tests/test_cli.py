@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mildflow import chebyshev, cli, cloud, lab
-from mildflow.cli import COMMANDS, _flag, main
+from mildflow.cli import COMMANDS, FLAG_OPTIONS, _flag, main
 from mildflow.config import CHOICES, KEYS
 from oracles import read_csv, read_snapshot
 
@@ -80,9 +80,10 @@ def test_every_command_path_has_help(path, capsys):
     assert "usage: mildflow" in capsys.readouterr().out
 
 
-def test_flag_overrides_set_and_set_overrides_base(tmp_path):
+def test_flag_overrides_set_and_set_overrides_command_default(tmp_path):
     out = tmp_path / "run"
-    # default solver.t_end=5.0 < --set < --t-end; --set beats the base model
+    # command default solver.t_end=5.0 < --set < --t-end; a --set key
+    # that no flag gives applies as well
     assert main(["decay-test", "--set", "solver.t_end=0.3", "--t-end", "0.05",
                  "--set", "cloud.nu=1.5", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -107,6 +108,50 @@ def test_environment_beats_command_default(tmp_path, monkeypatch):
     assert summary["kappa"] == 7.0
     # the defaults the environment leaves alone still apply
     assert summary["config"]["init.amplitude"] == 0.5
+
+
+# the model of a command that runs one outranks every layer, and the
+# --open and --kind flags outrank --set like every other flag
+@pytest.mark.parametrize("argv, environ, field, value", [
+    (["decay-test", "--set", "model=heat-semilinear", "--t-end", "0.05"],
+     {}, "config.model", "cloud"),
+    (["decay-test", "--t-end", "0.05"], {"MILDFLOW_MODEL": "heat-semilinear"},
+     "config.model", "cloud"),
+    # heat.p = 2 is outside the quasilinear window; spectral-bound never
+    # reads it
+    (["spectral-bound", "--set", "model=heat-quasilinear", "--set", "heat.p=2"],
+     {}, "config.model", "cloud"),
+    (["spectral-bound", "--open", "--set", "grid.periodic=true"], {},
+     "periodic", False),
+    (["scaling-test", "--kind", "semilinear", "--set", "heat.kind=quasilinear",
+      "--t-end", "0.01"], {}, "kind", "semilinear"),
+], ids=["decay-test-set", "decay-test-env", "spectral-bound-set",
+        "open-over-set", "kind-over-set"])
+def test_command_model_and_flags_outrank_set_and_environment(
+        tmp_path, monkeypatch, argv, environ, field, value):
+    for name, text in environ.items():
+        monkeypatch.setenv(name, text)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for part in field.split("."):
+        summary = summary[part]
+    assert summary == value
+
+
+def test_scaling_test_checks_the_storage_of_its_own_model(
+        tmp_path, monkeypatch, capsys):
+    # a 65536-point line needs a 32 GiB resampling basis; the stub keeps a
+    # run that passes validation from building it
+    calls = []
+    monkeypatch.setattr(cli, "scaling_roundtrip_test",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "run"
+    assert main(["scaling-test", "--set", "model=cloud", "--n", "65536",
+                 "--out", str(out)]) == 2
+    assert "grid.n" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 # ---------- spectral-bound ----------
@@ -335,15 +380,23 @@ _CONFIGURED = {path: spec.keys for path, spec in COMMANDS.items()
 
 @st.composite
 def _command_lines(draw):
+    # up to four flags, a flag that takes no value (--open) without one,
+    # and perhaps a --set of the model
     path = draw(st.sampled_from(sorted(_CONFIGURED)))
-    flags = [_flag(key) for key in _CONFIGURED[path].split() if key != "run.out"]
-    chosen = draw(st.lists(st.sampled_from(flags), max_size=4, unique=True))
-    return [*path, *(arg for flag in chosen
-                     for arg in (flag, draw(st.sampled_from(_FUZZ_VALUES))))]
+    keys = [key for key in _CONFIGURED[path].split() if key != "run.out"]
+    argv = list(path)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)):
+        argv.append(_flag(key))
+        if "const" not in FLAG_OPTIONS.get(key, {}):
+            argv.append(draw(st.sampled_from(_FUZZ_VALUES)))
+    model = draw(st.sampled_from((None, *CHOICES["model"])))
+    return argv if model is None else [*argv, "--set", f"model={model}"]
 
 
 @given(_command_lines())
 @example(["simulate", "--dt", "0"])
+# enough steps of the fuzz's dt for a decay fit
+@example(["decay-test", "--set", "model=heat-semilinear", "--t-end", "0.2"])
 @settings(max_examples=150, deadline=None)
 def test_cli_fuzz_exits_0_1_or_2(argv):
     # a completed run, a named numerical failure or a named constraint

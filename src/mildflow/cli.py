@@ -38,7 +38,7 @@ from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
 from .io import (sigma_label, write_csv, write_json, write_series,
                  write_snapshot)
 from .lab import contraction_experiment, decay_experiment
-from .propagators import MAX_PROPAGATOR_BYTES
+from .propagators import require_storage
 from .solver import SolverConfig, fit_decay_rate, run_simulation
 from .strip import (dirichlet_mode_field, open_strip, periodic_strip,
                     random_dirichlet_field, to_grid)
@@ -187,8 +187,9 @@ def _emit(args, report: dict) -> int:
 # ------------------------------------------------ configured commands
 
 def cmd_simulate(config: RunConfig, args) -> int:
+    solver_cfg = _solver_config(config)  # checks the step plan first
     model, u0, *snapshot_meta = _build_model_and_state(config)
-    trajectory = run_simulation(model, u0, _solver_config(config))
+    trajectory = run_simulation(model, u0, solver_cfg)
 
     write_series(os.path.join(config.run_out, "series.csv"), trajectory)
     n_snapshots = _write_snapshots(config.run_out, config, trajectory,
@@ -220,10 +221,9 @@ def cmd_spectral_bound(config: RunConfig, args) -> int:
     if n_max < 0:
         raise ConfigError(f"--n-max must be nonnegative, got {n_max}")
     # complex stacks of the blocks and eigenvectors of 0..n_max
-    if 2 * (n_max + 1) * (geometry.ny - 2) ** 2 * 16 > MAX_PROPAGATOR_BYTES:
-        raise ConfigError(
-            f"--n-max {n_max}: the stacks of {n_max + 1} mode blocks would "
-            f"exceed the {MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB storage limit")
+    keys = "grid.nx" if args.n_max is None else f"--n-max {n_max}"
+    require_storage(2 * (n_max + 1) * (geometry.ny - 2) ** 2 * 16,
+                    f"{keys}, grid.ny: the stacked mode blocks")
 
     top, condition, defective = mode_spectra(coeffs, geometry, n_max)
 
@@ -251,6 +251,7 @@ def cmd_spectral_bound(config: RunConfig, args) -> int:
 
 
 def cmd_decay_test(config: RunConfig, args) -> int:
+    solver_cfg = _solver_config(config)
     if not config.grid_periodic:
         raise ConfigError("grid.periodic: the decay test runs on the "
                           "periodic strip; set grid.periodic = true")
@@ -266,7 +267,7 @@ def cmd_decay_test(config: RunConfig, args) -> int:
     if not np.any(u0):
         raise ConfigError("init.kind: decay test needs nonzero initial data")
     u0_h1 = model.norm(u0, 1.0)
-    trajectory = run_simulation(model, u0, _solver_config(config))
+    trajectory = run_simulation(model, u0, solver_cfg)
     write_series(os.path.join(config.run_out, "series.csv"), trajectory)
 
     fitted = None if trajectory.flagged else _fit_record(

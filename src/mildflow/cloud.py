@@ -32,7 +32,7 @@ import numpy as np
 from numpy.linalg import eigvals
 
 from .chebyshev import cumulative_matrix, diff_matrix
-from .propagators import Propagator, eigen_blocks
+from .propagators import Propagator, eigen_blocks, require_storage
 from .strip import (
     SpectralField,
     StripGeometry,
@@ -256,10 +256,13 @@ class CloudModel:
     """
 
     def __init__(self, coeffs: CloudCoefficients, geometry: StripGeometry):
+        # eigenvectors, inverses and three step factors per mode, complex
+        modes, m = geometry.nx // 2 + 1, geometry.ny - 2
+        require_storage(5 * modes * m * m * 16, "grid.nx, grid.ny: the mode stacks")
         self.coeffs = coeffs
         self.geometry = geometry
         self.propagator = Propagator.from_matrix(
-            mode_stack(range(geometry.nx // 2 + 1), coeffs, geometry))
+            mode_stack(range(modes), coeffs, geometry))
 
     def field_from_state(self, state: np.ndarray) -> SpectralField:
         full = np.zeros(state.shape[:-1] + (self.geometry.ny,), dtype=complex)

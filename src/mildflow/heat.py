@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exponents import CriticalRecipe, quasilinear_recipe, semilinear_recipe
-from .propagators import Propagator
+from .propagators import Propagator, require_storage
 from .solver import SolverConfig, run_simulation
 
 
@@ -90,6 +90,8 @@ class SemilinearHeatModel:
     def __init__(self, intervals: int = 64, kappa: float = 6.0, p: float = 2.0):
         if intervals < 8:
             raise ValueError("need at least 8 intervals")
+        # sine synthesis and analysis matrices, float64
+        require_storage(2 * intervals ** 2 * 8, "heat.intervals: the sine basis")
         self.intervals = intervals
         self.kappa = kappa
         self.recipe: CriticalRecipe = semilinear_recipe(1, p, kappa)
@@ -135,6 +137,8 @@ class QuasilinearHeatModel:
                  diffusivity: DiffusivitySpec = DiffusivitySpec()):
         if points < 9:
             raise ValueError("need at least 9 collocation points")
+        # basis, derivative, generator and eigenvector matrices, float64
+        require_storage(6 * points ** 2 * 8, "heat.points: the collocation matrices")
         self.points = points
         self.kappa = kappa
         self.diffusivity = diffusivity
@@ -196,6 +200,8 @@ class PeriodicGrid:
             raise ValueError("grid size must be even and at least 16")
         if not self.half_width > 0.0:
             raise ValueError("half_width must be positive")
+        # nodes, values, wavenumbers, weights and states: ~8 float64 n-arrays
+        require_storage(64 * self.n, "grid.n: the line's arrays")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -338,6 +344,8 @@ def scaling_roundtrip_test(u0_values: np.ndarray, lam_scale: float,
                            nonlinear: bool = True) -> ScalingReport:
     """Two routes to the same field: evolve-then-scale against
     scale-then-evolve to time T/lambda; reports the relative L2 gap."""
+    # the complex n x (n/2+1) basis of the resampler in scaling_transform
+    require_storage(16 * grid.n * (grid.n // 2 + 1), "grid.n: the resampler's basis")
     model = PeriodicHeatModel(grid, model_kind, kappa, diffusion, nonlinear)
     cfg_a = SolverConfig(dt=config.dt, t_end=t_final,
                          integrator=config.integrator, monitor_sigmas=(0.0,))

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import BetaConstants, ExponentSet, validate_exponents
-from .propagators import MAX_PROPAGATOR_BYTES, Propagator
+from .propagators import Propagator, require_storage
 from .solver import MAX_STEPS, SolverConfig, picard_solve, run_simulation
 
 # selection takes L and r at this share of their caps, so their slacks
@@ -468,10 +468,7 @@ def random_problem(dim: int, rng, quasilinear: bool = False,
     # at most six dense float64 (dim, dim) matrices live at once: the
     # normal draw, its QR factors, the generator, its symmetrized copy
     # and its eigenvectors
-    if 6 * dim ** 2 * 8 > MAX_PROPAGATOR_BYTES:
-        raise ValueError(
-            f"dim {dim}: the lab's matrices would exceed the "
-            f"{MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB storage limit")
+    require_storage(6 * dim ** 2 * 8, f"dim {dim}: the lab's matrices")
     rates = np.sort(rng.uniform(0.6, 6.0, size=dim))
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     generator = -(basis * rates) @ basis.T  # symmetrized by FixedPointProblem

@@ -26,9 +26,18 @@ from scipy.linalg import expm
 
 EIG_CONDITION_LIMIT = 1e8
 _EXP_OVERFLOW = 700.0
-# Largest propagator storage a run may ask for; a bigger grid, lab
-# dimension or mode stack is refused before anything is allocated.
+# Largest storage a run may ask for; require_storage refuses a bigger
+# grid, lab dimension or mode stack where it would be allocated.
 MAX_PROPAGATOR_BYTES = 1 << 30
+
+
+def require_storage(nbytes: int, what: str) -> None:
+    """Refuse an allocation of nbytes above MAX_PROPAGATOR_BYTES; `what`
+    names the key or flag that sets the size, then the arrays."""
+    if nbytes > MAX_PROPAGATOR_BYTES:
+        gib = nbytes / 2 ** 30 if nbytes < 2 ** 1000 else math.inf
+        raise ValueError(f"{what} would take about {gib:.3g} GiB, more than "
+                         f"the {MAX_PROPAGATOR_BYTES / 2 ** 30:g} GiB storage limit")
 
 
 class InstabilityError(RuntimeError):

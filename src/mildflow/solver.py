@@ -53,11 +53,12 @@ class SolverConfig:
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not self.dt <= self.t_end < np.inf:
-            raise ValueError("need finite dt <= t_end, "
+            raise ValueError("solver.dt, solver.t_end: need finite dt <= t_end, "
                              f"got dt={self.dt}, t_end={self.t_end}")
         if not self.t_end / self.dt <= MAX_STEPS:
-            raise ValueError(f"t_end/dt asks for more than {MAX_STEPS:,} "
-                             f"steps, got dt={self.dt}, t_end={self.t_end}")
+            raise ValueError(f"solver.dt, solver.t_end: t_end/dt asks for more "
+                             f"than {MAX_STEPS:,} steps, got dt={self.dt}, "
+                             f"t_end={self.t_end}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")

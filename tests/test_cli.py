@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mildflow import chebyshev, cli, cloud, lab
+from mildflow import chebyshev, cli, cloud, heat, lab
 from mildflow.cli import COMMANDS, FLAG_OPTIONS, _flag, main
 from mildflow.config import CHOICES, KEYS
 from oracles import read_csv, read_snapshot
@@ -141,17 +141,71 @@ def test_command_model_and_flags_outrank_set_and_environment(
 
 def test_scaling_test_checks_the_storage_of_its_own_model(
         tmp_path, monkeypatch, capsys):
-    # a 65536-point line needs a 32 GiB resampling basis; the stub keeps a
-    # run that passes validation from building it
+    # a 65536-point line needs a 32 GiB resampling basis; the stubs keep a
+    # roundtrip that skips its storage rule from building it
     calls = []
-    monkeypatch.setattr(cli, "scaling_roundtrip_test",
-                        lambda *args, **kwargs: calls.append(args))
+    for name in ("run_simulation", "scaling_transform"):
+        monkeypatch.setattr(heat, name, lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "run"
     assert main(["scaling-test", "--set", "model=cloud", "--n", "65536",
                  "--out", str(out)]) == 2
     assert "grid.n" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+_HUGE = "2" * 400  # too large for a float quotient
+
+
+@pytest.mark.parametrize("argv, key, stubs", [
+    (["simulate", "--nx", "20000"], "grid.nx", ["cloud.mode_stack"]),
+    (["simulate", "--set", "grid.nx=" + _HUGE], "grid.nx", ["cloud.mode_stack"]),
+    (["spectral-bound", "--set", "grid.nx=" + _HUGE], "grid.nx",
+     ["cloud.mode_stack"]),
+    (["simulate", "--model", "heat-quasilinear", "--set", "heat.points=100000"],
+     "heat.points", ["heat.quasilinear_recipe"]),
+    (["simulate", "--model", "heat-semilinear", "--set",
+      "heat.intervals=1000000"], "heat.intervals", ["heat.semilinear_recipe"]),
+    (["scaling-test", "--n", "16384"], "grid.n",
+     ["heat.run_simulation", "heat.scaling_transform"]),
+    (["simulate", "--model", "heat-periodic", "--set", "grid.n=" + _HUGE],
+     "grid.n", ["cli.PeriodicHeatModel"]),
+], ids=["nx", "nx-huge", "spectral-bound-nx-huge", "points", "intervals",
+        "scaling-n", "periodic-n-huge"])
+def test_storage_is_refused_where_it_is_allocated(
+        tmp_path, monkeypatch, capsys, argv, key, stubs):
+    # the owner of each storage rule refuses before the call that would
+    # allocate; the stubs fail the test if that call is reached
+    def fail(*args, **kwargs):
+        raise AssertionError("allocated past the storage rule")
+
+    modules = {"cli": cli, "cloud": cloud, "heat": heat}
+    for stub in stubs:
+        module, name = stub.split(".")
+        monkeypatch.setattr(modules[module], name, fail)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "GiB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # spectral-bound takes no step, so the step plan is not its rule
+    ["spectral-bound", "--set", "solver.t_end=0.0001"],
+    # the periodic model reads no heat.tau
+    ["scaling-test", "--kind", "quasilinear", "--set", "heat.tau=1.5",
+     "--t-end", "0.05"],
+    # spectral-bound builds 5 mode blocks, not the propagator of 10001
+    ["spectral-bound", "--nx", "20000", "--n-max", "4"],
+    # simulate builds no scaling resampler
+    ["simulate", "--model", "heat-periodic", "--n", "16384", "--t-end", "0.002"],
+], ids=["spectral-bound-t-end", "scaling-tau", "spectral-bound-nx",
+        "periodic-n"])
+def test_rules_of_work_a_command_skips_do_not_refuse_it(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "summary.json").exists()
 
 
 # ---------- spectral-bound ----------
@@ -351,10 +405,18 @@ def test_missing_subcommand_exits_2():
     # a step count that overflows: refused before the march
     ["--set", "grid.nx=8", "--set", "grid.ny=8", "--dt", "1e-300",
      "--t-end", "1e300"]])
-def test_nonfinite_or_oversized_step_exits_2(tmp_path, capsys, flags):
+def test_nonfinite_or_oversized_step_exits_2(tmp_path, capsys, monkeypatch,
+                                            flags):
+    # an infinite step fails its own key's rule; a bad plan names both
+    # keys, and either is refused before the model is built
+    def fail(*args):
+        raise AssertionError("mode stack assembled")
+
+    monkeypatch.setattr(cloud, "mode_stack", fail)
+    key = "solver.dt" if flags == ["--dt", "inf"] else "t_end"
     out = str(tmp_path / "run")
     assert main(["simulate", "--init", "zero", *flags, "--out", out]) == 2
-    assert "t_end" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dt", ["0", "nan", "inf"])

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mildflow import cloud, heat
+from mildflow.cloud import CloudCoefficients, CloudModel
 from mildflow.config import (
     KEYS,
     ConfigError,
@@ -18,6 +20,8 @@ from mildflow.config import (
     env_name,
     parse_config,
 )
+from mildflow.heat import (PeriodicGrid, QuasilinearHeatModel,
+                          SemilinearHeatModel, scaling_roundtrip_test)
 from mildflow.io import (
     atomic_write_text,
     format_float,
@@ -30,6 +34,7 @@ from mildflow.io import (
 )
 from mildflow.propagators import Propagator
 from mildflow.solver import SolverConfig, run_simulation
+from mildflow.strip import periodic_strip
 from oracles import read_csv, read_snapshot
 
 
@@ -155,6 +160,16 @@ def test_bad_boolean_rejected():
     assert "grid.periodic" in str(err.value)
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("allocated past the storage rule")
+
+
+def _scaling_roundtrip(n: int):
+    return scaling_roundtrip_test(np.zeros(n), 2.0, 0.5,
+                                  SolverConfig(dt=0.01, t_end=0.5),
+                                  PeriodicGrid(n=n))
+
+
 @pytest.mark.parametrize("overrides, key", [
     (["grid.nx=10000000"], "grid.nx"),
     (["model=heat-quasilinear", "heat.points=100000"], "heat.points"),
@@ -164,18 +179,43 @@ def test_bad_boolean_rejected():
     # too large for a float quotient; still named, not an OverflowError
     (["grid.nx=" + "2" * 400], "grid.nx"),
 ])
-def test_oversized_grid_rejected_before_allocation(overrides, key):
-    # validation only: the estimate is checked before any model is built
-    with pytest.raises(ConfigError, match=rf"{key}.*GiB"):
-        parse_config(overrides=overrides, environ={})
+def test_oversized_grid_rejected_before_allocation(overrides, key, monkeypatch):
+    # the configuration takes the size; the owner of the storage refuses
+    # it, and the first allocating call after its rule is never reached
+    config = parse_config(overrides=overrides, environ={})
+    with pytest.raises(ValueError, match=rf"{key}.*GiB"):
+        if config.model == "cloud":
+            monkeypatch.setattr(cloud, "mode_stack", _fail)
+            CloudModel(CloudCoefficients(),
+                       periodic_strip(config.grid_nx, config.grid_ny))
+        elif config.model == "heat-quasilinear":
+            monkeypatch.setattr(heat, "quasilinear_recipe", _fail)
+            QuasilinearHeatModel(points=config.heat_points)
+        elif config.model == "heat-semilinear":
+            monkeypatch.setattr(heat, "semilinear_recipe", _fail)
+            SemilinearHeatModel(intervals=config.heat_intervals)
+        else:
+            monkeypatch.setattr(heat, "run_simulation", _fail)
+            monkeypatch.setattr(heat, "scaling_transform", _fail)
+            _scaling_roundtrip(config.grid_n)
 
 
-def test_periodic_storage_limit_near_11_6k_points():
-    # 16 n (n/2+1) B crosses 1 GiB between n = 11584 and n = 11586
-    parse_config(overrides=["model=heat-periodic", "grid.n=11584"], environ={})
-    with pytest.raises(ConfigError, match="grid.n"):
-        parse_config(overrides=["model=heat-periodic", "grid.n=11586"],
-                     environ={})
+def test_periodic_storage_limit_near_11_6k_points(monkeypatch):
+    # 16 n (n/2+1) B crosses 1 GiB between n = 11584 and n = 11586; the
+    # configuration takes both, and the scaling roundtrip refuses the
+    # larger before its first run
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    parse_config(overrides=["model=heat-periodic", "grid.n=11586"], environ={})
+    monkeypatch.setattr(heat, "run_simulation", reached)
+    with pytest.raises(Reached):
+        _scaling_roundtrip(11584)
+    with pytest.raises(ValueError, match="grid.n"):
+        _scaling_roundtrip(11586)
 
 
 def test_heat_windows_come_from_the_recipe():

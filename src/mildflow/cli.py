@@ -31,7 +31,7 @@ from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
                     mode_spectra, periodic_stability_condition)
 from .config import (CHOICES, KEYS, ConfigError, RunConfig, config_echo,
                      parse_config)
-from .exponents import quasilinear_recipe, semilinear_recipe
+from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
 from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
                    scaling_roundtrip_test)
@@ -408,10 +408,10 @@ COMMANDS = {
     ("simulate",): Command(
         "time-march the configured model", cmd_simulate,
         "run.out model cloud.nu cloud.eta cloud.beta grid.lx grid.nx grid.ny "
-        "heat.kappa heat.p heat.tau heat.diffusion heat.intervals heat.points "
-        "grid.n grid.half_width solver.t_end solver.dt solver.integrator "
-        "solver.record_every solver.snapshot_every init.kind init.amplitude "
-        "run.seed"),
+        "heat.kind heat.kappa heat.p heat.tau heat.diffusion heat.intervals "
+        "heat.points grid.n grid.half_width solver.t_end solver.dt "
+        "solver.integrator solver.record_every solver.snapshot_every "
+        "init.kind init.amplitude run.seed"),
     ("spectral-bound",): Command(
         "max real part of the mode-operator spectra", cmd_spectral_bound,
         "run.out grid.periodic cloud.nu cloud.eta cloud.beta grid.lx grid.nx "
@@ -462,6 +462,11 @@ COMMANDS = {
 }
 
 
+# the key of each exponent a heat model's window bounds; the rest of its
+# violations (the exponent tuple it derives) follow from kappa and p
+_RECIPE_KEYS = {"kappa": "heat.kappa", "p": "heat.p", "tau": "heat.tau"}
+
+
 def _run(args) -> int:
     """Run the parsed command; a configured one on its configuration.
 
@@ -479,8 +484,15 @@ def _run(args) -> int:
             overrides.append(f"{key}={value}")
     if spec.model is not None:
         overrides.append(f"model={spec.model}")
-    return spec.handler(parse_config(args.config, overrides,
-                                     defaults=spec.defaults), args)
+    config = parse_config(args.config, overrides, defaults=spec.defaults)
+    try:
+        return spec.handler(config, args)
+    except ExponentError as err:
+        # a model checks its exponent window when it is built; each
+        # violation starts with the exponent it bounds
+        raise ConfigError("; ".join(
+            f"{_RECIPE_KEYS.get(v.split()[0], 'heat.kappa, heat.p')}: {v}"
+            for v in err.violations)) from None
 
 
 # ---------------------------------------------------------------- parser

@@ -7,17 +7,15 @@ replaced by underscores (MILDFLOW_CLOUD_NU=2 overrides cloud.nu), and
 programmatic overrides win over both; a caller's own defaults sit below
 the file.  Unknown keys are rejected, and validation names the offending
 key together with the violated constraint.  Every key must be well
-formed, read or not, and the model that runs must lie in its exponent
-window; a rule that ties keys to a piece of work (the step plan, a
-storage limit) is checked by that work.
+formed, read or not; a rule that ties keys to a piece of work (the step
+plan, a storage limit, a model's exponent window) is checked by that
+work.
 """
 
 import os
 from dataclasses import dataclass, fields
 from math import isfinite, pi
 
-from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
-from .heat import PERIODIC_KAPPA_FLOOR
 from .solver import INTEGRATORS
 
 ENV_PREFIX = "MILDFLOW_"
@@ -144,8 +142,8 @@ def parse_config(path=None, overrides=None, environ=None,
 
     Precedence: built-in defaults < `defaults` < file < environment <
     overrides.  `defaults` (a command's own starting values) and
-    `overrides` are iterables of 'key=value' strings.  The result is
-    fully validated; every violation is reported with its key.
+    `overrides` are iterables of 'key=value' strings.  Every key of the
+    result obeys its own rules; every violation is reported with its key.
     """
     environ = os.environ if environ is None else environ
     raw = _pairs(("default", entry) for entry in defaults or ())
@@ -173,22 +171,6 @@ def parse_config(path=None, overrides=None, environ=None,
     return config
 
 
-# recipe violations start with the exponent they bound; the rest (the
-# exponent tuple the recipe derives) follow from kappa and p together
-_RECIPE_KEYS = {"kappa": "heat.kappa", "p": "heat.p", "tau": "heat.tau"}
-
-
-def _recipe_window(problems, recipe, *args) -> None:
-    """Run the critical-exponent recipe the heat model constructor runs and
-    report each violation under its configuration key."""
-    try:
-        recipe(*args)
-    except ExponentError as err:
-        for violation in err.violations:
-            key = _RECIPE_KEYS.get(violation.split()[0], "heat.kappa, heat.p")
-            problems.append(f"{key}: {violation}")
-
-
 def _key_problem(key: str, value) -> str:
     """The first single-key constraint `value` violates, or ''."""
     if key in CHOICES and value not in CHOICES[key]:
@@ -209,27 +191,14 @@ def _key_problem(key: str, value) -> str:
 
 
 def validate_config(config: RunConfig) -> None:
-    """Check every key's own constraints and the exponent window of the
-    configured model; report every violation under its key."""
+    """Check every key's own constraints; report every violation under
+    its key."""
     problems = []
     for key, attr in KEYS.items():
         value = getattr(config, attr)
         problem = _key_problem(key, value)
         if problem:
             problems.append(f"{key}: {problem}, got {value!r}")
-
-    if config.model == "heat-semilinear":
-        _recipe_window(problems, semilinear_recipe, 1, config.heat_p,
-                       config.heat_kappa)
-    elif config.model == "heat-quasilinear":
-        _recipe_window(problems, quasilinear_recipe, 1, config.heat_p,
-                       config.heat_kappa, config.heat_tau)
-    elif (config.model == "heat-periodic"
-          and not config.heat_kappa > PERIODIC_KAPPA_FLOOR):
-        # no recipe for the periodic surrogate
-        problems.append(f"heat.kappa: {config.heat_kind} periodic model needs "
-                        f"kappa > {PERIODIC_KAPPA_FLOOR:g}, got {config.heat_kappa}")
-
     if problems:
         raise ConfigError("; ".join(problems))
 

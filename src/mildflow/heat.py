@@ -25,7 +25,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exponents import CriticalRecipe, quasilinear_recipe, semilinear_recipe
+from .exponents import (CriticalRecipe, ExponentError, quasilinear_recipe,
+                        semilinear_recipe)
 from .propagators import Propagator, require_storage
 from .solver import SolverConfig, run_simulation
 
@@ -240,8 +241,8 @@ class PeriodicHeatModel:
         if kind not in ("semilinear", "quasilinear"):
             raise ValueError(f"unknown model kind {kind!r}")
         if not kappa > PERIODIC_KAPPA_FLOOR:
-            raise ValueError(f"kappa must exceed {PERIODIC_KAPPA_FLOOR:g}, "
-                             f"got {kappa}")
+            raise ExponentError(f"kappa must exceed {PERIODIC_KAPPA_FLOOR:g}, "
+                                f"got {kappa}")
         if not diffusion > 0.0:
             raise ValueError("diffusion must be positive")
         with np.errstate(over="ignore"):
@@ -318,7 +319,10 @@ def scaling_transform(values: np.ndarray, grid: PeriodicGrid, lam_scale: float,
     coeffs = coeffs * np.exp(1j * grid.wavenumbers * grid.half_width)
     stretched = math.sqrt(lam_scale) * grid.nodes
     weights = grid.parseval_weights.copy()
-    basis = np.exp(1j * np.outer(stretched, grid.wavenumbers))
+    # one complex array, exponentiated in place: the one basis that the
+    # storage rule of scaling_roundtrip_test counts
+    basis = np.multiply.outer(stretched, 1j * grid.wavenumbers)
+    np.exp(basis, out=basis)
     resampled = (basis @ (weights * coeffs)).real
     # points stretched past the box see the periodic ghost copy; the
     # free-space field is zero there (support guard above)

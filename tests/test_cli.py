@@ -580,6 +580,36 @@ def test_heat_quasilinear_p_outside_window_exit_2(tmp_path):
                  "--amplitude", "0.05", "--out", out]) == 0
 
 
+# each heat model checks its exponent window when it is built; the CLI
+# names the key of every violation
+@pytest.mark.parametrize("argv, message", [
+    # kappa = 3 sits exactly on the subcritical floor 1 + 2/n for n = 1
+    (["simulate", "--model", "heat-semilinear", "--kappa", "3"],
+     "heat.kappa: kappa must exceed 1 + 2/n = 3"),
+    (["simulate", "--model", "heat-semilinear", "--kappa", "0"],
+     "heat.kappa: kappa must exceed"),
+    (["simulate", "--model", "heat-semilinear", "--kappa", "4"],
+     "heat.p: p >= n(kappa-1)/2 = 1.5"),
+    (["simulate", "--model", "heat-quasilinear", "--p", "2"],
+     "heat.p: p must exceed 2n = 2"),
+    (["simulate", "--model", "heat-quasilinear", "--p", "1.5"],
+     "heat.p: p must exceed 2n = 2, got 1.5"),
+    (["simulate", "--model", "heat-quasilinear", "--p", "2.5", "--tau", "0.1"],
+     "heat.tau: tau must satisfy 1/2 < 2 tau"),
+    (["simulate", "--model", "heat-periodic", "--kappa", "2.5"],
+     "heat.kappa: kappa must exceed 3, got 2.5"),
+    (["scaling-test", "--kappa", "3"], "heat.kappa: kappa must exceed 3, got 3.0"),
+], ids=["semilinear-kappa-3", "semilinear-kappa-0", "semilinear-p",
+        "quasilinear-p-2", "quasilinear-p-1.5", "quasilinear-tau",
+        "periodic-kappa", "scaling-kappa"])
+def test_heat_window_violations_exit_2_by_key(tmp_path, capsys, argv,
+                                              message):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_heat_quasilinear_nonpositive_p_exit_2(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["simulate", "--model", "heat-quasilinear", "--p", "0",
@@ -640,6 +670,8 @@ def test_heat_periodic_runs_and_writes_line_snapshots(tmp_path, command, init):
     (["simulate", "--model", "heat-periodic", "--half-width", "4"],
      "grid.half_width", 4.0),
     (["simulate", "--model", "heat-periodic", "--kappa", "5"], "heat.kappa", 5.0),
+    (["simulate", "--model", "heat-periodic", "--kind", "quasilinear"],
+     "heat.kind", "quasilinear"),
 ])
 def test_heat_periodic_flags_reach_their_keys(tmp_path, argv, key, value):
     out = tmp_path / "run"

@@ -2,6 +2,7 @@
 divergence-form mass conservation, and the parabolic scaling laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,20 @@ def test_scaling_support_guard():
         scaling_transform(wide, grid, 0.25, "semilinear", 5.0)
     with pytest.raises(ValueError, match="lambda"):
         scaling_transform(wide, grid, -1.0, "semilinear", 5.0)
+
+
+def test_resampler_peak_matches_its_storage_rule():
+    # scaling_roundtrip_test counts one complex n x (n/2+1) basis before
+    # it resamples; the resampler holds no second one at its peak
+    grid = PeriodicGrid(n=2048)
+    u0 = np.exp(-grid.nodes ** 2 / 2.0)
+    tracemalloc.start()
+    try:
+        scaling_transform(u0, grid, 4.0, "semilinear", 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16 * grid.n * (grid.n // 2 + 1)
 
 
 def test_critical_seminorm_invariance():

@@ -1,5 +1,5 @@
-"""The README's Python API example runs as written, and its command
-lines parse."""
+"""The README's Python API example runs as written, its command lines
+parse, and its quoted error line is what the CLI prints."""
 
 import pathlib
 import re
@@ -7,7 +7,7 @@ import shlex
 
 import pytest
 
-from mildflow.cli import build_parser
+from mildflow.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +34,10 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command line does not parse: {line}")
+
+
+def test_readme_error_example_is_what_the_cli_prints(tmp_path, capsys):
+    pattern = r"\(`(simulate [^`]*)`\):\n\n```\n(error: .*)\n```"
+    command, quoted = re.search(pattern, README.read_text()).groups()
+    assert main([*shlex.split(command), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == quoted + "\n"

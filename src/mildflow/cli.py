@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
                     mode_spectra, periodic_stability_condition)
-from .config import (CHOICES, KEYS, ConfigError, RunConfig, config_echo,
-                     parse_config)
+from .config import (CHOICES, HEAT_P, KEYS, ConfigError, RunConfig,
+                     config_echo, parse_config)
 from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
 from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
@@ -125,18 +125,18 @@ def _build_model_and_state(config: RunConfig):
     return (model, state, *meta)
 
 
-def _solver_config(config: RunConfig) -> SolverConfig:
+def _solver_config(config: RunConfig, **extra) -> SolverConfig:
     weighted = config.model == "cloud"
     return SolverConfig(
         dt=config.solver_dt,
         t_end=config.solver_t_end,
         integrator=config.solver_integrator,
         record_every=config.solver_record_every,
-        snapshot_every=config.solver_snapshot_every,
         monitor_sigmas=(0.0, 1.0, 1.5) if weighted else (0.0, 1.0),
         weighted_sigma=1.5 if weighted else None,
         weighted_mu=0.25 if weighted else None,
         blowup_factor=config.solver_blowup_factor,
+        **extra,
     )
 
 
@@ -187,7 +187,8 @@ def _emit(args, report: dict) -> int:
 # ------------------------------------------------ configured commands
 
 def cmd_simulate(config: RunConfig, args) -> int:
-    solver_cfg = _solver_config(config)  # checks the step plan first
+    solver_cfg = _solver_config(  # checks the step plan first
+        config, snapshot_every=config.solver_snapshot_every)
     model, u0, *snapshot_meta = _build_model_and_state(config)
     trajectory = run_simulation(model, u0, solver_cfg)
 
@@ -345,10 +346,11 @@ def cmd_lab_decay(args) -> int:
 
 
 def cmd_exponents(args) -> int:
+    p = HEAT_P[args.kind] if args.p is None else args.p
     if args.kind == "semilinear":
-        recipe = semilinear_recipe(args.n, args.p, args.kappa)
+        recipe = semilinear_recipe(args.n, p, args.kappa)
     else:
-        recipe = quasilinear_recipe(args.n, args.p, args.kappa, args.tau)
+        recipe = quasilinear_recipe(args.n, p, args.kappa, args.tau)
     exps = recipe.exponents
     report = {
         "kind": args.kind,
@@ -406,12 +408,7 @@ class Command(NamedTuple):
 
 COMMANDS = {
     ("simulate",): Command(
-        "time-march the configured model", cmd_simulate,
-        "run.out model cloud.nu cloud.eta cloud.beta grid.lx grid.nx grid.ny "
-        "heat.kind heat.kappa heat.p heat.tau heat.diffusion heat.intervals "
-        "heat.points grid.n grid.half_width solver.t_end solver.dt "
-        "solver.integrator solver.record_every solver.snapshot_every "
-        "init.kind init.amplitude run.seed"),
+        "time-march the configured model", cmd_simulate, " ".join(KEYS)),
     ("spectral-bound",): Command(
         "max real part of the mode-operator spectra", cmd_spectral_bound,
         "run.out grid.periodic cloud.nu cloud.eta cloud.beta grid.lx grid.nx "
@@ -420,14 +417,15 @@ COMMANDS = {
                                 "help": "largest mode index to assemble"}),)),
     ("decay-test",): Command(
         "verify exponential decay on the periodic strip", cmd_decay_test,
-        "run.out cloud.nu cloud.eta cloud.beta solver.t_end solver.dt "
+        "run.out cloud.nu cloud.eta cloud.beta grid.nx grid.ny solver.t_end "
+        "solver.dt solver.integrator solver.record_every solver.blowup_factor "
         "init.amplitude init.kind run.seed",
         defaults=("solver.t_end=5.0",), model="cloud"),
     ("scaling-test",): Command(
         "self-similar scaling roundtrip of the periodic heat model",
         cmd_scaling_test,
         "run.out heat.kind heat.kappa heat.diffusion solver.t_end solver.dt "
-        "init.amplitude grid.half_width grid.n",
+        "solver.integrator init.amplitude grid.half_width grid.n",
         defaults=("heat.kappa=5.0", "solver.t_end=0.5", "init.amplitude=0.5"),
         model="heat-periodic",
         arguments=(("--lambda", {"dest": "lam", "type": float, "default": 2.0,
@@ -452,11 +450,10 @@ COMMANDS = {
         arguments=(("kind", {"choices": CHOICES["heat.kind"]}),
                    ("--n", {"type": int, "default": 1,
                             "help": "space dimension"}),
-                   ("--p", {"type": float, "default": 2.0,
-                            "help": "Lebesgue exponent"}),
-                   ("--kappa", {"type": float, "default": 6.0,
+                   ("--p", {"type": float, "help": "Lebesgue exponent"}),
+                   ("--kappa", {"type": float, "default": RunConfig.heat_kappa,
                                 "help": "nonlinearity power"}),
-                   ("--tau", {"type": float, "default": 0.27,
+                   ("--tau", {"type": float, "default": RunConfig.heat_tau,
                               "help": "Hoelder index (quasilinear only)"}),
                    ("--out", {"default": None}))),
 }

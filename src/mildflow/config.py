@@ -34,6 +34,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# the default heat.p of each heat kind: quasilinear windows need p > 2n,
+# which the shared default 2 misses, so that kind takes 2.5 (n = 1)
+HEAT_P = {"semilinear": 2.0, "quasilinear": 2.5}
+
+
 @dataclass
 class RunConfig:
     """Validated parameters of one CLI run; construct via parse_config."""
@@ -44,7 +49,7 @@ class RunConfig:
     cloud_beta: float = 1.0
     heat_kind: str = "semilinear"
     heat_kappa: float = 6.0
-    heat_p: float = 2.0
+    heat_p: float = HEAT_P["semilinear"]
     heat_tau: float = 0.27
     heat_a0: float = 1.0
     heat_a_kind: str = "one_plus_square"
@@ -164,9 +169,7 @@ def parse_config(path=None, overrides=None, environ=None,
         attr = KEYS[key]
         setattr(config, attr, _convert(key, raw_value, field_types[attr]))
     if "heat.p" not in raw and config.model == "heat-quasilinear":
-        # the shared default p = 2 is outside the quasilinear window p > 2n;
-        # take the default of QuasilinearHeatModel instead
-        config.heat_p = 2.5
+        config.heat_p = HEAT_P["quasilinear"]
     validate_config(config)
     return config
 

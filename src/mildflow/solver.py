@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .propagators import InstabilityError, Propagator, apply_block_factor, phi
+from .propagators import (InstabilityError, Propagator, apply_block_factor,
+                          phi, require_storage)
 
 INTEGRATORS = ("exp_euler", "etdrk2")
 # the longest march a configuration may ask for, in steps of dt
@@ -142,6 +143,9 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     mu = config.weighted_mu if config.weighted_mu is not None else 0.0
     state = np.array(u0, copy=True)
     n_steps, last = step_plan(config.t_end, dt)
+    if config.snapshot_every:
+        require_storage((n_steps // config.snapshot_every + 1) * state.nbytes,
+                        "solver.snapshot_every, solver.t_end: the snapshots")
     norms = _norm_set(model, state, sigmas)
     threshold = config.blowup_factor * max(norms[lead], 1.0)
 
@@ -252,7 +256,7 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
     tau = graded_mesh(t_end, config.picard_segments, MESH_POWER)
     lam = propagator.lam
     h = np.diff(tau).reshape((-1,) + (1,) * lam.ndim)  # a column against lam
-    want_real = not np.iscomplexobj(np.asarray(u0))
+    want_real = propagator.real and not np.iscomplexobj(u0)
     u0_hat = propagator.to_eigen(np.asarray(u0))
     # t_k^mu at the nodes t_k > 0 by scalar powers (array powers round apart)
     later = tau > 0.0

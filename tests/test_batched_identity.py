@@ -546,7 +546,7 @@ def test_snapshot_grid_values_match_full_layout(tmp_path, extra):
     model, u0, *_ = cli._build_model_and_state(config)
     reference = FullLayoutCloud(model.coeffs, model.geometry)
     want = run_simulation(reference, reference.from_half(u0),
-                          cli._solver_config(config))
+                          cli._solver_config(config, snapshot_every=3))
     files = sorted((out / "snapshots").iterdir())
     assert [p.name for p in files] == [f"step_{k:08d}.bin" for k in (0, 3, 6, 9)]
     assert len(want.snapshots) == len(files)

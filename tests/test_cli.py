@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mildflow import chebyshev, cli, cloud, heat, lab
+from mildflow import chebyshev, cli, cloud, heat, lab, propagators
 from mildflow.cli import COMMANDS, FLAG_OPTIONS, _flag, main
-from mildflow.config import CHOICES, KEYS
+from mildflow.config import CHOICES, KEYS, RunConfig
 from oracles import read_csv, read_snapshot
 
 
@@ -49,6 +49,19 @@ def test_exponents_quasilinear_reports_window(capsys):
     assert payload["theta_holder"] > 0.0
 
 
+@pytest.mark.parametrize("kind, p", [("semilinear", "2"),
+                                     ("quasilinear", "2.5")])
+def test_bare_exponents_take_the_heat_defaults_of_their_kind(capsys, kind, p):
+    # the quasilinear window p > 2n excludes the shared default p = 2
+    assert main(["exponents", kind]) == 0
+    bare = capsys.readouterr().out
+    assert main(["exponents", kind, "--n", "1", "--p", p, "--kappa",
+                 str(RunConfig.heat_kappa), "--tau",
+                 str(RunConfig.heat_tau)]) == 0
+    assert bare == capsys.readouterr().out
+    assert json.loads(bare)["p"] == float(p)
+
+
 def test_exponents_subcritical_rejected():
     assert main(["exponents", "semilinear", "--n", "1", "--kappa", "3"]) == 2
 
@@ -72,6 +85,51 @@ def test_flag_table_names_config_keys():
         flags = [_flag(key) for key in keys] + [
             flag for flag, _ in spec.arguments]
         assert len(flags) == len(set(flags)), path
+
+
+def test_each_command_flags_exactly_the_keys_it_reads(tmp_path, monkeypatch):
+    # the configuration of every run records the keys read from it;
+    # summary.json's echo, which reads every key, is left out
+    attrs = {attr: key for key, attr in KEYS.items()}
+    reads = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            if name in attrs:
+                reads.add(attrs[name])
+            return object.__getattribute__(self, name)
+
+    parse = cli.parse_config
+    monkeypatch.setattr(cli, "parse_config",
+                        lambda *a, **k: Recording(**vars(parse(*a, **k))))
+    monkeypatch.setattr(cli, "config_echo", lambda config: {})
+    open_strip = ["--set", "grid.periodic=false"]
+    runs = {
+        ("simulate",): [*(["--model", model] for model in CHOICES["model"]),
+                        open_strip],
+        ("spectral-bound",): [[], open_strip],
+        ("decay-test",): [["--t-end", "0.3"]],
+        ("scaling-test",): [["--t-end", "0.05"]],
+    }
+    assert set(runs) == set(_CONFIGURED)
+    small = ["--set", "grid.nx=16", "--set", "grid.ny=12", "--set",
+             "solver.t_end=0.01"]
+    unflagged, unread = {}, {}
+    for path, variants in runs.items():
+        reads.clear()
+        for argv in variants:
+            assert main([*path, *small, *argv, "--out",
+                         str(tmp_path / "run")]) == 0, argv
+        # a command that runs one model takes it from its row; the decay
+        # test reads grid.periodic only to refuse the open strip
+        spec = COMMANDS[path]
+        owned = {"model"} if spec.model else set()
+        if path == ("decay-test",):
+            owned.add("grid.periodic")
+        keys = set(spec.keys.split())
+        unflagged[path] = sorted(reads - owned - keys)
+        unread[path] = sorted(keys - reads)
+    assert unflagged == unread == {path: [] for path in runs}
 
 
 @pytest.mark.parametrize("path", sorted(COMMANDS) + [("lab",), ()])
@@ -152,6 +210,19 @@ def test_scaling_test_checks_the_storage_of_its_own_model(
     assert "grid.n" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+def test_snapshots_are_refused_above_the_storage_limit(
+        tmp_path, monkeypatch, capsys):
+    # 501 snapshots of the default strip's 24,288-byte state take 11.6 MiB,
+    # above the 8 MiB limit; its mode stacks take 5.3 MiB, below it
+    monkeypatch.setattr(propagators, "MAX_PROPAGATOR_BYTES", 8 << 20)
+    out = tmp_path / "run"
+    assert main(["simulate", "--t-end", "0.5", "--snapshot-every", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: solver.snapshot_every, solver.t_end: the snapshots")
+    assert not (out / "series.csv").exists()
 
 
 _HUGE = "2" * 400  # too large for a float quotient

@@ -47,6 +47,17 @@ class ScalarLinear:
         return float(np.abs(u[0]))
 
 
+class LinearComplex:
+    # a real state of a complex spectrum turns complex under the flow
+    propagator = Propagator(np.array([-1.0 + 3.0j, -2.0 - 1.0j]))
+
+    def nonlinearity(self, u):
+        return np.zeros_like(u)
+
+    def norm(self, u, sigma):
+        return np.abs(u).max(axis=-1)
+
+
 U0 = np.array([0.1])
 
 
@@ -234,6 +245,19 @@ def test_picard_contracts_geometrically():
     res = picard_solve(U0, 1.0, cfg, m.propagator, m.nonlinearity, m.norm)
     assert res.converged and res.iterations < 15
     assert np.all(res.contraction_ratios[:-1] < 0.5)
+
+
+def test_picard_keeps_the_imaginary_part_of_a_complex_generator():
+    m = LinearComplex()
+    u0 = np.array([1.0, 0.5])
+    exact = np.exp(0.5 * m.propagator.lam) * u0
+    res = picard_solve(u0, 0.5, SolverConfig(), m.propagator,
+                       m.nonlinearity, m.norm)
+    march = run_simulation(m, u0, SolverConfig(dt=0.01, t_end=0.5,
+                                               monitor_sigmas=(0.0,)))
+    assert res.converged
+    for got in (res.final_state, march.final_state):
+        assert np.max(np.abs(got - exact)) <= 1e-12
 
 
 def test_picard_rejects_defective_generator():

@@ -307,8 +307,8 @@ def scaling_transform(values: np.ndarray, grid: PeriodicGrid, lam_scale: float,
                       model_kind: str, kappa: float) -> np.ndarray:
     """Parabolic rescaling of one time slice: amplitude factor times
     spectral resampling at sqrt(lambda) x."""
-    if not lam_scale > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam_scale}")
+    if not 0.0 < lam_scale < math.inf:  # the negated form refuses NaN too
+        raise ValueError(f"lambda must be positive and finite, got {lam_scale}")
     values = np.asarray(values, dtype=float)
     peak = np.max(np.abs(values))
     if peak > 0.0 and _edge_amplitude(values) > 1e-6 * peak:
@@ -318,12 +318,10 @@ def scaling_transform(values: np.ndarray, grid: PeriodicGrid, lam_scale: float,
     # samples start at x = -L: shift to physical-plane-wave coefficients
     coeffs = coeffs * np.exp(1j * grid.wavenumbers * grid.half_width)
     stretched = math.sqrt(lam_scale) * grid.nodes
-    weights = grid.parseval_weights.copy()
-    # one complex array, exponentiated in place: the one basis that the
-    # storage rule of scaling_roundtrip_test counts
-    basis = np.multiply.outer(stretched, 1j * grid.wavenumbers)
-    np.exp(basis, out=basis)
-    resampled = (basis @ (weights * coeffs)).real
+    weighted = grid.parseval_weights * coeffs
+    resampled = np.concatenate([  # 256 basis rows at a time: storage linear in n
+        (np.exp(np.multiply.outer(rows, 1j * grid.wavenumbers)) @ weighted).real
+        for rows in np.split(stretched, range(256, grid.n, 256))])
     # points stretched past the box see the periodic ghost copy; the
     # free-space field is zero there (support guard above)
     resampled[np.abs(stretched) > grid.half_width] = 0.0
@@ -348,8 +346,9 @@ def scaling_roundtrip_test(u0_values: np.ndarray, lam_scale: float,
                            nonlinear: bool = True) -> ScalingReport:
     """Two routes to the same field: evolve-then-scale against
     scale-then-evolve to time T/lambda; reports the relative L2 gap."""
-    # the complex n x (n/2+1) basis of the resampler in scaling_transform
-    require_storage(16 * grid.n * (grid.n // 2 + 1), "grid.n: the resampler's basis")
+    products = grid.n * (grid.n // 2 + 1)  # per transform: work, not storage
+    if products > 1 << 26:
+        raise ValueError(f"grid.n: {products:,} resampling products exceed 2^26")
     model = PeriodicHeatModel(grid, model_kind, kappa, diffusion, nonlinear)
     cfg_a = SolverConfig(dt=config.dt, t_end=t_final,
                          integrator=config.integrator, monitor_sigmas=(0.0,))

@@ -65,6 +65,8 @@ class SolverConfig:
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be nonnegative (0 keeps none)")
         if self.picard_segments < 2:
             raise ValueError("picard_segments must be at least 2")
 

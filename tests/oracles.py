@@ -13,6 +13,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from mildflow.chebyshev import diff_matrix
+from mildflow.heat import scaling_amplitude
 from mildflow.io import SNAPSHOT_HEADER
 from mildflow.propagators import Propagator, eigen_blocks
 from mildflow.strip import (
@@ -192,6 +193,23 @@ def sampled_semigroup_sup(problem, theta: float, vartheta: float,
     x = times[:, None] * problem.spectrum[None, :]
     sup = float((x ** delta * np.exp(-x)).max())
     return max(sup, 1.0) if delta == 0.0 else sup
+
+
+# ------------------------------------------------------------------ heat
+
+
+def scaling_transform_one_piece(values, grid, lam_scale: float,
+                                model_kind: str, kappa: float) -> np.ndarray:
+    """`heat.scaling_transform` on data inside the box, with its complex
+    n x (n/2+1) basis built in one piece: the same products in the same
+    order, in storage quadratic in n. The support guards are left out."""
+    coeffs = np.fft.rfft(np.asarray(values, dtype=float)) / grid.n
+    coeffs = coeffs * np.exp(1j * grid.wavenumbers * grid.half_width)
+    stretched = math.sqrt(lam_scale) * grid.nodes
+    basis = np.exp(np.multiply.outer(stretched, 1j * grid.wavenumbers))
+    resampled = (basis @ (grid.parseval_weights * coeffs)).real
+    resampled[np.abs(stretched) > grid.half_width] = 0.0
+    return scaling_amplitude(lam_scale, model_kind, kappa) * resampled
 
 
 # ------------------------------------------------------------------- io

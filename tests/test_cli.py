@@ -199,8 +199,8 @@ def test_command_model_and_flags_outrank_set_and_environment(
 
 def test_scaling_test_checks_the_storage_of_its_own_model(
         tmp_path, monkeypatch, capsys):
-    # a 65536-point line needs a 32 GiB resampling basis; the stubs keep a
-    # roundtrip that skips its storage rule from building it
+    # a 65536-point line needs about 2^31 resampling products per transform;
+    # the stubs keep a roundtrip that skips its work bound from running them
     calls = []
     for name in ("run_simulation", "scaling_transform"):
         monkeypatch.setattr(heat, name, lambda *args, **kwargs: calls.append(args))
@@ -257,7 +257,9 @@ def test_storage_is_refused_where_it_is_allocated(
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key}") and "GiB" in err
+    # the resampler is bounded by its work, every other owner by storage
+    limit = "resampling products" if argv[0] == "scaling-test" else "GiB"
+    assert err.startswith(f"error: {key}") and limit in err
     assert not out.exists()
 
 

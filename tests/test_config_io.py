@@ -161,16 +161,18 @@ def _scaling_roundtrip(n: int):
     (["grid.nx=10000000"], "grid.nx"),
     (["model=heat-quasilinear", "heat.points=100000"], "heat.points"),
     (["model=heat-semilinear", "heat.intervals=1000000"], "heat.intervals"),
-    # the scaling resampler's complex n x (n/2+1) basis: 32 GiB
+    # the scaling resampler's 65536 x 32769 products: about 2^31, above 2^26
     (["model=heat-periodic", "grid.n=65536"], "grid.n"),
     # too large for a float quotient; still named, not an OverflowError
     (["grid.nx=" + "2" * 400], "grid.nx"),
 ])
 def test_oversized_grid_rejected_before_allocation(overrides, key, monkeypatch):
-    # the configuration takes the size; the owner of the storage refuses
-    # it, and the first allocating call after its rule is never reached
+    # the configuration takes the size; the owner of the storage (or, for
+    # the resampler, of the work) refuses it, and the first allocating call
+    # after its rule is never reached
     config = parse_config(overrides=overrides, environ={})
-    with pytest.raises(ValueError, match=rf"{key}.*GiB"):
+    limit = "resampling products" if config.model == "heat-periodic" else "GiB"
+    with pytest.raises(ValueError, match=rf"{key}.*{limit}"):
         if config.model == "cloud":
             monkeypatch.setattr(cloud, "mode_stack", _fail)
             CloudModel(CloudCoefficients(),
@@ -188,9 +190,9 @@ def test_oversized_grid_rejected_before_allocation(overrides, key, monkeypatch):
 
 
 def test_periodic_storage_limit_near_11_6k_points(monkeypatch):
-    # 16 n (n/2+1) B crosses 1 GiB between n = 11584 and n = 11586; the
-    # configuration takes both, and the scaling roundtrip refuses the
-    # larger before its first run
+    # the resampler's n (n/2+1) products cross 2^26 between n = 11584 and
+    # n = 11586; the configuration takes both, and the scaling roundtrip
+    # refuses the larger before its first run
     class Reached(Exception):
         pass
 

@@ -22,7 +22,7 @@ from mildflow.heat import (
 )
 from mildflow.propagators import Propagator
 from mildflow.solver import SolverConfig, fit_decay_rate, run_simulation
-from oracles import phi_action_dense
+from oracles import phi_action_dense, scaling_transform_one_piece
 
 
 # ---------- pointwise nonlinearities ----------
@@ -317,20 +317,41 @@ def test_scaling_support_guard():
         scaling_transform(wide, grid, 0.25, "semilinear", 5.0)
     with pytest.raises(ValueError, match="lambda"):
         scaling_transform(wide, grid, -1.0, "semilinear", 5.0)
+    # sqrt(inf) would stretch every node out of reach: NaN everywhere
+    with pytest.raises(ValueError, match="lambda"):
+        scaling_transform(np.exp(-grid.nodes ** 2), grid, math.inf,
+                          "semilinear", 5.0)
 
 
-def test_resampler_peak_matches_its_storage_rule():
-    # scaling_roundtrip_test counts one complex n x (n/2+1) basis before
-    # it resamples; the resampler holds no second one at its peak
-    grid = PeriodicGrid(n=2048)
-    u0 = np.exp(-grid.nodes ** 2 / 2.0)
-    tracemalloc.start()
-    try:
-        scaling_transform(u0, grid, 4.0, "semilinear", 5.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * 16 * grid.n * (grid.n // 2 + 1)
+@pytest.mark.parametrize("kind", ["semilinear", "quasilinear"])
+@pytest.mark.parametrize("n, lam", [
+    (n, lam) for n in (16, 256, 2048) for lam in (0.25, 2.0, 4.0)
+    # 16 points hold no data that stays inside the box when spread 2x:
+    # the support guard refuses it
+    if (n, lam) != (16, 0.25)])
+def test_blocked_resampler_matches_the_one_piece_basis(n, lam, kind):
+    # row blocks change where the basis is stored, not what is summed
+    grid = PeriodicGrid(n=n)
+    u0 = np.exp(-grid.nodes ** 2 / 2.0) * (1.0 + 0.3 * np.sin(grid.nodes))
+    assert np.array_equal(scaling_transform(u0, grid, lam, kind, 5.0),
+                          scaling_transform_one_piece(u0, grid, lam, kind, 5.0))
+
+
+def test_resampler_peak_is_linear_in_n():
+    # a one-piece basis would peak at 128 MiB at n = 4096, 15x its n = 1024 peak
+    def peak(n):
+        grid = PeriodicGrid(n=n)
+        u0 = np.exp(-grid.nodes ** 2 / 2.0)
+        tracemalloc.start()
+        try:
+            scaling_transform(u0, grid, 4.0, "semilinear", 5.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1024), peak(4096)
+    assert large <= 32 << 20
+    assert large <= 5 * small
 
 
 def test_critical_seminorm_invariance():

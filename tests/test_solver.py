@@ -70,6 +70,10 @@ def test_config_validation_messages():
         SolverConfig(integrator="rk4")
     with pytest.raises(ValueError, match="picard_segments"):
         SolverConfig(picard_segments=1)
+    # a negative cadence would pass the snapshot storage rule, then keep
+    # every step
+    with pytest.raises(ValueError, match="snapshot_every"):
+        SolverConfig(snapshot_every=-1)
 
 
 def test_step_rejects_unknown_method():

@@ -18,10 +18,10 @@ is recorded in the summary), 2 constraint or configuration infeasibility,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
 from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
                    scaling_roundtrip_test)
-from .io import (sigma_label, write_csv, write_json, write_series,
+from .io import (json_text, sigma_label, write_csv, write_json, write_series,
                  write_snapshot)
 from .lab import contraction_experiment, decay_experiment
 from .propagators import require_storage
@@ -155,9 +155,7 @@ def _fit_record(trajectory, sigma: float, t_min: float):
         fit = fit_decay_rate(trajectory, sigma, t_min=t_min)
     except (KeyError, ValueError):
         return None
-    return {"rate": fit.rate, "amplitude": fit.amplitude,
-            "residual": fit.residual, "samples": fit.samples,
-            "sigma": sigma, "t_min": t_min}
+    return {**asdict(fit), "sigma": sigma, "t_min": t_min}
 
 
 def _blowup_record(trajectory):
@@ -180,7 +178,7 @@ def _emit(args, report: dict) -> int:
     payload = {"version": __version__, "command": args.label, **report}
     if args.out is not None:
         write_json(os.path.join(args.out, "summary.json"), payload)
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json_text(payload))
     return EXIT_OK
 
 
@@ -309,12 +307,10 @@ def cmd_scaling_test(config: RunConfig, args) -> int:
 
     reports = {}
     for label, nonlinear in (("nonlinear", True), ("linear", False)):
-        report = scaling_roundtrip_test(
+        reports[label] = asdict(scaling_roundtrip_test(
             u0, args.lam, config.solver_t_end, solver_cfg, grid,
             model_kind=config.heat_kind, kappa=config.heat_kappa,
-            diffusion=config.heat_diffusion, nonlinear=nonlinear)
-        reports[label] = {"discrepancy": report.discrepancy,
-                          "reference_norm": report.reference_norm}
+            diffusion=config.heat_diffusion, nonlinear=nonlinear))
     path = _write_summary(config, args, {
         "lambda": args.lam, "kind": config.heat_kind,
         "kappa": config.heat_kappa, **reports})
@@ -347,18 +343,18 @@ def cmd_lab_decay(args) -> int:
 
 def cmd_exponents(args) -> int:
     p = HEAT_P[args.kind] if args.p is None else args.p
-    if args.kind == "semilinear":
-        recipe = semilinear_recipe(args.n, p, args.kappa)
-    else:
-        recipe = quasilinear_recipe(args.n, p, args.kappa, args.tau)
-    exps = recipe.exponents
+    try:
+        if args.kind == "semilinear":
+            recipe = semilinear_recipe(args.n, p, args.kappa)
+        else:
+            recipe = quasilinear_recipe(args.n, p, args.kappa, args.tau)
+    except ExponentError as err:
+        raise _by_key(err, _flag) from None
     report = {
         "kind": args.kind,
         "n": recipe.n, "p": recipe.p, "kappa": recipe.kappa_exp,
         "s_c": recipe.s_c, "s": recipe.s, "mu": recipe.mu,
-        "exponents": {"gamma": exps.gamma, "alpha": exps.alpha,
-                      "beta": exps.beta_exp, "xi": exps.xi, "q": exps.q,
-                      "mu": exps.mu},
+        "exponents": recipe.exponents.report(),
     }
     if args.kind == "quasilinear":
         report.update(tau=recipe.tau, s_bar=recipe.s_bar,
@@ -459,9 +455,21 @@ COMMANDS = {
 }
 
 
-# the key of each exponent a heat model's window bounds; the rest of its
-# violations (the exponent tuple it derives) follow from kappa and p
-_RECIPE_KEYS = {"kappa": "heat.kappa", "p": "heat.p", "tau": "heat.tau"}
+# the keys of each exponent a recipe's window bounds (the dimension is
+# an argument of `exponents` alone); the rest of its violations (the
+# exponent tuple it derives) follow from kappa and p
+_RECIPE_KEYS = {"kappa": ("heat.kappa",), "p": ("heat.p",),
+                "tau": ("heat.tau",), "n": ("n",), "dimension": ("n",)}
+
+
+def _by_key(err: ExponentError, name: Callable = str) -> ConfigError:
+    """err with each violation after the keys of the exponent it starts
+    with, each key as `name` gives it (a key by default)."""
+    named = []
+    for violation in err.violations:
+        keys = _RECIPE_KEYS.get(violation.split()[0], ("heat.kappa", "heat.p"))
+        named.append(f"{', '.join(map(name, keys))}: {violation}")
+    return ConfigError("; ".join(named))
 
 
 def _run(args) -> int:
@@ -485,11 +493,8 @@ def _run(args) -> int:
     try:
         return spec.handler(config, args)
     except ExponentError as err:
-        # a model checks its exponent window when it is built; each
-        # violation starts with the exponent it bounds
-        raise ConfigError("; ".join(
-            f"{_RECIPE_KEYS.get(v.split()[0], 'heat.kappa, heat.p')}: {v}"
-            for v in err.violations)) from None
+        # a model checks its exponent window when it is built
+        raise _by_key(err) from None
 
 
 # ---------------------------------------------------------------- parser

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 IDENTITY_TOL = 1e-12
@@ -63,6 +63,12 @@ class ExponentSet:
         semilinear case.
         """
         return self.alpha if self.beta_exp is None else self.beta_exp
+
+    def report(self) -> dict:
+        """The set as a report: its fields, beta_exp printed as beta."""
+        fields = asdict(self)
+        fields["beta"] = fields.pop("beta_exp")
+        return fields
 
 
 def validate_exponents(gamma, alpha, xi, q, beta_exp=None) -> ExponentSet:

@@ -42,13 +42,14 @@ def nonlinearity_gradient(grad_values: np.ndarray, kappa: float) -> np.ndarray:
     return np.abs(np.asarray(grad_values)) ** kappa
 
 
-# a(u) at or below this value stops a quasilinear run: ellipticity lost
+# a0 at or below this value is refused: a(u) >= a0 for both kinds, so a
+# larger a0 keeps every quasilinear generator elliptic
 DIFFUSIVITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class DiffusivitySpec:
-    """Descriptor for a(u): positive on the simulated range.
+    """Descriptor for a(u) >= a0 > DIFFUSIVITY_FLOOR.
 
     kinds: "constant" -> a0; "one_plus_square" -> a0 + u^2.
     """
@@ -59,8 +60,10 @@ class DiffusivitySpec:
     def __post_init__(self):
         if self.kind not in ("constant", "one_plus_square"):
             raise ValueError(f"unknown diffusivity kind {self.kind!r}")
-        if not self.a0 > 0.0:
-            raise ValueError(f"diffusivity scale a0 must be positive, got {self.a0}")
+        if not self.a0 > DIFFUSIVITY_FLOOR:
+            raise ValueError(
+                f"heat.a0: diffusivity scale a0 must exceed the positivity "
+                f"floor {DIFFUSIVITY_FLOOR}, got {self.a0}")
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u)
@@ -168,10 +171,6 @@ class QuasilinearHeatModel:
     def operator_matrix(self, state: np.ndarray) -> np.ndarray:
         """Assemble A(u) = d/dx a(u) d/dx = -G^T G, G = sqrt(w a(u)) H."""
         a_vals = self.diffusivity.evaluate(self.nodal_values(state)[1:-1])
-        if np.min(a_vals) <= DIFFUSIVITY_FLOOR:
-            raise ValueError(
-                "diffusivity dropped to its positivity floor "
-                f"{DIFFUSIVITY_FLOOR}; ellipticity lost")
         if not np.all(np.isfinite(a_vals)):
             raise FloatingPointError("diffusivity a(u) is not finite: state overflowed")
         root = np.sqrt(self._quad_weight * a_vals)[:, None] * self._deriv_nodal

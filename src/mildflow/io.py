@@ -65,10 +65,13 @@ def _json_default(value):
     raise TypeError(f"not JSON-serializable: {type(value)!r}")
 
 
+def json_text(payload: dict) -> str:
+    """Sorted, indented JSON of a report; numpy values as plain ones."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+
+
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2,
-                      default=_json_default)
-    atomic_write_text(path, text + "\n")
+    atomic_write_text(path, json_text(payload) + "\n")
 
 
 def write_snapshot(path: str, values: np.ndarray, lx: float,

@@ -15,7 +15,7 @@ theory and measurement is the graded-mesh discretization of the weighted
 metric (a documented lower bound of the continuum metric).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -512,16 +512,11 @@ def contraction_experiment(dim: int = 8, seed: int = 0,
     return {
         "dim": dim,
         "seed": seed,
-        "exponents": {"gamma": exps.gamma, "alpha": exps.alpha,
-                      "xi": exps.xi, "q": exps.q, "beta": exps.beta_exp,
-                      "mu": exps.mu},
+        "exponents": exps.report(),
         "spectrum": {"lambda_min": problem.lambda_min,
                      "lambda_max": problem.lambda_max},
-        "constants": {"omega0": constants.omega0,
-                      "omega1": constants.omega1,
-                      "omega2": constants.omega2,
-                      "lipschitz_n": n_star},
-        "parameters": {"L": params.L, "r": params.r, "T": params.T},
+        "constants": {**asdict(constants), "lipschitz_n": n_star},
+        "parameters": asdict(params),
         "inequalities": {name: {"slack": float(s), "satisfied": bool(s <= 0.0)}
                          for name, s in slacks.items()},
         "contraction_ratio": ratio,
@@ -541,15 +536,5 @@ def decay_experiment(dim: int = 6, seed: int = 0,
     if varpi is None:
         varpi = 0.5 * problem.lambda_min
     report = verify_decay(problem, varpi, scales=DECAY_SCALES, rng=rng)
-    return {
-        "dim": dim,
-        "seed": seed,
-        "varpi": report.varpi,
-        "t_end": report.t_end,
-        "omega0": constants.omega0,
-        "m_report": report.m_report,
-        "largest_passing_scale": report.largest_passing_scale,
-        "scales": [{"scale": rec.scale, "quotient": rec.quotient,
-                    "bounded": rec.bounded, "blowup_time": rec.blowup_time}
-                   for rec in report.scales],
-    }
+    return {"dim": dim, "seed": seed, "omega0": constants.omega0,
+            **asdict(report)}

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,12 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+# the key sets of the report blocks built from records: a field added to
+# a record changes a report only through an edit here
+EXPONENT_KEYS = {"gamma", "alpha", "beta", "xi", "q", "mu"}
+FIT_KEYS = {"rate", "amplitude", "residual", "samples", "sigma", "t_min"}
+
+
 # ---------- exponents ----------
 
 def test_exponents_semilinear_example(capsys):
@@ -37,6 +44,7 @@ def test_exponents_semilinear_example(capsys):
     assert code == 0
     assert abs(payload["s_c"] - 0.1) < 1e-12
     assert payload["exponents"]["q"] == 6.0
+    assert set(payload["exponents"]) == EXPONENT_KEYS
     assert payload["version"]
 
 
@@ -585,6 +593,13 @@ def test_lab_and_exponents_fuzz_exits_0_1_or_2(argv):
      "n must not exceed the largest float"),
     (["exponents", "quasilinear", "--n", "1" + "0" * 400],
      "n must not exceed the largest float"),
+    # the default p = 2.5 misses the window p > 2n for n = 2
+    (["exponents", "quasilinear", "--n", "2"],
+     "error: --p: p must exceed 2n = 4, got 2.5; --tau: tau must satisfy"),
+    (["exponents", "semilinear", "--n", "0"],
+     "error: --n: dimension n must be a positive integer, got 0"),
+    (["exponents", "semilinear", "--kappa", "4"],
+     "error: --p: p >= n(kappa-1)/2"),
 ])
 def test_lab_and_exponents_name_the_offending_input(tmp_path, capsys, argv,
                                                      named):
@@ -700,6 +715,22 @@ def test_heat_quasilinear_defaults_complete(tmp_path):
     assert summary["blowup"] is None
 
 
+def test_diffusivity_floor_is_refused_before_the_march(tmp_path, capsys,
+                                                     monkeypatch):
+    # a(u) >= a0, so a0 alone decides the floor, when the model is built
+    def fail(*args, **kwargs):
+        raise AssertionError("marched past the diffusivity floor")
+
+    monkeypatch.setattr(cli, "run_simulation", fail)
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", "heat-quasilinear", "--a0", "1e-9",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: heat.a0: diffusivity scale a0 must exceed the positivity "
+        "floor 1e-08, got 1e-09\n")
+    assert not out.exists()
+
+
 def test_heat_quasilinear_nonfinite_diffusivity_flagged(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--model", "heat-quasilinear", "--p", "2.5",
@@ -718,6 +749,7 @@ def test_heat_small_data_completes(tmp_path):
                  "--out", out]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["blowup"] is None
+    assert set(summary["fitted"]) == FIT_KEYS
     assert summary["model"] == "heat-semilinear"
     assert summary["final"]["norms"]["H1"] < 0.01
 
@@ -803,6 +835,7 @@ def test_decay_test_default_coefficients_decay(tmp_path):
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["decays"] is True
     assert summary["fitted"]["rate"] > 0.0
+    assert set(summary["fitted"]) == FIT_KEYS
     assert summary["stability_margin"] > 0.0
     assert summary["bound_factor"] < 10.0
 
@@ -817,6 +850,8 @@ def test_scaling_test_roundtrip_small(tmp_path):
     assert summary["lambda"] == 2.0
     assert summary["nonlinear"]["discrepancy"] <= 1e-3
     assert summary["linear"]["discrepancy"] <= 1e-6
+    for label in ("nonlinear", "linear"):
+        assert set(summary[label]) == {"discrepancy", "reference_norm"}
 
 
 def test_scaling_test_blowup_is_numerical_failure_exit_1(tmp_path, capsys):
@@ -865,6 +900,10 @@ def test_lab_contraction_cli(tmp_path, capsys):
     assert all(rec["satisfied"] for rec in payload["inequalities"].values())
     on_disk = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert on_disk == payload
+    assert set(payload["parameters"]) == {"L", "r", "T"}
+    assert set(payload["constants"]) == {"omega0", "omega1", "omega2",
+                                         "lipschitz_n"}
+    assert set(payload["exponents"]) == EXPONENT_KEYS
 
 
 def test_lab_picard_divergence_is_numerical_failure_exit_1(tmp_path, capsys,
@@ -884,6 +923,11 @@ def test_lab_decay_cli(tmp_path, capsys):
     assert code == 0
     assert payload["m_report"] is not None
     assert payload["m_report"] < 5.0 * payload["omega0"]
+    assert set(payload) == {"version", "command", "dim", "seed", "omega0",
+                            "varpi", "t_end", "m_report",
+                            "largest_passing_scale", "scales"}
+    for entry in payload["scales"]:
+        assert set(entry) == {"scale", "quotient", "bounded", "blowup_time"}
 
 
 def test_lab_contraction_dim_zero_exit_2(tmp_path, capsys):
@@ -934,6 +978,15 @@ def test_lab_contraction_quasilinear_report_is_json(tmp_path, capsys):
     assert all(type(rec["satisfied"]) is bool
                for rec in payload["inequalities"].values())
     assert type(payload["parameters"]["T"]) is float
+
+
+def test_emitted_report_prints_what_it_writes(tmp_path, capsys):
+    # stdout and summary.json share one encoder, numpy values included
+    args = SimpleNamespace(label="lab contraction", out=str(tmp_path))
+    report = {"count": np.int64(3), "flag": np.bool_(True),
+              "values": np.arange(3.0)}
+    assert cli._emit(args, report) == 0
+    assert capsys.readouterr().out == (tmp_path / "summary.json").read_text()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

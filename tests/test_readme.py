@@ -37,7 +37,11 @@ def test_readme_command_lines_parse():
 
 
 def test_readme_error_example_is_what_the_cli_prints(tmp_path, capsys):
-    pattern = r"\(`(simulate [^`]*)`\):\n\n```\n(error: .*)\n```"
-    command, quoted = re.search(pattern, README.read_text()).groups()
-    assert main([*shlex.split(command), "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err == quoted + "\n"
+    pattern = r"\(`((?:simulate|exponents) [^`]*)`\):\n\n```\n(error: .*)\n```"
+    examples = re.findall(pattern, README.read_text())
+    assert [command.split()[0] for command, _ in examples] == [
+        "exponents", "simulate"]
+    for command, quoted in examples:
+        assert main([*shlex.split(command), "--out",
+                     str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == quoted + "\n"

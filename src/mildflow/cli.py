@@ -10,9 +10,9 @@ exponents commands take plain arguments instead.  Identical
 configuration and seed give byte-identical outputs, so no timestamps or
 machine identifiers enter any file.
 
-Exit codes: 0 success (a detected blow-up is still a successful run and
-is recorded in the summary), 2 constraint or configuration infeasibility,
-1 numerical failure or a stdout closed before the output was written.
+Exit codes: 0 success (a detected blow-up is a successful run, recorded
+in the summary), 2 constraint or configuration infeasibility or a file
+that cannot be read or written, 1 numerical failure or a closed stdout.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ import numpy as np
 from . import __version__
 from .cloud import (CloudCoefficients, CloudModel, analytic_bound_nonperiodic,
                     mode_spectra, periodic_stability_condition)
-from .config import (CHOICES, HEAT_P, KEYS, ConfigError, RunConfig,
-                     config_echo, parse_config)
+from .config import (CHOICES, KEYS, ConfigError, RunConfig, config_echo,
+                     parse_config)
 from .exponents import ExponentError, quasilinear_recipe, semilinear_recipe
-from .heat import (DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
+from .heat import (HEAT_P, DiffusivitySpec, PeriodicGrid, PeriodicHeatModel,
                    QuasilinearHeatModel, SemilinearHeatModel,
                    scaling_roundtrip_test)
 from .io import (json_text, sigma_label, write_csv, write_json, write_series,
@@ -350,16 +350,7 @@ def cmd_exponents(args) -> int:
             recipe = quasilinear_recipe(args.n, p, args.kappa, args.tau)
     except ExponentError as err:
         raise _by_key(err, _flag) from None
-    report = {
-        "kind": args.kind,
-        "n": recipe.n, "p": recipe.p, "kappa": recipe.kappa_exp,
-        "s_c": recipe.s_c, "s": recipe.s, "mu": recipe.mu,
-        "exponents": recipe.exponents.report(),
-    }
-    if args.kind == "quasilinear":
-        report.update(tau=recipe.tau, s_bar=recipe.s_bar,
-                      theta_holder=recipe.theta_holder)
-    return _emit(args, report)
+    return _emit(args, {"kind": args.kind, **recipe.report()})
 
 
 # ---------------------------------------------------------- command table
@@ -547,6 +538,10 @@ def main(argv=None) -> int:
         print("broken pipe: stdout closed before the output was written",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # a --config file or run directory; after its subclass BrokenPipeError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONSTRAINT
     except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
         # InstabilityError and FixedPointDivergence among them; before
         # ValueError, which LinAlgError subclasses

@@ -16,7 +16,9 @@ import os
 from dataclasses import dataclass, fields
 from math import isfinite, pi
 
-from .solver import INTEGRATORS
+from .cloud import CloudCoefficients
+from .heat import DIFFUSIVITY_FLOOR, HEAT_P, DiffusivitySpec, PeriodicGrid
+from .solver import INTEGRATORS, SolverConfig
 
 ENV_PREFIX = "MILDFLOW_"
 
@@ -34,25 +36,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# the default heat.p of each heat kind: quasilinear windows need p > 2n,
-# which the shared default 2 misses, so that kind takes 2.5 (n = 1)
-HEAT_P = {"semilinear": 2.0, "quasilinear": 2.5}
-
-
 @dataclass
 class RunConfig:
     """Validated parameters of one CLI run; construct via parse_config."""
 
     model: str = "cloud"
-    cloud_nu: float = 1.0
-    cloud_eta: float = 0.0
-    cloud_beta: float = 1.0
+    cloud_nu: float = CloudCoefficients.nu
+    cloud_eta: float = CloudCoefficients.eta
+    cloud_beta: float = CloudCoefficients.beta
     heat_kind: str = "semilinear"
     heat_kappa: float = 6.0
     heat_p: float = HEAT_P["semilinear"]
     heat_tau: float = 0.27
-    heat_a0: float = 1.0
-    heat_a_kind: str = "one_plus_square"
+    heat_a0: float = DiffusivitySpec.a0
+    heat_a_kind: str = DiffusivitySpec.kind
     heat_intervals: int = 64
     heat_points: int = 65
     heat_diffusion: float = 1.0
@@ -60,14 +57,14 @@ class RunConfig:
     grid_ny: int = 48
     grid_lx: float = 2.0 * pi
     grid_periodic: bool = True
-    grid_half_width: float = 8.0 * pi
-    grid_n: int = 256
-    solver_dt: float = 1e-3
-    solver_t_end: float = 1.0
-    solver_integrator: str = "etdrk2"
-    solver_record_every: int = 1
-    solver_snapshot_every: int = 0
-    solver_blowup_factor: float = 1e6
+    grid_half_width: float = PeriodicGrid.half_width
+    grid_n: int = PeriodicGrid.n
+    solver_dt: float = SolverConfig.dt
+    solver_t_end: float = SolverConfig.t_end
+    solver_integrator: str = SolverConfig.integrator
+    solver_record_every: int = SolverConfig.record_every
+    solver_snapshot_every: int = SolverConfig.snapshot_every
+    solver_blowup_factor: float = SolverConfig.blowup_factor
     init_kind: str = "mode"
     init_amplitude: float = 1e-2
     run_seed: int = 0
@@ -104,7 +101,7 @@ LOWER_BOUNDS = {
     "solver.blowup_factor": (1, False),
     "init.amplitude": (0, True),
     "run.seed": (0, True),
-    "heat.a0": (0, False),
+    "heat.a0": (DIFFUSIVITY_FLOOR, False),
     "heat.diffusion": (0, False),
     "heat.intervals": (8, True),
     "heat.points": (9, True),

@@ -183,6 +183,14 @@ class CriticalRecipe:
     s_bar: Optional[float] = None
     theta_holder: Optional[float] = None
 
+    def report(self) -> dict:
+        """The recipe as a report: kappa_exp printed as kappa, the exponent
+        set as its own report, the fields its kind lacks left out."""
+        fields = {name: value for name, value in asdict(self).items()
+                  if value is not None}
+        fields["kappa"] = fields.pop("kappa_exp")
+        return {**fields, "exponents": self.exponents.report()}
+
 
 def semilinear_recipe(n: int, p: float, kappa_exp: float) -> CriticalRecipe:
     """Critical indices for u' = Laplacian(u) + |u|^(kappa-1) u, Dirichlet data.

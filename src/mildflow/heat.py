@@ -83,32 +83,16 @@ def _weighted_norm(weights: np.ndarray, state: np.ndarray, volume=1.0) -> float:
     return float(np.sqrt(volume * np.sum(weights * np.abs(state) ** 2)))
 
 
-class SemilinearHeatModel:
-    """u_t = u_xx + |u|^{kappa-1} u on (0,1), Dirichlet, sine basis.
+# the default heat.p of each interval model; the quasilinear window
+# p > 2n misses the semilinear 2, so that kind takes 2.5 (n = 1)
+HEAT_P = {"semilinear": 2.0, "quasilinear": 2.5}
 
-    The state is the vector of sine coefficients c with
-    u(x) = sum_m c_m sqrt(2) sin(m pi x); the basis is orthonormal in
-    L2(0,1), so Sobolev norms are plain weighted sums.
-    """
 
-    def __init__(self, intervals: int = 64, kappa: float = 6.0, p: float = 2.0):
-        if intervals < 8:
-            raise ValueError("need at least 8 intervals")
-        # sine synthesis and analysis matrices, float64
-        require_storage(2 * intervals ** 2 * 8, "heat.intervals: the sine basis")
-        self.intervals = intervals
-        self.kappa = kappa
-        self.recipe: CriticalRecipe = semilinear_recipe(1, p, kappa)
-        m = np.arange(1, intervals)
-        nodes = np.arange(1, intervals) / intervals
-        self.nodes = nodes
-        self.synth = math.sqrt(2.0) * np.sin(np.pi * np.outer(nodes, m))
-        # sine orthogonality gives synth.T @ synth = intervals * identity
-        self.analyze = self.synth.T / intervals
-        self.lam = -(m * math.pi) ** 2
-        self.propagator = Propagator(self.lam)
-        self.dealias_keep = 2 * (intervals - 1) // 3
-        self._norm_weights = _sobolev_weights(m * math.pi)
+class IntervalModel:
+    """Nodal synthesis and analysis, the 2/3 projection of f and the
+    Sobolev norm of an interval model; a subclass sets nodes, synth (from
+    coefficients to nodes), its inverse analyze, dealias_keep and
+    _norm_weights."""
 
     def state_from_function(self, fn) -> np.ndarray:
         return self.analyze @ fn(self.nodes)
@@ -116,8 +100,8 @@ class SemilinearHeatModel:
     def nodal_values(self, state: np.ndarray) -> np.ndarray:
         return self.synth @ state
 
-    def nonlinearity(self, state: np.ndarray) -> np.ndarray:
-        f_nodal = nonlinearity_semilinear(self.nodal_values(state), self.kappa)
+    def _project(self, f_nodal: np.ndarray) -> np.ndarray:
+        """Coefficients of nodal f values, modes from dealias_keep on zeroed."""
         f_hat = self.analyze @ f_nodal
         f_hat[self.dealias_keep:] = 0.0
         return f_hat
@@ -126,7 +110,38 @@ class SemilinearHeatModel:
         return _weighted_norm(self._norm_weights(sigma), state)
 
 
-class QuasilinearHeatModel:
+class SemilinearHeatModel(IntervalModel):
+    """u_t = u_xx + |u|^{kappa-1} u on (0,1), Dirichlet, sine basis.
+
+    The state is the vector of sine coefficients c with
+    u(x) = sum_m c_m sqrt(2) sin(m pi x); the basis is orthonormal in
+    L2(0,1), so Sobolev norms are plain weighted sums.
+    """
+
+    def __init__(self, intervals: int = 64, kappa: float = 6.0,
+                 p: float = HEAT_P["semilinear"]):
+        if intervals < 8:
+            raise ValueError("need at least 8 intervals")
+        # sine synthesis and analysis matrices, float64
+        require_storage(2 * intervals ** 2 * 8, "heat.intervals: the sine basis")
+        self.kappa = kappa
+        self.recipe: CriticalRecipe = semilinear_recipe(1, p, kappa)
+        m = np.arange(1, intervals)
+        self.nodes = m / intervals
+        self.synth = math.sqrt(2.0) * np.sin(np.pi * np.outer(self.nodes, m))
+        # sine orthogonality gives synth.T @ synth = intervals * identity
+        self.analyze = self.synth.T / intervals
+        self.lam = -(m * math.pi) ** 2
+        self.propagator = Propagator(self.lam)
+        self.dealias_keep = 2 * (intervals - 1) // 3
+        self._norm_weights = _sobolev_weights(m * math.pi)
+
+    def nonlinearity(self, state: np.ndarray) -> np.ndarray:
+        return self._project(
+            nonlinearity_semilinear(self.nodal_values(state), self.kappa))
+
+
+class QuasilinearHeatModel(IntervalModel):
     """u_t = (a(u) u_x)_x + |u_x|^kappa on (0,1), Neumann, cosine basis.
 
     Divergence-form assembly: H maps cosine coefficients to u_x at the
@@ -136,8 +151,8 @@ class QuasilinearHeatModel:
     zero, so the mean of u is conserved exactly while forcing is off.
     """
 
-    def __init__(self, points: int = 65, kappa: float = 4.0, p: float = 2.5,
-                 tau: float = 0.27,
+    def __init__(self, points: int = 65, kappa: float = 4.0,
+                 p: float = HEAT_P["quasilinear"], tau: float = 0.27,
                  diffusivity: DiffusivitySpec = DiffusivitySpec()):
         if points < 9:
             raise ValueError("need at least 9 collocation points")
@@ -149,8 +164,8 @@ class QuasilinearHeatModel:
         self.recipe: CriticalRecipe = quasilinear_recipe(1, p, kappa, tau)
         self.nodes = np.arange(points) / (points - 1)
         modes = np.arange(points)
-        self.cos_synth = np.cos(np.pi * np.outer(self.nodes, modes))
-        self.cos_analyze = np.linalg.inv(self.cos_synth)
+        self.synth = np.cos(np.pi * np.outer(self.nodes, modes))
+        self.analyze = np.linalg.inv(self.synth)
         # derivative of the top cosine mode vanishes on this grid
         sine_modes = np.arange(1, points - 1)
         sin_synth = np.sin(np.pi * np.outer(self.nodes[1:-1], sine_modes))
@@ -161,12 +176,6 @@ class QuasilinearHeatModel:
         self.dealias_keep = 2 * points // 3
         self._norm_weights = _sobolev_weights(modes * math.pi,
                                               np.where(modes == 0, 1.0, 0.5))
-
-    def state_from_function(self, fn) -> np.ndarray:
-        return self.cos_analyze @ fn(self.nodes)
-
-    def nodal_values(self, state: np.ndarray) -> np.ndarray:
-        return self.cos_synth @ state
 
     def operator_matrix(self, state: np.ndarray) -> np.ndarray:
         """Assemble A(u) = d/dx a(u) d/dx = -G^T G, G = sqrt(w a(u)) H."""
@@ -179,13 +188,7 @@ class QuasilinearHeatModel:
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
         grad_full = np.zeros(self.points)
         grad_full[1:-1] = self._deriv_nodal @ state
-        f_nodal = nonlinearity_gradient(grad_full, self.kappa)
-        f_hat = self.cos_analyze @ f_nodal
-        f_hat[self.dealias_keep:] = 0.0
-        return f_hat
-
-    def norm(self, state: np.ndarray, sigma: float) -> float:
-        return _weighted_norm(self._norm_weights(sigma), state)
+        return self._project(nonlinearity_gradient(grad_full, self.kappa))
 
 
 @dataclass(frozen=True)

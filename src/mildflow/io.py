@@ -26,6 +26,11 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
     try:
         with os.fdopen(descriptor, "wb") as handle:
             handle.write(payload)
+        # mkstemp's 0600 would survive the rename; take a plain open's mode
+        # (the umask is read by setting it, for an instant to the tightest)
+        mask = os.umask(0o077)
+        os.umask(mask)
+        os.chmod(temp_path, 0o666 & ~mask)
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
@@ -54,14 +59,8 @@ def write_csv(path: str, header, columns) -> None:
 
 
 def _json_default(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return value.tolist()
-    if isinstance(value, np.bool_):
-        return bool(value)
     raise TypeError(f"not JSON-serializable: {type(value)!r}")
 
 

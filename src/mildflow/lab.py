@@ -15,8 +15,7 @@ theory and measurement is the graded-mesh discretization of the weighted
 metric (a documented lower bound of the continuum metric).
 """
 
-from dataclasses import asdict, dataclass, replace
-from types import SimpleNamespace
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -118,7 +117,7 @@ class FixedPointProblem:
         out = np.sqrt(np.vecdot(coeff, coeff))
         return float(out) if out.ndim == 0 else out
 
-    def f(self, u) -> np.ndarray:
+    def nonlinearity(self, u) -> np.ndarray:
         """f of one vector or of each row of a stack; a row's strength is a
         scalar power, which numpy's array power would round differently."""
         u = np.asarray(u, dtype=float)
@@ -359,8 +358,9 @@ def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
             f"initial value outside the contraction ball: ||u0||_alpha = "
             f"{alpha_norm:.6e} exceeds r = {params.r:.6e}")
     result = picard_solve(
-        u0, params.T, PICARD_CONFIG, problem.propagator, problem.f, problem.norm,
-        mu=exps.mu, sigma_sup=exps.contraction_level, sigma_weighted=exps.xi)
+        u0, params.T, PICARD_CONFIG, problem.propagator, problem.nonlinearity,
+        problem.norm, mu=exps.mu, sigma_sup=exps.contraction_level,
+        sigma_weighted=exps.xi)
     ratios = result.contraction_ratios
     ratio = float(ratios.max()) if ratios.size else 0.0
     if not result.converged:
@@ -420,16 +420,13 @@ def verify_decay(problem: FixedPointProblem, varpi: float,
     direction = np.asarray(direction, dtype=float)
     direction = direction / max(problem.norm(direction, exps.alpha), 1e-30)
 
-    # the problem seen as a model of the time stepper
-    model = SimpleNamespace(propagator=problem.propagator,
-                            nonlinearity=problem.f, norm=problem.norm)
     config = SolverConfig(dt=dt, t_end=t_end,
+                          record_every=max(1, round(t_end / dt) // 1500),
                           monitor_sigmas=(exps.alpha, exps.xi))
-    config = replace(config, record_every=max(1, round(t_end / dt) // 1500))
     records = []
     for scale in sorted(float(s) for s in scales):
         u0 = scale * direction
-        traj = run_simulation(model, u0, config)
+        traj = run_simulation(problem, u0, config)
         base = max(problem.norm(u0, exps.alpha), 1e-30)
         weight = np.exp(varpi * traj.times) * (
             traj.norms[exps.alpha]

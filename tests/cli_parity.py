@@ -38,6 +38,8 @@ BATTERY = {
     "exponents-subcritical": ["exponents", "semilinear", "--kappa", "3"],
     "exponents-infinite-kappa": ["exponents", "semilinear", "--kappa", "inf"],
     "exponents-huge-n": ["exponents", "semilinear", "--n", "1" + "0" * 400],
+    "exponents-out-not-a-directory": ["exponents", "semilinear",
+                                      "--out", "/dev/null/run"],
     "lab-contraction": ["lab", "contraction", "--dim", "8", "--seed", "0"],
     "lab-contraction-quasilinear": ["lab", "contraction", "--quasilinear",
                                     "--dim", "8", "--seed", "0"],
@@ -73,6 +75,7 @@ BATTERY = {
                                "--n", "128", "--half-width", "8",
                                "--t-end", "0.05", "--snapshot-every", "10"],
     "simulate-unknown-key": ["simulate", "--set", "bogus=1"],
+    "simulate-missing-config": ["simulate", "--config", "missing.cfg"],
     "simulate-zero-dt": ["simulate", "--dt", "0"],
     "decay-test": ["decay-test", *SMALL_STRIP, "--t-end", "1.0"],
     "decay-test-unstable": ["decay-test", "--eta", "12"],

@@ -176,7 +176,8 @@ def sampled_lipschitz(problem, rng, samples: int = 400) -> float:
     p = exps.q - 1.0
     denom = ((problem.norm(w, exps.xi) ** p + problem.norm(v, exps.xi) ** p)
              * problem.norm(w - v, exps.xi))
-    ratio = problem.norm(problem.f(w) - problem.f(v), exps.gamma) / denom
+    f = problem.nonlinearity
+    ratio = problem.norm(f(w) - f(v), exps.gamma) / denom
     return float(np.max(ratio[denom >= 1e-30], initial=0.0))
 
 

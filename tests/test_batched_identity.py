@@ -190,8 +190,8 @@ def test_lipschitz_and_picard_match_reference_loops(dim, quasilinear):
                           picard_max_iter=60)
     kwargs = dict(mu=exps.mu, sigma_sup=exps.contraction_level,
                   sigma_weighted=exps.xi)
-    result = picard_solve(u0, 0.5, config, problem.propagator, problem.f,
-                          problem.norm, **kwargs)
+    result = picard_solve(u0, 0.5, config, problem.propagator,
+                          problem.nonlinearity, problem.norm, **kwargs)
     states, distances, iterations, converged = reference_picard(
         u0, 0.5, config, problem.propagator,
         lambda u: reference_f(problem, u),
@@ -482,7 +482,7 @@ def _picard_case(kind):
         exps = problem.exponents
         direction = np.random.default_rng(6).standard_normal(7)
         u0 = 0.05 * direction / problem.norm(direction, exps.alpha)
-        return (problem.propagator, problem.f, problem.norm, u0,
+        return (problem.propagator, problem.nonlinearity, problem.norm, u0,
                 dict(mu=exps.mu, sigma_sup=exps.contraction_level,
                      sigma_weighted=exps.xi))
     model, _, u0, _ = _strip_pair(periodic_strip(16, 12), amplitude=0.3)
@@ -525,8 +525,8 @@ def test_stacked_callables_match_single_states():
 
     problem = random_problem(9, np.random.default_rng(4))
     rows = np.random.default_rng(8).standard_normal((2, 40, 9))
-    assert np.array_equal(problem.f(rows),
-                          [[problem.f(row) for row in block] for block in rows])
+    f = problem.nonlinearity
+    assert np.array_equal(f(rows), [[f(row) for row in block] for block in rows])
 
 
 @pytest.mark.parametrize("extra", [[], ["--set", "grid.periodic=false",

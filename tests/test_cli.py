@@ -723,11 +723,16 @@ def test_diffusivity_floor_is_refused_before_the_march(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "run_simulation", fail)
     out = tmp_path / "run"
-    assert main(["simulate", "--model", "heat-quasilinear", "--a0", "1e-9",
+    for a0 in ("1e-9", "0"):
+        assert main(["simulate", "--model", "heat-quasilinear", "--a0", a0,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: heat.a0: must exceed 1e-08, got {float(a0)!r}\n")
+    # the configuration checks the floor for every key, read or not
+    assert main(["spectral-bound", "--set", "heat.a0=1e-9",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: heat.a0: diffusivity scale a0 must exceed the positivity "
-        "floor 1e-08, got 1e-09\n")
+        "error: heat.a0: must exceed 1e-08, got 1e-09\n")
     assert not out.exists()
 
 
@@ -820,6 +825,24 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
     assert proc.returncode == 1, stderr
     assert "Traceback" not in stderr
     assert stderr.startswith("broken pipe: ")
+
+
+def test_unreadable_or_unwritable_path_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    (tmp_path / "file").write_text("")
+    unwritable = tmp_path / "file" / "run"  # a run directory under a file
+    small = ["--set", "grid.nx=8", "--set", "grid.ny=8", "--t-end", "0.01"]
+    for argv, path in [
+            (["simulate", "--config", str(missing)], missing),
+            (["spectral-bound", "--config", str(tmp_path)], tmp_path),
+            (["simulate", *small, "--out", str(unwritable)], unwritable),
+            (["exponents", "semilinear", "--out", str(unwritable)], unwritable),
+            (["lab", "decay", "--dim", "3", "--out", str(unwritable)],
+             unwritable)]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err, err
 
 
 # ---------- decay-test ----------

@@ -332,6 +332,20 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_artifacts_take_the_mode_of_a_plain_open(tmp_path):
+    # mkstemp creates 0600; the rename must not carry that to the artifact
+    old = os.umask(0o022)
+    try:
+        write_json(str(tmp_path / "s.json"), {"a": 1})
+        write_csv(str(tmp_path / "s.csv"), ["a"], [np.zeros(2)])
+        write_snapshot(str(tmp_path / "s.bin"), np.ones((2, 2)), lx=1.0)
+        assert os.umask(0o022) == 0o022  # the writers left it as it was
+    finally:
+        os.umask(old)
+    for name in ("s.json", "s.csv", "s.bin"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
+
+
 def test_series_columns_follow_monitored_norms(tmp_path):
     class Toy:
         propagator = Propagator.from_matrix(np.diag([-1.0, -2.0]))

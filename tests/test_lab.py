@@ -258,7 +258,7 @@ def test_default_nonlinearity_vanishes_at_origin():
     rng = np.random.default_rng(5)
     for _ in range(20):
         prob = random_problem(int(rng.integers(1, 9)), rng)
-        fz = prob.f(np.zeros(prob.dimension))
+        fz = prob.nonlinearity(np.zeros(prob.dimension))
         assert prob.norm(fz, prob.exponents.gamma) == 0.0
 
 

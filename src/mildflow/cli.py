@@ -188,6 +188,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
     solver_cfg = _solver_config(  # checks the step plan first
         config, snapshot_every=config.solver_snapshot_every)
     model, u0, *snapshot_meta = _build_model_and_state(config)
+    os.makedirs(os.path.abspath(config.run_out), exist_ok=True)  # before the march
     trajectory = run_simulation(model, u0, solver_cfg)
 
     write_series(os.path.join(config.run_out, "series.csv"), trajectory)
@@ -266,6 +267,7 @@ def cmd_decay_test(config: RunConfig, args) -> int:
     if not np.any(u0):
         raise ConfigError("init.kind: decay test needs nonzero initial data")
     u0_h1 = model.norm(u0, 1.0)
+    os.makedirs(os.path.abspath(config.run_out), exist_ok=True)
     trajectory = run_simulation(model, u0, solver_cfg)
     write_series(os.path.join(config.run_out, "series.csv"), trajectory)
 
@@ -301,14 +303,12 @@ def cmd_scaling_test(config: RunConfig, args) -> int:
         raise ValueError(f"--lambda: must be positive and finite, got {args.lam}")
     grid = PeriodicGrid(half_width=config.grid_half_width, n=config.grid_n)
     u0 = config.init_amplitude * np.exp(-0.5 * grid.nodes ** 2)
-    solver_cfg = SolverConfig(dt=config.solver_dt, t_end=config.solver_t_end,
-                              integrator=config.solver_integrator,
-                              monitor_sigmas=(0.0,))
 
     reports = {}
     for label, nonlinear in (("nonlinear", True), ("linear", False)):
         reports[label] = asdict(scaling_roundtrip_test(
-            u0, args.lam, config.solver_t_end, solver_cfg, grid,
+            u0, args.lam, config.solver_t_end, config.solver_dt,
+            config.solver_integrator, grid,
             model_kind=config.heat_kind, kappa=config.heat_kappa,
             diffusion=config.heat_diffusion, nonlinear=nonlinear))
     path = _write_summary(config, args, {

@@ -9,12 +9,12 @@ bases). Propagator.from_matrix is the one route from a dense generator
 it, and a block whose eigenvector basis is too ill-conditioned is marked
 defective. A defective block falls back to one expm of an augmented
 matrix, whose top block row holds e^a, phi1(a) and phi2(a) together,
-trading speed for robustness. Every scalar exponent goes through one
+trading speed for robustness; scipy, a runtime dependency for that expm,
+is imported on the first fallback. Every scalar exponent goes through one
 function, phi(z, order), whose orders 0, 1 and 2 are e^z, phi1 and phi2
-under one overflow guard. A propagator also builds the
-step factors e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers
-or block matrices), which apply_block_factor applies; the most recent h
-is cached.
+under one overflow guard. A propagator also builds the step factors
+e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers or block
+matrices), which apply_block_factor applies; the most recent h is cached.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 EIG_CONDITION_LIMIT = 1e8
 _EXP_OVERFLOW = 700.0
@@ -65,6 +64,12 @@ def phi(z, order: int) -> np.ndarray:
     for k in range(16, -1, -1):
         acc = acc * z + 1.0 / math.factorial(k + order)
     return np.where(small, acc, out)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy's expm of a; scipy is imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def _dense_phis(a: np.ndarray):

@@ -845,6 +845,19 @@ def test_unreadable_or_unwritable_path_exits_2_naming_it(tmp_path, capsys):
         assert str(path) in err, err
 
 
+def test_unwritable_run_directory_is_refused_before_the_march(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_simulation", lambda *a: calls.append(a))
+    (tmp_path / "file").write_text("")
+    unwritable = tmp_path / "file" / "run"
+    for command in ("simulate", "decay-test"):
+        assert main([command, "--t-end", "0.5", "--out", str(unwritable)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 20] Not a directory: {str(unwritable)!r}\n")
+    assert calls == []
+
+
 # ---------- decay-test ----------
 
 def test_decay_test_unstable_coefficients_exit_2(tmp_path):

@@ -152,8 +152,7 @@ def _fail(*args, **kwargs):
 
 
 def _scaling_roundtrip(n: int):
-    return scaling_roundtrip_test(np.zeros(n), 2.0, 0.5,
-                                  SolverConfig(dt=0.01, t_end=0.5),
+    return scaling_roundtrip_test(np.zeros(n), 2.0, 0.5, 0.01, "etdrk2",
                                   PeriodicGrid(n=n))
 
 

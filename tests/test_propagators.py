@@ -1,7 +1,12 @@
 """Phi functions and semigroup actions: series branches, augmented
 exponentials for defective generators, and batched block stacks."""
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,6 +335,38 @@ def test_defective_block_step_factors_take_one_expm(monkeypatch):
         assert np.max(np.abs(factor[1] - taylor)) < 1e-13
         assert np.max(np.abs(factor[1] - want)) < 1e-12
     assert np.max(np.abs(factors[0][0] - expm(dt * blocks[0]))) < 1e-12
+
+
+SCIPY_PROBE = """
+import json, sys
+import numpy as np
+import mildflow.cli, mildflow.heat, mildflow.lab
+from mildflow.propagators import Propagator
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+codes = [mildflow.cli.main(["exponents", "semilinear"]),
+         mildflow.cli.main(["simulate", "--model", "heat-quasilinear",
+                            "--points", "9", "--t-end", "0.01",
+                            "--out", sys.argv[1]])]
+before = scipy_modules()
+Propagator.from_matrix(np.array([[-1.0, 1.0], [0.0, -1.0]])).step_factors(0.1)
+print(json.dumps([codes, before, scipy_modules()]))
+"""
+
+
+def test_scipy_is_imported_only_by_the_first_fallback(tmp_path):
+    # a fresh interpreter: other test files import scipy into this one
+    src = pathlib.Path(propagators.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "run")], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    codes, before, after = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert before == []  # no run of the package that does not fall back
+    assert "scipy.linalg" in after  # the Jordan block's one augmented expm
 
 
 def _generator(kind):

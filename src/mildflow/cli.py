@@ -6,7 +6,8 @@ overrides, flags), runs one experiment, and writes its outputs
 atomically under the run directory.  Its row lists the configuration
 keys it takes as flags, and each flag is named by its key (`_flag`); a
 command that runs one model fixes it above every layer.  The lab and
-exponents commands take plain arguments instead.  Identical
+exponents commands take plain arguments instead.  `_run` alone makes
+the run directory, writes summary.json and prints.  Identical
 configuration and seed give byte-identical outputs, so no timestamps or
 machine identifiers enter any file.
 
@@ -134,7 +135,7 @@ def _solver_config(config: RunConfig, **extra) -> SolverConfig:
         record_every=config.solver_record_every,
         monitor_sigmas=(0.0, 1.0, 1.5) if weighted else (0.0, 1.0),
         weighted_sigma=1.5 if weighted else None,
-        weighted_mu=0.25 if weighted else None,
+        weighted_mu=0.25 if weighted else 0.0,
         blowup_factor=config.solver_blowup_factor,
         **extra,
     )
@@ -164,37 +165,19 @@ def _blowup_record(trajectory):
     return {"time": trajectory.blowup_time, "reason": trajectory.blowup_reason}
 
 
-def _write_summary(config: RunConfig, args, fields: dict) -> str:
-    """summary.json: version, command label and configuration echo, then
-    the command's own fields."""
-    path = os.path.join(config.run_out, "summary.json")
-    write_json(path, {"version": __version__, "command": args.label,
-                      "config": config_echo(config), **fields})
-    return path
-
-
-def _emit(args, report: dict) -> int:
-    """Print a JSON report and, given a run directory, write it there."""
-    payload = {"version": __version__, "command": args.label, **report}
-    if args.out is not None:
-        write_json(os.path.join(args.out, "summary.json"), payload)
-    print(json_text(payload))
-    return EXIT_OK
-
-
 # ------------------------------------------------ configured commands
 
-def cmd_simulate(config: RunConfig, args) -> int:
+def cmd_simulate(config: RunConfig, args) -> tuple:
     solver_cfg = _solver_config(  # checks the step plan first
         config, snapshot_every=config.solver_snapshot_every)
     model, u0, *snapshot_meta = _build_model_and_state(config)
-    os.makedirs(os.path.abspath(config.run_out), exist_ok=True)  # before the march
     trajectory = run_simulation(model, u0, solver_cfg)
 
     write_series(os.path.join(config.run_out, "series.csv"), trajectory)
     n_snapshots = _write_snapshots(config.run_out, config, trajectory,
                                    *snapshot_meta)
-    path = _write_summary(config, args, {
+    status = "blow-up flagged" if trajectory.flagged else "completed"
+    return f"{status}: {trajectory.times.size} samples", {
         "model": config.model,
         "steps": trajectory.steps,
         "recorded_samples": int(trajectory.times.size),
@@ -207,14 +190,10 @@ def cmd_simulate(config: RunConfig, args) -> int:
         },
         "fitted": (None if trajectory.flagged else _fit_record(
             trajectory, 1.0, 0.25 * config.solver_t_end)),
-    })
-
-    status = "blow-up flagged" if trajectory.flagged else "completed"
-    print(f"{status}: {trajectory.times.size} samples -> {path}")
-    return EXIT_OK
+    }
 
 
-def cmd_spectral_bound(config: RunConfig, args) -> int:
+def cmd_spectral_bound(config: RunConfig, args) -> tuple:
     geometry = _geometry(config)
     coeffs = _cloud_coeffs(config)
     n_max = args.n_max if args.n_max is not None else geometry.nx // 2
@@ -236,21 +215,18 @@ def cmd_spectral_bound(config: RunConfig, args) -> int:
     write_csv(os.path.join(config.run_out, "modes.csv"),
               ["n", "re_lambda_max", "im_lambda_at_max"],
               [np.arange(n_max + 1, dtype=float), top.real, top.imag])
-    path = _write_summary(config, args, {
+    status = f"spectral bound {bound:.10g} (analytic bound {analytic:.10g})"
+    return status, {
         "numeric_bound": bound,
         "analytic_bound": analytic,
         "n_max": n_max,
         "periodic": geometry.periodic_x,
         "max_eigenvector_condition": float(np.max(condition)),
         "defective_modes": np.flatnonzero(defective).tolist(),
-    })
-
-    print(f"spectral bound {bound:.10g} (analytic bound {analytic:.10g}) "
-          f"-> {path}")
-    return EXIT_OK
+    }
 
 
-def cmd_decay_test(config: RunConfig, args) -> int:
+def cmd_decay_test(config: RunConfig, args) -> tuple:
     solver_cfg = _solver_config(config)
     if not config.grid_periodic:
         raise ConfigError("grid.periodic: the decay test runs on the "
@@ -267,12 +243,14 @@ def cmd_decay_test(config: RunConfig, args) -> int:
     if not np.any(u0):
         raise ConfigError("init.kind: decay test needs nonzero initial data")
     u0_h1 = model.norm(u0, 1.0)
-    os.makedirs(os.path.abspath(config.run_out), exist_ok=True)
     trajectory = run_simulation(model, u0, solver_cfg)
-    write_series(os.path.join(config.run_out, "series.csv"), trajectory)
 
     fitted = None if trajectory.flagged else _fit_record(
         trajectory, 1.0, min(1.0, 0.2 * config.solver_t_end))
+    if fitted is None and not trajectory.flagged:
+        raise ConfigError("solver.t_end, solver.dt, solver.record_every: the "
+                          "decay fit needs at least 10 samples after t_min")
+    write_series(os.path.join(config.run_out, "series.csv"), trajectory)
     decays = fitted is not None and fitted["rate"] > 0.0
     weighted_sup = None
     if decays:
@@ -282,7 +260,10 @@ def cmd_decay_test(config: RunConfig, args) -> int:
         quotient = np.exp(0.5 * fitted["rate"] * trajectory.times) \
             * (trajectory.norms[1.0] + trajectory.weighted)
         weighted_sup = float(np.max(quotient))
-    path = _write_summary(config, args, {
+    rate = fitted["rate"] if fitted else float("nan")
+    status = (f"fitted decay rate {rate:.6g} "
+              f"(guaranteed margin {check.margin:.6g})")
+    return status, {
         "stability_margin": check.margin,
         "initial_h1": u0_h1,
         "blowup": _blowup_record(trajectory),
@@ -290,15 +271,10 @@ def cmd_decay_test(config: RunConfig, args) -> int:
         "weighted_sup": weighted_sup,
         "bound_factor": None if weighted_sup is None else weighted_sup / u0_h1,
         "decays": decays,
-    })
-
-    rate = fitted["rate"] if fitted else float("nan")
-    print(f"fitted decay rate {rate:.6g} "
-          f"(guaranteed margin {check.margin:.6g}) -> {path}")
-    return EXIT_OK
+    }
 
 
-def cmd_scaling_test(config: RunConfig, args) -> int:
+def cmd_scaling_test(config: RunConfig, args) -> tuple:
     if not 0.0 < args.lam < np.inf:  # the negated form refuses NaN too
         raise ValueError(f"--lambda: must be positive and finite, got {args.lam}")
     grid = PeriodicGrid(half_width=config.grid_half_width, n=config.grid_n)
@@ -311,14 +287,11 @@ def cmd_scaling_test(config: RunConfig, args) -> int:
             config.solver_integrator, grid,
             model_kind=config.heat_kind, kappa=config.heat_kappa,
             diffusion=config.heat_diffusion, nonlinear=nonlinear))
-    path = _write_summary(config, args, {
-        "lambda": args.lam, "kind": config.heat_kind,
-        "kappa": config.heat_kappa, **reports})
-
-    print(f"scaling roundtrip at lambda={args.lam:g}: nonlinear "
-          f"{reports['nonlinear']['discrepancy']:.3e}, pure heat "
-          f"{reports['linear']['discrepancy']:.3e} -> {path}")
-    return EXIT_OK
+    status = (f"scaling roundtrip at lambda={args.lam:g}: nonlinear "
+              f"{reports['nonlinear']['discrepancy']:.3e}, pure heat "
+              f"{reports['linear']['discrepancy']:.3e}")
+    return status, {"lambda": args.lam, "kind": config.heat_kind,
+                    "kappa": config.heat_kappa, **reports}
 
 
 # ------------------------------------------------ lab and exponents
@@ -328,20 +301,19 @@ def _require_seed(args) -> None:
         raise ValueError(f"--seed: must be nonnegative, got {args.seed}")
 
 
-def cmd_lab_contraction(args) -> int:
+def cmd_lab_contraction(args) -> dict:
     _require_seed(args)
-    return _emit(args, contraction_experiment(
-        dim=args.dim, seed=args.seed, quasilinear=args.quasilinear))
+    return contraction_experiment(dim=args.dim, seed=args.seed,
+                                  quasilinear=args.quasilinear)
 
 
-def cmd_lab_decay(args) -> int:
+def cmd_lab_decay(args) -> dict:
     _require_seed(args)
-    return _emit(args, decay_experiment(
-        dim=args.dim, seed=args.seed, varpi=args.varpi,
-        epsilon=args.epsilon))
+    return decay_experiment(dim=args.dim, seed=args.seed, varpi=args.varpi,
+                            epsilon=args.epsilon)
 
 
-def cmd_exponents(args) -> int:
+def cmd_exponents(args) -> dict:
     p = HEAT_P[args.kind] if args.p is None else args.p
     try:
         if args.kind == "semilinear":
@@ -350,7 +322,7 @@ def cmd_exponents(args) -> int:
             recipe = quasilinear_recipe(args.n, p, args.kappa, args.tau)
     except ExponentError as err:
         raise _by_key(err, _flag) from None
-    return _emit(args, {"kind": args.kind, **recipe.report()})
+    return {"kind": args.kind, **recipe.report()}
 
 
 # ---------------------------------------------------------- command table
@@ -382,8 +354,9 @@ class Command(NamedTuple):
     configuration keys it takes as flags (space separated), its own
     defaults (above the built-in ones, below the file and the
     environment) and the model it runs if it runs only one (above every
-    layer); its handler receives the parsed configuration.  With keys
-    None the handler receives the arguments alone."""
+    layer); its handler maps (configuration, arguments) to (status line,
+    summary fields).  With keys None the handler maps the arguments
+    alone to its report.  No handler prints or writes the summary."""
 
     help: str
     handler: Callable
@@ -464,28 +437,54 @@ def _by_key(err: ExponentError, name: Callable = str) -> ConfigError:
 
 
 def _run(args) -> int:
-    """Run the parsed command; a configured one on its configuration.
+    """Run the parsed command, write its summary and print its result.
 
-    The command's defaults sit below the file and the environment, the
-    --set pairs above them and the flags above those.  The model of a
-    command that runs one comes last, so no layer can change it.
+    A configured command's defaults sit below the file and the
+    environment, the --set pairs above them and the flags above those;
+    the model of a command that runs one comes last.  The run directory
+    is made before any work, and on a failure the directories made for
+    it are removed, innermost first, while empty.
     """
     spec = args.spec
-    if spec.keys is None:
-        return spec.handler(args)
-    overrides = list(args.set)
-    for key in spec.keys.split():
-        value = getattr(args, KEYS[key])
-        if value is not None:
-            overrides.append(f"{key}={value}")
-    if spec.model is not None:
-        overrides.append(f"model={spec.model}")
-    config = parse_config(args.config, overrides, defaults=spec.defaults)
+    head = {"version": __version__, "command": args.label}
+    inputs, out = (args,), getattr(args, "out", None)
+    if spec.keys is not None:
+        overrides = list(args.set)
+        for key in spec.keys.split():
+            value = getattr(args, KEYS[key])
+            if value is not None:
+                overrides.append(f"{key}={value}")
+        if spec.model is not None:
+            overrides.append(f"model={spec.model}")
+        config = parse_config(args.config, overrides, defaults=spec.defaults)
+        head["config"] = config_echo(config)
+        inputs, out = (config, args), config.run_out
+    made, missing = [], os.path.abspath(out or os.curdir)
+    while not os.path.lexists(missing):  # what makedirs makes, innermost first
+        made.append(missing)
+        missing = os.path.dirname(missing)
     try:
-        return spec.handler(config, args)
-    except ExponentError as err:
-        # a model checks its exponent window when it is built
-        raise _by_key(err) from None
+        if out is not None:
+            os.makedirs(os.path.abspath(out), exist_ok=True)
+        try:
+            result = spec.handler(*inputs)
+        except ExponentError as err:  # a model checks its window when built
+            raise (err if spec.keys is None else _by_key(err)) from None
+        status, fields = (None, result) if spec.keys is None else result
+        payload = {**head, **fields}
+        path = None if out is None else os.path.join(out, "summary.json")
+        if path is not None:
+            write_json(path, payload)
+    except BaseException:
+        for directory in made:
+            try:
+                os.rmdir(directory)
+            except OSError:  # never made, or made and not empty
+                if os.path.isdir(directory):  # it and its parents stay
+                    break
+        raise
+    print(json_text(payload) if status is None else f"{status} -> {path}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser

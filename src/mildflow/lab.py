@@ -15,7 +15,7 @@ theory and measurement is the graded-mesh discretization of the weighted
 metric (a documented lower bound of the continuum metric).
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -357,16 +357,15 @@ def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
         raise ValueError(
             f"initial value outside the contraction ball: ||u0||_alpha = "
             f"{alpha_norm:.6e} exceeds r = {params.r:.6e}")
-    result = picard_solve(
-        u0, params.T, PICARD_CONFIG, problem.propagator, problem.nonlinearity,
-        problem.norm, mu=exps.mu, sigma_sup=exps.contraction_level,
-        sigma_weighted=exps.xi)
+    config = replace(PICARD_CONFIG, monitor_sigmas=(exps.contraction_level,),
+                     weighted_sigma=exps.xi, weighted_mu=exps.mu)
+    result = picard_solve(problem, u0, params.T, config)
     ratios = result.contraction_ratios
     ratio = float(ratios.max()) if ratios.size else 0.0
     if not result.converged:
         raise FixedPointDivergence(
             "Picard iteration did not settle within "
-            f"{PICARD_CONFIG.picard_max_iter} sweeps (last ratio {ratio:.3f})",
+            f"{config.picard_max_iter} sweeps (last ratio {ratio:.3f})",
             ratios)
     return result, ratio
 

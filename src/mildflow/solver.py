@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class SolverConfig:
     snapshot_every: int = 0
     monitor_sigmas: tuple = (0.0, 1.0)
     weighted_sigma: Optional[float] = None
-    weighted_mu: Optional[float] = None
+    weighted_mu: float = 0.0
     blowup_factor: float = 1e6
     picard_segments: int = 128
     picard_tol: float = 1e-10
@@ -142,7 +142,6 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     lead = config.monitor_sigmas[0]
     extra = () if config.weighted_sigma is None else (config.weighted_sigma,)
     sigmas = tuple(dict.fromkeys(config.monitor_sigmas + extra))
-    mu = config.weighted_mu if config.weighted_mu is not None else 0.0
     state = np.array(u0, copy=True)
     n_steps, last = step_plan(config.t_end, dt)
     if config.snapshot_every:
@@ -164,7 +163,8 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
             norm_series[s].append(values[s])
         f_norms.append(model.norm(f_val, 0.0))
         if config.weighted_sigma is not None:
-            weighted.append(t_now ** mu * values[config.weighted_sigma]
+            weighted.append(t_now ** config.weighted_mu
+                            * values[config.weighted_sigma]
                             if t_now > 0.0 else 0.0)
 
     record(0.0, f_state, norms)
@@ -234,10 +234,8 @@ class PicardResult:
         return self.states[-1]
 
 
-def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
-                 nonlinearity: Callable, norm_fn: Callable,
-                 mu: float = 0.0, sigma_sup: float = 0.0,
-                 sigma_weighted: Optional[float] = None) -> PicardResult:
+def picard_solve(model, u0, t_end: float,
+                 config: SolverConfig) -> PicardResult:
     """Iterate the mild-solution map to a fixed point on a graded mesh.
 
     The map F(u)(t) = e^{tA} u0 + int_0^t e^{(t-s)A} f(u(s)) ds is
@@ -245,14 +243,16 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
     interpolant of f(u): with g_j = h phi1(h lam) f_j + h phi2(h lam)
     (f_{j+1} - f_j) on segment j, the running sum obeys the stable
     forward recursion S_{k+1} = e^{(t_{k+1}-t_k) lam} S_k + g_k. A sweep
-    calls nonlinearity, the eigen transforms and each distance norm once,
+    calls the model's nonlinearity, eigen transforms and norms once each,
     on the (K+1, ...) stack of node states (so they take leading axes and
-    norm_fn gives one norm per state); only the recursion loops.
+    model.norm gives one norm per state); only the recursion loops.
 
-    Successive iterates are compared in the sup norm at level sigma_sup
-    plus the t^mu weighted sup at level sigma_weighted; convergence
-    ratios of that distance estimate the contraction factor.
+    Successive iterates are compared in the sup norm at the march's lead
+    level monitor_sigmas[0] plus the t^weighted_mu weighted sup at level
+    weighted_sigma; their ratios estimate the contraction factor.
     """
+    propagator, norm_fn = model.propagator, model.norm
+    sigma_sup, sigma_weighted = config.monitor_sigmas[0], config.weighted_sigma
     if propagator.defective:
         raise ValueError("Picard iteration needs a diagonalizable generator")
     tau = graded_mesh(t_end, config.picard_segments, MESH_POWER)
@@ -262,7 +262,7 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
     u0_hat = propagator.to_eigen(np.asarray(u0))
     # t_k^mu at the nodes t_k > 0 by scalar powers (array powers round apart)
     later = tau > 0.0
-    weights = np.array([t_k ** mu for t_k in tau[later]])
+    weights = np.array([t_k ** config.weighted_mu for t_k in tau[later]])
 
     def reconstruct(coeffs):
         out = propagator.from_eigen(coeffs)
@@ -291,7 +291,7 @@ def picard_solve(u0, t_end: float, config: SolverConfig, propagator,
     iterations = 0
     scale = max(norm_fn(np.asarray(u0), sigma_sup), 1e-30)
     for iterations in range(1, config.picard_max_iter + 1):
-        f_hat = propagator.to_eigen(nonlinearity(states))
+        f_hat = propagator.to_eigen(model.nonlinearity(states))
         g = h * (p1 * f_hat[:-1] + p2 * (f_hat[1:] - f_hat[:-1]))
         for j in range(len(h)):
             running[j + 1] = decay[j] * running[j] + g[j]

@@ -7,12 +7,14 @@ and compare the results of two checkouts.
 `record` runs every command of BATTERY with CHECKOUT/src as the import
 path, each in its own empty directory, and writes, per command,
 its arguments, exit code and the sha256 of its stdout, its stderr and
-each file it left in its directory.  `compare` lists the commands whose
+each file it left in its directory; each directory it left, empty ones
+included, is recorded as "directory".  `compare` lists the commands whose
 results differ, with the parts that differ, and exits 1 if any do.
 
 The battery covers every report (`exponents`, both `lab` commands,
 `scaling-test`, `simulate` with a decay fit, `decay-test`,
-`spectral-bound`), the heat models and the error paths, on small inputs.
+`spectral-bound`), the heat models and the error paths, on small inputs,
+among them refusals that must leave no run directory behind.
 Not collected by pytest: it has no `test_` prefix.
 """
 
@@ -77,10 +79,14 @@ BATTERY = {
     "simulate-unknown-key": ["simulate", "--set", "bogus=1"],
     "simulate-missing-config": ["simulate", "--config", "missing.cfg"],
     "simulate-zero-dt": ["simulate", "--dt", "0"],
+    "simulate-snapshot-storage": ["simulate", "--t-end", "50",
+                                  "--snapshot-every", "1", "--out", "a/b/run"],
     "decay-test": ["decay-test", *SMALL_STRIP, "--t-end", "1.0"],
     "decay-test-unstable": ["decay-test", "--eta", "12"],
     "spectral-bound": ["spectral-bound"],
     "spectral-bound-open": ["spectral-bound", "--open", *SMALL_STRIP],
+    "spectral-bound-out-not-a-directory": ["spectral-bound",
+                                           "--out", "/dev/null/run"],
     "help-exponents": ["exponents", "--help"],
     "help-lab-contraction": ["lab", "contraction", "--help"],
     "version": ["--version"],
@@ -109,8 +115,10 @@ def run_command(argv, env) -> dict:
                               cwd=work, env=env, capture_output=True,
                               timeout=600)
         root = pathlib.Path(work)
-        artifacts = {str(path.relative_to(root)): _sha256(path.read_bytes())
-                     for path in sorted(root.rglob("*")) if path.is_file()}
+        artifacts = {
+            str(path.relative_to(root)):
+                "directory" if path.is_dir() else _sha256(path.read_bytes())
+            for path in sorted(root.rglob("*"))}
     return {"argv": argv, "exit": done.returncode,
             "stdout": _sha256(done.stdout), "stderr": _sha256(done.stderr),
             "artifacts": artifacts}

@@ -209,8 +209,7 @@ def test_criterion_07_picard_agrees_with_stepper():
                           picard_segments=192, picard_tol=1e-12,
                           picard_max_iter=80)
     reference = run_simulation(model, u0, config).final_state
-    result = picard_solve(u0, t_local, config, model.propagator,
-                          model.nonlinearity, model.norm)
+    result = picard_solve(model, u0, t_local, config)
     gap = model.norm(result.final_state - reference, 0.0) \
         / model.norm(reference, 0.0)
     ok = result.converged and gap < 1e-5

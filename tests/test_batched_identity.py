@@ -65,6 +65,13 @@ def closed_form_lipschitz(problem):
             * max(1.0, exps.q / 2.0))
 
 
+def reference_levels(config):
+    """The distance keywords of reference_picard that picard_solve reads
+    from config."""
+    return dict(mu=config.weighted_mu, sigma_sup=config.monitor_sigmas[0],
+                sigma_weighted=config.weighted_sigma)
+
+
 def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
                      mu=0.0, sigma_sup=0.0, sigma_weighted=None):
     """Picard iteration with the factors rebuilt on every segment of every
@@ -187,15 +194,15 @@ def test_lipschitz_and_picard_match_reference_loops(dim, quasilinear):
     direction = np.random.default_rng(6).standard_normal(dim)
     u0 = 0.05 * direction / problem.norm(direction, exps.alpha)
     config = SolverConfig(picard_segments=96, picard_tol=1e-10,
-                          picard_max_iter=60)
-    kwargs = dict(mu=exps.mu, sigma_sup=exps.contraction_level,
-                  sigma_weighted=exps.xi)
-    result = picard_solve(u0, 0.5, config, problem.propagator,
-                          problem.nonlinearity, problem.norm, **kwargs)
+                          picard_max_iter=60,
+                          monitor_sigmas=(exps.contraction_level,),
+                          weighted_sigma=exps.xi, weighted_mu=exps.mu)
+    result = picard_solve(problem, u0, 0.5, config)
     states, distances, iterations, converged = reference_picard(
         u0, 0.5, config, problem.propagator,
         lambda u: reference_f(problem, u),
-        lambda v, theta: reference_norm(problem, v, theta), **kwargs)
+        lambda v, theta: reference_norm(problem, v, theta),
+        **reference_levels(config))
     assert (result.iterations, result.converged) == (iterations, converged)
     assert iterations >= 3
     assert np.array_equal(result.distances, distances)
@@ -317,8 +324,7 @@ def test_picard_on_strip_stack_matches_reference_sweep():
     u0 = u0 * (0.3 / model.norm(u0, 1.0))
     config = SolverConfig(dt=1e-4, t_end=0.1, picard_segments=192,
                           picard_tol=1e-12, picard_max_iter=80)
-    result = picard_solve(u0, 0.1, config, model.propagator,
-                          model.nonlinearity, model.norm)
+    result = picard_solve(model, u0, 0.1, config)
     states, distances, iterations, converged = reference_picard(
         u0, 0.1, config, model.propagator, model.nonlinearity, model.norm)
     assert (result.iterations, result.converged) == (iterations, True)
@@ -446,22 +452,35 @@ def test_half_spectrum_picard_matches_full_layout():
     model, reference, u0, u0_full = _strip_pair(periodic_strip(16, 12),
                                                 amplitude=0.3)
     config = SolverConfig(picard_segments=64, picard_tol=1e-12,
-                          picard_max_iter=80)
-    got = picard_solve(u0, 0.1, config, model.propagator, model.nonlinearity,
-                       model.norm, mu=0.25, sigma_weighted=1.5)
+                          picard_max_iter=80, weighted_sigma=1.5,
+                          weighted_mu=0.25)
+    got = picard_solve(model, u0, 0.1, config)
     # the full layout's callables take one state, so the per-node oracle
     # iterates them
     want = SimpleNamespace(**dict(zip(
         ("states", "distances", "iterations", "converged"),
         reference_picard(u0_full, 0.1, config, reference.propagator,
-                         reference.nonlinearity, reference.norm, mu=0.25,
-                         sigma_weighted=1.5))))
+                         reference.nonlinearity, reference.norm,
+                         **reference_levels(config)))))
     assert (got.iterations, got.converged) == (want.iterations, True)
     for a, b in zip(got.states, want.states):
         _assert_close(a, reference.to_half(b))
     scale = model.norm(u0, 0.0)
     assert np.allclose(got.distances, want.distances, rtol=1e-12,
                        atol=1e-12 * scale)
+
+
+def test_picard_reads_its_weighted_level_from_the_config():
+    # the iterates do not depend on the distance, so each sweep's distance
+    # gains the t^mu weighted term at level 1.5 and nothing else
+    model, _, u0, _ = _strip_pair(periodic_strip(16, 12), amplitude=0.3)
+    plain, weighted = (picard_solve(model, u0, 0.1, SolverConfig(
+        picard_segments=32, picard_tol=1e-12, picard_max_iter=40,
+        weighted_sigma=sigma, weighted_mu=0.25)).distances
+        for sigma in (None, 1.5))
+    sweeps = min(plain.size, weighted.size)
+    assert sweeps >= 3
+    assert np.all(weighted[:sweeps] > plain[:sweeps])
 
 
 # Picard's stack contract ----------------------------------------------------
@@ -475,30 +494,30 @@ def _counted(fn, shapes):
 
 
 def _picard_case(kind):
-    """(propagator, nonlinearity, norm, u0, distance keywords) of a lab
-    problem or of the 16x12 strip."""
+    """(model, u0, distance levels of the SolverConfig) of a lab problem
+    or of the 16x12 strip."""
     if kind == "lab":
         problem = random_problem(7, np.random.default_rng(7))
         exps = problem.exponents
         direction = np.random.default_rng(6).standard_normal(7)
         u0 = 0.05 * direction / problem.norm(direction, exps.alpha)
-        return (problem.propagator, problem.nonlinearity, problem.norm, u0,
-                dict(mu=exps.mu, sigma_sup=exps.contraction_level,
-                     sigma_weighted=exps.xi))
+        return problem, u0, dict(monitor_sigmas=(exps.contraction_level,),
+                                 weighted_sigma=exps.xi, weighted_mu=exps.mu)
     model, _, u0, _ = _strip_pair(periodic_strip(16, 12), amplitude=0.3)
-    return (model.propagator, model.nonlinearity, model.norm, u0,
-            dict(mu=0.25, sigma_weighted=1.5))
+    return model, u0, dict(weighted_sigma=1.5, weighted_mu=0.25)
 
 
 @pytest.mark.parametrize("kind", ["lab", "cloud"])
 def test_picard_sweep_calls_f_and_norms_once_over_the_node_stack(kind):
-    propagator, nonlinearity, norm, u0, kwargs = _picard_case(kind)
+    model, u0, levels = _picard_case(kind)
     config = SolverConfig(picard_segments=32, picard_tol=1e-12,
-                          picard_max_iter=40)
+                          picard_max_iter=40, **levels)
     f_shapes, norm_shapes = [], []
-    result = picard_solve(u0, 0.1, config, propagator,
-                          _counted(nonlinearity, f_shapes),
-                          _counted(norm, norm_shapes), **kwargs)
+    counted = SimpleNamespace(
+        propagator=model.propagator,
+        nonlinearity=_counted(model.nonlinearity, f_shapes),
+        norm=_counted(model.norm, norm_shapes))
+    result = picard_solve(counted, u0, 0.1, config)
     assert result.converged and result.iterations >= 3
     nodes = config.picard_segments + 1
     assert f_shapes == [(nodes,) + u0.shape] * result.iterations

@@ -10,7 +10,6 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,12 +224,52 @@ def test_snapshots_are_refused_above_the_storage_limit(
     # 501 snapshots of the default strip's 24,288-byte state take 11.6 MiB,
     # above the 8 MiB limit; its mode stacks take 5.3 MiB, below it
     monkeypatch.setattr(propagators, "MAX_PROPAGATOR_BYTES", 8 << 20)
-    out = tmp_path / "run"
-    assert main(["simulate", "--t-end", "0.5", "--snapshot-every", "1",
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: solver.snapshot_every, solver.t_end: the snapshots")
-    assert not (out / "series.csv").exists()
+    # the refusal comes after the run directory is made; it is removed
+    # again, with the parents made for it
+    for out in (tmp_path / "run", tmp_path / "a" / "b" / "run"):
+        assert main(["simulate", "--t-end", "0.5", "--snapshot-every", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: solver.snapshot_every, solver.t_end: the snapshots")
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "a").exists()
+
+
+def test_numerical_failure_leaves_no_run_directory(
+        tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise FloatingPointError("overflow in the march")
+
+    monkeypatch.setattr(cli, "run_simulation", fail)
+    out = tmp_path / "a" / "run"
+    assert main(["simulate", "--t-end", "0.01", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: overflow in the march\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unmakeable_run_directory_leaves_no_parents(tmp_path, capsys):
+    # makedirs makes a/ and a/b/ before the 300-character name fails
+    out = tmp_path / "a" / "b" / ("x" * 300)
+    assert main(["exponents", "semilinear", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay-test", "--eta", "12"],
+    ["simulate", "--t-end", "50", "--snapshot-every", "1"],
+    ["lab", "decay", "--seed", "-1"]], ids=["decay-test", "simulate", "lab"])
+def test_refusal_keeps_an_existing_run_directory(tmp_path, capsys, argv):
+    # a refusal removes what it made under the existing directory, never
+    # the directory itself
+    kept = tmp_path / "run"
+    kept.mkdir()
+    for out in (kept, kept / "a" / "run"):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert kept.is_dir() and list(kept.iterdir()) == []
 
 
 _HUGE = "2" * 400  # too large for a float quotient
@@ -858,7 +897,36 @@ def test_unwritable_run_directory_is_refused_before_the_march(
     assert calls == []
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["spectral-bound", "--nx", "512"], "mode_spectra"),
+    (["scaling-test"], "scaling_roundtrip_test"),
+    (["lab", "decay", "--dim", "32"], "decay_experiment")],
+    ids=["spectral-bound", "scaling-test", "lab-decay"])
+def test_unwritable_run_directory_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, work):
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    (tmp_path / "file").write_text("")
+    unwritable = tmp_path / "file" / "run"
+    assert main([*argv, "--out", str(unwritable)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 20] Not a directory: {str(unwritable)!r}\n")
+    assert calls == []
+
+
 # ---------- decay-test ----------
+
+def test_decay_test_without_a_fit_window_exit_2(tmp_path, capsys):
+    # 500 steps recorded every 1000th: two samples, no rate to report
+    out = tmp_path / "run"
+    assert main(["decay-test", "--record-every", "1000", "--t-end", "0.5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: solver.t_end, solver.dt, solver.record_every: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
 
 def test_decay_test_unstable_coefficients_exit_2(tmp_path):
     out = str(tmp_path / "run")
@@ -1016,12 +1084,12 @@ def test_lab_contraction_quasilinear_report_is_json(tmp_path, capsys):
     assert type(payload["parameters"]["T"]) is float
 
 
-def test_emitted_report_prints_what_it_writes(tmp_path, capsys):
+def test_emitted_report_prints_what_it_writes(tmp_path, capsys, monkeypatch):
     # stdout and summary.json share one encoder, numpy values included
-    args = SimpleNamespace(label="lab contraction", out=str(tmp_path))
-    report = {"count": np.int64(3), "flag": np.bool_(True),
-              "values": np.arange(3.0)}
-    assert cli._emit(args, report) == 0
+    monkeypatch.setattr(cli, "contraction_experiment", lambda **kwargs: {
+        "count": np.int64(3), "flag": np.bool_(True),
+        "values": np.arange(3.0)})
+    assert main(["lab", "contraction", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (tmp_path / "summary.json").read_text()
 
 
@@ -1054,9 +1122,13 @@ def test_lab_battery_exits_cleanly(tmp_path, capsys, command, dim, seed):
 def test_strip_battery_exits_cleanly(tmp_path, capsys, command, grid, t_end,
                                      steps, seed):
     # on-grid and off-grid horizons (dt 0.002) on tiny strips: a run that
-    # ends at t_end, or a named error, never a traceback
+    # ends at t_end, or a named error, never a traceback.  decay-test runs
+    # three times as long (30 and 32 steps), so its fit window holds the
+    # ten samples a rate needs
     out = tmp_path / "run"
     sets = [arg for key in grid for arg in ("--set", key)]
+    if command == "decay-test":
+        t_end = {"0.02": "0.06", "0.021": "0.063"}[t_end]
     code = main([command, "--init", "random", "--seed", str(seed),
                  "--t-end", t_end, "--dt", "0.002", *sets, "--out", str(out)])
     err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Exponential steppers and Picard iteration against a scalar logistic
 closed form, convergence-order sweeps, and blow-up flagging."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ def test_picard_matches_logistic_closed_form():
     m = ScalarLogistic()
     cfg = SolverConfig(picard_segments=512, picard_tol=1e-13,
                        picard_max_iter=80)
-    res = picard_solve(U0, 1.0, cfg, m.propagator, m.nonlinearity, m.norm)
+    res = picard_solve(m, U0, 1.0, cfg)
     assert res.converged
     assert abs(res.final_state[0] - logistic_exact(1.0)) < 2e-8
 
@@ -238,7 +240,7 @@ def test_picard_second_order_in_mesh():
     for segments in [128, 256]:
         cfg = SolverConfig(picard_segments=segments, picard_tol=1e-14,
                            picard_max_iter=100)
-        res = picard_solve(U0, 1.0, cfg, m.propagator, m.nonlinearity, m.norm)
+        res = picard_solve(m, U0, 1.0, cfg)
         errs.append(abs(res.final_state[0] - logistic_exact(1.0)))
     assert 3.0 < errs[0] / errs[1] < 5.0
 
@@ -246,7 +248,7 @@ def test_picard_second_order_in_mesh():
 def test_picard_contracts_geometrically():
     m = ScalarLogistic()
     cfg = SolverConfig(picard_segments=64, picard_tol=1e-12)
-    res = picard_solve(U0, 1.0, cfg, m.propagator, m.nonlinearity, m.norm)
+    res = picard_solve(m, U0, 1.0, cfg)
     assert res.converged and res.iterations < 15
     assert np.all(res.contraction_ratios[:-1] < 0.5)
 
@@ -255,8 +257,7 @@ def test_picard_keeps_the_imaginary_part_of_a_complex_generator():
     m = LinearComplex()
     u0 = np.array([1.0, 0.5])
     exact = np.exp(0.5 * m.propagator.lam) * u0
-    res = picard_solve(u0, 0.5, SolverConfig(), m.propagator,
-                       m.nonlinearity, m.norm)
+    res = picard_solve(m, u0, 0.5, SolverConfig())
     march = run_simulation(m, u0, SolverConfig(dt=0.01, t_end=0.5,
                                                monitor_sigmas=(0.0,)))
     assert res.converged
@@ -268,8 +269,10 @@ def test_picard_rejects_defective_generator():
     jordan = Propagator.from_matrix(np.array([[-1.0, 1.0], [0.0, -1.0]]))
     cfg = SolverConfig()
     with pytest.raises(ValueError, match="diagonalizable"):
-        picard_solve(np.array([1.0, 0.0]), 0.5, cfg, jordan,
-                     lambda u: 0.0 * u, lambda u, s: float(np.abs(u).max()))
+        picard_solve(SimpleNamespace(
+            propagator=jordan, nonlinearity=lambda u: 0.0 * u,
+            norm=lambda u, s: float(np.abs(u).max())),
+            np.array([1.0, 0.0]), 0.5, cfg)
 
 
 def test_graded_mesh_shape_and_clustering():

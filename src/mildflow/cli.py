@@ -260,8 +260,9 @@ def cmd_decay_test(config: RunConfig, args) -> tuple:
         quotient = np.exp(0.5 * fitted["rate"] * trajectory.times) \
             * (trajectory.norms[1.0] + trajectory.weighted)
         weighted_sup = float(np.max(quotient))
-    rate = fitted["rate"] if fitted else float("nan")
-    status = (f"fitted decay rate {rate:.6g} "
+    status = (f"blow-up flagged at t = {trajectory.blowup_time:.6g} "
+              f"({trajectory.blowup_reason})" if trajectory.flagged else
+              f"fitted decay rate {fitted['rate']:.6g} "
               f"(guaranteed margin {check.margin:.6g})")
     return status, {
         "stability_margin": check.margin,

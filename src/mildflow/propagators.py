@@ -12,9 +12,10 @@ matrix, whose top block row holds e^a, phi1(a) and phi2(a) together,
 trading speed for robustness; scipy, a runtime dependency for that expm,
 is imported on the first fallback. Every scalar exponent goes through one
 function, phi(z, order), whose orders 0, 1 and 2 are e^z, phi1 and phi2
-under one overflow guard. A propagator also builds the step factors
-e^{hA}, phi1(hA), phi2(hA) of one fixed step h (multipliers or block
-matrices), which apply_block_factor applies; the most recent h is cached.
+under one overflow guard; a real argument stays real, so a real generator
+acts on a real state in real arithmetic. A propagator also builds the
+step factors e^{hA}, phi1(hA), phi2(hA) of one fixed h (multipliers or
+block matrices), which apply_block_factor applies; the last h is cached.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ _EXP_OVERFLOW = 700.0
 # Largest storage a run may ask for; require_storage refuses a bigger
 # grid, lab dimension or mode stack where it would be allocated.
 MAX_PROPAGATOR_BYTES = 1 << 30
+# Horner coefficients 1/(k + order)!, k = 16 .. 0, of phi's series branch
+_SERIES = {order: [1.0 / math.factorial(k + order) for k in range(16, -1, -1)]
+           for order in (1, 2)}
 
 
 def require_storage(nbytes: int, what: str) -> None:
@@ -45,25 +49,30 @@ class InstabilityError(RuntimeError):
 
 def phi(z, order: int) -> np.ndarray:
     """phi_order(z) for order 0, 1, 2: e^z, (e^z - 1)/z and
-    (e^z - 1 - z)/z^2, refused above Re z = 700. Orders 1 and 2 are
-    complex and sum the series z^k / (k + order)! where |z| < 0.25."""
-    if order:
-        z = np.asarray(z, dtype=complex)
-    zmax = float(np.max(z.real)) if np.size(z) else 0.0
+    (e^z - 1 - z)/z^2, refused above Re z = 700. Orders 1 and 2 sum the
+    series z^k / (k + order)! where |z| < 0.25. A real z stays real and
+    gets the real part of the complex result bit for bit: e^z of the
+    complex exp, and a product with 1/z as numpy's complex division."""
+    z = np.asarray(z)
+    zmax = float(z.real.max()) if z.size else 0.0
     if zmax > _EXP_OVERFLOW:
         raise InstabilityError(
             f"semigroup exponent reaches {zmax:.3g}; unstable spectrum at this step"
         )
     if order == 0:
         return np.exp(z)
+    real = not np.iscomplexobj(z)
     small = np.abs(z) < 0.25
     zs = np.where(small, 1.0, z)
-    num = np.exp(zs) - 1.0
-    out = num / zs if order == 1 else (num - zs) / zs ** 2
-    acc = np.zeros_like(z)
-    for k in range(16, -1, -1):
-        acc = acc * z + 1.0 / math.factorial(k + order)
-    return np.where(small, acc, out)
+    num = (np.exp(zs + 0j).real if real else np.exp(zs)) - 1.0
+    num, den = (num, zs) if order == 1 else (num - zs, zs ** 2)
+    out = np.asarray(num * (1.0 / den) if real else num / den)
+    z = z[small]
+    acc = np.zeros_like(zs, shape=z.shape)
+    for coefficient in _SERIES[order]:
+        acc = acc * z + coefficient
+    out[small] = acc
+    return out
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -135,8 +144,8 @@ class Propagator:
         self.lam = np.asarray(lam)
         self.vectors = vectors
         self.vectors_inv = vectors_inv
-        self._defective_blocks = [tuple(idx) for idx in np.argwhere(
-            np.broadcast_to(defective, self.lam.shape[:-1]))]
+        self._defective_blocks = [tuple(idx) for idx in np.argwhere(np.broadcast_to(
+            defective, self.lam.shape[:-1]))] if np.any(defective) else []
         self.defective = bool(self._defective_blocks)
         self.real = not np.iscomplexobj(matrices) if matrices is not None else \
             not any(np.iscomplexobj(a) for a in (lam, vectors, vectors_inv))

@@ -13,8 +13,10 @@ results differ, with the parts that differ, and exits 1 if any do.
 
 The battery covers every report (`exponents`, both `lab` commands,
 `scaling-test`, `simulate` with a decay fit, `decay-test`,
-`spectral-bound`), the heat models and the error paths, on small inputs,
-among them refusals that must leave no run directory behind.
+`spectral-bound`), the heat models with whole and partial last steps,
+both integrators of the frozen quasilinear march, a flagged decay test
+and the error paths, on small inputs, among them refusals that must
+leave no run directory behind.
 Not collected by pytest: it has no `test_` prefix.
 """
 
@@ -63,11 +65,20 @@ BATTERY = {
                                       "5", "--init", "random"],
     "simulate-heat-semilinear": ["simulate", "--model", "heat-semilinear",
                                  "--t-end", "0.2"],
+    "simulate-heat-semilinear-partial-step": ["simulate", "--model",
+                                              "heat-semilinear", "--dt",
+                                              "0.001", "--t-end", "0.0505"],
     "simulate-heat-semilinear-blowup": ["simulate", "--model",
                                         "heat-semilinear", "--amplitude",
                                         "80", "--t-end", "0.2"],
     "simulate-heat-quasilinear": ["simulate", "--model", "heat-quasilinear",
                                   "--t-end", "0.05"],
+    "simulate-heat-quasilinear-exp-euler": ["simulate", "--model",
+                                            "heat-quasilinear", "--integrator",
+                                            "exp_euler", "--t-end", "0.05"],
+    "simulate-heat-quasilinear-partial-step": ["simulate", "--model",
+                                               "heat-quasilinear", "--dt",
+                                               "0.001", "--t-end", "0.0505"],
     "simulate-heat-quasilinear-a0-floor": ["simulate", "--model",
                                            "heat-quasilinear", "--a0", "1e-9",
                                            "--t-end", "0.05"],
@@ -82,6 +93,8 @@ BATTERY = {
     "simulate-snapshot-storage": ["simulate", "--t-end", "50",
                                   "--snapshot-every", "1", "--out", "a/b/run"],
     "decay-test": ["decay-test", *SMALL_STRIP, "--t-end", "1.0"],
+    "decay-test-blowup": ["decay-test", "--amplitude", "1e3", "--t-end", "0.1",
+                          *SMALL_STRIP],
     "decay-test-unstable": ["decay-test", "--eta", "12"],
     "spectral-bound": ["spectral-bound"],
     "spectral-bound-open": ["spectral-bound", "--open", *SMALL_STRIP],

@@ -944,6 +944,20 @@ def test_decay_test_default_coefficients_decay(tmp_path):
     assert summary["bound_factor"] < 10.0
 
 
+def test_decay_test_status_names_a_flagged_blowup(tmp_path, capsys):
+    # a flagged run has no rate: its status line gives the blow-up's time
+    # and reason, not "fitted decay rate nan", and the run still exits 0
+    out = tmp_path / "run"
+    assert main(["decay-test", "--amplitude", "1e3", "--t-end", "0.1",
+                 "--set", "grid.nx=16", "--set", "grid.ny=12",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["blowup"] == {"reason": "norm-threshold", "time": 0.008}
+    assert capsys.readouterr().out == (
+        f"blow-up flagged at t = 0.008 (norm-threshold) -> {out / 'summary.json'}\n")
+    assert summary["fitted"] is None and summary["decays"] is False
+
+
 # ---------- scaling-test ----------
 
 def test_scaling_test_roundtrip_small(tmp_path):

@@ -20,6 +20,7 @@ from mildflow.heat import (
     scaling_roundtrip_test,
     scaling_transform,
 )
+from mildflow import propagators
 from mildflow.propagators import Propagator
 from mildflow.solver import SolverConfig, fit_decay_rate, run_simulation
 from oracles import phi_action_dense, scaling_transform_one_piece
@@ -254,6 +255,46 @@ def test_quasilinear_frozen_propagator_takes_eigh_route():
                   (prop.phi2_action(dt, v), phi_action_dense(mat, v, 2))]
         for got, want in checks:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_frozen_march_costs_one_eigh_per_step(monkeypatch):
+    # each frozen step eigendecomposes A(u_n) once on the eigh route, with
+    # no eig and no inverse; a real state keeps all three actions and
+    # their phi multipliers real, so no V is cast to complex
+    q = QuasilinearHeatModel(points=33, kappa=4.0)
+    u0 = q.state_from_function(lambda x: 0.3 * np.cos(np.pi * x) + 0.5)
+    calls = {"eigh": 0}
+    eigh = np.linalg.eigh
+
+    def counted_eigh(matrix):
+        calls["eigh"] += 1
+        return eigh(matrix)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a frozen step took eig or inv")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    dtypes = {}
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            dtypes.setdefault(name, set()).add(out.dtype)
+            return out
+        return wrapper
+    monkeypatch.setattr(propagators, "phi", recorded("phi", propagators.phi))
+    for name in ("propagate", "phi1_action", "phi2_action"):
+        monkeypatch.setattr(Propagator, name,
+                            recorded(name, getattr(Propagator, name)))
+    steps = 12
+    tr = run_simulation(q, u0, SolverConfig(dt=1e-3, t_end=steps * 1e-3,
+                                            monitor_sigmas=(0.0,)))
+    assert not tr.flagged and len(tr.times) == steps + 1
+    assert calls["eigh"] == steps
+    assert dtypes == {name: {np.dtype(np.float64)} for name in
+                      ("phi", "propagate", "phi1_action", "phi2_action")}
 
 
 def test_heat_norms_bit_identical_with_cached_weights():

@@ -75,6 +75,23 @@ def test_phi_matches_the_closed_forms_bit_for_bit():
         assert phi(values, 0).tobytes() == np.exp(values).tobytes()
 
 
+def test_real_phi_stays_real_with_the_complex_bits():
+    # a real z takes real arithmetic, and each value is the real part of
+    # the complex route's, bit for bit, on both branches and at the edge
+    rng = np.random.default_rng(11)
+    edge = np.array([0.0, 0.25, -0.25])
+    z = np.concatenate([
+        rng.uniform(-700, 600, 50_000), rng.uniform(-1, 1, 40_000),
+        rng.uniform(-50, 50, 10_000),
+        edge, np.nextafter(edge, 1.0), np.nextafter(edge, -1.0),
+        [-700.0, 600.0]])
+    assert z.size >= 100_000
+    for order in (1, 2):
+        values = phi(z, order)
+        assert values.dtype == np.float64
+        assert values.tobytes() == phi(z.astype(complex), order).real.tobytes()
+
+
 def test_augmented_phi_actions_match_eigen_route():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 6))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exponents import (CriticalRecipe, ExponentError, quasilinear_recipe,
                         semilinear_recipe)
-from .propagators import Propagator, require_storage
+from .propagators import Propagator, _matvec, require_storage
 from .solver import SolverConfig, run_simulation
 
 
@@ -78,9 +78,11 @@ def _sobolev_weights(wavenumbers: np.ndarray, scale=1.0):
     return lru_cache(maxsize=None)(lambda sigma: base ** sigma * scale)
 
 
-def _weighted_norm(weights: np.ndarray, state: np.ndarray, volume=1.0) -> float:
-    """sqrt(volume * sum_k weights_k |state_k|^2)."""
-    return float(np.sqrt(volume * np.sum(weights * np.abs(state) ** 2)))
+def _weighted_norm(weights: np.ndarray, state: np.ndarray, volume=1.0):
+    """sqrt(volume * sum_k weights_k |state_k|^2) over the last axis: a
+    float for one state, an array for a stack."""
+    out = np.sqrt(volume * np.sum(weights * np.abs(state) ** 2, axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
 # the default heat.p of each interval model; the quasilinear window
@@ -90,23 +92,23 @@ HEAT_P = {"semilinear": 2.0, "quasilinear": 2.5}
 
 class IntervalModel:
     """Nodal synthesis and analysis, the 2/3 projection of f and the
-    Sobolev norm of an interval model; a subclass sets nodes, synth (from
-    coefficients to nodes), its inverse analyze, dealias_keep and
-    _norm_weights."""
+    Sobolev norm of an interval model, each on a state or a stack of
+    states; a subclass sets nodes, synth (from coefficients to nodes),
+    its inverse analyze, dealias_keep and _norm_weights."""
 
     def state_from_function(self, fn) -> np.ndarray:
         return self.analyze @ fn(self.nodes)
 
     def nodal_values(self, state: np.ndarray) -> np.ndarray:
-        return self.synth @ state
+        return _matvec(self.synth, state)
 
     def _project(self, f_nodal: np.ndarray) -> np.ndarray:
         """Coefficients of nodal f values, modes from dealias_keep on zeroed."""
-        f_hat = self.analyze @ f_nodal
-        f_hat[self.dealias_keep:] = 0.0
+        f_hat = _matvec(self.analyze, f_nodal)
+        f_hat[..., self.dealias_keep:] = 0.0
         return f_hat
 
-    def norm(self, state: np.ndarray, sigma: float) -> float:
+    def norm(self, state: np.ndarray, sigma: float):
         return _weighted_norm(self._norm_weights(sigma), state)
 
 
@@ -186,8 +188,8 @@ class QuasilinearHeatModel(IntervalModel):
         return -(root.T @ root)
 
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
-        grad_full = np.zeros(self.points)
-        grad_full[1:-1] = self._deriv_nodal @ state
+        grad_full = np.zeros(state.shape[:-1] + (self.points,))
+        grad_full[..., 1:-1] = _matvec(self._deriv_nodal, state)
         return self._project(nonlinearity_gradient(grad_full, self.kappa))
 
 
@@ -280,7 +282,7 @@ class PeriodicHeatModel:
             f_nodal = nonlinearity_gradient(grad, self.kappa)
         return self.state_from_values(f_nodal) * self.dealias_mask
 
-    def norm(self, state: np.ndarray, sigma: float) -> float:
+    def norm(self, state: np.ndarray, sigma: float):
         return _weighted_norm(self._norm_weights(sigma), state, self._volume)
 
     def homogeneous_seminorm(self, state: np.ndarray, exponent: float) -> float:

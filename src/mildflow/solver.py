@@ -1,14 +1,18 @@
 """Time integration for mild solutions.
 
-Two stepping families share one trajectory recorder:
+Every model speaks one protocol: `nonlinearity(state)` and
+`norm(state, sigma)` take states with leading axes (one state is a stack
+of one); a model has a fixed `propagator` or an `operator_matrix(state)`
+= A(u); `norms(state, sigmas)`, every level at once, is optional.
 
-* exponential integrators (exponential Euler and ETDRK2), including a
-  frozen-coefficient variant for quasilinear problems that freezes
-  A(u_n) for the whole step, which makes ETDRK2 first order in time
-  there (second order for a fixed generator);
+* exponential integrators (exponential Euler and ETDRK2) march to a
+  `Trajectory`, freezing A(u_n) for the whole step on a quasilinear
+  model, which makes ETDRK2 first order in time there (second order for
+  a fixed generator);
 * Picard iteration for the integral fixed-point map itself, discretized
   by product integration of a piecewise-linear nonlinearity on a graded
-  mesh clustered at t = 0 where the weighted norms live.
+  mesh clustered at t = 0 where the weighted norms live, returns a
+  `PicardResult`; it needs a fixed propagator.
 
 Blow-up is flagged, never silently integrated through: a trajectory
 stops at the first nonfinite state, norm-threshold crossing, or
@@ -122,12 +126,11 @@ def _norm_set(model, state, sigmas) -> dict:
 def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     """March the model from u0, recording norms and watching for blow-up.
 
-    The march ends at t_end (`step_plan`). Models with a fixed
-    .propagator take whole steps with its cached per-dt factors and a
-    partial last step with its actions. Otherwise the model supplies only
-    operator_matrix(state) = A(u), and each step builds the propagator of
-    A frozen at the current state. f is evaluated once per accepted
-    state, and the next step reuses it.
+    The march ends at t_end (`step_plan`). A fixed .propagator takes
+    whole steps with its cached per-dt factors and a partial last step
+    with its actions; otherwise each step builds the propagator of
+    operator_matrix frozen at the current state. f and the norm set are
+    evaluated once per accepted state, and the next step reuses f.
     """
     dt = config.dt
     fixed = getattr(model, "propagator", None)
@@ -190,14 +193,13 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
             blowup_time, blowup_reason = t, "nonfinite"
             break
         state, f_state = new_state, model.nonlinearity(new_state)
-        due = k % config.record_every == 0 or k == n_steps
-        norms = _norm_set(model, state, sigmas if due else (lead,))
-        if not np.isfinite(norms[lead]) or norms[lead] > threshold:
-            record(t, f_state, norms if due else _norm_set(model, state, sigmas))
+        norms = _norm_set(model, state, sigmas)
+        crossed = not np.isfinite(norms[lead]) or norms[lead] > threshold
+        if crossed or k % config.record_every == 0 or k == n_steps:
+            record(t, f_state, norms)
+        if crossed:
             blowup_time, blowup_reason = t, "norm-threshold"
             break
-        if due:
-            record(t, f_state, norms)
         if config.snapshot_every and k % config.snapshot_every == 0:
             snapshots.append((t, state.copy()))
 
@@ -244,8 +246,7 @@ def picard_solve(model, u0, t_end: float,
     (f_{j+1} - f_j) on segment j, the running sum obeys the stable
     forward recursion S_{k+1} = e^{(t_{k+1}-t_k) lam} S_k + g_k. A sweep
     calls the model's nonlinearity, eigen transforms and norms once each,
-    on the (K+1, ...) stack of node states (so they take leading axes and
-    model.norm gives one norm per state); only the recursion loops.
+    on the (K+1, ...) stack of node states; only the recursion loops.
 
     Successive iterates are compared in the sup norm at the march's lead
     level monitor_sigmas[0] plus the t^weighted_mu weighted sup at level

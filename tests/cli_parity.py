@@ -14,9 +14,11 @@ results differ, with the parts that differ, and exits 1 if any do.
 The battery covers every report (`exponents`, both `lab` commands,
 `scaling-test`, `simulate` with a decay fit, `decay-test`,
 `spectral-bound`), the heat models with whole and partial last steps,
-both integrators of the frozen quasilinear march, a flagged decay test
-and the error paths, on small inputs, among them refusals that must
-leave no run directory behind.
+both integrators of the frozen quasilinear march, a march that records
+every third step and one that flags on a step it does not record, a
+flagged decay test and the error paths, on small inputs, among them
+refusals (a decay test from zero data, for one) that must leave no run
+directory behind.
 Not collected by pytest: it has no `test_` prefix.
 """
 
@@ -60,6 +62,8 @@ BATTERY = {
     "scaling-bad-lambda": ["scaling-test", "--lambda", "inf"],
     "scaling-blowup": ["scaling-test", "--amplitude", "100", "--t-end", "0.1"],
     "simulate-cloud-fit": ["simulate", *SMALL_STRIP, "--t-end", "0.05"],
+    "simulate-record-every": ["simulate", *SMALL_STRIP, "--t-end", "0.05",
+                              "--record-every", "3"],
     "simulate-cloud-open-snapshots": ["simulate", "--open", *SMALL_STRIP,
                                       "--t-end", "0.01", "--snapshot-every",
                                       "5", "--init", "random"],
@@ -71,6 +75,9 @@ BATTERY = {
     "simulate-heat-semilinear-blowup": ["simulate", "--model",
                                         "heat-semilinear", "--amplitude",
                                         "80", "--t-end", "0.2"],
+    "simulate-heat-semilinear-record-every-blowup": [
+        "simulate", "--model", "heat-semilinear", "--amplitude", "80",
+        "--t-end", "0.2", "--record-every", "7"],
     "simulate-heat-quasilinear": ["simulate", "--model", "heat-quasilinear",
                                   "--t-end", "0.05"],
     "simulate-heat-quasilinear-exp-euler": ["simulate", "--model",
@@ -95,6 +102,7 @@ BATTERY = {
     "decay-test": ["decay-test", *SMALL_STRIP, "--t-end", "1.0"],
     "decay-test-blowup": ["decay-test", "--amplitude", "1e3", "--t-end", "0.1",
                           *SMALL_STRIP],
+    "decay-test-zero-init": ["decay-test", "--init", "zero"],
     "decay-test-unstable": ["decay-test", "--eta", "12"],
     "spectral-bound": ["spectral-bound"],
     "spectral-bound-open": ["spectral-bound", "--open", *SMALL_STRIP],

@@ -16,17 +16,23 @@ by conjugation and the five-FFT nonlinearity. The half-spectrum model
 must march, iterate and snapshot as it does, to 1e-12 relative.
 """
 
+import importlib
+import inspect
 import math
+import pkgutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mildflow
 from mildflow import cli
 from mildflow.chebyshev import cumulative_matrix, diff_matrix
 from mildflow.cloud import CloudCoefficients, CloudModel, mode_stack
 from mildflow.config import parse_config
 from mildflow.exponents import BetaConstants, validate_exponents
+from mildflow.heat import (PeriodicGrid, PeriodicHeatModel,
+                           QuasilinearHeatModel, SemilinearHeatModel)
 from mildflow.lab import (ContractionParameters, FixedPointProblem,
                           InfeasibleProblem, _binding,
                           check_contraction_inequalities,
@@ -494,8 +500,8 @@ def _counted(fn, shapes):
 
 
 def _picard_case(kind):
-    """(model, u0, distance levels of the SolverConfig) of a lab problem
-    or of the 16x12 strip."""
+    """(model, u0, distance levels of the SolverConfig) of a lab problem,
+    the 16x12 strip, the sine model or the periodic line."""
     if kind == "lab":
         problem = random_problem(7, np.random.default_rng(7))
         exps = problem.exponents
@@ -503,11 +509,22 @@ def _picard_case(kind):
         u0 = 0.05 * direction / problem.norm(direction, exps.alpha)
         return problem, u0, dict(monitor_sigmas=(exps.contraction_level,),
                                  weighted_sigma=exps.xi, weighted_mu=exps.mu)
+    if kind == "heat-semilinear":
+        model = SemilinearHeatModel(32, kappa=6.0)
+        recipe = model.recipe
+        u0 = model.state_from_function(lambda x: 0.5 * np.sin(np.pi * x))
+        return model, u0, dict(monitor_sigmas=(recipe.s_c,),
+                               weighted_sigma=recipe.s, weighted_mu=recipe.mu)
+    if kind == "heat-periodic":
+        model = PeriodicHeatModel(PeriodicGrid(8.0, 64), kappa=5.0)
+        u0 = model.state_from_values(np.exp(-model.grid.nodes ** 2 / 2))
+        return model, u0, dict(weighted_sigma=1.0, weighted_mu=0.25)
     model, _, u0, _ = _strip_pair(periodic_strip(16, 12), amplitude=0.3)
     return model, u0, dict(weighted_sigma=1.5, weighted_mu=0.25)
 
 
-@pytest.mark.parametrize("kind", ["lab", "cloud"])
+@pytest.mark.parametrize("kind", ["lab", "cloud", "heat-semilinear",
+                                  "heat-periodic"])
 def test_picard_sweep_calls_f_and_norms_once_over_the_node_stack(kind):
     model, u0, levels = _picard_case(kind)
     config = SolverConfig(picard_segments=32, picard_tol=1e-12,
@@ -519,6 +536,7 @@ def test_picard_sweep_calls_f_and_norms_once_over_the_node_stack(kind):
         norm=_counted(model.norm, norm_shapes))
     result = picard_solve(counted, u0, 0.1, config)
     assert result.converged and result.iterations >= 3
+    assert np.all(np.isfinite(result.states))
     nodes = config.picard_segments + 1
     assert f_shapes == [(nodes,) + u0.shape] * result.iterations
     # the scale of u0, then at most the sup and the weighted term per sweep
@@ -527,25 +545,60 @@ def test_picard_sweep_calls_f_and_norms_once_over_the_node_stack(kind):
     assert result.states.shape == (nodes,) + u0.shape
 
 
-def test_stacked_callables_match_single_states():
-    geometry = periodic_strip(16, 12)
-    model, _, _, _ = _strip_pair(geometry)
-    stack = np.stack([model.state_from_field(random_dirichlet_field(
-        geometry, np.random.default_rng(seed))) for seed in range(5)])
-    f_stack = model.nonlinearity(stack)
-    sigmas = (0.0, 1.0, 1.5)
-    norms = model.norms(stack, sigmas)
-    for k, state in enumerate(stack):
-        _assert_close(f_stack[k], model.nonlinearity(state))
-        single = model.norms(state, sigmas)
-        for sigma in sigmas:
-            assert isinstance(single[sigma], float)
-            assert abs(norms[sigma][k] - single[sigma]) <= 1e-12 * single[sigma]
+def _package_model_classes():
+    """Every class defined in the package with a nonlinearity and a norm."""
+    found = set()
+    for info in pkgutil.iter_modules(mildflow.__path__):
+        module = importlib.import_module(f"mildflow.{info.name}")
+        found.update(cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                     if cls.__module__ == module.__name__
+                     and hasattr(cls, "nonlinearity") and hasattr(cls, "norm"))
+    return found
 
+
+def _stack_cases():
+    """(model, (2, 3, ...) stack of states, norm levels) for each model
+    kind of the package: strip, lab, sine, cosine, periodic of both kinds."""
+    rng = np.random.default_rng(8)
+    geometry = periodic_strip(16, 12)
+    cloud, _, _, _ = _strip_pair(geometry)
+    strip_states = np.stack([cloud.state_from_field(random_dirichlet_field(
+        geometry, np.random.default_rng(seed))) for seed in range(6)])
     problem = random_problem(9, np.random.default_rng(4))
-    rows = np.random.default_rng(8).standard_normal((2, 40, 9))
-    f = problem.nonlinearity
-    assert np.array_equal(f(rows), [[f(row) for row in block] for block in rows])
+    sine, cosine = SemilinearHeatModel(32), QuasilinearHeatModel(17)
+    line = PeriodicGrid(8.0, 64)
+    cases = [(cloud, strip_states, (0.0, 1.0, 1.5)),
+             (problem, rng.standard_normal((6, 9)), (0.0, 0.5, 1.0)),
+             (sine, rng.standard_normal((6, 31)), (0.0, 1.0, 1.5)),
+             (cosine, 0.3 * rng.standard_normal((6, 17)), (0.0, 1.0))]
+    for kind in ("semilinear", "quasilinear"):
+        model = PeriodicHeatModel(line, kind)
+        cases.append((model, model.state_from_values(
+            0.5 * rng.standard_normal((6, 64))), (0.0, 1.0)))
+    return [(model, states.reshape((2, 3) + states.shape[1:]), sigmas)
+            for model, states, sigmas in cases]
+
+
+def test_stacked_callables_match_single_states():
+    cases = _stack_cases()
+    assert {type(model) for model, _, _ in cases} == _package_model_classes()
+    for model, stack, sigmas in cases:
+        rows = [state for block in stack for state in block]
+        f_stack = model.nonlinearity(stack).reshape((6,) + stack.shape[2:])
+        for k, state in enumerate(rows):
+            assert np.array_equal(f_stack[k], model.nonlinearity(state))
+        for sigma in sigmas:
+            norms = model.norm(stack, sigma)
+            assert norms.shape == (2, 3)
+            single = [model.norm(state, sigma) for state in rows]
+            assert all(isinstance(value, float) for value in single)
+            assert np.array_equal(norms.ravel(), single)
+        if hasattr(model, "norms"):  # every level from one transform
+            stacked = model.norms(stack, sigmas)
+            for k, state in enumerate(rows):
+                for sigma, value in model.norms(state, sigmas).items():
+                    assert isinstance(value, float)
+                    assert np.array_equal(stacked[sigma].reshape(6)[k], value)
 
 
 @pytest.mark.parametrize("extra", [[], ["--set", "grid.periodic=false",

@@ -928,6 +928,16 @@ def test_decay_test_without_a_fit_window_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_decay_test_zero_initial_data_exit_2(tmp_path, capsys):
+    # zero data has no decay rate to fit: refused before any file is written
+    out = tmp_path / "run"
+    assert main(["decay-test", "--init", "zero", "--set", "grid.nx=16",
+                 "--set", "grid.ny=12", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: init.kind: decay test needs nonzero initial data\n")
+    assert not out.exists()
+
+
 def test_decay_test_unstable_coefficients_exit_2(tmp_path):
     out = str(tmp_path / "run")
     assert main(["decay-test", "--eta", "12.0", "--out", out]) == 2

@@ -1,5 +1,6 @@
 """Interval heat models: pointwise nonlinearities against closed forms,
-divergence-form mass conservation, and the parabolic scaling laws."""
+divergence-form mass conservation, the parabolic scaling laws, and
+Picard on the graded mesh against the march."""
 
 import math
 import tracemalloc
@@ -22,7 +23,8 @@ from mildflow.heat import (
 )
 from mildflow import propagators
 from mildflow.propagators import Propagator
-from mildflow.solver import SolverConfig, fit_decay_rate, run_simulation
+from mildflow.solver import (SolverConfig, fit_decay_rate, picard_solve,
+                             run_simulation)
 from oracles import phi_action_dense, scaling_transform_one_piece
 
 
@@ -176,6 +178,19 @@ def test_quasilinear_nonfinite_diffusivity_is_instability():
     with np.errstate(over="ignore"), \
             pytest.raises(FloatingPointError, match="diffusivity"):
         q.operator_matrix(u)
+
+
+def test_quasilinear_diffusivity_overflow_flags_before_the_first_step():
+    # the L2 norm is finite (4.7e153), but a(u) = 1 + u^2 overflows in the
+    # first operator_matrix, so the march stops at t = 0 without a step
+    q = QuasilinearHeatModel(65)
+    u0 = q.state_from_function(lambda x: 3e153 * sum(
+        np.cos(k * np.pi * x) for k in range(1, 6)))
+    assert np.isfinite(q.norm(u0, 0.0))
+    with np.errstate(over="ignore"):
+        tr = run_simulation(q, u0, SolverConfig(dt=1e-3, t_end=0.05))
+    assert tr.blowup_reason == "nonfinite" and tr.blowup_time == 0.0
+    assert tr.steps == 0 and tr.times.size == 1
 
 
 def test_quasilinear_frozen_step_self_convergence():
@@ -424,3 +439,26 @@ def test_roundtrip_semilinear_and_quasilinear():
     rep = scaling_roundtrip_test(u0, 2.0, 0.1, 1e-3, "etdrk2", grid,
                                  "quasilinear", 4.0)
     assert rep.discrepancy < 1e-3
+
+
+# ---------- Picard on the graded mesh ----------
+
+@pytest.mark.parametrize("kind", ["sine", "periodic"])
+def test_picard_agrees_with_the_march(kind):
+    # K = 128 graded segments against ETDRK2 at dt = 1e-4 to T = 0.05;
+    # the sine gap is Picard's mesh error (1.4e-6 at K = 64, 6e-8 at 256)
+    if kind == "sine":
+        model = SemilinearHeatModel(64, kappa=6.0)
+        u0 = model.state_from_function(
+            lambda x: np.sin(np.pi * x) + 0.3 * np.sin(3.0 * np.pi * x))
+        sigma, tol = 1.0, 1e-6
+    else:
+        model = PeriodicHeatModel(PeriodicGrid(8.0, 128), kappa=5.0)
+        u0 = model.state_from_values(0.5 * np.exp(-model.grid.nodes ** 2 / 2.0))
+        sigma, tol = 0.0, 1e-8
+    picard = picard_solve(model, u0, 0.05, SolverConfig(picard_segments=128))
+    march = run_simulation(model, u0, SolverConfig(dt=1e-4, t_end=0.05))
+    assert picard.converged and picard.iterations <= 6
+    assert not march.flagged
+    gap = model.norm(picard.final_state - march.final_state, sigma)
+    assert gap < tol * model.norm(march.final_state, sigma)

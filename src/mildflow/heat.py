@@ -356,13 +356,14 @@ def scaling_roundtrip_test(u0_values: np.ndarray, lam_scale: float,
     if products > 1 << 26:
         raise ValueError(f"grid.n: {products:,} resampling products exceed 2^26")
     model = PeriodicHeatModel(grid, model_kind, kappa, diffusion, nonlinear)
+    # refuses data too wide to rescale before either march
+    v0 = scaling_transform(u0_values, grid, lam_scale, model_kind, kappa)
     traj_a = run_simulation(model, model.state_from_values(u0_values), cfg_a)
     if traj_a.flagged:
         raise RuntimeError(f"unscaled run flagged blow-up: {traj_a.blowup_reason}")
     scaled_after = scaling_transform(model.values(traj_a.final_state), grid,
                                      lam_scale, model_kind, kappa)
 
-    v0 = scaling_transform(u0_values, grid, lam_scale, model_kind, kappa)
     cfg_b = SolverConfig(dt=dt / lam_scale, t_end=t_final / lam_scale,
                          integrator=integrator, monitor_sigmas=(0.0,))
     traj_b = run_simulation(model, model.state_from_values(v0), cfg_b)

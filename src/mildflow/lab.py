@@ -70,7 +70,6 @@ class FixedPointProblem:
     generator: np.ndarray
     exponents: ExponentSet
     epsilon: float = 1.0
-    ball_radius: float = 1.0
 
     def __post_init__(self):
         a = np.asarray(self.generator, dtype=float)
@@ -89,9 +88,6 @@ class FixedPointProblem:
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(
                 f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if not 0.0 < self.ball_radius < np.inf:
-            raise ValueError(
-                f"ball_radius must be finite and positive, got {self.ball_radius}")
 
     @property
     def dimension(self) -> int:
@@ -126,10 +122,10 @@ class FixedPointProblem:
                     for n in xi_norms.ravel().tolist()]
         return np.reshape(strength, xi_norms.shape + (1,)) * u
 
-    def lipschitz(self, rng=None) -> float:
+    def lipschitz(self) -> float:
         """N with ||f(w)-f(v)||_gamma <= N (||w||_xi^(q-1) + ||v||_xi^(q-1))
         ||w-v||_xi on the whole space: epsilon lambda_min^(gamma-xi)
-        max(1, q/2). `rng` is accepted and ignored.
+        max(1, q/2).
 
         With a = ||w||_xi, b = ||v||_xi and p = q-1, a^p w - b^p v =
         (a^p+b^p)(w-v)/2 + (a^p-b^p)(w+v)/2; then ||x||_gamma <=
@@ -276,8 +272,7 @@ def _binding(slacks: dict) -> Optional[str]:
 def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
                       n_star: float, beta_consts: BetaConstants,
                       m_profile: Optional[Callable] = None,
-                      initial_xi_norm: float = 0.0,
-                      ball_radius: Optional[float] = None
+                      initial_xi_norm: float = 0.0
                       ) -> ContractionParameters:
     """Invert the contraction inequalities for the largest (L, r, T).
 
@@ -306,8 +301,6 @@ def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
     r_caps = [L / (4.0 * w0), 0.999]
     if exponents.beta_exp is not None:
         r_caps.append(1.0 / (32.0 * w1))
-    if ball_radius is not None:
-        r_caps.append(ball_radius)
     r = SELECT_SAFETY * min(r_caps)
 
     def slacks(t_end: float) -> dict:
@@ -365,7 +358,7 @@ def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
     if not result.converged:
         raise FixedPointDivergence(
             "Picard iteration did not settle within "
-            f"{config.picard_max_iter} sweeps (last ratio {ratio:.3f})",
+            f"{result.iterations} sweeps (last ratio {ratio:.3f})",
             ratios)
     return result, ratio
 
@@ -480,7 +473,7 @@ def random_problem(dim: int, rng, quasilinear: bool = False,
     if epsilon is None:
         epsilon = float(rng.uniform(0.2, 2.0))
     return FixedPointProblem(generator=generator, exponents=exps,
-                             epsilon=epsilon, ball_radius=1.0)
+                             epsilon=epsilon)
 
 
 def contraction_experiment(dim: int = 8, seed: int = 0,
@@ -492,15 +485,14 @@ def contraction_experiment(dim: int = 8, seed: int = 0,
     constants = estimate_semigroup_constants(problem)
     n_star = problem.lipschitz()
     beta_consts = BetaConstants.from_exponents(exps)
-    first = select_parameters(constants, exps, n_star, beta_consts,
-                              ball_radius=problem.ball_radius)
+    first = select_parameters(constants, exps, n_star, beta_consts)
     direction = rng.standard_normal(problem.dimension)
     direction /= max(problem.norm(direction, exps.alpha), 1e-30)
     u0 = 0.9 * first.r * direction
     profile, xi_norm = tail_profile(problem, u0), problem.norm(u0, exps.xi)
     params = select_parameters(
         constants, exps, n_star, beta_consts, m_profile=profile,
-        initial_xi_norm=xi_norm, ball_radius=problem.ball_radius)
+        initial_xi_norm=xi_norm)
     result, ratio = run_fixed_point(problem, params, u0)
     slacks = check_contraction_inequalities(
         params, constants, exps, n_star, beta_consts, profile,

@@ -10,12 +10,13 @@ it, and a block whose eigenvector basis is too ill-conditioned is marked
 defective. A defective block falls back to one expm of an augmented
 matrix, whose top block row holds e^a, phi1(a) and phi2(a) together,
 trading speed for robustness; scipy, a runtime dependency for that expm,
-is imported on the first fallback. Every scalar exponent goes through one
-function, phi(z, order), whose orders 0, 1 and 2 are e^z, phi1 and phi2
-under one overflow guard; a real argument stays real, so a real generator
-acts on a real state in real arithmetic. A propagator also builds the
-step factors e^{hA}, phi1(hA), phi2(hA) of one fixed h (multipliers or
-block matrices), which apply_block_factor applies; the last h is cached.
+is imported on the first fallback. The exponents of the march and of
+Picard go through one function, phi(z, order), whose orders 0, 1 and 2
+are e^z, phi1 and phi2 under one overflow guard; a real argument stays
+real, so a real generator acts on a real state in real arithmetic. A
+propagator also builds the step factors e^{hA}, phi1(hA), phi2(hA) of one
+fixed h (multipliers or block matrices), which apply_block_factor
+applies; the last h is cached.
 """
 
 from __future__ import annotations

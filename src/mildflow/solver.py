@@ -250,7 +250,8 @@ def picard_solve(model, u0, t_end: float,
 
     Successive iterates are compared in the sup norm at the march's lead
     level monitor_sigmas[0] plus the t^weighted_mu weighted sup at level
-    weighted_sigma; their ratios estimate the contraction factor.
+    weighted_sigma; their ratios estimate the contraction factor. A
+    sweep whose distance is not finite ends the iteration unconverged.
     """
     propagator, norm_fn = model.propagator, model.norm
     sigma_sup, sigma_weighted = config.monitor_sigmas[0], config.weighted_sigma
@@ -270,20 +271,18 @@ def picard_solve(model, u0, t_end: float,
         return out.real if want_real and np.iscomplexobj(out) else out
 
     def distance(states_a, states_b):
-        # fmax skips NaN norms, as a running max() from 0.0 does
         diff = states_a - states_b
-        d_sup = np.fmax.reduce(norm_fn(diff, sigma_sup), initial=0.0)
+        d_sup = np.max(norm_fn(diff, sigma_sup))
         d_weight = 0.0
         if sigma_weighted is not None:
-            d_weight = np.fmax.reduce(
-                weights * norm_fn(diff[later], sigma_weighted), initial=0.0)
+            d_weight = np.max(weights * norm_fn(diff[later], sigma_weighted))
         return d_sup + d_weight
 
     # tables of the factors of z = h_j lam and of the free orbit
     # e^{t_k lam} u0_hat: they depend only on the mesh and the spectrum
     z = h * lam
     p1, p2, decay = phi(z, 1), phi(z, 2), phi(z, 0)
-    free = np.exp(np.multiply.outer(tau, lam)) * u0_hat
+    free = phi(np.multiply.outer(tau, lam), 0) * u0_hat
     # first iterate: the free semigroup orbit of the initial value
     states = reconstruct(free)
     running = np.zeros(free.shape, dtype=complex)  # S_k; S_0 stays 0
@@ -301,6 +300,8 @@ def picard_solve(model, u0, t_end: float,
         dist = distance(new_states, states)
         distances.append(dist)
         states = new_states
+        if not np.isfinite(dist):
+            break
         if dist < config.picard_tol * scale:
             converged = True
             break

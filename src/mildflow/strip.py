@@ -176,13 +176,13 @@ def _sine_projection(ny: int):
 
 
 @lru_cache(maxsize=64)
-def _norm_multipliers(geometry: StripGeometry, sigmas: tuple) -> np.ndarray:
-    """Rows w_n (1 + k_n^2 + (m pi)^2)^sigma, one per sigma, over the
-    flattened (n, m) grid; w_n the Parseval weights."""
+def _norm_multiplier(geometry: StripGeometry, sigma: float) -> np.ndarray:
+    """The (1, M) row w_n (1 + k_n^2 + (m pi)^2)^sigma over the flattened
+    (n, m) grid; w_n the Parseval weights."""
     _, m = _sine_projection(geometry.ny)
     lam = geometry.wavenumbers()[:, None] ** 2 + (math.pi * m[None, :]) ** 2
     w = geometry.parseval_weights()[:, None]
-    return np.stack([(w * (1.0 + lam) ** sigma).ravel() for sigma in sigmas])
+    return (w * (1.0 + lam) ** sigma).reshape(1, -1)
 
 
 def l2_norm(field: SpectralField) -> float:
@@ -193,28 +193,27 @@ def l2_norm(field: SpectralField) -> float:
     return math.sqrt(2.0 * field.geometry.half_length * float(per_mode @ w))
 
 
-def sobolev_norm_set(field, sigmas, geometry: StripGeometry | None = None) -> dict:
+def sobolev_norm_set(interior, sigmas, geometry: StripGeometry) -> dict:
     """All requested orders from a single sine projection.
 
-    `field` is a SpectralField or, given its `geometry`, the (nx/2+1, ny-2)
-    interior columns of a field that vanishes on the walls; a stack of
-    either (leading axes) gets an array of norms per order.
+    `interior` holds the (nx/2+1, ny-2) interior columns of a field on
+    `geometry` that vanishes on the walls, or a stack of them (leading
+    axes), which gets an array of norms per order. Each order takes its
+    own (1, M) product, so its value does not depend on the other orders
+    asked for with it.
     """
     for sigma in sigmas:
         if not (0.0 <= sigma <= 2.0):
             raise ValueError(f"sigma must lie in [0, 2], got {sigma}")
-    if geometry is None:
-        geometry, coeffs, rows = field.geometry, field.coeffs, slice(None)
-    else:
-        coeffs, rows = field, slice(1, -1)
-    sigmas = tuple(sigmas)
-    multipliers = _norm_multipliers(geometry, sigmas)
     analysis, _ = _sine_projection(geometry.ny)
-    snm = coeffs @ analysis[rows]
+    snm = interior @ analysis[1:-1]
     power = (snm.real ** 2 + snm.imag ** 2).reshape(snm.shape[:-2] + (-1, 1))
-    totals = np.sqrt(2.0 * geometry.half_length * (multipliers @ power)[..., 0])
-    per_sigma = totals.tolist() if totals.ndim == 1 else np.moveaxis(totals, -1, 0)
-    return dict(zip(sigmas, per_sigma))
+    norms = {}
+    for sigma in sigmas:
+        total = (_norm_multiplier(geometry, sigma) @ power)[..., 0, 0]
+        norm = np.sqrt(2.0 * geometry.half_length * total)
+        norms[sigma] = float(norm) if norm.ndim == 0 else norm
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ The battery covers every report (`exponents`, both `lab` commands,
 both integrators of the frozen quasilinear march, a march that records
 every third step and one that flags on a step it does not record, a
 flagged decay test and the error paths, on small inputs, among them
-refusals (a decay test from zero data, for one) that must leave no run
-directory behind.
+refusals (a decay test from zero data, an odd `grid.nx`, scaling-test
+data too wide for its box) that must leave no run directory behind.
 Not collected by pytest: it has no `test_` prefix.
 """
 
@@ -61,6 +61,7 @@ BATTERY = {
                             "--kappa", "3.5", "--t-end", "0.1"],
     "scaling-bad-lambda": ["scaling-test", "--lambda", "inf"],
     "scaling-blowup": ["scaling-test", "--amplitude", "100", "--t-end", "0.1"],
+    "scaling-wide-data": ["scaling-test", "--half-width", "3", "--t-end", "2"],
     "simulate-cloud-fit": ["simulate", *SMALL_STRIP, "--t-end", "0.05"],
     "simulate-record-every": ["simulate", *SMALL_STRIP, "--t-end", "0.05",
                               "--record-every", "3"],
@@ -97,6 +98,7 @@ BATTERY = {
     "simulate-unknown-key": ["simulate", "--set", "bogus=1"],
     "simulate-missing-config": ["simulate", "--config", "missing.cfg"],
     "simulate-zero-dt": ["simulate", "--dt", "0"],
+    "simulate-odd-nx": ["simulate", "--nx", "63"],
     "simulate-snapshot-storage": ["simulate", "--t-end", "50",
                                   "--snapshot-every", "1", "--out", "a/b/run"],
     "decay-test": ["decay-test", *SMALL_STRIP, "--t-end", "1.0"],

@@ -34,7 +34,8 @@ def derivative_y(field: SpectralField) -> SpectralField:
 
 def sobolev_norm(field: SpectralField, sigma: float) -> float:
     """Multiplier norm: sum over modes of (1 + k^2 + (m pi)^2)^sigma |c|^2."""
-    return sobolev_norm_set(field, (sigma,))[sigma]
+    return sobolev_norm_set(field.coeffs[..., 1:-1], (sigma,),
+                            field.geometry)[sigma]
 
 
 def h1_norm_quadrature(field: SpectralField) -> float:
@@ -153,17 +154,18 @@ def step_exponential(state, dt, propagator, nonlinearity,
 # ------------------------------------------------------------------- lab
 
 
-def sampled_lipschitz(problem, rng, samples: int = 400) -> float:
+def sampled_lipschitz(problem, rng, radius: float = 1.0,
+                      samples: int = 400) -> float:
     """Largest ||f(w)-f(v)||_gamma / ((||w||_xi^(q-1) + ||v||_xi^(q-1))
     ||w-v||_xi) over random pairs of a `FixedPointProblem`.
 
-    Each point is a normal direction scaled to xi-norm ball_radius times a
-    radius in [0.05, 1); every third v is w plus 1e-4 ball_radius times a
+    Each point is a normal direction scaled to xi-norm `radius` times a
+    factor in [0.05, 1); every third v is w plus 1e-4 `radius` times a
     normal vector instead, to probe the local regime. Pairs whose
     denominator falls below 1e-30 are skipped, and 0 is returned when all
     are. A lower bound of the closed-form `FixedPointProblem.lipschitz`.
     """
-    exps, m, radius = problem.exponents, problem.dimension, problem.ball_radius
+    exps, m = problem.exponents, problem.dimension
 
     def ball_points():
         x = rng.standard_normal((samples, m))

@@ -72,18 +72,17 @@ def _verdict(num, label, ok, t0, limit):
 def _planned_run(problem, rng, u0_factor=0.5):
     """Select certified contraction parameters and an in-ball state."""
     constants = estimate_semigroup_constants(problem)
-    n_star = problem.lipschitz(rng=rng)
+    n_star = problem.lipschitz()
     beta_consts = BetaConstants.from_exponents(problem.exponents)
     first = select_parameters(constants, problem.exponents, n_star,
-                              beta_consts, ball_radius=problem.ball_radius)
+                              beta_consts)
     direction = rng.standard_normal(problem.dimension)
     direction /= problem.norm(direction, problem.exponents.alpha)
     u0 = u0_factor * first.r * direction
     params = select_parameters(
         constants, problem.exponents, n_star, beta_consts,
         m_profile=tail_profile(problem, u0),
-        initial_xi_norm=problem.norm(u0, problem.exponents.xi),
-        ball_radius=problem.ball_radius)
+        initial_xi_norm=problem.norm(u0, problem.exponents.xi))
     return params, u0, constants
 
 

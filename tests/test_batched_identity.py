@@ -129,7 +129,7 @@ def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
 
 
 def reference_select(constants, exps, n_star, beta_consts, m_profile=None,
-                     initial_xi_norm=0.0, ball_radius=None):
+                     initial_xi_norm=0.0):
     """Selection bisecting on its own `blocking` predicate, which restates
     the inequalities (with a zero reference alpha norm, the only value
     ever passed). Returns (L, r, T, hi, binding): hi is the top of the
@@ -147,8 +147,6 @@ def reference_select(constants, exps, n_star, beta_consts, m_profile=None,
     r_caps = [L / (4.0 * w0), 0.999]
     if quasilinear:
         r_caps.append(1.0 / (32.0 * w1))
-    if ball_radius is not None:
-        r_caps.append(ball_radius)
     r = 0.9 * min(r_caps)
     profile = m_profile if m_profile is not None else (lambda _t: 0.0)
     if quasilinear:
@@ -190,8 +188,7 @@ def reference_select(constants, exps, n_star, beta_consts, m_profile=None,
 def test_lipschitz_and_picard_match_reference_loops(dim, quasilinear):
     problem = random_problem(dim, np.random.default_rng(dim),
                              quasilinear=quasilinear)
-    n_star = problem.lipschitz(rng=np.random.default_rng(5))
-    assert n_star == problem.lipschitz()  # the rng is ignored
+    n_star = problem.lipschitz()
     assert n_star == pytest.approx(closed_form_lipschitz(problem), rel=1e-12)
     assert sampled_lipschitz(problem, np.random.default_rng(5)) \
         <= n_star * (1.0 + 1e-9)
@@ -228,7 +225,7 @@ def selections_against_reference(dim, seed, quasilinear):
     problem = random_problem(dim, rng, quasilinear=quasilinear)
     exps = problem.exponents
     constants = estimate_semigroup_constants(problem)
-    n_star = problem.lipschitz(rng=rng)
+    n_star = problem.lipschitz()
     beta = BetaConstants.from_exponents(exps)
     at_hi = []
 
@@ -254,14 +251,13 @@ def selections_against_reference(dim, seed, quasilinear):
             assert _binding(at_hi[-1]) == binding
         return params
 
-    first = compare(ball_radius=problem.ball_radius)
+    first = compare()
     if first is not None:
         direction = rng.standard_normal(dim)
         direction /= max(problem.norm(direction, exps.alpha), 1e-30)
         u0 = 0.9 * first.r * direction
         compare(m_profile=tail_profile(problem, u0),
-                initial_xi_norm=problem.norm(u0, exps.xi),
-                ball_radius=problem.ball_radius)
+                initial_xi_norm=problem.norm(u0, exps.xi))
     return at_hi
 
 
@@ -282,17 +278,14 @@ def test_selection_keeps_the_window_strict(dim, seed):
 
 
 def test_lipschitz_closed_form_holds_off_the_unit_ball():
-    # the bound holds on the whole space, so the ball radius does not
-    # enter it; on a radius-1e-14 ball the nearly coincident pairs have
+    # the bound holds on the whole space, so it holds on balls of every
+    # radius; on a radius-1e-14 ball the nearly coincident pairs have
     # denominators near 1e-32 and the oracle skips them, at 1e-30 all
-    generator = np.diag([-1.0, -2.0, -3.5])
-    unit = FixedPointProblem(generator, SEMI)
-    n_star = unit.lipschitz()
-    assert n_star == closed_form_lipschitz(unit)
+    problem = FixedPointProblem(np.diag([-1.0, -2.0, -3.5]), SEMI)
+    n_star = problem.lipschitz()
+    assert n_star == closed_form_lipschitz(problem)
     for radius in (1e-30, 1e-14, 1.0, 1e3):
-        problem = FixedPointProblem(generator, SEMI, ball_radius=radius)
-        assert problem.lipschitz() == n_star
-        sampled = sampled_lipschitz(problem, np.random.default_rng(0))
+        sampled = sampled_lipschitz(problem, np.random.default_rng(0), radius)
         assert sampled <= n_star * (1.0 + 1e-9)
         assert (sampled == 0.0) == (radius == 1e-30)
 

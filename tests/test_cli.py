@@ -219,6 +219,27 @@ def test_scaling_test_checks_the_storage_of_its_own_model(
     assert not out.exists()
 
 
+def test_scaling_test_refuses_wide_data_before_any_march(
+        tmp_path, monkeypatch, capsys):
+    # the default Gaussian reaches the edges of a half-width-3 box
+    calls = []
+    monkeypatch.setattr(heat, "run_simulation",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "run"
+    assert main(["scaling-test", "--half-width", "3", "--t-end", "2",
+                 "--out", str(out)]) == 2
+    assert "rescaled support exits box" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_odd_nx_is_refused_in_configuration(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--nx", "63", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: grid.nx: must be even, got 63\n"
+    assert not out.exists()
+
+
 def test_snapshots_are_refused_above_the_storage_limit(
         tmp_path, monkeypatch, capsys):
     # 501 snapshots of the default strip's 24,288-byte state take 11.6 MiB,

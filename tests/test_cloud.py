@@ -336,6 +336,21 @@ def test_model_state_round_trip_and_norms():
     assert model.norm(state, 1.0) == pytest.approx(want, rel=1e-10)
 
 
+def test_a_norm_level_does_not_depend_on_the_levels_asked_with_it():
+    # each level takes its own (1, M) product, so norms(x, S)[s] is
+    # norm(x, s) bit for bit for every set S of levels
+    geo = periodic_strip()
+    model = CloudModel(CloudCoefficients(1, 0, 1), geo)
+    rng = np.random.default_rng(3)
+    shape = (geo.nx // 2 + 1, geo.ny - 2)
+    level_sets = [(0.0, 1.0), (1.0, 1.5), (0.0, 1.0, 1.5), (1.5, 0.0, 2.0)]
+    for _ in range(20):
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for sigmas in level_sets:
+            for sigma, value in model.norms(state, sigmas).items():
+                assert value == model.norm(state, sigma)
+
+
 def test_model_linear_mode_evolution_matches_eigenvalue():
     geo = periodic_strip(nx=32, ny=32)
     model = CloudModel(CloudCoefficients(1, 0, 0), geo)

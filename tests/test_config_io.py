@@ -24,6 +24,7 @@ from mildflow.exponents import ExponentError
 from mildflow.heat import (PeriodicGrid, QuasilinearHeatModel,
                           SemilinearHeatModel, scaling_roundtrip_test)
 from mildflow.io import (
+    _atomic_write_bytes,
     atomic_write_text,
     format_float,
     sigma_label,
@@ -329,6 +330,25 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     assert target.read_text() == "payload"
     leftovers = [p for p in target.parent.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_atomic_write_keeps_the_old_target(tmp_path, monkeypatch,
+                                                  failing):
+    # the temp file goes, the error propagates, the target keeps its bytes
+    target = tmp_path / "x.txt"
+    target.write_text("old")
+    payload = b"new"
+    if failing == "write":
+        payload = None  # not bytes: the handle's write raises TypeError
+    else:
+        def fail(*args):
+            raise OSError("rename refused")
+        monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(TypeError if failing == "write" else OSError):
+        _atomic_write_bytes(str(target), payload)
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
 
 def test_artifacts_take_the_mode_of_a_plain_open(tmp_path):

@@ -462,3 +462,17 @@ def test_picard_agrees_with_the_march(kind):
     assert not march.flagged
     gap = model.norm(picard.final_state - march.final_state, sigma)
     assert gap < tol * model.norm(march.final_state, sigma)
+
+
+def test_picard_stops_unconverged_when_the_iterates_overflow():
+    # u0 = 2 sin(pi x) blows up before T = 0.1 at kappa = 6: the sweeps
+    # overflow, and the first distance that is not finite ends them
+    model = SemilinearHeatModel(32, kappa=6.0)
+    u0 = model.state_from_function(lambda x: 2.0 * np.sin(np.pi * x))
+    config = SolverConfig(picard_segments=32, picard_tol=1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = picard_solve(model, u0, 0.1, config)
+    assert not result.converged
+    assert result.iterations == len(result.distances) < config.picard_max_iter
+    assert np.isfinite(result.distances[:-1]).all()
+    assert not np.isfinite(result.distances[-1])

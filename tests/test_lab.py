@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from mildflow.exponents import BetaConstants, validate_exponents
 from mildflow.lab import (
     ContractionParameters,
+    FixedPointDivergence,
     FixedPointProblem,
     InfeasibleProblem,
     SemigroupConstants,
@@ -277,18 +278,16 @@ def test_lipschitz_estimate_scalar_quadratic():
 
 def plan_for(problem, rng, u0_factor=0.9):
     consts = estimate_semigroup_constants(problem)
-    n_star = problem.lipschitz(rng=rng)
+    n_star = problem.lipschitz()
     beta_consts = BetaConstants.from_exponents(problem.exponents)
-    first = select_parameters(consts, problem.exponents, n_star, beta_consts,
-                              ball_radius=problem.ball_radius)
+    first = select_parameters(consts, problem.exponents, n_star, beta_consts)
     direction = rng.standard_normal(problem.dimension)
     direction /= problem.norm(direction, problem.exponents.alpha)
     u0 = u0_factor * first.r * direction
     params = select_parameters(
         consts, problem.exponents, n_star, beta_consts,
         m_profile=tail_profile(problem, u0),
-        initial_xi_norm=problem.norm(u0, problem.exponents.xi),
-        ball_radius=problem.ball_radius)
+        initial_xi_norm=problem.norm(u0, problem.exponents.xi))
     return params, u0
 
 
@@ -310,6 +309,18 @@ def test_fixed_point_zero_initial_value():
     result, ratio = run_fixed_point(prob, params, np.zeros(1))
     assert ratio == 0.0
     assert float(np.abs(result.final_state).max()) == 0.0
+
+
+def test_fixed_point_divergence_names_the_sweeps_it_ran():
+    # epsilon = 100 overflows the iterates within a few sweeps, far below
+    # PICARD_CONFIG's 60
+    prob = scalar_problem(epsilon=100.0)
+    params = ContractionParameters(L=0.5, r=0.5, T=0.9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FixedPointDivergence,
+                           match="within 8 sweeps") as caught:
+            run_fixed_point(prob, params, np.array([0.5]))
+    assert caught.value.ratios.size == 7
 
 
 def test_fixed_point_rejects_out_of_ball_data():

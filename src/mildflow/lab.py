@@ -358,7 +358,7 @@ def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
     if not result.converged:
         raise FixedPointDivergence(
             "Picard iteration did not settle within "
-            f"{result.iterations} sweeps (last ratio {ratio:.3f})",
+            f"{result.iterations} sweeps (largest ratio {ratio:.3f})",
             ratios)
     return result, ratio
 

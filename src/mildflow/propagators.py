@@ -15,8 +15,8 @@ Picard go through one function, phi(z, order), whose orders 0, 1 and 2
 are e^z, phi1 and phi2 under one overflow guard; a real argument stays
 real, so a real generator acts on a real state in real arithmetic. A
 propagator also builds the step factors e^{hA}, phi1(hA), phi2(hA) of one
-fixed h (multipliers or block matrices), which apply_block_factor
-applies; the last h is cached.
+fixed h (multipliers or block matrices) and applies them to a state or a
+stack of states; the last h is cached.
 """
 
 from __future__ import annotations
@@ -204,6 +204,11 @@ class Propagator:
                                      for order in range(3)))
         return self._cache[1]
 
+    def apply_factor(self, factor: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Apply one of step_factors' factors to a state or a stack of
+        states: a multiplier without vectors, else a block matvec."""
+        return factor * state if self.vectors is None else _matvec(factor, state)
+
     def _factor(self, dt, order, dense):
         mult = phi(dt * self.lam, order)
         if self.vectors is None:
@@ -223,8 +228,3 @@ def _matvec(matrix: np.ndarray, state: np.ndarray) -> np.ndarray:
     stack, acting on a state or a stack of states with leading axes."""
     return np.matmul(matrix, state[..., None])[..., 0]
 
-
-def apply_block_factor(factor: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply a step factor: elementwise when it has the state's ndim
-    (multipliers), else as a block matvec."""
-    return factor * state if factor.ndim == state.ndim else _matvec(factor, state)

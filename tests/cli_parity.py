@@ -12,6 +12,7 @@ included, is recorded as "directory".  `compare` lists the commands whose
 results differ, with the parts that differ, and exits 1 if any do.
 
 The battery covers every report (`exponents`, both `lab` commands,
+`lab contraction` at dim 32, the largest the lab benchmark draws,
 `scaling-test`, `simulate` with a decay fit, `decay-test`,
 `spectral-bound`), the heat models with whole and partial last steps,
 both integrators of the frozen quasilinear march, a march that records
@@ -47,6 +48,8 @@ BATTERY = {
     "exponents-out-not-a-directory": ["exponents", "semilinear",
                                       "--out", "/dev/null/run"],
     "lab-contraction": ["lab", "contraction", "--dim", "8", "--seed", "0"],
+    "lab-contraction-dim-32": ["lab", "contraction", "--dim", "32",
+                               "--seed", "1"],
     "lab-contraction-quasilinear": ["lab", "contraction", "--quasilinear",
                                     "--dim", "8", "--seed", "0"],
     "lab-contraction-dim-0": ["lab", "contraction", "--dim", "0"],

@@ -4,8 +4,9 @@ replace.
 The reference functions below are those loops, kept as they were: the
 Picard sweep evaluates f and the norms one vector at a time and rebuilds
 exp, phi1 and phi2 of h_j lam on every segment. The fast code must
-reproduce them bit for bit on the matrix lab and to 1e-12 relative on
-the strip's block stack.
+reproduce them bit for bit on the matrix lab, on the heat models and on
+the strip's block stack at K = 32, and to 1e-12 relative on the strip at
+K = 192.
 Parameter selection once bisected the horizon on its own copy of the
 contraction inequalities; `select_parameters` bisects the slack table
 of `check_contraction_inequalities` and must land on the same (L, r, T).
@@ -514,6 +515,26 @@ def _picard_case(kind):
         return model, u0, dict(weighted_sigma=1.0, weighted_mu=0.25)
     model, _, u0, _ = _strip_pair(periodic_strip(16, 12), amplitude=0.3)
     return model, u0, dict(weighted_sigma=1.5, weighted_mu=0.25)
+
+
+@pytest.mark.parametrize("kind", ["heat-semilinear", "heat-periodic",
+                                  "cloud"])
+def test_picard_on_pde_models_matches_reference_loop(kind):
+    # real states and spectrum, complex states on a real spectrum, and
+    # complex states on a complex block spectrum: each dtype route of
+    # the recursion, bit for bit
+    model, u0, levels = _picard_case(kind)
+    config = SolverConfig(picard_segments=32, picard_tol=1e-12,
+                          picard_max_iter=40, **levels)
+    result = picard_solve(model, u0, 0.1, config)
+    states, distances, iterations, converged = reference_picard(
+        u0, 0.1, config, model.propagator, model.nonlinearity, model.norm,
+        **reference_levels(config))
+    assert (result.iterations, result.converged) == (iterations, True)
+    assert iterations >= 4
+    assert np.array_equal(result.distances, distances)
+    assert len(result.states) == len(states)
+    assert all(np.array_equal(a, b) for a, b in zip(result.states, states))
 
 
 @pytest.mark.parametrize("kind", ["lab", "cloud", "heat-semilinear",

@@ -323,6 +323,17 @@ def test_fixed_point_divergence_names_the_sweeps_it_ran():
     assert caught.value.ratios.size == 7
 
 
+def test_fixed_point_divergence_names_the_largest_ratio():
+    # the ratio printed is ratios.max() over the whole run
+    prob = scalar_problem(epsilon=100.0)
+    params = ContractionParameters(L=0.5, r=0.5, T=0.9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FixedPointDivergence,
+                           match=r"\(largest ratio inf\)$") as caught:
+            run_fixed_point(prob, params, np.array([0.5]))
+    assert caught.value.ratios.max() == np.inf
+
+
 def test_fixed_point_rejects_out_of_ball_data():
     prob = scalar_problem()
     params = ContractionParameters(L=0.01, r=0.002, T=0.5)

@@ -13,10 +13,10 @@ import pytest
 from scipy.linalg import expm
 
 from mildflow import propagators
+from mildflow.lab import random_problem
 from mildflow.propagators import (
     InstabilityError,
     Propagator,
-    apply_block_factor,
     eigen_blocks,
     phi,
 )
@@ -199,9 +199,9 @@ def test_mode_stack_semigroup_and_factor_cache():
     assert np.max(np.abs(two_step - stack.propagate(0.5, u))) < 1e-12
     e, p1, p2 = stack.step_factors(0.25)
     assert stack.step_factors(0.25)[0] is e  # cached object
-    assert np.max(np.abs(apply_block_factor(e, u) - stack.propagate(0.25, u))) < 1e-12
-    assert np.max(np.abs(apply_block_factor(p1, u) - stack.phi1_action(0.25, u))) < 1e-12
-    assert np.max(np.abs(apply_block_factor(p2, u) - stack.phi2_action(0.25, u))) < 1e-12
+    assert np.max(np.abs(stack.apply_factor(e, u) - stack.propagate(0.25, u))) < 1e-12
+    assert np.max(np.abs(stack.apply_factor(p1, u) - stack.phi1_action(0.25, u))) < 1e-12
+    assert np.max(np.abs(stack.apply_factor(p2, u) - stack.phi2_action(0.25, u))) < 1e-12
 
 
 def test_mode_stack_defective_block_fallback():
@@ -241,7 +241,7 @@ def _assert_factors_match_actions(prop, u, dt):
     e, p1, p2 = prop.step_factors(dt)
     for factor, action in ((e, prop.propagate), (p1, prop.phi1_action),
                            (p2, prop.phi2_action)):
-        out = apply_block_factor(factor, u)
+        out = prop.apply_factor(factor, u)
         assert out.dtype == action(dt, u).dtype
         assert np.max(np.abs(out - action(dt, u))) < 1e-12
 
@@ -269,6 +269,17 @@ def test_dense_defective_factors_fall_back_to_expm():
     prop = Propagator.from_matrix(np.array([[-1.0, 1.0], [0.0, -1.0]]))
     assert prop.defective
     _assert_factors_match_actions(prop, np.array([0.3, -1.2]), 0.4)
+
+
+def test_dense_factors_apply_to_a_stack_row_by_row():
+    # a dense (m, m) lab factor against a (B, m) stack is a block matvec
+    # per row, never a (m, m) * (B, m) broadcast
+    prop = random_problem(6, np.random.default_rng(0)).propagator
+    u = np.random.default_rng(1).standard_normal((4, 6))
+    for factor in prop.step_factors(0.05):
+        out = prop.apply_factor(factor, u)
+        for row, state in zip(out, u):
+            _assert_same_bits(row, prop.apply_factor(factor, state))
 
 
 def test_mode_stack_defective_factors_match_actions():

@@ -304,8 +304,7 @@ def _require_seed(args) -> None:
 
 def cmd_lab_contraction(args) -> dict:
     _require_seed(args)
-    return contraction_experiment(dim=args.dim, seed=args.seed,
-                                  quasilinear=args.quasilinear)
+    return contraction_experiment(dim=args.dim, seed=args.seed)
 
 
 def cmd_lab_decay(args) -> dict:
@@ -395,7 +394,6 @@ COMMANDS = {
         "select contraction parameters and iterate", cmd_lab_contraction,
         arguments=(("--dim", {"type": int, "default": 8}),
                    ("--seed", {"type": int, "default": 0}),
-                   ("--quasilinear", {"action": "store_true"}),
                    ("--out", {"default": "run"}))),
     ("lab", "decay"): Command(
         "weighted exponential-decay verification", cmd_lab_decay,

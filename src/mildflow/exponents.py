@@ -50,19 +50,7 @@ class ExponentSet:
 
     def theta_levels(self) -> dict:
         """Named exponent levels at which Beta constants are needed."""
-        levels = {"gamma": self.gamma, "alpha": self.alpha, "xi": self.xi}
-        if self.beta_exp is not None:
-            levels["beta_exp"] = self.beta_exp
-        return levels
-
-    @property
-    def contraction_level(self) -> float:
-        """Exponent of the unweighted norm in the contraction metric.
-
-        beta_exp where a quasilinear Hoelder window exists, alpha in the
-        semilinear case.
-        """
-        return self.alpha if self.beta_exp is None else self.beta_exp
+        return {"gamma": self.gamma, "alpha": self.alpha, "xi": self.xi}
 
     def report(self) -> dict:
         """The set as a report: its fields, beta_exp printed as beta."""
@@ -146,14 +134,10 @@ class BetaConstants:
             for name, theta in exps.theta_levels().items()
         })
 
-    def at_level(self, name: str) -> float:
-        return self.b_theta[name]
-
     @property
     def contraction_pair_sum(self) -> float:
-        """B_beta + B_xi (with B_alpha standing in when beta_exp is absent)."""
-        b_low = self.b_theta.get("beta_exp", self.b_theta["alpha"])
-        return b_low + self.b_theta["xi"]
+        """B_alpha + B_xi, the Beta constants of the contraction budget."""
+        return self.b_theta["alpha"] + self.b_theta["xi"]
 
 
 def _require_finite(**values) -> None:

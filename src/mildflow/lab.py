@@ -9,6 +9,9 @@ contraction inequalities, produces the mild solution by Picard iteration
 so every contraction ratio is observable, and checks the
 exponential-decay estimate over a sweep of initial-value scales.
 
+The lab takes semilinear exponent sets only: its generator is fixed, so
+it has no state-dependent part for a Hoelder level beta_exp to measure.
+
 Everything here is finite-dimensional and self-adjoint on purpose: the
 fractional powers and both constants are exact, so the only gap between
 theory and measurement is the graded-mesh discretization of the weighted
@@ -35,10 +38,8 @@ PICARD_CONFIG = SolverConfig(picard_segments=96, picard_tol=1e-10,
                              picard_max_iter=60)
 # initial-value scales of decay_experiment
 DECAY_SCALES = (1e-3, 1e-2, 1e-1, 1.0)
-# inequalities that bound the horizon T, in the order selection names
-# the binding one
-T_BOUNDS = ("tail_smallness", "initial_weight", "window_compatibility",
-            "holder_budget")
+# inequalities that bound the horizon T
+T_BOUNDS = ("tail_smallness",)
 
 
 class InfeasibleProblem(ValueError):
@@ -64,7 +65,7 @@ class FixedPointProblem:
     The nonlinearity is f(u) = epsilon ||u||_xi^(q-1) u, with the
     closed-form Lipschitz constant of `lipschitz`. The generator must be
     square, symmetric up to rounding and negative definite; it is stored
-    symmetrized.
+    symmetrized. The exponent set must be semilinear.
     """
 
     generator: np.ndarray
@@ -72,6 +73,7 @@ class FixedPointProblem:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        _require_semilinear(self.exponents)
         a = np.asarray(self.generator, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("generator must be a square matrix")
@@ -139,46 +141,27 @@ class FixedPointProblem:
 
 @dataclass(frozen=True)
 class SemigroupConstants:
-    """Operator-norm constants of the analytic semigroup.
-
-    omega0 bounds t^(theta-vartheta) ||(-A)^theta e^{tA} (-A)^-vartheta||
-    for theta >= vartheta; omega1 and omega2 enter only the runs with a
-    state-dependent generator budget and stay None otherwise.
-    """
+    """Operator-norm constant of the analytic semigroup: omega0 bounds
+    t^(theta-vartheta) ||(-A)^theta e^{tA} (-A)^-vartheta|| for
+    theta >= vartheta."""
 
     omega0: float
-    omega1: Optional[float] = None
-    omega2: Optional[float] = None
 
     def __post_init__(self):
         if self.omega0 < 1.0:
             raise ValueError(f"omega0 must be at least 1, got {self.omega0}")
-        for name, value in (("omega1", self.omega1), ("omega2", self.omega2)):
-            if value is not None and value < 1.0:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-
-    def weights(self, exponents: ExponentSet):
-        """(omega0, omega1, omega2) as the inequalities use them: omega1
-        and omega2 are 0 for a semilinear exponent set."""
-        if exponents.beta_exp is None:
-            return self.omega0, 0.0, 0.0
-        if self.omega1 is None or self.omega2 is None:
-            raise ValueError(
-                "selection with a quasilinear exponent set needs omega1 and omega2")
-        return self.omega0, self.omega1, self.omega2
 
 
 def estimate_semigroup_constants(problem: FixedPointProblem
                                  ) -> SemigroupConstants:
-    """omega0 = 1 exactly; omega1 = omega2 = 1 for a quasilinear set.
+    """omega0 = 1 exactly.
 
     For a self-adjoint generator, t^delta ||(-A)^theta e^{tA}
     (-A)^-vartheta|| with delta = theta - vartheta >= 0 is max_k x^delta
     e^-x at x = t rate_k, at most (delta/e)^delta <= 1, and the pair
     (0, 0) reaches 1.
     """
-    omega = 1.0 if problem.exponents.beta_exp is not None else None
-    return SemigroupConstants(omega0=1.0, omega1=omega, omega2=omega)
+    return SemigroupConstants(omega0=1.0)
 
 
 @dataclass(frozen=True)
@@ -221,58 +204,51 @@ def tail_profile(problem: FixedPointProblem, u0) -> Callable[[float], float]:
     return profile
 
 
+def _require_semilinear(exponents: ExponentSet) -> None:
+    """Refuse a set with a Hoelder level beta_exp (module docstring)."""
+    if exponents.beta_exp is not None:
+        raise ValueError(
+            "the lab takes semilinear exponent sets only, got beta_exp = "
+            f"{exponents.beta_exp}")
+
+
 def check_contraction_inequalities(params: ContractionParameters,
                                    constants: SemigroupConstants,
                                    exponents: ExponentSet,
                                    n_star: float,
                                    beta_consts: BetaConstants,
-                                   m_profile: Optional[Callable] = None,
-                                   initial_xi_norm: float = 0.0) -> dict:
+                                   m_profile: Optional[Callable] = None
+                                   ) -> dict:
     """Slack (lhs - rhs, nonpositive when satisfied) of every inequality.
 
     This table is the only statement of the contraction inequalities:
-    select_parameters inverts it. The time-regularity window exponent is
-    eliminated: asking for some admissible rho with T^rho <= r turns the
-    window pair into the monotone conditions T^(alpha-beta) < r (strict)
-    and coefficient * T^(alpha-beta) / r <= 1.
+    select_parameters inverts it.
     """
-    w0, w1, w2 = constants.weights(exponents)
+    _require_semilinear(exponents)
+    w0 = constants.omega0
     L, r, T = params.L, params.r, params.T
 
     slacks = {
-        "lipschitz_budget": (2.0 * w0 + w1) * n_star
+        "lipschitz_budget": 2.0 * w0 * n_star
         * beta_consts.contraction_pair_sum * L ** (exponents.q - 1.0) - 0.25,
         "ball_radius": r * w0 - L / 4.0,
     }
     if m_profile is not None:
         slacks["tail_smallness"] = m_profile(T) - L / 4.0
-    if exponents.beta_exp is not None:
-        window = T ** (exponents.alpha - exponents.beta_exp)
-        coeff = (w2 * r
-                 + w0 * n_star * (w2 * beta_consts.at_level("alpha")
-                                  + beta_consts.at_level("beta_exp")))
-        slacks["drift_radius"] = 4.0 * w1 * r - 0.125
-        slacks["initial_weight"] = \
-            w1 * initial_xi_norm * T ** exponents.mu - 1.0 / 16.0
-        slacks["window_compatibility"] = window - r
-        slacks["holder_budget"] = coeff * window / r - 1.0
     return slacks
 
 
 def _binding(slacks: dict) -> Optional[str]:
-    """First inequality of T_BOUNDS that the slacks violate, or None.
-    The window is strict: a zero slack there violates it too."""
+    """First inequality of T_BOUNDS that the slacks violate, or None."""
     for name in T_BOUNDS:
-        slack = slacks.get(name, -1.0)
-        if slack > 0.0 or (slack == 0.0 and name == "window_compatibility"):
+        if slacks.get(name, -1.0) > 0.0:
             return name
     return None
 
 
 def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
                       n_star: float, beta_consts: BetaConstants,
-                      m_profile: Optional[Callable] = None,
-                      initial_xi_norm: float = 0.0
+                      m_profile: Optional[Callable] = None
                       ) -> ContractionParameters:
     """Invert the contraction inequalities for the largest (L, r, T).
 
@@ -283,30 +259,27 @@ def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
     SELECT_SAFETY = 0.9 times their caps, so their slacks stay strictly
     negative.
     """
+    _require_semilinear(exponents)
     if n_star <= 0.0:
         raise ValueError("n_star must be positive")
-    w0, w1, _ = constants.weights(exponents)
+    w0 = constants.omega0
 
-    bound = (1.0 / (4.0 * (2.0 * w0 + w1) * n_star
-                    * beta_consts.contraction_pair_sum)) \
+    bound = (1.0 / (8.0 * w0 * n_star * beta_consts.contraction_pair_sum)) \
         ** (1.0 / (exponents.q - 1.0))
     L = SELECT_SAFETY * min(1.0, bound)
     if L < L_FLOOR:
         raise InfeasibleProblem(
             "lipschitz_budget",
             "no usable contraction constant: the Lipschitz budget "
-            f"(2*omega0+omega1)*N*(B_low+B_xi)*L^(q-1) <= 1/4 forces "
+            "2*omega0*N*(B_alpha+B_xi)*L^(q-1) <= 1/4 forces "
             f"L <= {bound:.3e}")
 
-    r_caps = [L / (4.0 * w0), 0.999]
-    if exponents.beta_exp is not None:
-        r_caps.append(1.0 / (32.0 * w1))
-    r = SELECT_SAFETY * min(r_caps)
+    r = SELECT_SAFETY * min(L / (4.0 * w0), 0.999)
 
     def slacks(t_end: float) -> dict:
         return check_contraction_inequalities(
             ContractionParameters(L=L, r=r, T=t_end), constants, exponents,
-            n_star, beta_consts, m_profile, initial_xi_norm)
+            n_star, beta_consts, m_profile)
 
     if _binding(slacks(T_MAX)) is None:
         T = T_MAX
@@ -350,7 +323,7 @@ def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
         raise ValueError(
             f"initial value outside the contraction ball: ||u0||_alpha = "
             f"{alpha_norm:.6e} exceeds r = {params.r:.6e}")
-    config = replace(PICARD_CONFIG, monitor_sigmas=(exps.contraction_level,),
+    config = replace(PICARD_CONFIG, monitor_sigmas=(exps.alpha,),
                      weighted_sigma=exps.xi, weighted_mu=exps.mu)
     result = picard_solve(problem, u0, params.T, config)
     ratios = result.contraction_ratios
@@ -444,9 +417,10 @@ def verify_decay(problem: FixedPointProblem, varpi: float,
                        largest_passing_scale=largest, scales=tuple(records))
 
 
-def random_problem(dim: int, rng, quasilinear: bool = False,
-                   epsilon: Optional[float] = None) -> FixedPointProblem:
-    """Random symmetric negative-definite problem with admissible exponents.
+def random_problem(dim: int, rng, epsilon: Optional[float] = None
+                   ) -> FixedPointProblem:
+    """Random symmetric negative-definite problem with admissible
+    semilinear exponents.
 
     Exponents are drawn so the critical identity holds exactly with
     q in roughly [1.8, 3.5]; rates live in [0.6, 6] to keep the ladder
@@ -467,8 +441,7 @@ def random_problem(dim: int, rng, quasilinear: bool = False,
     q_lo = max(1.8, (1.0 + gamma - alpha) / (0.98 - alpha) + 0.01)
     q = rng.uniform(q_lo, max(3.5, q_lo + 0.5))
     xi = alpha + (1.0 + gamma - alpha) / q
-    beta_exp = gamma + 0.5 * (alpha - gamma) if quasilinear else None
-    exps = validate_exponents(gamma, alpha, xi, q, beta_exp=beta_exp)
+    exps = validate_exponents(gamma, alpha, xi, q)
 
     if epsilon is None:
         epsilon = float(rng.uniform(0.2, 2.0))
@@ -476,11 +449,10 @@ def random_problem(dim: int, rng, quasilinear: bool = False,
                              epsilon=epsilon)
 
 
-def contraction_experiment(dim: int = 8, seed: int = 0,
-                           quasilinear: bool = False) -> dict:
+def contraction_experiment(dim: int = 8, seed: int = 0) -> dict:
     """Full pipeline on one random problem, reported as plain data."""
     rng = np.random.default_rng(seed)
-    problem = random_problem(dim, rng, quasilinear=quasilinear)
+    problem = random_problem(dim, rng)
     exps = problem.exponents
     constants = estimate_semigroup_constants(problem)
     n_star = problem.lipschitz()
@@ -489,14 +461,12 @@ def contraction_experiment(dim: int = 8, seed: int = 0,
     direction = rng.standard_normal(problem.dimension)
     direction /= max(problem.norm(direction, exps.alpha), 1e-30)
     u0 = 0.9 * first.r * direction
-    profile, xi_norm = tail_profile(problem, u0), problem.norm(u0, exps.xi)
-    params = select_parameters(
-        constants, exps, n_star, beta_consts, m_profile=profile,
-        initial_xi_norm=xi_norm)
+    profile = tail_profile(problem, u0)
+    params = select_parameters(constants, exps, n_star, beta_consts,
+                               m_profile=profile)
     result, ratio = run_fixed_point(problem, params, u0)
     slacks = check_contraction_inequalities(
-        params, constants, exps, n_star, beta_consts, profile,
-        initial_xi_norm=xi_norm)
+        params, constants, exps, n_star, beta_consts, profile)
     return {
         "dim": dim,
         "seed": seed,

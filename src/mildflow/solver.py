@@ -235,6 +235,7 @@ class PicardResult:
         return self.states[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def picard_solve(model, u0, t_end: float,
                  config: SolverConfig) -> PicardResult:
     """Iterate the mild-solution map to a fixed point on a graded mesh.
@@ -251,7 +252,8 @@ def picard_solve(model, u0, t_end: float,
     Successive iterates are compared in the sup norm at the march's lead
     level monitor_sigmas[0] plus the t^weighted_mu weighted sup at level
     weighted_sigma; their ratios estimate the contraction factor. A
-    sweep whose distance is not finite ends the iteration unconverged.
+    sweep whose distance is not finite ends the iteration unconverged,
+    without numpy's overflow warnings, as the march does.
     """
     propagator, norm_fn = model.propagator, model.norm
     sigma_sup, sigma_weighted = config.monitor_sigmas[0], config.weighted_sigma

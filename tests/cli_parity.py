@@ -50,11 +50,7 @@ BATTERY = {
     "lab-contraction": ["lab", "contraction", "--dim", "8", "--seed", "0"],
     "lab-contraction-dim-32": ["lab", "contraction", "--dim", "32",
                                "--seed", "1"],
-    "lab-contraction-quasilinear": ["lab", "contraction", "--quasilinear",
-                                    "--dim", "8", "--seed", "0"],
     "lab-contraction-dim-0": ["lab", "contraction", "--dim", "0"],
-    "lab-contraction-infeasible": ["lab", "contraction", "--quasilinear",
-                                   "--dim", "3", "--seed", "0"],
     "lab-decay": ["lab", "decay", "--dim", "4", "--seed", "2"],
     "lab-decay-varpi": ["lab", "decay", "--dim", "6", "--seed", "3",
                         "--varpi", "0.5"],

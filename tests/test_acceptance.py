@@ -81,8 +81,7 @@ def _planned_run(problem, rng, u0_factor=0.5):
     u0 = u0_factor * first.r * direction
     params = select_parameters(
         constants, problem.exponents, n_star, beta_consts,
-        m_profile=tail_profile(problem, u0),
-        initial_xi_norm=problem.norm(u0, problem.exponents.xi))
+        m_profile=tail_profile(problem, u0))
     return params, u0, constants
 
 

@@ -129,42 +129,24 @@ def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
     return states, np.asarray(distances), iterations, converged
 
 
-def reference_select(constants, exps, n_star, beta_consts, m_profile=None,
-                     initial_xi_norm=0.0):
+def reference_select(constants, exps, n_star, beta_consts, m_profile=None):
     """Selection bisecting on its own `blocking` predicate, which restates
-    the inequalities (with a zero reference alpha norm, the only value
-    ever passed). Returns (L, r, T, hi, binding): hi is the top of the
+    the inequalities. Returns (L, r, T, hi, binding): hi is the top of the
     last bisection bracket and binding what blocks there, both None when
     T = 0.99. Raises InfeasibleProblem naming the binding inequality."""
-    quasilinear = exps.beta_exp is not None
     w0 = constants.omega0
-    w1, w2 = (constants.omega1, constants.omega2) if quasilinear else (0.0, 0.0)
     pair_sum = beta_consts.contraction_pair_sum
-    bound = (1.0 / (4.0 * (2.0 * w0 + w1) * n_star * pair_sum)) \
+    bound = (1.0 / (4.0 * 2.0 * w0 * n_star * pair_sum)) \
         ** (1.0 / (exps.q - 1.0))
     L = 0.9 * min(1.0, bound)
     if L < 1e-8:
         raise InfeasibleProblem("lipschitz_budget", "L below its floor")
-    r_caps = [L / (4.0 * w0), 0.999]
-    if quasilinear:
-        r_caps.append(1.0 / (32.0 * w1))
-    r = 0.9 * min(r_caps)
+    r = 0.9 * min(L / (4.0 * w0), 0.999)
     profile = m_profile if m_profile is not None else (lambda _t: 0.0)
-    if quasilinear:
-        coeff = (w2 * r + w0 * n_star * (w2 * beta_consts.at_level("alpha")
-                                         + beta_consts.at_level("beta_exp")))
 
     def blocking(t_end):
         if profile(t_end) > L / 4.0:
             return "tail_smallness"
-        if quasilinear:
-            if w1 * initial_xi_norm * t_end ** exps.mu > 1.0 / 16.0:
-                return "initial_weight"
-            window = t_end ** (exps.alpha - exps.beta_exp)
-            if window >= r:
-                return "window_compatibility"
-            if coeff * window / r > 1.0:
-                return "holder_budget"
         return None
 
     if blocking(0.99) is None:
@@ -184,11 +166,9 @@ def reference_select(constants, exps, n_star, beta_consts, m_profile=None,
 
 # Matrix lab: bit for bit ----------------------------------------------------
 
-@pytest.mark.parametrize("quasilinear", [False, True])
 @pytest.mark.parametrize("dim", [1, 2, 7, 32])
-def test_lipschitz_and_picard_match_reference_loops(dim, quasilinear):
-    problem = random_problem(dim, np.random.default_rng(dim),
-                             quasilinear=quasilinear)
+def test_lipschitz_and_picard_match_reference_loops(dim):
+    problem = random_problem(dim, np.random.default_rng(dim))
     n_star = problem.lipschitz()
     assert n_star == pytest.approx(closed_form_lipschitz(problem), rel=1e-12)
     assert sampled_lipschitz(problem, np.random.default_rng(5)) \
@@ -199,7 +179,7 @@ def test_lipschitz_and_picard_match_reference_loops(dim, quasilinear):
     u0 = 0.05 * direction / problem.norm(direction, exps.alpha)
     config = SolverConfig(picard_segments=96, picard_tol=1e-10,
                           picard_max_iter=60,
-                          monitor_sigmas=(exps.contraction_level,),
+                          monitor_sigmas=(exps.alpha,),
                           weighted_sigma=exps.xi, weighted_mu=exps.mu)
     result = picard_solve(problem, u0, 0.5, config)
     states, distances, iterations, converged = reference_picard(
@@ -214,23 +194,25 @@ def test_lipschitz_and_picard_match_reference_loops(dim, quasilinear):
     assert all(np.array_equal(a, b) for a, b in zip(result.states, states))
 
 
-def selections_against_reference(dim, seed, quasilinear):
-    """Both selections of `contraction_experiment` and their references.
+def selections_against_reference(dim, seed):
+    """Both selections of `contraction_experiment`, and one on the tail of
+    unit-norm data, against their references.
 
     Each selection must equal its reference in (L, r, T), or raise
-    InfeasibleProblem with the same binding name. Returns the slack
-    tables at the top hi of each feasible bisection bracket, after
-    checking that the table blocks there with the reference's binding
-    name and does not block at T."""
+    InfeasibleProblem with the same binding name. The slack table must
+    not block at T, and must block at the top hi of a bisection bracket
+    with the reference's binding name. Returns how many selections
+    bisected."""
     rng = np.random.default_rng(seed)
-    problem = random_problem(dim, rng, quasilinear=quasilinear)
+    problem = random_problem(dim, rng)
     exps = problem.exponents
     constants = estimate_semigroup_constants(problem)
     n_star = problem.lipschitz()
     beta = BetaConstants.from_exponents(exps)
-    at_hi = []
+    bisected = 0
 
     def compare(**kwargs):
+        nonlocal bisected
         args = (constants, exps, n_star, beta)
         try:
             L, r, T, hi, binding = reference_select(*args, **kwargs)
@@ -245,37 +227,27 @@ def selections_against_reference(dim, seed, quasilinear):
         def table(t_end):
             return check_contraction_inequalities(
                 ContractionParameters(L=L, r=r, T=t_end), *args,
-                kwargs.get("m_profile"), kwargs.get("initial_xi_norm", 0.0))
+                kwargs.get("m_profile"))
         assert _binding(table(T)) is None
         if hi is not None:
-            at_hi.append(table(hi))
-            assert _binding(at_hi[-1]) == binding
+            bisected += 1
+            assert _binding(table(hi)) == binding
         return params
 
     first = compare()
     if first is not None:
         direction = rng.standard_normal(dim)
         direction /= max(problem.norm(direction, exps.alpha), 1e-30)
-        u0 = 0.9 * first.r * direction
-        compare(m_profile=tail_profile(problem, u0),
-                initial_xi_norm=problem.norm(u0, exps.xi))
-    return at_hi
+        compare(m_profile=tail_profile(problem, 0.9 * first.r * direction))
+        # a unit-norm datum's tail exceeds L/4 at T = 0.99
+        compare(m_profile=tail_profile(problem, direction))
+    return bisected
 
 
-@pytest.mark.parametrize("quasilinear", [False, True])
-def test_selection_matches_reference_bisection(quasilinear):
-    for dim in range(1, 41):
-        for seed in range(4):
-            selections_against_reference(dim, seed, quasilinear)
-
-
-@pytest.mark.parametrize("dim, seed", [(15, 45), (19, 51)])
-def test_selection_keeps_the_window_strict(dim, seed):
-    # both selections bisect exactly onto window == r: the zero slack
-    # must block, or T would move up by ulps
-    at_hi = selections_against_reference(dim, seed, quasilinear=True)
-    assert [t["window_compatibility"] for t in at_hi] == [0.0, 0.0]
-    assert [_binding(t) for t in at_hi] == ["window_compatibility"] * 2
+def test_selection_matches_reference_bisection():
+    bisected = sum(selections_against_reference(dim, seed)
+                   for dim in range(1, 41) for seed in range(4))
+    assert bisected > 0
 
 
 def test_lipschitz_closed_form_holds_off_the_unit_ball():
@@ -501,7 +473,7 @@ def _picard_case(kind):
         exps = problem.exponents
         direction = np.random.default_rng(6).standard_normal(7)
         u0 = 0.05 * direction / problem.norm(direction, exps.alpha)
-        return problem, u0, dict(monitor_sigmas=(exps.contraction_level,),
+        return problem, u0, dict(monitor_sigmas=(exps.alpha,),
                                  weighted_sigma=exps.xi, weighted_mu=exps.mu)
     if kind == "heat-semilinear":
         model = SemilinearHeatModel(32, kappa=6.0)

@@ -1046,12 +1046,13 @@ def test_lab_contraction_cli(tmp_path, capsys):
     assert code == 0
     assert payload["converged"] is True
     assert payload["contraction_ratio"] <= 0.5
-    assert all(rec["satisfied"] for rec in payload["inequalities"].values())
+    # every flag is a JSON boolean
+    assert all(rec["satisfied"] is True
+               for rec in payload["inequalities"].values())
     on_disk = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert on_disk == payload
     assert set(payload["parameters"]) == {"L", "r", "T"}
-    assert set(payload["constants"]) == {"omega0", "omega1", "omega2",
-                                         "lipschitz_n"}
+    assert set(payload["constants"]) == {"omega0", "lipschitz_n"}
     assert set(payload["exponents"]) == EXPONENT_KEYS
 
 
@@ -1115,18 +1116,14 @@ def test_lab_decay_nonfinite_epsilon_exit_2(tmp_path, capsys, epsilon):
     assert not out.exists()
 
 
-def test_lab_contraction_quasilinear_report_is_json(tmp_path, capsys):
-    # the bisected window end used to be a numpy float, so every
-    # `satisfied` flag was a numpy bool that json could not write
-    out = str(tmp_path / "run")
-    code, payload = run_json(
-        capsys, ["lab", "contraction", "--quasilinear", "--dim", "8",
-                 "--seed", "0", "--out", out])
-    assert code == 0
-    assert payload["exponents"]["beta"] is not None
-    assert all(type(rec["satisfied"]) is bool
-               for rec in payload["inequalities"].values())
-    assert type(payload["parameters"]["T"]) is float
+def test_lab_contraction_quasilinear_flag_is_a_usage_error(tmp_path, capsys):
+    # the lab takes semilinear exponent sets only; argparse refuses the
+    # flag before any run directory exists
+    out = tmp_path / "run"
+    assert main(["lab", "contraction", "--quasilinear",
+                 "--out", str(out)]) == 2
+    assert "unrecognized arguments: --quasilinear" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_emitted_report_prints_what_it_writes(tmp_path, capsys, monkeypatch):
@@ -1141,9 +1138,10 @@ def test_emitted_report_prints_what_it_writes(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
 @pytest.mark.parametrize("command", [
-    ["contraction"], ["contraction", "--quasilinear"], ["decay"]])
+    ["contraction"], ["decay", "--varpi", "0.05"], ["decay"]])
 def test_lab_battery_exits_cleanly(tmp_path, capsys, command, dim, seed):
-    # a completed run or a named constraint error, never a traceback
+    # a completed run or a named constraint error, never a traceback; decay
+    # runs at an explicit rate and at its default of half the spectral gap
     out = tmp_path / "run"
     code = main(["lab", *command, "--dim", str(dim), "--seed", str(seed),
                  "--out", str(out)])

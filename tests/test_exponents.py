@@ -36,14 +36,13 @@ def test_cloud_exponents_valid():
     exps = validate_exponents(gamma=0.0, alpha=0.5, xi=0.75, q=2.0)
     assert exps.mu == pytest.approx(0.25, abs=1e-15)
     assert exps.beta_exp is None
-    assert exps.contraction_level == 0.5
 
 
 def test_quasilinear_style_exponents_valid():
     exps = validate_exponents(gamma=0.1, alpha=0.5, xi=0.8, q=2.0, beta_exp=0.2)
     residual = exps.q * (exps.xi - exps.alpha) - (1.0 + exps.gamma - exps.alpha)
     assert abs(residual) == 0.0
-    assert exps.contraction_level == 0.2
+    assert exps.beta_exp == 0.2
 
 
 def test_identity_violation_reports_residual():
@@ -128,12 +127,14 @@ def test_beta_constants_monotone_in_theta():
 
 
 def test_contraction_pair_sum_frozen_value():
-    # B(0.9, 0.4) + B(0.3, 0.4) = 7.753279379173254 (quadrature oracle).
-    exps = validate_exponents(gamma=0.1, alpha=0.5, xi=0.8, q=2.0, beta_exp=0.2)
+    # B_alpha + B_xi = B(0.6, 0.4) + B(0.3, 0.4) = 8.415357243651474
+    exps = validate_exponents(gamma=0.1, alpha=0.5, xi=0.8, q=2.0)
     consts = BetaConstants.from_exponents(exps)
-    assert consts.b_theta["beta_exp"] == pytest.approx(2.6411881347159047, rel=1e-12)
-    assert consts.b_theta["xi"] == pytest.approx(5.112091244457349, rel=1e-12)
-    assert consts.contraction_pair_sum == pytest.approx(7.753279379173254, rel=1e-12)
+    assert consts.b_theta["alpha"] == pytest.approx(beta_oracle(0.6, 0.4), rel=1e-12)
+    assert consts.b_theta["xi"] == pytest.approx(beta_oracle(0.3, 0.4), rel=1e-12)
+    assert consts.contraction_pair_sum == pytest.approx(8.415357243651474, rel=1e-12)
+    assert consts.contraction_pair_sum == pytest.approx(
+        beta_oracle(0.6, 0.4) + beta_oracle(0.3, 0.4), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

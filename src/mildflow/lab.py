@@ -4,10 +4,11 @@ A problem couples a dense symmetric negative-definite generator A on R^m
 with a superlinear nonlinearity on the fractional-power ladder
 ||x||_theta = ||(-A)^theta x||_2.  The lab takes the semigroup constant
 and the Lipschitz constant of the nonlinearity in closed form, selects
-the smallness parameters (L, r, T) by closed-form inversion of the
-contraction inequalities, produces the mild solution by Picard iteration
-so every contraction ratio is observable, and checks the
-exponential-decay estimate over a sweep of initial-value scales.
+the smallness parameters (L, r) by closed-form inversion of the
+contraction inequalities with the horizon T = T_MAX, produces the mild
+solution by Picard iteration so every contraction ratio is observable,
+and checks the exponential-decay estimate over a sweep of initial-value
+scales.
 
 The lab takes semilinear exponent sets only: its generator is fixed, so
 it has no state-dependent part for a Hoelder level beta_exp to measure.
@@ -19,7 +20,7 @@ metric (a documented lower bound of the continuum metric).
 """
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,10 +28,17 @@ from .exponents import BetaConstants, ExponentSet, validate_exponents
 from .propagators import Propagator, require_storage
 from .solver import MAX_STEPS, SolverConfig, picard_solve, run_simulation
 
+# Operator-norm constant of the analytic semigroup, exact for a
+# self-adjoint generator: t^delta ||(-A)^theta e^{tA} (-A)^-vartheta||
+# with delta = theta - vartheta >= 0 is max_k x^delta e^-x at
+# x = t rate_k, at most (delta/e)^delta <= 1, and the pair (0, 0)
+# reaches 1.
+OMEGA0 = 1.0
 # selection takes L and r at this share of their caps, so their slacks
 # stay strictly negative
 SELECT_SAFETY = 0.9
-T_FLOOR = 1e-12
+# the horizon: the tail of data in the ball never binds it (see
+# select_parameters)
 T_MAX = 0.99
 L_FLOOR = 1e-8
 # the Picard mesh and stopping rule of run_fixed_point
@@ -38,8 +46,6 @@ PICARD_CONFIG = SolverConfig(picard_segments=96, picard_tol=1e-10,
                              picard_max_iter=60)
 # initial-value scales of decay_experiment
 DECAY_SCALES = (1e-3, 1e-2, 1e-1, 1.0)
-# inequalities that bound the horizon T
-T_BOUNDS = ("tail_smallness",)
 
 
 class InfeasibleProblem(ValueError):
@@ -140,31 +146,6 @@ class FixedPointProblem:
 
 
 @dataclass(frozen=True)
-class SemigroupConstants:
-    """Operator-norm constant of the analytic semigroup: omega0 bounds
-    t^(theta-vartheta) ||(-A)^theta e^{tA} (-A)^-vartheta|| for
-    theta >= vartheta."""
-
-    omega0: float
-
-    def __post_init__(self):
-        if self.omega0 < 1.0:
-            raise ValueError(f"omega0 must be at least 1, got {self.omega0}")
-
-
-def estimate_semigroup_constants(problem: FixedPointProblem
-                                 ) -> SemigroupConstants:
-    """omega0 = 1 exactly.
-
-    For a self-adjoint generator, t^delta ||(-A)^theta e^{tA}
-    (-A)^-vartheta|| with delta = theta - vartheta >= 0 is max_k x^delta
-    e^-x at x = t rate_k, at most (delta/e)^delta <= 1, and the pair
-    (0, 0) reaches 1.
-    """
-    return SemigroupConstants(omega0=1.0)
-
-
-@dataclass(frozen=True)
 class ContractionParameters:
     """Smallness parameters of the contraction window, all in (0, 1)."""
 
@@ -179,29 +160,20 @@ class ContractionParameters:
                     f"{name} must lie strictly in (0, 1), got {value}")
 
 
-def tail_profile(problem: FixedPointProblem, u0) -> Callable[[float], float]:
-    """Running sup of t^mu ||e^{tA} u0||_xi, monotone by construction.
-
-    Evaluated once on a fixed log grid over [T_FLOOR, 1] and accumulated,
-    so the bisection in select_parameters sees a genuinely nondecreasing
-    profile.
-    """
+def tail_sup(problem: FixedPointProblem, u0, t_end: float) -> float:
+    """sup over t <= t_end of t^mu ||e^{tA} u0||_xi: the largest value on
+    a fixed log grid over [1e-12, 1] up to t_end, and at t_end itself.
+    At most OMEGA0 ||u0||_alpha."""
     exps = problem.exponents
     rates = problem.spectrum
     hat = problem.propagator.to_eigen(np.asarray(u0, dtype=float))
-    ts = np.geomspace(T_FLOOR, 1.0, 1200)
+    ts = np.geomspace(1e-12, 1.0, 1200)
     modes = (rates[None, :] ** exps.xi * np.exp(-ts[:, None] * rates[None, :])
              * hat[None, :])
     values = ts ** exps.mu * np.sqrt((modes ** 2).sum(axis=1))
-    running = np.maximum.accumulate(values)
-
-    def profile(t_end: float) -> float:
-        direct = t_end ** exps.mu * np.sqrt(
-            ((rates ** exps.xi * np.exp(-t_end * rates) * hat) ** 2).sum())
-        idx = np.searchsorted(ts, t_end, side="right") - 1
-        return float(max(direct, running[idx] if idx >= 0 else 0.0))
-
-    return profile
+    direct = t_end ** exps.mu * np.sqrt(
+        ((rates ** exps.xi * np.exp(-t_end * rates) * hat) ** 2).sum())
+    return float(max(direct, values[ts <= t_end].max(initial=0.0)))
 
 
 def _require_semilinear(exponents: ExponentSet) -> None:
@@ -213,58 +185,45 @@ def _require_semilinear(exponents: ExponentSet) -> None:
 
 
 def check_contraction_inequalities(params: ContractionParameters,
-                                   constants: SemigroupConstants,
                                    exponents: ExponentSet,
                                    n_star: float,
                                    beta_consts: BetaConstants,
-                                   m_profile: Optional[Callable] = None
-                                   ) -> dict:
-    """Slack (lhs - rhs, nonpositive when satisfied) of every inequality.
+                                   tail: Optional[float] = None) -> dict:
+    """Slack (lhs - rhs, nonpositive when satisfied) of every inequality;
+    tail_smallness when the tail sup of the data over [0, T] is given.
 
     This table is the only statement of the contraction inequalities:
     select_parameters inverts it.
     """
     _require_semilinear(exponents)
-    w0 = constants.omega0
-    L, r, T = params.L, params.r, params.T
+    L, r = params.L, params.r
 
     slacks = {
-        "lipschitz_budget": 2.0 * w0 * n_star
+        "lipschitz_budget": 2.0 * OMEGA0 * n_star
         * beta_consts.contraction_pair_sum * L ** (exponents.q - 1.0) - 0.25,
-        "ball_radius": r * w0 - L / 4.0,
+        "ball_radius": r * OMEGA0 - L / 4.0,
     }
-    if m_profile is not None:
-        slacks["tail_smallness"] = m_profile(T) - L / 4.0
+    if tail is not None:
+        slacks["tail_smallness"] = tail - L / 4.0
     return slacks
 
 
-def _binding(slacks: dict) -> Optional[str]:
-    """First inequality of T_BOUNDS that the slacks violate, or None."""
-    for name in T_BOUNDS:
-        if slacks.get(name, -1.0) > 0.0:
-            return name
-    return None
-
-
-def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
-                      n_star: float, beta_consts: BetaConstants,
-                      m_profile: Optional[Callable] = None
-                      ) -> ContractionParameters:
+def select_parameters(exponents: ExponentSet, n_star: float,
+                      beta_consts: BetaConstants) -> ContractionParameters:
     """Invert the contraction inequalities for the largest (L, r, T).
 
     L comes from the Lipschitz budget in closed form and r from the ball
-    inequalities given L. T is T_MAX when check_contraction_inequalities
-    finds no T_BOUNDS inequality violated there, else the bisection
-    point below the first horizon its slacks block. L and r are
-    SELECT_SAFETY = 0.9 times their caps, so their slacks stay strictly
-    negative.
+    inequality given L, each SELECT_SAFETY = 0.9 times its cap, so their
+    slacks stay strictly negative. T is T_MAX: data in the ball,
+    ||u0||_alpha <= r, has tail t^mu ||e^{tA} u0||_xi <= OMEGA0 r <
+    L/4 for every t, so tail smallness never bounds the horizon.
     """
     _require_semilinear(exponents)
     if n_star <= 0.0:
         raise ValueError("n_star must be positive")
-    w0 = constants.omega0
 
-    bound = (1.0 / (8.0 * w0 * n_star * beta_consts.contraction_pair_sum)) \
+    bound = (1.0 / (8.0 * OMEGA0 * n_star
+                    * beta_consts.contraction_pair_sum)) \
         ** (1.0 / (exponents.q - 1.0))
     L = SELECT_SAFETY * min(1.0, bound)
     if L < L_FLOOR:
@@ -274,38 +233,16 @@ def select_parameters(constants: SemigroupConstants, exponents: ExponentSet,
             "2*omega0*N*(B_alpha+B_xi)*L^(q-1) <= 1/4 forces "
             f"L <= {bound:.3e}")
 
-    r = SELECT_SAFETY * min(L / (4.0 * w0), 0.999)
-
-    def slacks(t_end: float) -> dict:
-        return check_contraction_inequalities(
-            ContractionParameters(L=L, r=r, T=t_end), constants, exponents,
-            n_star, beta_consts, m_profile)
-
-    if _binding(slacks(T_MAX)) is None:
-        T = T_MAX
-    else:
-        binding = _binding(slacks(T_FLOOR))
-        if binding is not None:
-            raise InfeasibleProblem(
-                binding,
-                f"no contraction window above T = {T_FLOOR}: inequality "
-                f"'{binding}' already fails there")
-        lo, hi = T_FLOOR, T_MAX
-        for _ in range(200):
-            mid = float(np.sqrt(lo * hi))
-            if _binding(slacks(mid)) is None:
-                lo = mid
-            else:
-                hi = mid
-        T = lo
-
-    final = slacks(T)
+    r = SELECT_SAFETY * (L / (4.0 * OMEGA0))
+    params = ContractionParameters(L=L, r=r, T=T_MAX)
+    final = check_contraction_inequalities(params, exponents, n_star,
+                                           beta_consts)
     worst = max(final.values())
     if worst > 1e-9:
         raise InfeasibleProblem(
             max(final, key=final.get),
             f"selection re-validation failed with slack {worst:.3e}")
-    return ContractionParameters(L=L, r=r, T=T)
+    return params
 
 
 def run_fixed_point(problem: FixedPointProblem, params: ContractionParameters,
@@ -454,26 +391,22 @@ def contraction_experiment(dim: int = 8, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     problem = random_problem(dim, rng)
     exps = problem.exponents
-    constants = estimate_semigroup_constants(problem)
     n_star = problem.lipschitz()
     beta_consts = BetaConstants.from_exponents(exps)
-    first = select_parameters(constants, exps, n_star, beta_consts)
+    params = select_parameters(exps, n_star, beta_consts)
     direction = rng.standard_normal(problem.dimension)
     direction /= max(problem.norm(direction, exps.alpha), 1e-30)
-    u0 = 0.9 * first.r * direction
-    profile = tail_profile(problem, u0)
-    params = select_parameters(constants, exps, n_star, beta_consts,
-                               m_profile=profile)
+    u0 = 0.9 * params.r * direction
     result, ratio = run_fixed_point(problem, params, u0)
     slacks = check_contraction_inequalities(
-        params, constants, exps, n_star, beta_consts, profile)
+        params, exps, n_star, beta_consts, tail_sup(problem, u0, params.T))
     return {
         "dim": dim,
         "seed": seed,
         "exponents": exps.report(),
         "spectrum": {"lambda_min": problem.lambda_min,
                      "lambda_max": problem.lambda_max},
-        "constants": {**asdict(constants), "lipschitz_n": n_star},
+        "constants": {"omega0": OMEGA0, "lipschitz_n": n_star},
         "parameters": asdict(params),
         "inequalities": {name: {"slack": float(s), "satisfied": bool(s <= 0.0)}
                          for name, s in slacks.items()},
@@ -490,9 +423,8 @@ def decay_experiment(dim: int = 6, seed: int = 0,
     """Decay sweep on one random semilinear problem, as plain data."""
     rng = np.random.default_rng(seed)
     problem = random_problem(dim, rng, epsilon=epsilon)
-    constants = estimate_semigroup_constants(problem)
     if varpi is None:
         varpi = 0.5 * problem.lambda_min
     report = verify_decay(problem, varpi, scales=DECAY_SCALES, rng=rng)
-    return {"dim": dim, "seed": seed, "omega0": constants.omega0,
+    return {"dim": dim, "seed": seed, "omega0": OMEGA0,
             **asdict(report)}

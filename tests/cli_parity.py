@@ -12,7 +12,8 @@ included, is recorded as "directory".  `compare` lists the commands whose
 results differ, with the parts that differ, and exits 1 if any do.
 
 The battery covers every report (`exponents`, both `lab` commands,
-`lab contraction` at dim 32, the largest the lab benchmark draws,
+`lab contraction` at dim 32, the largest the lab benchmark draws, and at
+dim 1 seed 0 and dim 40 seed 3, the two ends of the lab tests' range,
 `scaling-test`, `simulate` with a decay fit, `decay-test`,
 `spectral-bound`), the heat models with whole and partial last steps,
 both integrators of the frozen quasilinear march, a march that records
@@ -50,6 +51,10 @@ BATTERY = {
     "lab-contraction": ["lab", "contraction", "--dim", "8", "--seed", "0"],
     "lab-contraction-dim-32": ["lab", "contraction", "--dim", "32",
                                "--seed", "1"],
+    "lab-contraction-dim-1": ["lab", "contraction", "--dim", "1",
+                              "--seed", "0"],
+    "lab-contraction-dim-40": ["lab", "contraction", "--dim", "40",
+                               "--seed", "3"],
     "lab-contraction-dim-0": ["lab", "contraction", "--dim", "0"],
     "lab-decay": ["lab", "decay", "--dim", "4", "--seed", "2"],
     "lab-decay-varpi": ["lab", "decay", "--dim", "6", "--seed", "3",

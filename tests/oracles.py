@@ -198,6 +198,28 @@ def sampled_semigroup_sup(problem, theta: float, vartheta: float,
     return max(sup, 1.0) if delta == 0.0 else sup
 
 
+def tail_profile(problem, u0):
+    """Running sup of t^mu ||e^{tA} u0||_xi, the lab's former selection
+    profile: a running-max table on a fixed log grid over [1e-12, 1],
+    looked up by `searchsorted`, and the direct value at t_end."""
+    exps = problem.exponents
+    rates = problem.spectrum
+    hat = problem.propagator.to_eigen(np.asarray(u0, dtype=float))
+    ts = np.geomspace(1e-12, 1.0, 1200)
+    modes = (rates[None, :] ** exps.xi * np.exp(-ts[:, None] * rates[None, :])
+             * hat[None, :])
+    values = ts ** exps.mu * np.sqrt((modes ** 2).sum(axis=1))
+    running = np.maximum.accumulate(values)
+
+    def profile(t_end: float) -> float:
+        direct = t_end ** exps.mu * np.sqrt(
+            ((rates ** exps.xi * np.exp(-t_end * rates) * hat) ** 2).sum())
+        idx = np.searchsorted(ts, t_end, side="right") - 1
+        return float(max(direct, running[idx] if idx >= 0 else 0.0))
+
+    return profile
+
+
 # ------------------------------------------------------------------ heat
 
 

@@ -33,13 +33,12 @@ from mildflow.heat import (
     scaling_transform,
 )
 from mildflow.lab import (
+    OMEGA0,
     FixedPointProblem,
     contraction_experiment,
-    estimate_semigroup_constants,
     random_problem,
     run_fixed_point,
     select_parameters,
-    tail_profile,
     verify_decay,
 )
 from mildflow.solver import (
@@ -71,18 +70,13 @@ def _verdict(num, label, ok, t0, limit):
 
 def _planned_run(problem, rng, u0_factor=0.5):
     """Select certified contraction parameters and an in-ball state."""
-    constants = estimate_semigroup_constants(problem)
     n_star = problem.lipschitz()
     beta_consts = BetaConstants.from_exponents(problem.exponents)
-    first = select_parameters(constants, problem.exponents, n_star,
-                              beta_consts)
+    params = select_parameters(problem.exponents, n_star, beta_consts)
     direction = rng.standard_normal(problem.dimension)
     direction /= problem.norm(direction, problem.exponents.alpha)
-    u0 = u0_factor * first.r * direction
-    params = select_parameters(
-        constants, problem.exponents, n_star, beta_consts,
-        m_profile=tail_profile(problem, u0))
-    return params, u0, constants
+    u0 = u0_factor * params.r * direction
+    return params, u0
 
 
 def test_criterion_01_boundary_operator_is_contraction():
@@ -282,17 +276,16 @@ def test_criterion_11_decay_oracles_and_logistic_closed_form():
     ok = True
     for generator in (np.array([[-1.0]]), np.diag([-1.0, -4.0])):
         problem = FixedPointProblem(generator, SEMI, epsilon=0.0)
-        omega0 = estimate_semigroup_constants(problem).omega0
         report = verify_decay(problem, varpi=0.5,
                               direction=np.ones(generator.shape[0]))
         ok = ok and all(rec.bounded for rec in report.scales) \
             and report.m_report is not None \
-            and report.m_report < 5.0 * omega0
+            and report.m_report < 5.0 * OMEGA0
 
     # nonlinear scalar flow against the logistic closed form
     problem = FixedPointProblem(np.array([[-1.0]]), SEMI)
     rng = np.random.default_rng(0)
-    params, _, _ = _planned_run(problem, rng)
+    params, _ = _planned_run(problem, rng)
     u0 = np.array([0.1 * params.r])
     result, ratio = run_fixed_point(problem, params, u0)
     decay = math.exp(-params.T)
@@ -347,7 +340,7 @@ def test_criterion_14_continuous_dependence_under_halving():
     t0 = time.time()
     rng = np.random.default_rng(99)
     problem = random_problem(3, rng, epsilon=2.0)
-    params, u0, _ = _planned_run(problem, rng)
+    params, u0 = _planned_run(problem, rng)
     alpha = problem.exponents.alpha
     perturbation = rng.standard_normal(problem.dimension)
     perturbation /= problem.norm(perturbation, alpha)

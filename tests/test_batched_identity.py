@@ -7,9 +7,10 @@ exp, phi1 and phi2 of h_j lam on every segment. The fast code must
 reproduce them bit for bit on the matrix lab, on the heat models and on
 the strip's block stack at K = 32, and to 1e-12 relative on the strip at
 K = 192.
-Parameter selection once bisected the horizon on its own copy of the
-contraction inequalities; `select_parameters` bisects the slack table
-of `check_contraction_inequalities` and must land on the same (L, r, T).
+Parameter selection is closed form: `select_parameters` must land on
+the reference's (L, r, T = 0.99) bit for bit, and the tail slack that
+`contraction_experiment` reports must stay inside the ball bound that
+keeps the horizon at 0.99.
 
 `FullLayoutCloud` is the strip model on the full spectrum n = -nx/2 ..
 nx/2-1 in fft order, with the n < 0 blocks mirrored from the n > 0 ones
@@ -34,11 +35,8 @@ from mildflow.config import parse_config
 from mildflow.exponents import BetaConstants, validate_exponents
 from mildflow.heat import (PeriodicGrid, PeriodicHeatModel,
                            QuasilinearHeatModel, SemilinearHeatModel)
-from mildflow.lab import (ContractionParameters, FixedPointProblem,
-                          InfeasibleProblem, _binding,
-                          check_contraction_inequalities,
-                          estimate_semigroup_constants, random_problem,
-                          select_parameters, tail_profile)
+from mildflow.lab import (FixedPointProblem, contraction_experiment,
+                          random_problem, select_parameters)
 from mildflow.propagators import Propagator, phi
 from mildflow.solver import (SolverConfig, graded_mesh, picard_solve,
                              run_simulation)
@@ -129,39 +127,15 @@ def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
     return states, np.asarray(distances), iterations, converged
 
 
-def reference_select(constants, exps, n_star, beta_consts, m_profile=None):
-    """Selection bisecting on its own `blocking` predicate, which restates
-    the inequalities. Returns (L, r, T, hi, binding): hi is the top of the
-    last bisection bracket and binding what blocks there, both None when
-    T = 0.99. Raises InfeasibleProblem naming the binding inequality."""
-    w0 = constants.omega0
+def reference_select(exps, n_star, beta_consts):
+    """Selection restated with omega0 = 1: (L, r, T) with T = 0.99."""
+    w0 = 1.0
     pair_sum = beta_consts.contraction_pair_sum
     bound = (1.0 / (4.0 * 2.0 * w0 * n_star * pair_sum)) \
         ** (1.0 / (exps.q - 1.0))
     L = 0.9 * min(1.0, bound)
-    if L < 1e-8:
-        raise InfeasibleProblem("lipschitz_budget", "L below its floor")
-    r = 0.9 * min(L / (4.0 * w0), 0.999)
-    profile = m_profile if m_profile is not None else (lambda _t: 0.0)
-
-    def blocking(t_end):
-        if profile(t_end) > L / 4.0:
-            return "tail_smallness"
-        return None
-
-    if blocking(0.99) is None:
-        return L, r, 0.99, None, None
-    binding = blocking(1e-12)
-    if binding is not None:
-        raise InfeasibleProblem(binding, "no window above the floor")
-    lo, hi = 1e-12, 0.99
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        if blocking(mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    return L, r, float(lo), float(hi), blocking(hi)
+    r = 0.9 * (L / (4.0 * w0))
+    return L, r, 0.99
 
 
 # Matrix lab: bit for bit ----------------------------------------------------
@@ -194,60 +168,23 @@ def test_lipschitz_and_picard_match_reference_loops(dim):
     assert all(np.array_equal(a, b) for a, b in zip(result.states, states))
 
 
-def selections_against_reference(dim, seed):
-    """Both selections of `contraction_experiment`, and one on the tail of
-    unit-norm data, against their references.
-
-    Each selection must equal its reference in (L, r, T), or raise
-    InfeasibleProblem with the same binding name. The slack table must
-    not block at T, and must block at the top hi of a bisection bracket
-    with the reference's binding name. Returns how many selections
-    bisected."""
-    rng = np.random.default_rng(seed)
-    problem = random_problem(dim, rng)
-    exps = problem.exponents
-    constants = estimate_semigroup_constants(problem)
-    n_star = problem.lipschitz()
-    beta = BetaConstants.from_exponents(exps)
-    bisected = 0
-
-    def compare(**kwargs):
-        nonlocal bisected
-        args = (constants, exps, n_star, beta)
-        try:
-            L, r, T, hi, binding = reference_select(*args, **kwargs)
-        except InfeasibleProblem as expected:
-            with pytest.raises(InfeasibleProblem) as got:
-                select_parameters(*args, **kwargs)
-            assert got.value.binding == expected.binding
-            return None
-        params = select_parameters(*args, **kwargs)
-        assert (params.L, params.r, params.T) == (L, r, T)
-
-        def table(t_end):
-            return check_contraction_inequalities(
-                ContractionParameters(L=L, r=r, T=t_end), *args,
-                kwargs.get("m_profile"))
-        assert _binding(table(T)) is None
-        if hi is not None:
-            bisected += 1
-            assert _binding(table(hi)) == binding
-        return params
-
-    first = compare()
-    if first is not None:
-        direction = rng.standard_normal(dim)
-        direction /= max(problem.norm(direction, exps.alpha), 1e-30)
-        compare(m_profile=tail_profile(problem, 0.9 * first.r * direction))
-        # a unit-norm datum's tail exceeds L/4 at T = 0.99
-        compare(m_profile=tail_profile(problem, direction))
-    return bisected
-
-
-def test_selection_matches_reference_bisection():
-    bisected = sum(selections_against_reference(dim, seed)
-                   for dim in range(1, 41) for seed in range(4))
-    assert bisected > 0
+def test_selection_matches_closed_form_reference():
+    # data of norm 0.9 r = 0.81 L/4 have tail t^mu ||e^{tA} u0||_xi <=
+    # 0.81 L/4, so every reported tail slack is at most -0.19 L/4 and the
+    # tail never bounds the horizon
+    for dim in range(1, 41):
+        for seed in range(4):
+            problem = random_problem(dim, np.random.default_rng(seed))
+            exps = problem.exponents
+            args = (exps, problem.lipschitz(),
+                    BetaConstants.from_exponents(exps))
+            params = select_parameters(*args)
+            assert (params.L, params.r, params.T) == reference_select(*args)
+            report = contraction_experiment(dim, seed)
+            assert report["parameters"] == {"L": params.L, "r": params.r,
+                                            "T": 0.99}
+            slack = report["inequalities"]["tail_smallness"]["slack"]
+            assert slack <= -0.19 * params.L / 4.0
 
 
 def test_lipschitz_closed_form_holds_off_the_unit_ball():

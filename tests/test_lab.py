@@ -8,22 +8,22 @@ from scipy.linalg import expm
 
 from mildflow.exponents import BetaConstants, validate_exponents
 from mildflow.lab import (
+    OMEGA0,
     ContractionParameters,
     FixedPointDivergence,
     FixedPointProblem,
     InfeasibleProblem,
-    SemigroupConstants,
     check_contraction_inequalities,
     contraction_experiment,
     decay_experiment,
-    estimate_semigroup_constants,
     random_problem,
     run_fixed_point,
     select_parameters,
-    tail_profile,
+    tail_sup,
     verify_decay,
 )
-from oracles import phi_action_dense, sampled_lipschitz, sampled_semigroup_sup
+from oracles import (phi_action_dense, sampled_lipschitz,
+                     sampled_semigroup_sup, tail_profile)
 
 # Oracles ------------------------------------------------------------------
 
@@ -43,7 +43,6 @@ def mode_sup_exact(delta):
 FROZEN_L_BOUND = 0.014853796028005788
 
 SEMI = validate_exponents(0.1, 0.5, 0.8, 2.0)
-UNIT_CONSTANTS = SemigroupConstants(omega0=1.0)
 SEMI_BETA = BetaConstants.from_exponents(SEMI)
 
 
@@ -111,21 +110,19 @@ def test_log_convexity_in_theta():
 
 def test_semigroup_constants_scalar_frozen():
     problem = scalar_problem()
-    consts = estimate_semigroup_constants(problem)
-    assert consts == SemigroupConstants(omega0=1.0)
+    assert OMEGA0 == 1.0
     # (0, 0), (alpha, gamma), (xi, gamma) and (xi, alpha)
     pairs = level_pairs(SEMI)
     assert pairs == [(0.0, 0.0), (0.5, 0.1), (0.8, 0.1), (0.8, 0.5)]
     by_pair = {pair: sampled_semigroup_sup(problem, *pair) for pair in pairs}
-    assert by_pair[(0.0, 0.0)] == consts.omega0
+    assert by_pair[(0.0, 0.0)] == OMEGA0
     assert by_pair[(0.8, 0.1)] == pytest.approx(0.7 ** 0.7 / math.e ** 0.7,
                                                 rel=1e-3)
-    assert max(by_pair.values()) <= consts.omega0
+    assert max(by_pair.values()) <= OMEGA0
 
 
 def test_semigroup_constants_two_mode_closed_form():
     prob = FixedPointProblem(np.diag([-1.0, -10.0]), SEMI)
-    assert estimate_semigroup_constants(prob).omega0 == 1.0
     for theta, vartheta in level_pairs(SEMI):
         sup = sampled_semigroup_sup(prob, theta, vartheta)
         assert sup == pytest.approx(mode_sup_exact(theta - vartheta), rel=1e-4)
@@ -143,39 +140,24 @@ def test_closed_form_constants_bound_their_samples():
             problem = random_problem(dim, rng)
             n_star = problem.lipschitz()
             assert sampled_lipschitz(problem, rng) <= n_star * (1.0 + 1e-9)
-            omega0 = estimate_semigroup_constants(problem).omega0
             for theta, vartheta in level_pairs(problem.exponents):
-                assert sampled_semigroup_sup(problem, theta, vartheta) <= omega0
+                assert sampled_semigroup_sup(problem, theta, vartheta) <= OMEGA0
 
 
 def test_semigroup_constants_type_validation():
-    with pytest.raises(ValueError, match="omega0"):
-        SemigroupConstants(omega0=0.5)
+    # a float at least 1: the reports write it, and JSON writes 1.0, not 1
+    assert type(OMEGA0) is float and OMEGA0 >= 1.0
 
 
 # Parameter selection --------------------------------------------------------
 
 def test_select_parameters_frozen_contraction_budget():
-    params = select_parameters(UNIT_CONSTANTS, SEMI, 1.0, SEMI_BETA)
+    params = select_parameters(SEMI, 1.0, SEMI_BETA)
     assert params.L == pytest.approx(0.9 * FROZEN_L_BOUND, rel=1e-9)
     assert params.L <= FROZEN_L_BOUND
-    # r caps at 0.9 * L / (4 * omega0), below the 0.999 cap
+    # r is 0.9 of its cap L / (4 * omega0)
     assert params.r == pytest.approx(0.9 * params.L / 4.0, rel=1e-12)
     assert params.T == 0.99
-
-
-def test_select_parameters_revalidation_slack():
-    # u0 = 0.1 has a tail t^mu |u0| e^-t far above L/4 = 3.3e-3 at T = 0.99,
-    # so the horizon is bisected; the bisected T is a plain float, which
-    # the JSON reports need
-    profile = tail_profile(scalar_problem(), np.array([0.1]))
-    params = select_parameters(UNIT_CONSTANTS, SEMI, 1.0, SEMI_BETA,
-                               m_profile=profile)
-    assert type(params.T) is float and params.T < 1e-3
-    slacks = check_contraction_inequalities(params, UNIT_CONSTANTS, SEMI, 1.0,
-                                            SEMI_BETA, profile)
-    assert set(slacks) == {"lipschitz_budget", "ball_radius", "tail_smallness"}
-    assert all(value <= 1e-12 for value in slacks.values())
 
 
 def test_select_parameters_large_q_cap():
@@ -183,23 +165,21 @@ def test_select_parameters_large_q_cap():
     for q in (2.0, 51.0, 2001.0):
         exps = validate_exponents(0.1, 0.5, 0.5 + 0.6 / q, q)
         levels.append(select_parameters(
-            UNIT_CONSTANTS, exps, 1.0, BetaConstants.from_exponents(exps)).L)
+            exps, 1.0, BetaConstants.from_exponents(exps)).L)
     assert levels == sorted(levels)
     assert 0.88 <= levels[-1] <= 0.9 + 1e-12
 
 
 def test_select_parameters_infeasible_names_budget():
     with pytest.raises(InfeasibleProblem) as err:
-        select_parameters(UNIT_CONSTANTS, SEMI, 1e9, SEMI_BETA)
+        select_parameters(SEMI, 1e9, SEMI_BETA)
     assert err.value.binding == "lipschitz_budget"
 
 
 def test_select_parameters_semilinear_window_free():
-    consts = SemigroupConstants(omega0=1.0)
     beta_consts = BetaConstants.from_exponents(SEMI)
-    params = select_parameters(consts, SEMI, 1.0, beta_consts)
-    slacks = check_contraction_inequalities(params, consts, SEMI, 1.0,
-                                            beta_consts)
+    params = select_parameters(SEMI, 1.0, beta_consts)
+    slacks = check_contraction_inequalities(params, SEMI, 1.0, beta_consts)
     assert set(slacks) == {"lipschitz_budget", "ball_radius"}
     assert params.T == pytest.approx(0.99)
 
@@ -209,10 +189,9 @@ def test_lab_refuses_exponent_sets_with_beta_exp():
     quasi = validate_exponents(0.1, 0.5, 0.8, 2.0, beta_exp=0.2)
     params = ContractionParameters(L=0.01, r=0.002, T=0.5)
     with pytest.raises(ValueError, match="beta_exp"):
-        select_parameters(UNIT_CONSTANTS, quasi, 1.0, SEMI_BETA)
+        select_parameters(quasi, 1.0, SEMI_BETA)
     with pytest.raises(ValueError, match="beta_exp"):
-        check_contraction_inequalities(params, UNIT_CONSTANTS, quasi, 1.0,
-                                       SEMI_BETA)
+        check_contraction_inequalities(params, quasi, 1.0, SEMI_BETA)
     with pytest.raises(ValueError, match="beta_exp"):
         FixedPointProblem(np.array([[-1.0]]), quasi)
 
@@ -224,17 +203,20 @@ def test_contraction_parameters_range_validation():
         ContractionParameters(L=0.1, r=0.1, T=1.5)
 
 
-def test_tail_profile_monotone_and_small_for_ball_data():
-    rng = np.random.default_rng(3)
-    prob = random_problem(7, rng)
-    u0 = rng.standard_normal(7)
-    u0 *= 1e-2 / prob.norm(u0, prob.exponents.alpha)
-    profile = tail_profile(prob, u0)
-    ts = np.geomspace(1e-10, 0.9, 40)
-    vals = [profile(t) for t in ts]
-    assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-    # weighted tail of ball data stays below the ball radius itself
-    assert max(vals) <= 1e-2
+def test_tail_sup_below_the_ball_bound_and_equal_to_the_profile():
+    # t^mu ||e^{tA} u0||_xi <= omega0 ||u0||_alpha for every t; the value
+    # is the old running-max profile's, bit for bit, below the grid's
+    # first point, between and on its points, and past its end
+    for dim, seed in ((1, 0), (7, 3), (32, 1)):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(dim, rng)
+        u0 = rng.standard_normal(dim)
+        profile = tail_profile(prob, u0)
+        bound = OMEGA0 * prob.norm(u0, prob.exponents.alpha)
+        for t_end in (1e-13, 1e-12, 3e-7, 0.5, 0.99, 1.0, 1.5):
+            value = tail_sup(prob, u0, t_end)
+            assert value == profile(t_end)
+            assert value <= bound * (1.0 + 1e-12)
 
 
 def test_problem_propagator_reuses_cached_eigenbasis():
@@ -276,15 +258,12 @@ def test_lipschitz_estimate_scalar_quadratic():
 # Fixed-point runs -----------------------------------------------------------
 
 def plan_for(problem, rng, u0_factor=0.9):
-    consts = estimate_semigroup_constants(problem)
     n_star = problem.lipschitz()
     beta_consts = BetaConstants.from_exponents(problem.exponents)
-    first = select_parameters(consts, problem.exponents, n_star, beta_consts)
+    params = select_parameters(problem.exponents, n_star, beta_consts)
     direction = rng.standard_normal(problem.dimension)
     direction /= problem.norm(direction, problem.exponents.alpha)
-    u0 = u0_factor * first.r * direction
-    params = select_parameters(consts, problem.exponents, n_star, beta_consts,
-                               m_profile=tail_profile(problem, u0))
+    u0 = u0_factor * params.r * direction
     return params, u0
 
 
@@ -371,7 +350,6 @@ def test_random_problems_contract_within_iteration_budget():
 def test_verify_decay_linear_semigroup():
     rng = np.random.default_rng(7)
     prob = random_problem(6, rng, epsilon=0.0)
-    consts = estimate_semigroup_constants(prob)
     varpi = 0.5 * prob.lambda_min
     report = verify_decay(prob, varpi, scales=(1e-3, 1e-1, 1.0), rng=rng)
     assert all(rec.bounded for rec in report.scales)
@@ -380,7 +358,7 @@ def test_verify_decay_linear_semigroup():
     shift = (prob.lambda_min / (prob.lambda_min - varpi)) ** mu
     honest = 1.0 + (mu / math.e) ** mu * shift
     assert report.m_report <= honest * 1.005
-    assert report.m_report < 5.0 * consts.omega0
+    assert report.m_report < 5.0 * OMEGA0
     assert report.m_report >= 1.0  # the t=0 sample alone contributes 1
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import eigvals
@@ -214,22 +214,15 @@ def analytic_bound_nonperiodic(coeffs: CloudCoefficients) -> float:
             + max(abs(beta) / (2.0 * nu), math.pi) * (abs(beta) / 2.0 - math.pi * nu))
 
 
-@dataclass(frozen=True)
-class StabilityCheck:
-    satisfied: bool
-    margin: float
-
-
-def periodic_stability_condition(coeffs: CloudCoefficients) -> StabilityCheck:
-    """On the 2 pi periodic strip the spectrum stays in the open left half
-    plane whenever eta + beta^2/(16 nu) < pi^2 nu."""
+def periodic_stability_margin(coeffs: CloudCoefficients) -> float:
+    """pi^2 nu - eta - beta^2/(16 nu): on the 2 pi periodic strip the
+    spectrum stays in the open left half plane when it is positive."""
     try:
         drift = coeffs.beta ** 2 / (16.0 * coeffs.nu)
     except OverflowError:
         raise ValueError(f"cloud.beta: beta^2 overflows, got {coeffs.beta}") \
             from None
-    margin = math.pi ** 2 * coeffs.nu - coeffs.eta - drift
-    return StabilityCheck(satisfied=margin > 0.0, margin=margin)
+    return math.pi ** 2 * coeffs.nu - coeffs.eta - drift
 
 
 def nonlinearity_cloud(u: SpectralField) -> SpectralField:
@@ -261,8 +254,12 @@ class CloudModel:
         require_storage(5 * modes * m * m * 16, "grid.nx, grid.ny: the mode stacks")
         self.coeffs = coeffs
         self.geometry = geometry
-        self.propagator = Propagator.from_matrix(
-            mode_stack(range(modes), coeffs, geometry))
+
+    @cached_property
+    def propagator(self) -> Propagator:
+        """Built on first use: a run refused before it steps builds none."""
+        return Propagator.from_matrix(mode_stack(
+            range(self.geometry.nx // 2 + 1), self.coeffs, self.geometry))
 
     def field_from_state(self, state: np.ndarray) -> SpectralField:
         full = np.zeros(state.shape[:-1] + (self.geometry.ny,), dtype=complex)

@@ -7,10 +7,10 @@ on the identity q*(xi - alpha) = 1 + gamma - alpha; the singular
 convolution integrals it produces evaluate to Beta-function constants
 B(1 + gamma - theta, 1 - mu*q) with mu = xi - alpha.
 
-This module validates exponent tuples, evaluates the Beta constants, and
-derives the admissible exponent windows for the two concrete heat-type
-models (power nonlinearity with Dirichlet data, gradient nonlinearity in
-divergence form with Neumann data).
+This module validates exponent tuples, evaluates the Beta constants and
+their sum B_alpha + B_xi, and derives the admissible exponent windows for
+the two concrete heat-type models (power nonlinearity with Dirichlet data,
+gradient nonlinearity in divergence form with Neumann data).
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ class ExponentError(ValueError):
     """
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
@@ -47,10 +45,6 @@ class ExponentSet:
     q: float
     beta_exp: Optional[float] = None
     mu: float = 0.0
-
-    def theta_levels(self) -> dict:
-        """Named exponent levels at which Beta constants are needed."""
-        return {"gamma": self.gamma, "alpha": self.alpha, "xi": self.xi}
 
     def report(self) -> dict:
         """The set as a report: its fields, beta_exp printed as beta."""
@@ -109,10 +103,10 @@ def validate_exponents(gamma, alpha, xi, q, beta_exp=None) -> ExponentSet:
 def beta_function(a: float, b: float) -> float:
     """Euler Beta via log-Gamma; both arguments must be positive."""
     if a <= 0.0 or b <= 0.0:
-        raise ExponentError(
+        raise ExponentError([
             f"Beta arguments must be positive, got ({a}, {b}); "
             "exponent configuration is inadmissible"
-        )
+        ])
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
@@ -121,23 +115,10 @@ def beta_constant(gamma: float, theta: float, mu: float, q: float) -> float:
     return beta_function(1.0 + gamma - theta, 1.0 - mu * q)
 
 
-@dataclass(frozen=True)
-class BetaConstants:
-    """Beta constants of an exponent set, keyed by level name."""
-
-    b_theta: dict
-
-    @classmethod
-    def from_exponents(cls, exps: ExponentSet) -> "BetaConstants":
-        return cls(b_theta={
-            name: beta_constant(exps.gamma, theta, exps.mu, exps.q)
-            for name, theta in exps.theta_levels().items()
-        })
-
-    @property
-    def contraction_pair_sum(self) -> float:
-        """B_alpha + B_xi, the Beta constants of the contraction budget."""
-        return self.b_theta["alpha"] + self.b_theta["xi"]
+def contraction_pair_sum(exps: ExponentSet) -> float:
+    """B_alpha + B_xi, the Beta constants of the contraction budget."""
+    return (beta_constant(exps.gamma, exps.alpha, exps.mu, exps.q)
+            + beta_constant(exps.gamma, exps.xi, exps.mu, exps.q))
 
 
 def _require_finite(**values) -> None:

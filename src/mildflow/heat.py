@@ -245,8 +245,8 @@ class PeriodicHeatModel:
         if kind not in ("semilinear", "quasilinear"):
             raise ValueError(f"unknown model kind {kind!r}")
         if not kappa > PERIODIC_KAPPA_FLOOR:
-            raise ExponentError(f"kappa must exceed {PERIODIC_KAPPA_FLOOR:g}, "
-                                f"got {kappa}")
+            raise ExponentError([
+                f"kappa must exceed {PERIODIC_KAPPA_FLOOR:g}, got {kappa}"])
         if not diffusion > 0.0:
             raise ValueError("diffusion must be positive")
         with np.errstate(over="ignore"):

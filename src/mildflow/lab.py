@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exponents import BetaConstants, ExponentSet, validate_exponents
+from .exponents import ExponentSet, contraction_pair_sum, validate_exponents
 from .propagators import Propagator, require_storage
 from .solver import MAX_STEPS, SolverConfig, picard_solve, run_simulation
 
@@ -187,10 +187,11 @@ def _require_semilinear(exponents: ExponentSet) -> None:
 def check_contraction_inequalities(params: ContractionParameters,
                                    exponents: ExponentSet,
                                    n_star: float,
-                                   beta_consts: BetaConstants,
+                                   pair_sum: float,
                                    tail: Optional[float] = None) -> dict:
-    """Slack (lhs - rhs, nonpositive when satisfied) of every inequality;
-    tail_smallness when the tail sup of the data over [0, T] is given.
+    """Slack (lhs - rhs, nonpositive when satisfied) of every inequality,
+    with pair_sum = B_alpha + B_xi; tail_smallness when the tail sup of
+    the data over [0, T] is given.
 
     This table is the only statement of the contraction inequalities:
     select_parameters inverts it.
@@ -199,8 +200,8 @@ def check_contraction_inequalities(params: ContractionParameters,
     L, r = params.L, params.r
 
     slacks = {
-        "lipschitz_budget": 2.0 * OMEGA0 * n_star
-        * beta_consts.contraction_pair_sum * L ** (exponents.q - 1.0) - 0.25,
+        "lipschitz_budget": 2.0 * OMEGA0 * n_star * pair_sum
+        * L ** (exponents.q - 1.0) - 0.25,
         "ball_radius": r * OMEGA0 - L / 4.0,
     }
     if tail is not None:
@@ -209,8 +210,9 @@ def check_contraction_inequalities(params: ContractionParameters,
 
 
 def select_parameters(exponents: ExponentSet, n_star: float,
-                      beta_consts: BetaConstants) -> ContractionParameters:
-    """Invert the contraction inequalities for the largest (L, r, T).
+                      pair_sum: float) -> ContractionParameters:
+    """Invert the contraction inequalities for the largest (L, r, T),
+    with pair_sum = B_alpha + B_xi.
 
     L comes from the Lipschitz budget in closed form and r from the ball
     inequality given L, each SELECT_SAFETY = 0.9 times its cap, so their
@@ -222,8 +224,7 @@ def select_parameters(exponents: ExponentSet, n_star: float,
     if n_star <= 0.0:
         raise ValueError("n_star must be positive")
 
-    bound = (1.0 / (8.0 * OMEGA0 * n_star
-                    * beta_consts.contraction_pair_sum)) \
+    bound = (1.0 / (8.0 * OMEGA0 * n_star * pair_sum)) \
         ** (1.0 / (exponents.q - 1.0))
     L = SELECT_SAFETY * min(1.0, bound)
     if L < L_FLOOR:
@@ -236,7 +237,7 @@ def select_parameters(exponents: ExponentSet, n_star: float,
     r = SELECT_SAFETY * (L / (4.0 * OMEGA0))
     params = ContractionParameters(L=L, r=r, T=T_MAX)
     final = check_contraction_inequalities(params, exponents, n_star,
-                                           beta_consts)
+                                           pair_sum)
     worst = max(final.values())
     if worst > 1e-9:
         raise InfeasibleProblem(
@@ -290,13 +291,13 @@ class DecayReport:
     scales: tuple
 
 
-def verify_decay(problem: FixedPointProblem, varpi: float,
-                 scales=(1e-3, 1e-2, 1e-1), direction=None,
-                 rng=None) -> DecayReport:
+def verify_decay(problem: FixedPointProblem, varpi: float, direction,
+                 scales=(1e-3, 1e-2, 1e-1)) -> DecayReport:
     """Check the weighted exponential-decay estimate over a scale sweep.
 
-    Each initial value scale*direction is evolved to T = 20/varpi and the
-    quotient sup_t e^{varpi t} (||u||_alpha + t^mu ||u||_xi) / ||u0||_alpha
+    The direction is normalized to ||direction||_alpha = 1. Each initial
+    value scale*direction is evolved to T = 20/varpi and the quotient
+    sup_t e^{varpi t} (||u||_alpha + t^mu ||u||_xi) / ||u0||_alpha is
     recorded.  A scale whose quotient still grows near the horizon (or
     whose run hit the blow-up guard) is reported as outside the decay
     neighborhood rather than failed; m_report aggregates the passing
@@ -316,9 +317,6 @@ def verify_decay(problem: FixedPointProblem, varpi: float,
         raise ValueError(
             f"varpi {varpi:g} is too small: the horizon t_end = 20/varpi = "
             f"{t_end:.3g} takes more than {MAX_STEPS:,} steps of {dt:.3g}")
-    if direction is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        direction = rng.standard_normal(problem.dimension)
     direction = np.asarray(direction, dtype=float)
     direction = direction / max(problem.norm(direction, exps.alpha), 1e-30)
 
@@ -392,14 +390,14 @@ def contraction_experiment(dim: int = 8, seed: int = 0) -> dict:
     problem = random_problem(dim, rng)
     exps = problem.exponents
     n_star = problem.lipschitz()
-    beta_consts = BetaConstants.from_exponents(exps)
-    params = select_parameters(exps, n_star, beta_consts)
+    pair_sum = contraction_pair_sum(exps)
+    params = select_parameters(exps, n_star, pair_sum)
     direction = rng.standard_normal(problem.dimension)
     direction /= max(problem.norm(direction, exps.alpha), 1e-30)
     u0 = 0.9 * params.r * direction
     result, ratio = run_fixed_point(problem, params, u0)
     slacks = check_contraction_inequalities(
-        params, exps, n_star, beta_consts, tail_sup(problem, u0, params.T))
+        params, exps, n_star, pair_sum, tail_sup(problem, u0, params.T))
     return {
         "dim": dim,
         "seed": seed,
@@ -425,6 +423,7 @@ def decay_experiment(dim: int = 6, seed: int = 0,
     problem = random_problem(dim, rng, epsilon=epsilon)
     if varpi is None:
         varpi = 0.5 * problem.lambda_min
-    report = verify_decay(problem, varpi, scales=DECAY_SCALES, rng=rng)
+    direction = rng.standard_normal(problem.dimension)
+    report = verify_decay(problem, varpi, direction, scales=DECAY_SCALES)
     return {"dim": dim, "seed": seed, "omega0": OMEGA0,
             **asdict(report)}

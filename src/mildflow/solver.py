@@ -132,7 +132,6 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     evaluated once per accepted state, and the next step reuses f.
     """
     dt = config.dt
-    fixed = getattr(model, "propagator", None)
 
     def operators(st, h):
         if fixed is not None and h == dt:
@@ -149,6 +148,8 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
     if config.snapshot_every:
         require_storage((n_steps // config.snapshot_every + 1) * state.nbytes,
                         "solver.snapshot_every, solver.t_end: the snapshots")
+    # read after the snapshot rule: a model may build it on first use
+    fixed = getattr(model, "propagator", None)
     norms = _norm_set(model, state, sigmas)
     threshold = config.blowup_factor * max(norms[lead], 1.0)
 

@@ -20,7 +20,10 @@ both integrators of the frozen quasilinear march, a march that records
 every third step and one that flags on a step it does not record, a
 flagged decay test and the error paths, on small inputs, among them
 refusals (a decay test from zero data, an odd `grid.nx`, scaling-test
-data too wide for its box) that must leave no run directory behind.
+data too wide for its box) that must leave no run directory behind,
+and `simulate-snapshot-storage-big-beta`, an input that breaks both the
+snapshot storage rule and the `cloud.beta` overflow rule, whose error
+names the rule that refuses first.
 Not collected by pytest: it has no `test_` prefix.
 """
 
@@ -105,6 +108,9 @@ BATTERY = {
     "simulate-odd-nx": ["simulate", "--nx", "63"],
     "simulate-snapshot-storage": ["simulate", "--t-end", "50",
                                   "--snapshot-every", "1", "--out", "a/b/run"],
+    "simulate-snapshot-storage-big-beta": ["simulate", "--beta", "1e308",
+                                           "--t-end", "50",
+                                           "--snapshot-every", "1"],
     "decay-test": ["decay-test", *SMALL_STRIP, "--t-end", "1.0"],
     "decay-test-blowup": ["decay-test", "--amplitude", "1e3", "--t-end", "0.1",
                           *SMALL_STRIP],

@@ -16,12 +16,12 @@ from mildflow.cloud import (
     CloudCoefficients,
     CloudModel,
     analytic_bound_nonperiodic,
-    periodic_stability_condition,
+    periodic_stability_margin,
     spectral_bound_numeric,
 )
 from mildflow.exponents import (
-    BetaConstants,
     beta_function,
+    contraction_pair_sum,
     semilinear_recipe,
     validate_exponents,
 )
@@ -71,8 +71,8 @@ def _verdict(num, label, ok, t0, limit):
 def _planned_run(problem, rng, u0_factor=0.5):
     """Select certified contraction parameters and an in-ball state."""
     n_star = problem.lipschitz()
-    beta_consts = BetaConstants.from_exponents(problem.exponents)
-    params = select_parameters(problem.exponents, n_star, beta_consts)
+    pair_sum = contraction_pair_sum(problem.exponents)
+    params = select_parameters(problem.exponents, n_star, pair_sum)
     direction = rng.standard_normal(problem.dimension)
     direction /= problem.norm(direction, problem.exponents.alpha)
     u0 = u0_factor * params.r * direction
@@ -133,7 +133,7 @@ def test_criterion_04_stable_window_gives_negative_bound():
         cap = math.pi ** 2 * nu - beta ** 2 / (16.0 * nu)
         eta = cap - rng.uniform(0.05, 1.5)
         coeffs = CloudCoefficients(nu=nu, eta=eta, beta=beta)
-        assert periodic_stability_condition(coeffs).satisfied
+        assert periodic_stability_margin(coeffs) > 0.0
         ok = ok and spectral_bound_numeric(coeffs, geometry) < 0.0
     _verdict(4, "100 triples inside eta + beta^2/(16 nu) < pi^2 nu have "
                 "negative periodic bound", ok, t0, 120.0)

@@ -32,7 +32,7 @@ from mildflow import cli
 from mildflow.chebyshev import cumulative_matrix, diff_matrix
 from mildflow.cloud import CloudCoefficients, CloudModel, mode_stack
 from mildflow.config import parse_config
-from mildflow.exponents import BetaConstants, validate_exponents
+from mildflow.exponents import contraction_pair_sum, validate_exponents
 from mildflow.heat import (PeriodicGrid, PeriodicHeatModel,
                            QuasilinearHeatModel, SemilinearHeatModel)
 from mildflow.lab import (FixedPointProblem, contraction_experiment,
@@ -127,10 +127,9 @@ def reference_picard(u0, t_end, config, propagator, nonlinearity, norm_fn,
     return states, np.asarray(distances), iterations, converged
 
 
-def reference_select(exps, n_star, beta_consts):
+def reference_select(exps, n_star, pair_sum):
     """Selection restated with omega0 = 1: (L, r, T) with T = 0.99."""
     w0 = 1.0
-    pair_sum = beta_consts.contraction_pair_sum
     bound = (1.0 / (4.0 * 2.0 * w0 * n_star * pair_sum)) \
         ** (1.0 / (exps.q - 1.0))
     L = 0.9 * min(1.0, bound)
@@ -176,8 +175,7 @@ def test_selection_matches_closed_form_reference():
         for seed in range(4):
             problem = random_problem(dim, np.random.default_rng(seed))
             exps = problem.exponents
-            args = (exps, problem.lipschitz(),
-                    BetaConstants.from_exponents(exps))
+            args = (exps, problem.lipschitz(), contraction_pair_sum(exps))
             params = select_parameters(*args)
             assert (params.L, params.r, params.T) == reference_select(*args)
             report = contraction_experiment(dim, seed)

@@ -309,8 +309,10 @@ _HUGE = "2" * 400  # too large for a float quotient
      ["heat.run_simulation", "heat.scaling_transform"]),
     (["simulate", "--model", "heat-periodic", "--set", "grid.n=" + _HUGE],
      "grid.n", ["cli.PeriodicHeatModel"]),
+    (["simulate", "--t-end", "50", "--snapshot-every", "1"],
+     "solver.snapshot_every", ["cloud.mode_stack"]),
 ], ids=["nx", "nx-huge", "spectral-bound-nx-huge", "points", "intervals",
-        "scaling-n", "periodic-n-huge"])
+        "scaling-n", "periodic-n-huge", "snapshots"])
 def test_storage_is_refused_where_it_is_allocated(
         tmp_path, monkeypatch, capsys, argv, key, stubs):
     # the owner of each storage rule refuses before the call that would

@@ -17,7 +17,7 @@ from mildflow.cloud import (
     mode_spectra,
     mode_stack,
     nonlinearity_cloud,
-    periodic_stability_condition,
+    periodic_stability_margin,
     spectral_bound_numeric,
 )
 from mildflow.strip import (
@@ -147,17 +147,16 @@ def test_periodic_condition_implies_negative_bound():
         coeffs = CloudCoefficients(nu=rng.uniform(0.3, 1.5),
                                    eta=rng.uniform(-1.0, 2.0),
                                    beta=rng.uniform(-3.0, 3.0))
-        check = periodic_stability_condition(coeffs)
-        if not check.satisfied:
+        if not periodic_stability_margin(coeffs) > 0.0:
             continue
         checked += 1
         assert spectral_bound_numeric(coeffs, GEO, n_max=GEO.nx // 2) < 0.0
 
 
 def test_periodic_condition_margin_sign():
-    assert periodic_stability_condition(CloudCoefficients(1, 0, 1)).satisfied
-    strong = periodic_stability_condition(CloudCoefficients(0.1, 0, 10.0))
-    assert not strong.satisfied and strong.margin < 0.0
+    assert periodic_stability_margin(CloudCoefficients(1, 0, 1)) > 0.0
+    strong = periodic_stability_margin(CloudCoefficients(0.1, 0, 10.0))
+    assert strong < 0.0
 
 
 CRITERION_STRIPS = (open_strip(128, 48, half_length=4.0 * math.pi),

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mildflow.exponents import (
-    BetaConstants,
     ExponentError,
     beta_constant,
+    contraction_pair_sum,
     quasilinear_recipe,
     semilinear_recipe,
     validate_exponents,
@@ -121,19 +121,21 @@ def test_beta_rejects_nonpositive_argument():
 
 def test_beta_constants_monotone_in_theta():
     exps = validate_exponents(gamma=0.1, alpha=0.5, xi=0.8, q=2.0, beta_exp=0.2)
-    consts = BetaConstants.from_exponents(exps)
-    assert consts.b_theta["alpha"] < consts.b_theta["xi"]
-    assert all(v > 0.0 and math.isfinite(v) for v in consts.b_theta.values())
+    consts = [beta_constant(exps.gamma, theta, exps.mu, exps.q)
+              for theta in (exps.gamma, exps.alpha, exps.xi)]
+    assert consts[1] < consts[2]  # B_alpha < B_xi
+    assert all(v > 0.0 and math.isfinite(v) for v in consts)
 
 
 def test_contraction_pair_sum_frozen_value():
     # B_alpha + B_xi = B(0.6, 0.4) + B(0.3, 0.4) = 8.415357243651474
     exps = validate_exponents(gamma=0.1, alpha=0.5, xi=0.8, q=2.0)
-    consts = BetaConstants.from_exponents(exps)
-    assert consts.b_theta["alpha"] == pytest.approx(beta_oracle(0.6, 0.4), rel=1e-12)
-    assert consts.b_theta["xi"] == pytest.approx(beta_oracle(0.3, 0.4), rel=1e-12)
-    assert consts.contraction_pair_sum == pytest.approx(8.415357243651474, rel=1e-12)
-    assert consts.contraction_pair_sum == pytest.approx(
+    b_alpha = beta_constant(exps.gamma, exps.alpha, exps.mu, exps.q)
+    b_xi = beta_constant(exps.gamma, exps.xi, exps.mu, exps.q)
+    assert b_alpha == pytest.approx(beta_oracle(0.6, 0.4), rel=1e-12)
+    assert b_xi == pytest.approx(beta_oracle(0.3, 0.4), rel=1e-12)
+    assert contraction_pair_sum(exps) == pytest.approx(8.415357243651474, rel=1e-12)
+    assert contraction_pair_sum(exps) == pytest.approx(
         beta_oracle(0.6, 0.4) + beta_oracle(0.3, 0.4), rel=1e-12)
 
 

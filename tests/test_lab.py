@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mildflow.exponents import BetaConstants, validate_exponents
+from mildflow.exponents import contraction_pair_sum, validate_exponents
 from mildflow.lab import (
     OMEGA0,
     ContractionParameters,
@@ -43,7 +43,7 @@ def mode_sup_exact(delta):
 FROZEN_L_BOUND = 0.014853796028005788
 
 SEMI = validate_exponents(0.1, 0.5, 0.8, 2.0)
-SEMI_BETA = BetaConstants.from_exponents(SEMI)
+SEMI_PAIR_SUM = contraction_pair_sum(SEMI)
 
 
 def scalar_problem(epsilon=1.0):
@@ -152,7 +152,7 @@ def test_semigroup_constants_type_validation():
 # Parameter selection --------------------------------------------------------
 
 def test_select_parameters_frozen_contraction_budget():
-    params = select_parameters(SEMI, 1.0, SEMI_BETA)
+    params = select_parameters(SEMI, 1.0, SEMI_PAIR_SUM)
     assert params.L == pytest.approx(0.9 * FROZEN_L_BOUND, rel=1e-9)
     assert params.L <= FROZEN_L_BOUND
     # r is 0.9 of its cap L / (4 * omega0)
@@ -165,21 +165,20 @@ def test_select_parameters_large_q_cap():
     for q in (2.0, 51.0, 2001.0):
         exps = validate_exponents(0.1, 0.5, 0.5 + 0.6 / q, q)
         levels.append(select_parameters(
-            exps, 1.0, BetaConstants.from_exponents(exps)).L)
+            exps, 1.0, contraction_pair_sum(exps)).L)
     assert levels == sorted(levels)
     assert 0.88 <= levels[-1] <= 0.9 + 1e-12
 
 
 def test_select_parameters_infeasible_names_budget():
     with pytest.raises(InfeasibleProblem) as err:
-        select_parameters(SEMI, 1e9, SEMI_BETA)
+        select_parameters(SEMI, 1e9, SEMI_PAIR_SUM)
     assert err.value.binding == "lipschitz_budget"
 
 
 def test_select_parameters_semilinear_window_free():
-    beta_consts = BetaConstants.from_exponents(SEMI)
-    params = select_parameters(SEMI, 1.0, beta_consts)
-    slacks = check_contraction_inequalities(params, SEMI, 1.0, beta_consts)
+    params = select_parameters(SEMI, 1.0, SEMI_PAIR_SUM)
+    slacks = check_contraction_inequalities(params, SEMI, 1.0, SEMI_PAIR_SUM)
     assert set(slacks) == {"lipschitz_budget", "ball_radius"}
     assert params.T == pytest.approx(0.99)
 
@@ -189,9 +188,9 @@ def test_lab_refuses_exponent_sets_with_beta_exp():
     quasi = validate_exponents(0.1, 0.5, 0.8, 2.0, beta_exp=0.2)
     params = ContractionParameters(L=0.01, r=0.002, T=0.5)
     with pytest.raises(ValueError, match="beta_exp"):
-        select_parameters(quasi, 1.0, SEMI_BETA)
+        select_parameters(quasi, 1.0, SEMI_PAIR_SUM)
     with pytest.raises(ValueError, match="beta_exp"):
-        check_contraction_inequalities(params, quasi, 1.0, SEMI_BETA)
+        check_contraction_inequalities(params, quasi, 1.0, SEMI_PAIR_SUM)
     with pytest.raises(ValueError, match="beta_exp"):
         FixedPointProblem(np.array([[-1.0]]), quasi)
 
@@ -259,8 +258,8 @@ def test_lipschitz_estimate_scalar_quadratic():
 
 def plan_for(problem, rng, u0_factor=0.9):
     n_star = problem.lipschitz()
-    beta_consts = BetaConstants.from_exponents(problem.exponents)
-    params = select_parameters(problem.exponents, n_star, beta_consts)
+    pair_sum = contraction_pair_sum(problem.exponents)
+    params = select_parameters(problem.exponents, n_star, pair_sum)
     direction = rng.standard_normal(problem.dimension)
     direction /= problem.norm(direction, problem.exponents.alpha)
     u0 = u0_factor * params.r * direction
@@ -351,7 +350,8 @@ def test_verify_decay_linear_semigroup():
     rng = np.random.default_rng(7)
     prob = random_problem(6, rng, epsilon=0.0)
     varpi = 0.5 * prob.lambda_min
-    report = verify_decay(prob, varpi, scales=(1e-3, 1e-1, 1.0), rng=rng)
+    report = verify_decay(prob, varpi, rng.standard_normal(prob.dimension),
+                          scales=(1e-3, 1e-1, 1.0))
     assert all(rec.bounded for rec in report.scales)
     assert report.largest_passing_scale == 1.0
     mu = prob.exponents.mu
@@ -364,8 +364,7 @@ def test_verify_decay_linear_semigroup():
 
 def test_verify_decay_flags_supercritical_scale():
     prob = scalar_problem()
-    report = verify_decay(prob, 0.5, scales=(1e-3, 5.0),
-                          direction=np.array([1.0]))
+    report = verify_decay(prob, 0.5, np.array([1.0]), scales=(1e-3, 5.0))
     small, large = report.scales
     assert small.bounded and small.quotient < 5.0
     assert not large.bounded
@@ -377,9 +376,9 @@ def test_verify_decay_flags_supercritical_scale():
 def test_verify_decay_varpi_precondition():
     prob = scalar_problem()
     with pytest.raises(ValueError, match="varpi"):
-        verify_decay(prob, 1.5)
+        verify_decay(prob, 1.5, np.array([1.0]))
     with pytest.raises(ValueError, match="varpi"):
-        verify_decay(prob, 0.0)
+        verify_decay(prob, 0.0, np.array([1.0]))
 
 
 # Experiment reports ---------------------------------------------------------

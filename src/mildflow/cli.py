@@ -80,7 +80,7 @@ def _build_model_and_state(config: RunConfig):
         state = model.state_from_field(
             random_dirichlet_field(geometry, rng) if random
             else dirichlet_mode_field(geometry, n=1, m=1))
-        meta = (lambda st: to_grid(model.field_from_state(st)),
+        meta = (lambda st: to_grid(model.field_from_state(st), geometry),
                 2.0 * geometry.half_length, int(geometry.periodic_x))
     elif config.model == "heat-periodic":
         grid = PeriodicGrid(half_width=config.grid_half_width, n=config.grid_n)

@@ -34,7 +34,6 @@ from numpy.linalg import eigvals
 from .chebyshev import cumulative_matrix, diff_matrix
 from .propagators import Propagator, eigen_blocks, require_storage
 from .strip import (
-    SpectralField,
     StripGeometry,
     dealias_x,
     derivative_x,
@@ -225,19 +224,20 @@ def periodic_stability_margin(coeffs: CloudCoefficients) -> float:
     return math.pi ** 2 * coeffs.nu - coeffs.eta - drift
 
 
-def nonlinearity_cloud(u: SpectralField) -> SpectralField:
+def nonlinearity_cloud(u: np.ndarray, geometry: StripGeometry) -> np.ndarray:
     """f(u) = u_y T(u_x) - u u_x, pseudospectral with 2/3 dealiasing in x.
 
-    One matmul gives u_y and T u (T commutes with d/dx), one stacked
-    to_grid takes u, u_x, u_y and T u_x to the grid, and one from_grid
-    takes the product back. u may be a stack of fields.
+    u is the coefficient array of a field or of a stack of fields. One
+    matmul gives u_y and T u (T commutes with d/dx), one stacked to_grid
+    takes u, u_x, u_y and T u_x to the grid, one from_grid the product.
     """
-    geom, ny = u.geometry, u.coeffs.shape[-1]
-    vertical = u.coeffs @ _vertical_operators(ny)
+    ny = u.shape[-1]
+    vertical = u @ _vertical_operators(ny)
     uy, tu = vertical[..., :ny], vertical[..., ny:]
-    ux, tux = derivative_x(SpectralField(geom, np.stack([u.coeffs, tu]))).coeffs
-    grid = to_grid(SpectralField(geom, np.stack([u.coeffs, ux, uy, tux])))
-    return dealias_x(from_grid(grid[2] * grid[3] - grid[0] * grid[1], geom))
+    ux, tux = derivative_x(np.stack([u, tu]), geometry)
+    grid = to_grid(np.stack([u, ux, uy, tux]), geometry)
+    return dealias_x(from_grid(grid[2] * grid[3] - grid[0] * grid[1], geometry),
+                     geometry)
 
 
 class CloudModel:
@@ -261,17 +261,17 @@ class CloudModel:
         return Propagator.from_matrix(mode_stack(
             range(self.geometry.nx // 2 + 1), self.coeffs, self.geometry))
 
-    def field_from_state(self, state: np.ndarray) -> SpectralField:
+    def field_from_state(self, state: np.ndarray) -> np.ndarray:
         full = np.zeros(state.shape[:-1] + (self.geometry.ny,), dtype=complex)
         full[..., 1:-1] = state
-        return SpectralField(self.geometry, full)
+        return full
 
-    def state_from_field(self, u: SpectralField) -> np.ndarray:
-        return u.coeffs[:, 1:-1].copy()
+    def state_from_field(self, u: np.ndarray) -> np.ndarray:
+        return u[..., 1:-1].copy()
 
     def nonlinearity(self, state: np.ndarray) -> np.ndarray:
-        f = nonlinearity_cloud(self.field_from_state(state))
-        return f.coeffs[..., 1:-1]
+        f = nonlinearity_cloud(self.field_from_state(state), self.geometry)
+        return f[..., 1:-1]
 
     def norm(self, state: np.ndarray, sigma: float):
         return self.norms(state, (sigma,))[sigma]

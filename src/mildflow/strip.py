@@ -9,13 +9,15 @@ an equality.
 
 Fields are real, so only their Fourier modes n = 0..nx/2 are stored
 (rfft layout), one row per mode and one column per collocation node;
-sums over all modes count each row by its `parseval_weights`. Sobolev
-norms of order sigma use (1 + lambda)^sigma spectral multipliers in the
-Fourier x sine eigenbasis of the Dirichlet Laplacian; the plain L2 norm
-is instead evaluated by Gauss-Legendre quadrature exact at the
-collocation degree, so operator-norm inequalities can be checked at the
-1e-10 level on fields (like cumulative integrals) that leave the sine
-span.
+sums over all modes count each row by its `parseval_weights`. A field
+is a plain complex array (..., nx/2+1, ny), leading axes holding a stack;
+routines take the geometry as an argument, and `from_grid`, where grid
+data enter, is the strip's one shape check. Sobolev norms of order sigma
+use (1 + lambda)^sigma spectral multipliers in the Fourier x sine
+eigenbasis of the Dirichlet Laplacian; the plain L2 norm is instead
+evaluated by Gauss-Legendre quadrature exact at the collocation degree,
+so operator-norm inequalities can be checked at the 1e-10 level on
+fields (like cumulative integrals) that leave the sine span.
 """
 
 from __future__ import annotations
@@ -82,21 +84,7 @@ def open_strip(nx: int, ny: int, half_length: float) -> StripGeometry:
     return StripGeometry(periodic_x=False, half_length=half_length, nx=nx, ny=ny)
 
 
-@dataclass
-class SpectralField:
-    geometry: StripGeometry
-    coeffs: np.ndarray  # complex, shape (..., nx/2+1, ny): a field or a stack
-
-    def __post_init__(self):
-        expected = (self.geometry.nx // 2 + 1, self.geometry.ny)
-        if self.coeffs.shape[-2:] != expected:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match geometry {expected}"
-            )
-        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
-
-
-def from_grid(values: np.ndarray, geometry: StripGeometry) -> SpectralField:
+def from_grid(values: np.ndarray, geometry: StripGeometry) -> np.ndarray:
     """Half-spectrum coefficients of grid values of shape (..., nx, ny)."""
     values = np.asarray(values, dtype=float)
     if values.shape[-2:] != (geometry.nx, geometry.ny):
@@ -104,46 +92,43 @@ def from_grid(values: np.ndarray, geometry: StripGeometry) -> SpectralField:
             f"grid shape {values.shape} does not match geometry "
             f"({geometry.nx}, {geometry.ny})"
         )
-    coeffs = np.fft.rfft(values, axis=-2, norm="forward")
-    return SpectralField(geometry, coeffs)
+    return np.fft.rfft(values, axis=-2, norm="forward")
 
 
-def to_grid(field: SpectralField) -> np.ndarray:
+def to_grid(coeffs: np.ndarray, geometry: StripGeometry) -> np.ndarray:
     """Grid values (..., nx, ny); the imaginary parts of the n = 0 and
     Nyquist rows do not reach the grid."""
-    return np.fft.irfft(field.coeffs, n=field.geometry.nx, axis=-2,
-                        norm="forward")
+    return np.fft.irfft(coeffs, n=geometry.nx, axis=-2, norm="forward")
 
 
-def field_from_function(geometry: StripGeometry, fn) -> SpectralField:
+def field_from_function(geometry: StripGeometry, fn) -> np.ndarray:
     x = geometry.x_nodes()[:, None]
     y = geometry.y_nodes()[None, :]
     return from_grid(np.broadcast_to(fn(x, y), (geometry.nx, geometry.ny)).copy(),
                      geometry)
 
 
-def dealias_x(field: SpectralField) -> SpectralField:
-    out = field.coeffs.copy()
-    out[..., field.geometry.dealias_cut + 1:, :] = 0.0
-    return SpectralField(field.geometry, out)
+def dealias_x(coeffs: np.ndarray, geometry: StripGeometry) -> np.ndarray:
+    out = coeffs.copy()
+    out[..., geometry.dealias_cut + 1:, :] = 0.0
+    return out
 
 
-def derivative_x(field: SpectralField) -> SpectralField:
-    geom = field.geometry
-    k = geom.wavenumbers()
+def derivative_x(coeffs: np.ndarray, geometry: StripGeometry) -> np.ndarray:
+    k = geometry.wavenumbers()
     # Nyquist mode has no well-defined odd derivative on a real grid.
     k[-1] = 0.0
-    return SpectralField(geom, field.coeffs * (1j * k)[:, None])
+    return coeffs * (1j * k)[:, None]
 
 
-def apply_T(field: SpectralField) -> SpectralField:
+def apply_T(coeffs: np.ndarray) -> np.ndarray:
     """Cumulative vertical integral (Tw)(x, y) = integral_0^y w(x, s) ds.
 
     The output is generally nonzero at y = 1; no Dirichlet projection is
     applied.
     """
-    cum = cumulative_matrix(field.geometry.ny)
-    return SpectralField(field.geometry, field.coeffs @ cum.T)
+    cum = cumulative_matrix(coeffs.shape[-1])
+    return coeffs @ cum.T
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +170,12 @@ def _norm_multiplier(geometry: StripGeometry, sigma: float) -> np.ndarray:
     return (w * (1.0 + lam) ** sigma).reshape(1, -1)
 
 
-def l2_norm(field: SpectralField) -> float:
+def l2_norm(coeffs: np.ndarray, geometry: StripGeometry) -> float:
     """Quadrature L2(Omega) norm, exact for the collocation representation."""
-    evalmat, w = _l2_quadrature(field.geometry.ny)
-    vals = field.coeffs @ evalmat.T
-    per_mode = field.geometry.parseval_weights() @ (np.abs(vals) ** 2)
-    return math.sqrt(2.0 * field.geometry.half_length * float(per_mode @ w))
+    evalmat, w = _l2_quadrature(geometry.ny)
+    vals = coeffs @ evalmat.T
+    per_mode = geometry.parseval_weights() @ (np.abs(vals) ** 2)
+    return math.sqrt(2.0 * geometry.half_length * float(per_mode @ w))
 
 
 def sobolev_norm_set(interior, sigmas, geometry: StripGeometry) -> dict:
@@ -220,7 +205,7 @@ def sobolev_norm_set(interior, sigmas, geometry: StripGeometry) -> dict:
 # Field constructors for initial data
 
 
-def dirichlet_mode_field(geometry: StripGeometry, n: int, m: int) -> SpectralField:
+def dirichlet_mode_field(geometry: StripGeometry, n: int, m: int) -> np.ndarray:
     """cos(n pi x / Lx) * sin(m pi y) style product mode (real)."""
     kx = n * math.pi / geometry.half_length
 
@@ -230,7 +215,7 @@ def dirichlet_mode_field(geometry: StripGeometry, n: int, m: int) -> SpectralFie
     return field_from_function(geometry, fn)
 
 
-def random_dirichlet_field(geometry: StripGeometry, rng) -> SpectralField:
+def random_dirichlet_field(geometry: StripGeometry, rng) -> np.ndarray:
     """Random smooth field from a finite sine expansion (Dirichlet exact):
     modes n <= 6 in x and m <= 6 in y, amplitude (1 + n + m)^-1.5."""
     x = geometry.x_nodes()[:, None]

@@ -17,7 +17,6 @@ from mildflow.heat import scaling_amplitude
 from mildflow.io import SNAPSHOT_HEADER
 from mildflow.propagators import Propagator, eigen_blocks
 from mildflow.strip import (
-    SpectralField,
     StripGeometry,
     derivative_x,
     l2_norm,
@@ -27,26 +26,26 @@ from mildflow.strip import (
 # ---------------------------------------------------------------- strip
 
 
-def derivative_y(field: SpectralField) -> SpectralField:
-    d = diff_matrix(field.geometry.ny)
-    return SpectralField(field.geometry, field.coeffs @ d.T)
+def derivative_y(coeffs: np.ndarray) -> np.ndarray:
+    return coeffs @ diff_matrix(coeffs.shape[-1]).T
 
 
-def sobolev_norm(field: SpectralField, sigma: float) -> float:
+def sobolev_norm(coeffs: np.ndarray, geometry: StripGeometry,
+                 sigma: float) -> float:
     """Multiplier norm: sum over modes of (1 + k^2 + (m pi)^2)^sigma |c|^2."""
-    return sobolev_norm_set(field.coeffs[..., 1:-1], (sigma,),
-                            field.geometry)[sigma]
+    return sobolev_norm_set(coeffs[..., 1:-1], (sigma,), geometry)[sigma]
 
 
-def h1_norm_quadrature(field: SpectralField) -> float:
+def h1_norm_quadrature(coeffs: np.ndarray, geometry: StripGeometry) -> float:
     """sqrt(||u||^2 + ||grad u||^2) by quadrature; oracle for the multiplier norm."""
-    ux = derivative_x(field)
-    uy = derivative_y(field)
-    return math.sqrt(l2_norm(field) ** 2 + l2_norm(ux) ** 2 + l2_norm(uy) ** 2)
+    ux = derivative_x(coeffs, geometry)
+    uy = derivative_y(coeffs)
+    return math.sqrt(l2_norm(coeffs, geometry) ** 2 + l2_norm(ux, geometry) ** 2
+                     + l2_norm(uy, geometry) ** 2)
 
 
 def rough_dirichlet_field(geometry: StripGeometry, rng, sigma: float,
-                          margin: float = 0.02) -> SpectralField:
+                          margin: float = 0.02) -> np.ndarray:
     """Random field with eigen-coefficients decaying just fast enough for H^sigma.
 
     |c| ~ lambda^{-(sigma + n/2 + margin)/2} in eigenvalue magnitude (n = 2
@@ -65,7 +64,7 @@ def rough_dirichlet_field(geometry: StripGeometry, rng, sigma: float,
     # back to nodal values in y: u = sum_m c sqrt(2) sin(m pi y)
     y = geometry.y_nodes()
     sines = math.sqrt(2.0) * np.sin(math.pi * np.outer(m, y))
-    return SpectralField(geometry, coeffs_sine @ sines)
+    return (coeffs_sine @ sines).astype(complex)
 
 
 # ---------------------------------------------------------- propagators

@@ -87,7 +87,7 @@ def test_criterion_01_boundary_operator_is_contraction():
     for _ in range(1000):
         w = from_grid(rng.standard_normal((geometry.nx, geometry.ny)),
                       geometry)
-        worst = max(worst, l2_norm(apply_T(w)) - l2_norm(w))
+        worst = max(worst, l2_norm(apply_T(w), geometry) - l2_norm(w, geometry))
     _verdict(1, "1000 random fields: |Tw| <= |w| + 1e-10",
              worst <= 1e-10, t0, 10.0)
 

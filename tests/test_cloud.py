@@ -22,6 +22,7 @@ from mildflow.cloud import (
 )
 from mildflow.strip import (
     field_from_function,
+    from_grid,
     open_strip,
     periodic_strip,
     to_grid,
@@ -298,20 +299,20 @@ def test_nonlinearity_closed_form():
     #   u_y T(u_x) - u u_x = sin x cos x (cos pi y - 1)
     geo = periodic_strip(nx=64, ny=48)
     u = field_from_function(geo, lambda x, y: np.sin(x) * np.sin(np.pi * y))
-    f = nonlinearity_cloud(u)
+    f = nonlinearity_cloud(u, geo)
     ref = field_from_function(
         geo, lambda x, y: np.sin(x) * np.cos(x) * (np.cos(np.pi * y) - 1.0))
-    assert np.max(np.abs(to_grid(f) - to_grid(ref))) < 1e-8
+    assert np.max(np.abs(to_grid(f, geo) - to_grid(ref, geo))) < 1e-8
 
 
 def test_nonlinearity_quadratic_homogeneity():
     geo = periodic_strip(nx=32, ny=32)
     u = field_from_function(
         geo, lambda x, y: np.sin(2 * x) * np.sin(np.pi * y) ** 2)
-    f1 = to_grid(nonlinearity_cloud(u))
+    f1 = to_grid(nonlinearity_cloud(u, geo), geo)
     u2 = field_from_function(
         geo, lambda x, y: 3.0 * np.sin(2 * x) * np.sin(np.pi * y) ** 2)
-    f9 = to_grid(nonlinearity_cloud(u2))
+    f9 = to_grid(nonlinearity_cloud(u2, geo), geo)
     assert np.max(np.abs(f9 - 9.0 * f1)) < 1e-9 * max(1.0, np.max(np.abs(f9)))
 
 
@@ -319,7 +320,7 @@ def test_nonlinearity_vanishes_on_x_independent_profiles():
     # both terms carry an x-derivative factor
     geo = periodic_strip(nx=32, ny=32)
     u = field_from_function(geo, lambda x, y: np.sin(np.pi * y) + 0.0 * x)
-    assert np.max(np.abs(to_grid(nonlinearity_cloud(u)))) < 1e-12
+    assert np.max(np.abs(to_grid(nonlinearity_cloud(u, geo), geo))) < 1e-12
 
 
 def test_model_state_round_trip_and_norms():
@@ -329,10 +330,20 @@ def test_model_state_round_trip_and_norms():
     state = model.state_from_field(u)
     assert state.shape == (geo.nx // 2 + 1, geo.ny - 2)
     back = model.field_from_state(state)
-    assert np.max(np.abs(to_grid(back) - to_grid(u))) < 1e-12
+    assert np.max(np.abs(to_grid(back, geo) - to_grid(u, geo))) < 1e-12
     # |u|_{H^1}^2 = pi + pi^3/2 for sin x sin pi y on the 2 pi strip
     want = math.sqrt(math.pi + math.pi ** 3 / 2.0)
     assert model.norm(state, 1.0) == pytest.approx(want, rel=1e-10)
+
+
+def test_state_from_field_takes_a_stack_of_fields():
+    geo = periodic_strip(nx=16, ny=12)
+    model = CloudModel(CloudCoefficients(1, 0, 1), geo)
+    values = np.random.default_rng(15).standard_normal((3, geo.nx, geo.ny))
+    states = model.state_from_field(from_grid(values, geo))
+    assert states.shape == (3, geo.nx // 2 + 1, geo.ny - 2)
+    for state, one in zip(states, values):
+        assert np.array_equal(state, model.state_from_field(from_grid(one, geo)))
 
 
 def test_a_norm_level_does_not_depend_on_the_levels_asked_with_it():

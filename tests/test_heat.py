@@ -207,6 +207,33 @@ def test_quasilinear_frozen_step_self_convergence():
     assert slope > 0.9  # frozen-coefficient stepping keeps at least order one
 
 
+def test_quasilinear_frozen_step_orders():
+    # A(u_n) stays frozen for the whole step, so ETDRK2 is first order on
+    # this model, as the solver docstring and README say. Slopes of the
+    # final-state error per halving of dt = 2^-8..2^-11 against an ETDRK2
+    # reference at 2^-14: exponential Euler 1.05, 1.03, 1.01; ETDRK2 1.82,
+    # 1.39, 1.13. A second-order quasilinear step (ROADMAP item 1) would
+    # move the ETDRK2 bound to 2 +- 0.3 (Hochbruck & Ostermann, Acta
+    # Numerica 2010).
+    q = QuasilinearHeatModel(points=33, kappa=4.0, p=2.5, tau=0.27)
+    u0 = q.state_from_function(
+        lambda x: 0.2 * np.cos(np.pi * x) + 0.1 * np.cos(2 * np.pi * x))
+
+    def final_state(dt, integrator):
+        config = SolverConfig(dt=dt, t_end=2.0 ** -4, integrator=integrator,
+                              monitor_sigmas=(0.0,))
+        return run_simulation(q, u0, config).final_state
+
+    reference = final_state(2.0 ** -14, "etdrk2")
+    slopes = {}
+    for integrator in ("exp_euler", "etdrk2"):
+        errs = np.array([np.linalg.norm(final_state(2.0 ** -k, integrator)
+                                        - reference) for k in range(8, 12)])
+        slopes[integrator] = np.log2(errs[:-1] / errs[1:])
+    assert np.all(np.abs(slopes["exp_euler"] - 1.0) <= 0.2)
+    assert slopes["etdrk2"][-1] < 1.5
+
+
 def test_quasilinear_mean_decouples():
     # adding a constant shifts a(u) but the dynamics of the fluctuation
     # part see only that shifted diffusivity; the mean itself is static

@@ -13,9 +13,10 @@ acting on interior wall-normal collocation values:
 
 with F the interior block of the cumulative-integration matrix. The
 blocks for -n are complex conjugates of those for +n, so a real field
-needs only n = 0..nx/2 (the strip's half-spectrum layout). The numeric
-spectral bound decomposes only the blocks that a numerical-range bound,
-computed once per ny, cannot rule out.
+needs only n = 0..nx/2 (the strip's half-spectrum layout). Mode 0 has
+k_0 = 0 and so no drift: its block is real. The numeric spectral bound
+decomposes only the blocks that a numerical-range bound, computed once
+per ny, cannot rule out.
 
 The nonlinearity is quadratic advection with integral feedback:
 
@@ -90,7 +91,9 @@ def _require_finite(values, diffusion, k2, what: str) -> None:
 
 def mode_matrix(n: int, coeffs: CloudCoefficients,
                 geometry: StripGeometry) -> np.ndarray:
-    """Dense interior operator block for the signed Fourier mode n.
+    """Dense interior operator block for the signed Fourier mode n:
+    real for n = 0, which has no drift, so `eigvals` takes the real
+    route; complex otherwise.
 
     A block that overflows raises ValueError naming the coefficient, or
     grid.lx when k_n^2 itself overflows."""
@@ -101,7 +104,8 @@ def mode_matrix(n: int, coeffs: CloudCoefficients,
     with np.errstate(over="ignore", invalid="ignore"):
         k2 = k * k
         mat = coeffs.nu * (d2 - k2 * eye) + coeffs.eta * eye
-        block = mat.astype(complex) - 1j * coeffs.beta * k * f_block
+        block = mat if n == 0 else \
+            mat.astype(complex) - 1j * coeffs.beta * k * f_block
     _require_finite(block, mat, k2, f"the block of mode {n}")
     return block
 
@@ -109,8 +113,9 @@ def mode_matrix(n: int, coeffs: CloudCoefficients,
 def mode_stack(modes, coeffs: CloudCoefficients,
                geometry: StripGeometry) -> np.ndarray:
     """The blocks of the signed Fourier modes in `modes` as one
-    (len(modes), ny-2, ny-2) stack."""
-    return np.stack([mode_matrix(n, coeffs, geometry) for n in modes])
+    (len(modes), ny-2, ny-2) complex stack, mode 0 included."""
+    return np.stack([mode_matrix(n, coeffs, geometry)
+                     for n in modes]).astype(complex, copy=False)
 
 
 # Largest condition of the D2 eigenbasis (2-norm, as `eigen_blocks`

@@ -126,8 +126,9 @@ class FixedPointProblem:
         scalar power, which numpy's array power would round differently."""
         u = np.asarray(u, dtype=float)
         xi_norms = np.asarray(self.norm(u, self.exponents.xi))
+        # np.float64 powers, which overflow to inf where a float raises
         strength = [self.epsilon * n ** (self.exponents.q - 1.0)
-                    for n in xi_norms.ravel().tolist()]
+                    for n in xi_norms.ravel()]
         return np.reshape(strength, xi_norms.shape + (1,)) * u
 
     def lipschitz(self) -> float:

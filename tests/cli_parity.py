@@ -23,7 +23,9 @@ refusals (a decay test from zero data, an odd `grid.nx`, scaling-test
 data too wide for its box) that must leave no run directory behind,
 and `simulate-snapshot-storage-big-beta`, an input that breaks both the
 snapshot storage rule and the `cloud.beta` overflow rule, whose error
-names the rule that refuses first.
+names the rule that refuses first, and `spectral-bound-n-max-0`, the
+one path whose mode stack holds mode 0 alone, a real block that the
+stack casts to complex.
 Not collected by pytest: it has no `test_` prefix.
 """
 
@@ -118,6 +120,7 @@ BATTERY = {
     "decay-test-unstable": ["decay-test", "--eta", "12"],
     "spectral-bound": ["spectral-bound"],
     "spectral-bound-open": ["spectral-bound", "--open", *SMALL_STRIP],
+    "spectral-bound-n-max-0": ["spectral-bound", "--n-max", "0"],
     "spectral-bound-out-not-a-directory": ["spectral-bound",
                                            "--out", "/dev/null/run"],
     "help-exponents": ["exponents", "--help"],

@@ -644,6 +644,19 @@ def test_lab_and_exponents_fuzz_exits_0_1_or_2(argv):
         assert main([*argv, "--out", f"{tmp}/run"]) in (0, 1, 2)
 
 
+def test_lab_decay_with_an_overflowing_strength_flags_every_scale(tmp_path):
+    # the xi norm stays finite but epsilon times its power does not: the
+    # march flags each scale instead of raising OverflowError
+    out = tmp_path / "run"
+    assert main(["lab", "decay", "--dim", "1", "--seed", "0",
+                 "--epsilon", "1e150", "--out", str(out)]) == 0
+    scales = json.loads((out / "summary.json").read_text())["scales"]
+    assert len(scales) == 4
+    for scale in scales:
+        assert scale["bounded"] is False
+        assert scale["blowup_time"] == pytest.approx(0.00495, rel=1e-3)
+
+
 @pytest.mark.parametrize("argv, named", [
     (["exponents", "semilinear", "--kappa", "inf"], "kappa must be finite"),
     (["exponents", "quasilinear", "--tau", "nan"], "tau must be finite"),

@@ -88,13 +88,14 @@ def test_negative_mode_is_conjugate():
 @pytest.mark.parametrize("geo", [periodic_strip(nx=8, ny=12),
                                  open_strip(nx=10, ny=9, half_length=3.0)])
 def test_model_stacks_match_per_mode_decompose(geo):
-    # one stacked decomposition of the stored modes n = 0..nx/2
+    # one stacked decomposition of the stored modes n = 0..nx/2; the
+    # stack holds mode 0's real block cast to complex
     coeffs = CloudCoefficients(0.7, 1.5, -2.5)
     model = CloudModel(coeffs, geo)
     prop = model.propagator
     for idx, n in enumerate(range(geo.nx // 2 + 1)):
         lam, vecs, vecs_inv, _, defective = decompose(
-            mode_matrix(int(n), coeffs, geo))
+            mode_matrix(int(n), coeffs, geo).astype(complex))
         for got, want in ((prop.lam, lam), (prop.vectors, vecs),
                           (prop.vectors_inv, vecs_inv)):
             assert got[idx].tobytes() == want.tobytes()
@@ -228,8 +229,26 @@ def eigvals_calls(monkeypatch):
     """Record every block `cloud` hands to eigvals."""
     calls = []
     eigvals = cloud.eigvals
-    monkeypatch.setattr(cloud, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    monkeypatch.setattr(cloud, "eigvals", lambda a: calls.append(a) or eigvals(a))
     return calls
+
+
+@pytest.mark.parametrize("beta", [0.0, -2.5])
+def test_mode_zero_takes_the_real_eigensolver(monkeypatch, eigvals_calls, beta):
+    # mode 0 has no drift: its block is real, every other block complex;
+    # without a certificate the bound visits the modes in order
+    geo, coeffs = open_strip(10, 9, half_length=3.0), CloudCoefficients(0.7, 1.5, beta)
+    monkeypatch.setattr(cloud, "range_certificate", lambda ny: None)
+    spectral_bound_numeric(coeffs, geo)
+    assert [a.dtype for a in eigvals_calls] == \
+        [np.float64] + [np.complex128] * (geo.nx // 2)
+    for n, block in enumerate(eigvals_calls):
+        assert block.tobytes() == mode_matrix(n, coeffs, geo).tobytes()
+    # the stack of mode 0 alone is complex, as the propagator and the
+    # CLI table read it
+    stack = mode_stack(range(1), coeffs, geo)
+    assert stack.dtype == np.complex128 and stack.shape == (1, 7, 7)
+    assert stack.tobytes() == mode_matrix(0, coeffs, geo).astype(complex).tobytes()
 
 
 def test_missing_certificate_takes_full_loop(monkeypatch, eigvals_calls):

@@ -208,9 +208,35 @@ def test_mode_bounds_hold_across_ny(ny):
 
 
 def test_range_certificate_values():
-    top, h = cloud.range_certificate(48)
+    top, second, h = cloud.range_certificate(48)
     assert top == pytest.approx(-math.pi ** 2, abs=1e-9)
+    assert second == pytest.approx(-4.0 * math.pi ** 2, abs=1e-8)
     assert 0.3 < h < 0.35
+
+
+@pytest.mark.parametrize("geo", [open_strip(64, 24, half_length=4.0 * math.pi),
+                                 periodic_strip(32, 24)])
+def test_two_level_bound_is_never_looser(geo):
+    # against the single-level bound eta + nu (Lambda1 - k^2) + |beta k| h
+    # and lambda_max of [[a, e], [e, c]], each mode's 2x2 matrix
+    top, second, h = cloud.range_certificate(geo.ny)
+    k = np.arange(geo.nx // 2 + 1) * math.pi / geo.half_length
+    for beta in (0.0, 1.7, 100.0, -100.0):
+        coeffs = CloudCoefficients(0.8, 0.3, beta)
+        bounds = mode_bounds(coeffs, geo, geo.nx // 2)
+        a = coeffs.eta + coeffs.nu * (top - k * k)
+        e = abs(beta) * k * h
+        c = coeffs.eta + coeffs.nu * (second - k * k) + e
+        single = a + e
+        pair = np.array([np.linalg.eigvalsh([[an, en], [en, cn]])[-1]
+                         for an, en, cn in zip(a, e, c)])
+        assert np.all(bounds <= single)
+        assert bounds == pytest.approx(np.minimum(single, pair), rel=1e-12, abs=1e-12)
+        if abs(beta) == 100.0:
+            assert np.any((pair > single) & (bounds == single))
+        if beta == 1.7:
+            assert np.any(bounds < single - 1e-6)
+        _assert_bounds_hold(coeffs, geo)
 
 
 @pytest.mark.parametrize("geo", [open_strip(64, 24, half_length=4.0 * math.pi),
@@ -260,12 +286,19 @@ def test_missing_certificate_takes_full_loop(monkeypatch, eigvals_calls):
     assert len(eigvals_calls) == geo.nx // 2 + 1
 
 
-def test_pruning_decomposes_few_blocks(eigvals_calls):
+def test_benchmark_strip_decomposes_mode_zero_alone(eigvals_calls):
     geo = CRITERION_STRIPS[0]
     rng = np.random.default_rng(3)
     for _ in range(20):
-        spectral_bound_numeric(_random_coefficients(rng), geo)
-    assert len(eigvals_calls) < 0.1 * 20 * (geo.nx // 2 + 1)
+        coeffs = _random_coefficients(rng)
+        eigvals_calls.clear()
+        got = spectral_bound_numeric(coeffs, geo)
+        assert len(eigvals_calls) == 1
+        block = eigvals_calls[0]
+        assert block.dtype == np.float64
+        assert block.tobytes() == mode_matrix(0, coeffs, geo).tobytes()
+        want = max(rec[1] for rec in mode_spectra_loop(coeffs, geo))
+        assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("coeffs, key", [

@@ -148,9 +148,10 @@ class QuasilinearHeatModel(IntervalModel):
 
     Divergence-form assembly: H maps cosine coefficients to u_x at the
     interior nodes and A(u) = -w H^T diag(a(u)) H, w = 2/(points-1) the
-    sine quadrature weight. A(u) is symmetric to the last bit, so frozen
-    steps take the orthogonal eigh route; its first row and column are
-    zero, so the mean of u is conserved exactly while forcing is off.
+    sine quadrature weight. A(u) is symmetric to the last bit; its first
+    row and column are zero, so the mean of u is conserved exactly while
+    forcing is off. A frozen step takes e^{hA}, phi1(hA) and phi2(hA) from
+    one `dense_phis` (Taylor with modified squaring), not from `eigh`.
     """
 
     def __init__(self, points: int = 65, kappa: float = 4.0,

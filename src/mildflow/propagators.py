@@ -7,16 +7,16 @@ eigenvectors the generator is the multiplier lam (sine and Fourier
 bases). Propagator.from_matrix is the one route from a dense generator
 (one block or a stack) to a propagator: eigen_blocks() eigendecomposes
 it, and a block whose eigenvector basis is too ill-conditioned is marked
-defective. A defective block falls back to one expm of an augmented
-matrix, whose top block row holds e^a, phi1(a) and phi2(a) together,
-trading speed for robustness; scipy, a runtime dependency for that expm,
-is imported on the first fallback. The exponents of the march and of
-Picard go through one function, phi(z, order), whose orders 0, 1 and 2
-are e^z, phi1 and phi2 under one overflow guard; a real argument stays
-real, so a real generator acts on a real state in real arithmetic. A
-propagator also builds the step factors e^{hA}, phi1(hA), phi2(hA) of one
-fixed h (multipliers or block matrices) and applies them to a state or a
-stack of states; the last h is cached.
+defective. A defective block falls back to dense_phis, which builds e^a,
+phi1(a) and phi2(a) of one dense block from matrix products alone; the
+frozen steps of a quasilinear march take theirs from it too. The
+exponents of the march and of Picard go through one function,
+phi(z, order), whose orders 0, 1 and 2 are e^z, phi1 and phi2 under one
+overflow guard; a real argument stays real, so a real generator acts on
+a real state in real arithmetic. A propagator also builds the step
+factors e^{hA}, phi1(hA), phi2(hA) of one fixed h (multipliers or block
+matrices) and applies them to a state or a stack of states; the last h
+is cached.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ MAX_PROPAGATOR_BYTES = 1 << 30
 # Horner coefficients 1/(k + order)!, k = 16 .. 0, of phi's series branch
 _SERIES = {order: [1.0 / math.factorial(k + order) for k in range(16, -1, -1)]
            for order in (1, 2)}
+# dense_phis: phi2's Taylor coefficients 1/(k + 2)!, k = 0 .. 24, in rows
+# of five, the last first (Horner in x^5); at ||x||_1 <= 3 the first
+# neglected term, 3^25/27!, is below 2^-53
+_TAYLOR = np.array([[1.0 / math.factorial(k + 2) for k in range(j, j + 5)]
+                    for j in range(20, -1, -5)])
 
 
 def require_storage(nbytes: int, what: str) -> None:
@@ -76,22 +81,42 @@ def phi(z, order: int) -> np.ndarray:
     return out
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy's expm of a; scipy is imported on the first call."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
-
-
-def _dense_phis(a: np.ndarray):
-    """(e^a, phi1(a), phi2(a)) of one dense block without eigenvectors:
-    the top block row of one expm of [[a, I, 0], [0, 0, I], [0, 0, 0]]
-    (Al-Mohy & Higham 2011, Thm 2.1)."""
+@np.errstate(over="ignore", invalid="ignore")
+def dense_phis(a: np.ndarray):
+    """(e^a, phi1(a), phi2(a)) of one dense (m, m) block from matrix
+    products alone (Skaflestad & Wright 2009): phi2's Taylor polynomial
+    at x = a / 2^s, ||x||_1 <= 3, in Paterson-Stockmeyer form, phi1 =
+    I + x phi2 and e^x = I + x phi1, then s modified squarings from x to
+    2x. Raises InstabilityError when a factor is not finite."""
+    a = np.asarray(a)
     m = a.shape[-1]
-    aug = np.zeros((3 * m, 3 * m), dtype=np.promote_types(a.dtype, float))
-    aug[:m, :m] = a
-    aug[:m, m:2 * m] = aug[m:2 * m, 2 * m:] = np.eye(m)
-    top = expm(aug)[:m]
-    return top[:, :m], top[:, m:2 * m], top[:, 2 * m:]
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    s = max(0, math.ceil(math.log2(norm / 3.0))) if 0 < norm < np.inf else 0
+    x, eye = a * 0.5 ** s, np.eye(m)
+    powers = np.empty((_TAYLOR.shape[1], m, m), np.result_type(x, float))
+    powers[0], powers[1] = eye, x
+    for j in range(2, len(powers)):
+        np.matmul(powers[j - 1], x, out=powers[j])
+    top, powers = powers[-1] @ x, powers.reshape(len(powers), -1)
+    p2 = (_TAYLOR[0] @ powers).reshape(m, m)
+    for row in _TAYLOR[1:]:
+        p2 = p2 @ top + (row @ powers).reshape(m, m)
+    p1 = eye + x @ p2
+    e = eye + x @ p1
+    for _ in range(s):
+        e, k = e @ e, e
+        k.flat[::m + 1] += 1.0  # the old e + I
+        p2 = 0.25 * (k @ p2 + p1)
+        p1 = 0.5 * (k @ p1)
+    if not all(np.isfinite(f).all() for f in (e, p1, p2)):
+        raise InstabilityError(f"e^a of a dense block is not finite (||a||_1 = "
+                               f"{norm:.3g}); unstable spectrum at this step")
+    return e, p1, p2
+
+
+def expm(a: np.ndarray):
+    """`dense_phis` of a defective block; perfbench counts calls of expm."""
+    return dense_phis(a)
 
 
 def eigen_blocks(matrix: np.ndarray):
@@ -101,7 +126,7 @@ def eigen_blocks(matrix: np.ndarray):
     Exactly real-symmetric input takes the orthogonal eigh route
     (condition 1, inverse V^T); other input the nonsymmetric eig route with
     a conditioning guard. A defective block gets identity placeholders for
-    its vectors, since its actions fall back to `_dense_phis`. For a
+    its vectors, since its actions fall back to `dense_phis`. For a
     stack, eig and cond each run once over all blocks, condition and
     defective are per-block arrays (0-d arrays for one block), and eigh
     is taken only when every block is real-symmetric.
@@ -132,8 +157,8 @@ class Propagator:
     (..., m, m), block i of the generator is vectors[i] diag(lam[i])
     vectors_inv[i] and acts on state[i]; without them the generator is
     the multiplier lam. Blocks flagged in `defective` fall back to
-    `_dense_phis`: one augmented expm of the block per action or per set
-    of step factors. The blocks come from `matrices` (shape (..., m, m)),
+    `expm`: one `dense_phis` of the block per action or per set of step
+    factors. The blocks come from `matrices` (shape (..., m, m)),
     which is kept only when some block is defective. The generator is
     real when its matrices are real or, without matrices, when its eigen
     data are real; outputs are real when the generator and the state are
@@ -169,7 +194,8 @@ class Propagator:
         else:
             out = _matvec(self.vectors, mult * _matvec(self.vectors_inv, state))
         for idx in self._defective_blocks:
-            out[idx] = _dense_phis(t * self.matrices[idx])[order] @ state[idx]
+            block = (..., *idx, slice(None))
+            out[block] = _matvec(expm(t * self.matrices[idx])[order], state[block])
         return out.real if self.real and not np.iscomplexobj(state) else out
 
     def propagate(self, t: float, state: np.ndarray) -> np.ndarray:
@@ -198,7 +224,7 @@ class Propagator:
         marching with h = dt; only the most recent dt is cached."""
         dt = float(dt)
         if self._cache is None or self._cache[0] != dt:
-            dense = [_dense_phis(dt * self.matrices[idx])
+            dense = [expm(dt * self.matrices[idx])
                      for idx in self._defective_blocks]
             self._cache = (dt, tuple(self._factor(dt, order, [d[order] for d in dense])
                                      for order in range(3)))

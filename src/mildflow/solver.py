@@ -8,7 +8,7 @@ of one); a model has a fixed `propagator` or an `operator_matrix(state)`
 * exponential integrators (exponential Euler and ETDRK2) march to a
   `Trajectory`, freezing A(u_n) for the whole step on a quasilinear
   model, which makes ETDRK2 first order in time there (second order for
-  a fixed generator);
+  a fixed generator); a frozen step's factors come from one `dense_phis`;
 * Picard iteration for the integral fixed-point map itself, discretized
   by product integration of a piecewise-linear nonlinearity on a graded
   mesh clustered at t = 0 where the weighted norms live, returns a
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .propagators import InstabilityError, Propagator, phi, require_storage
+from .propagators import InstabilityError, _matvec, dense_phis, phi, require_storage
 
 INTEGRATORS = ("exp_euler", "etdrk2")
 # the longest march a configuration may ask for, in steps of dt
@@ -127,19 +127,22 @@ def run_simulation(model, u0, config: SolverConfig) -> Trajectory:
 
     The march ends at t_end (`step_plan`). A fixed .propagator takes
     whole steps with its cached per-dt factors and a partial last step
-    with its actions; otherwise each step builds the propagator of
-    operator_matrix frozen at the current state. f and the norm set are
+    with its actions; otherwise each step, the partial one included,
+    builds the factors of h operator_matrix(u_n) by `dense_phis` and
+    applies them as matvecs. f and the norm set are
     evaluated once per accepted state, and the next step reuses f.
     """
     dt = config.dt
 
     def operators(st, h):
-        if fixed is not None and h == dt:
+        if fixed is None:
+            return [partial(_matvec, factor)
+                    for factor in dense_phis(h * model.operator_matrix(st))]
+        if h == dt:
             return [partial(fixed.apply_factor, factor)
                     for factor in fixed.step_factors(dt)]
-        prop = fixed or Propagator.from_matrix(model.operator_matrix(st))
         return [partial(fn, h) for fn in (
-            prop.propagate, prop.phi1_action, prop.phi2_action)]
+            fixed.propagate, fixed.phi1_action, fixed.phi2_action)]
     lead = config.monitor_sigmas[0]
     extra = () if config.weighted_sigma is None else (config.weighted_sigma,)
     sigmas = tuple(dict.fromkeys(config.monitor_sigmas + extra))

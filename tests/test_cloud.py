@@ -27,6 +27,7 @@ from mildflow.strip import (
     periodic_strip,
     to_grid,
 )
+from mildflow.propagators import dense_phis
 from oracles import decompose, phi_action_dense
 
 GEO = periodic_strip(nx=32, ny=32)
@@ -129,6 +130,21 @@ def test_model_step_factors_match_expm_per_block(beta):
         for factor, want in zip(factors, wants):
             assert np.linalg.norm(factor[idx] - want) <= \
                 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+def test_dense_phis_match_expm_on_strip_mode_blocks(dt):
+    # the defective-block fallback on complex drift blocks, beta = 100
+    coeffs = CloudCoefficients(1.0, 0.0, 100.0)
+    geo = periodic_strip(nx=8, ny=48)
+    eye = np.eye(geo.ny - 2)
+    for n in range(geo.nx // 2 + 1):
+        block = dt * mode_matrix(n, coeffs, geo)
+        wants = (expm(block), phi_action_dense(block, eye, 1),
+                 phi_action_dense(block, eye, 2))
+        for got, want in zip(dense_phis(block), wants):
+            assert got.dtype == block.dtype
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_numeric_bound_below_analytic_bound():

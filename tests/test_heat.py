@@ -21,8 +21,8 @@ from mildflow.heat import (
     scaling_roundtrip_test,
     scaling_transform,
 )
-from mildflow import propagators
-from mildflow.propagators import Propagator
+from mildflow import solver
+from mildflow.propagators import dense_phis
 from mildflow.solver import (SolverConfig, fit_decay_rate, picard_solve,
                              run_simulation)
 from oracles import phi_action_dense, scaling_transform_one_piece
@@ -282,61 +282,43 @@ def test_quasilinear_operator_matches_three_product_assembly():
         assert gap <= 1e-13 * np.max(np.abs(old))
 
 
-def test_quasilinear_frozen_propagator_takes_eigh_route():
+def test_quasilinear_frozen_factors_match_expm():
+    # a frozen step's factors against expm and the augmented-exponential phi
     dt = 1e-3
-    rng = np.random.default_rng(17)
     for q, u in _quasilinear_cases():
-        prop = Propagator.from_matrix(q.operator_matrix(u))
-        assert not prop.defective
-        assert np.array_equal(prop.vectors_inv, prop.vectors.T)  # eigh, not eig + inv
-        # the eigen route against expm and the augmented-exponential phi
-        v = rng.standard_normal(q.points)
         mat = dt * q.operator_matrix(u)
-        checks = [(prop.propagate(dt, v), expm(mat) @ v),
-                  (prop.phi1_action(dt, v), phi_action_dense(mat, v, 1)),
-                  (prop.phi2_action(dt, v), phi_action_dense(mat, v, 2))]
-        for got, want in checks:
+        eye = np.eye(q.points)
+        wants = (expm(mat), phi_action_dense(mat, eye, 1),
+                 phi_action_dense(mat, eye, 2))
+        for got, want in zip(dense_phis(mat), wants):
+            assert got.dtype == np.float64
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_frozen_march_costs_one_eigh_per_step(monkeypatch):
-    # each frozen step eigendecomposes A(u_n) once on the eigh route, with
-    # no eig and no inverse; a real state keeps all three actions and
-    # their phi multipliers real, so no V is cast to complex
+def test_frozen_march_costs_one_dense_phis_per_step(monkeypatch):
+    # each frozen step builds e^{hA}, phi1(hA) and phi2(hA) of A(u_n) by
+    # one dense_phis, with no eigendecomposition and no inverse; a real
+    # state keeps the three factors real
     q = QuasilinearHeatModel(points=33, kappa=4.0)
     u0 = q.state_from_function(lambda x: 0.3 * np.cos(np.pi * x) + 0.5)
-    calls = {"eigh": 0}
-    eigh = np.linalg.eigh
+    dtypes = []
 
-    def counted_eigh(matrix):
-        calls["eigh"] += 1
-        return eigh(matrix)
+    def counted(a):
+        factors = dense_phis(a)
+        dtypes.append(tuple(f.dtype for f in factors))
+        return factors
 
     def refused(*args, **kwargs):
-        raise AssertionError("a frozen step took eig or inv")
+        raise AssertionError("a frozen step took eigh, eig or inv")
 
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(np.linalg, "eig", refused)
-    monkeypatch.setattr(np.linalg, "inv", refused)
-    dtypes = {}
-
-    def recorded(name, fn):
-        def wrapper(*args):
-            out = fn(*args)
-            dtypes.setdefault(name, set()).add(out.dtype)
-            return out
-        return wrapper
-    monkeypatch.setattr(propagators, "phi", recorded("phi", propagators.phi))
-    for name in ("propagate", "phi1_action", "phi2_action"):
-        monkeypatch.setattr(Propagator, name,
-                            recorded(name, getattr(Propagator, name)))
+    monkeypatch.setattr(solver, "dense_phis", counted)
+    for name in ("eigh", "eig", "inv"):
+        monkeypatch.setattr(np.linalg, name, refused)
     steps = 12
     tr = run_simulation(q, u0, SolverConfig(dt=1e-3, t_end=steps * 1e-3,
                                             monitor_sigmas=(0.0,)))
     assert not tr.flagged and len(tr.times) == steps + 1
-    assert calls["eigh"] == steps
-    assert dtypes == {name: {np.dtype(np.float64)} for name in
-                      ("phi", "propagate", "phi1_action", "phi2_action")}
+    assert dtypes == [(np.dtype(np.float64),) * 3] * steps
 
 
 def test_heat_norms_bit_identical_with_cached_weights():

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,35 @@ def test_mode_stack_defective_block_fallback():
     assert np.max(np.abs(p1[1] - p1_ref)) < 1e-13
 
 
+def test_defective_stack_acts_on_a_stack_of_states_row_by_row():
+    # the fallback selects block 1 of every state, not state 1 of the stack
+    blocks = np.stack([np.diag([-2.0, -3.0]), [[-1.0, 1.0], [0.0, -1.0]]])
+    prop = Propagator.from_matrix(blocks)
+    assert prop.defective
+    u = np.random.default_rng(14).standard_normal((3, 2, 2))
+    for action in (prop.propagate, prop.phi1_action, prop.phi2_action):
+        out = action(0.5, u)
+        for row, state in zip(out, u):
+            _assert_same_bits(row, action(0.5, state))
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 3.0, 30.0])
+def test_dense_phis_match_expm_on_jordan_blocks(t):
+    a = t * JORDAN3
+    eye = np.eye(3)
+    wants = (expm(a), phi_action_dense(a, eye, 1), phi_action_dense(a, eye, 2))
+    for got, want in zip(propagators.dense_phis(a), wants):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("entry", [1e3, np.inf, np.nan])
+def test_dense_phis_refuse_a_nonfinite_factor_without_warnings(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError):
+            propagators.dense_phis(np.array([[entry, 0.0], [1.0, -1.0]]))
+
+
 def test_overflow_guard_raises_instability():
     prop = Propagator(np.array([800.0]))
     with pytest.raises(InstabilityError):
@@ -343,17 +373,18 @@ def test_stacked_decompose_real_symmetric_takes_eigh():
 
 
 def test_defective_block_step_factors_take_one_expm(monkeypatch):
-    # e^{hA}, phi1(hA) and phi2(hA) of a defective block are the top block
-    # row of one augmented exponential, not three separate ones
+    # e^{hA}, phi1(hA) and phi2(hA) of a defective block come from one
+    # dense_phis of the block, not three separate evaluations
     calls = []
-    monkeypatch.setattr(propagators, "expm",
-                        lambda a: calls.append(a.shape) or expm(a))
+    dense_phis = propagators.dense_phis
+    monkeypatch.setattr(propagators, "dense_phis",
+                        lambda a: calls.append(a.shape) or dense_phis(a))
     blocks = np.stack([np.diag([-2.0, -3.0, -4.0]), JORDAN3])
     assert eigen_blocks(blocks)[3].tolist() == [False, True]
     prop = Propagator.from_matrix(blocks)
     dt = 0.5
     factors = prop.step_factors(dt)
-    assert calls == [(9, 9)]
+    assert calls == [(3, 3)]
     jordan = dt * JORDAN3
     for order, factor in enumerate(factors):
         taylor = sum(np.linalg.matrix_power(jordan, k) / math.factorial(k + order)
@@ -384,7 +415,7 @@ print(json.dumps([codes, before, scipy_modules()]))
 """
 
 
-def test_scipy_is_imported_only_by_the_first_fallback(tmp_path):
+def test_scipy_is_never_imported(tmp_path):
     # a fresh interpreter: other test files import scipy into this one
     src = pathlib.Path(propagators.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -393,8 +424,8 @@ def test_scipy_is_imported_only_by_the_first_fallback(tmp_path):
         env=env, capture_output=True, text=True, timeout=120, check=True)
     codes, before, after = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0, 0]
-    assert before == []  # no run of the package that does not fall back
-    assert "scipy.linalg" in after  # the Jordan block's one augmented expm
+    assert before == []  # package runs, a frozen quasilinear march among them
+    assert after == []  # a defective block's fallback too
 
 
 def _generator(kind):

@@ -1,6 +1,7 @@
 """Exponential steppers and Picard iteration against a scalar logistic
 closed form, convergence-order sweeps, and blow-up flagging."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,6 +215,16 @@ def test_semigroup_overflow_flags_before_the_first_step():
     # h lam = 1e3 exceeds the exponent guard in the first step factor
     cfg = SolverConfig(dt=1e-3, t_end=1.0, monitor_sigmas=(0.0,))
     tr = run_simulation(ScalarLinear(1e6), U0, cfg)
+    assert tr.blowup_reason == "semigroup-overflow" and tr.blowup_time == 0.0
+    assert tr.steps == 0 and tr.times.size == 1
+
+
+def test_frozen_semigroup_overflow_flags_before_the_first_step():
+    # h A = 1e3 overflows the frozen route's first step factors, silently
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, monitor_sigmas=(0.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = run_simulation(ScalarFrozen(1e6), U0, cfg)
     assert tr.blowup_reason == "semigroup-overflow" and tr.blowup_time == 0.0
     assert tr.steps == 0 and tr.times.size == 1
 
